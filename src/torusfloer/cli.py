@@ -31,6 +31,7 @@ from .fields_io import (
     write_json,
 )
 from .floer import (
+    FlowError,
     energy,
     energy_identity_check,
     flow_to_solution,
@@ -39,6 +40,7 @@ from .floer import (
 )
 from .hamiltonians import (
     HamiltonianError,
+    LegendreError,
     TrigPotential,
     hamiltonian_from_config,
     hofer_norm,
@@ -48,14 +50,20 @@ from .hamiltonians import (
     ddw_residual,
 )
 from .runner import ConfigError, ExperimentConfig, verify_count
-from .spectral import constant_field, field_from_modes, l2_norm, random_band_limited
+from .spectral import (
+    FieldError,
+    constant_field,
+    field_from_modes,
+    l2_norm,
+    random_band_limited,
+)
 from .structures import (
     StructureError,
     check_regularized_pair,
     compatible_triple,
     standard_structures,
 )
-from .symbol import minimal_N_search, sweep_rows
+from .symbol import SymbolError, minimal_N_search, sweep_rows
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -619,7 +627,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StructureError, HamiltonianError) as exc:
+    except (
+        ConfigError,
+        StructureError,
+        HamiltonianError,
+        FieldError,
+        FlowError,
+        SymbolError,
+        LegendreError,
+    ) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,11 +9,18 @@ absent the flow is autonomous and the action decreases monotonically.
 Time stepping is IMEX Euler: the stiff linear part (the dirac operator
 minus the p-block projector) is diagonal per Fourier mode and is treated
 implicitly through precomputed 4n x 4n mode solves, while the bounded
-nonlinear gradient is explicit.  The per-mode matrices Id + ds*L(m) are
-invertible for every step size used here (ds < 1; a determinant guard
-asserts it), and states solving the system are exact fixed points of the
-step because the implicit solve uses the same discrete derivative
-convention as the residual.
+nonlinear gradient is explicit.  The block L(m) = i(m1 J + m2 K) - P has
+the eigenvalues -mu(M) and mu(M) - 1 with mu(M) = (1 + sqrt(1 + 4M))/2 and
+M = m1^2 + m2^2, so Id + ds*L(m) is singular exactly when ds*mu(M) = 1.  The
+step is well posed in the regime ds*(1 + sqrt(1 + 4M))/2 < 1 for every
+grid mode; the derivatives annihilate the Nyquist band, so the largest M is
+2(N/2 - 1)^2 (ds < 0.046 at N = 32, ds < 0.023 at N = 64).  Along its
+growing direction a step multiplies mode m by 1/(1 - ds*mu(M)), which blows
+up as ds*mu(M) nears 1; a determinant guard raises FlowError where a grid
+mode is singular.
+States solving the system are exact fixed points of the step because the
+implicit solve uses the same discrete derivative convention as the
+residual.
 
 Initial-value flows find critical points; they are not two-point
 boundary-value trajectories.  The action functional is strongly
@@ -30,7 +37,8 @@ import numpy as np
 
 from .hamiltonians import (
     HamiltonianSpec,
-    action,
+    _check_z_field,
+    grad_H_values,
     grad_h_tilde,
     h_tilde,
     hamiltonian_residual,
@@ -160,21 +168,6 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
     return inv
 
 
-def _imex_apply(zvals, zhat, spec, prop, ds, weight, t1, t2, mask=None):
-    """One implicit-explicit Euler update in mode space; returns values and modes."""
-    if weight != 0.0:
-        nl = weight * grad_h_tilde(spec, t1, t2, zvals)
-        nhat = np.fft.fft2(nl, axes=(0, 1), norm="forward")
-        if mask is not None:
-            nhat *= mask[:, :, None]
-        rhs = zhat + ds * nhat
-    else:
-        rhs = zhat
-    new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
-    new_vals = np.fft.ifft2(new_hat, axes=(0, 1), norm="forward").real
-    return new_vals, new_hat
-
-
 def band_mask(n_grid: int, band_limit: int | None) -> np.ndarray | None:
     """Boolean (N, N) mask keeping modes with max(|m1|, |m2|) <= band_limit."""
     if band_limit is None:
@@ -183,18 +176,110 @@ def band_mask(n_grid: int, band_limit: int | None) -> np.ndarray | None:
     return (np.abs(m1) <= band_limit) & (np.abs(m2) <= band_limit)
 
 
-def _action_from_modes(spec, zvals, zhat, m1, m2, t1, t2, weight):
-    """Action via Parseval for the kinetic pairing, grid values for H."""
-    n = spec.n_pairs
-    qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
-    pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
-    im1 = (1j * m1)[:, :, None]
-    im2 = (1j * m2)[:, :, None]
-    va = im1 * qa + im2 * qb
-    vb = im1 * qb - im2 * qa
-    pairing = float(np.sum((np.conj(pa) * va + np.conj(pb) * vb).real))
-    ham = float(np.mean(hamiltonian_value(spec, t1, t2, zvals, weight)))
-    return pairing - ham
+def _is_constant(spec: HamiltonianSpec, zhat: np.ndarray) -> bool:
+    """True when the flow of zhat may be advanced on its (0, 0) block alone.
+
+    That holds for an exactly constant state (every other coefficient is
+    zero) of an autonomous h on a power-of-two grid.  There the transforms
+    of a constant field are exact: zero off (0, 0) and the value itself at
+    (0, 0), so the state stays constant to the last bit.  On other grids
+    (N = 12, 24, 48, ...) the (0, 0) coefficient of a constant is rounded.
+    """
+    n = zhat.shape[0]
+    return (
+        not spec.time_dependent
+        and n & (n - 1) == 0
+        and not np.any(zhat[1:])
+        and not np.any(zhat[0, 1:])
+    )
+
+
+class _FlowGrid:
+    """The grid side of one IMEX flow run: the step, the action, grid means and the residual.
+
+    A state is a pair (vals, zhat) of grid values and mode coefficients;
+    `start` is the first one.  For an exactly constant state of an
+    autonomous h (`_is_constant`) the run carries only the (0, 0) block:
+    zhat is the (1, 1, 4n) coefficient, the (0, 0) block of the propagator
+    advances it, and vals is one grid row on which the pointwise functions
+    run.  A row, not a single point, keeps the array shapes and layouts of
+    the full grid, so the same kernels round the same way.  Each grid mean
+    is the mean of an (N, N) array filled with the one pointwise value,
+    which repeats the pairwise-summation rounding of the full grid.  The
+    results are bit-identical to the full-grid path, step halving and
+    termination included.
+    """
+
+    def __init__(self, spec, triple, Z: TorusField, zhat, mask=None):
+        _check_z_field(spec, Z)
+        self.spec, self.triple, self.n = spec, triple, Z.grid_size
+        self.constant = _is_constant(spec, zhat)
+        point = np.s_[:1, :1] if self.constant else np.s_[:, :]
+        row = np.s_[:1] if self.constant else np.s_[:]
+        t1, t2 = grid_points(self.n)
+        m1, m2 = derivative_numbers(self.n)
+        self.t1, self.t2 = t1[row], t2[row]
+        self.m1, self.m2 = m1[point], m2[point]
+        self.mask = None if mask is None else mask[point]
+        self.point = point
+        self.start = (Z.values[row], zhat[point])
+
+    def step(self, vals, zhat, ds, weight):
+        """One implicit-explicit Euler update in mode space; returns values and modes."""
+        prop = _propagator(self.n, ds, self.triple)[self.point]
+        if weight != 0.0:
+            nl = weight * grad_h_tilde(self.spec, self.t1, self.t2, vals)
+            if self.constant:  # the (0, 0) coefficient of a constant field is its value
+                nhat = nl[:, :1].astype(complex)
+            else:
+                nhat = np.fft.fft2(nl, axes=(0, 1), norm="forward")
+            if self.mask is not None:
+                nhat *= self.mask[:, :, None]
+            rhs = zhat + ds * nhat
+        else:
+            rhs = zhat
+        new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
+        if self.constant:  # ifft2 of a lone (0, 0) coefficient puts it on every point
+            new_vals = np.repeat(new_hat, self.n, axis=1).real
+        else:
+            new_vals = np.fft.ifft2(new_hat, axes=(0, 1), norm="forward").real
+        return new_vals, new_hat
+
+    def mean(self, x) -> float:
+        """Grid mean of a pointwise array."""
+        if self.constant:
+            x = np.full((self.n, self.n), x[0, 0])
+        return float(np.mean(x))
+
+    def action(self, vals, zhat, weight) -> float:
+        """Action via Parseval for the kinetic pairing, grid values for H."""
+        n = self.spec.n_pairs
+        qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
+        pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
+        im1 = (1j * self.m1)[:, :, None]
+        im2 = (1j * self.m2)[:, :, None]
+        va = im1 * qa + im2 * qb
+        vb = im1 * qb - im2 * qa
+        pairing = float(np.sum((np.conj(pa) * va + np.conj(pb) * vb).real))
+        ham = self.mean(hamiltonian_value(self.spec, self.t1, self.t2, vals, weight))
+        return pairing - ham
+
+    def max_p_sq(self, vals) -> float:
+        return float(np.max(np.sum(vals[:, :, 2 * self.spec.n_pairs :] ** 2, axis=2)))
+
+    def residual(self, vals, h_weight: float = 1.0) -> float:
+        """L2 norm of the system residual dirac(Z) - grad H(Z)."""
+        if not self.constant:
+            res = hamiltonian_residual(self.spec, TorusField(vals, "z"), self.triple, h_weight)
+            return l2_norm(res)
+        # dirac of a constant field is exactly zero
+        g = grad_H_values(self.spec, self.t1, self.t2, vals, h_weight)
+        return float(np.sqrt(max(self.mean(np.sum(g * g, axis=2)), 0.0)))
+
+    def field(self, vals) -> TorusField:
+        if self.constant:
+            vals = np.broadcast_to(vals[:1, :1], (self.n, self.n, vals.shape[2]))
+        return TorusField(vals, "z")
 
 
 def floer_rhs(state) -> TorusField:
@@ -224,26 +309,19 @@ def imex_step(state: FlowState, ds: float | None = None) -> FlowState:
     diagnostics ring.
     """
     ds = state.ds if ds is None else float(ds)
-    n_grid = state.Z.grid_size
-    prop = _propagator(n_grid, ds, state.triple)
-    t1, t2 = grid_points(n_grid)
-    m1, m2 = derivative_numbers(n_grid)
     zhat = np.fft.fft2(state.Z.values, axes=(0, 1), norm="forward")
-    new_vals, new_hat = _imex_apply(
-        state.Z.values, zhat, state.spec, prop, ds, _weight(state.profile, state.s), t1, t2
-    )
-    dz = new_vals - state.Z.values
-    vsq = float(np.mean(np.sum(dz * dz, axis=2))) / ds**2
+    grid = _FlowGrid(state.spec, state.triple, state.Z, zhat)
+    vals, zhat = grid.start
+    new_vals, new_hat = grid.step(vals, zhat, ds, _weight(state.profile, state.s))
+    dz = new_vals - vals
+    vsq = grid.mean(np.sum(dz * dz, axis=2)) / ds**2
     new = replace(state)
-    new.Z = TorusField(new_vals, "z")
+    new.Z = grid.field(new_vals)
     new.s = state.s + ds
     new.energy_total = state.energy_total + vsq * ds
     new.diagnostics = state.diagnostics
-    act = _action_from_modes(
-        state.spec, new_vals, new_hat, m1, m2, t1, t2, _weight(state.profile, new.s)
-    )
-    max_p_sq = float(np.max(np.sum(new.Z.p_part() ** 2, axis=2)))
-    new.diagnostics.append((new.s, act, max_p_sq, new.energy_total))
+    act = grid.action(new_vals, new_hat, _weight(state.profile, new.s))
+    new.diagnostics.append((new.s, act, grid.max_p_sq(new_vals), new.energy_total))
     return new
 
 
@@ -312,9 +390,6 @@ def flow_to_solution(
         divergence_p_sq = 2.0 * spec.rho if np.isfinite(spec.rho) else 1e6
 
     n_grid = Z0.grid_size
-    t1, t2 = grid_points(n_grid)
-    m1, m2 = derivative_numbers(n_grid)
-
     mask = band_mask(n_grid, band_limit)
     z = Z0
     s = 0.0
@@ -324,47 +399,53 @@ def flow_to_solution(
     if mask is not None:
         zhat *= mask[:, :, None]
         z = TorusField(np.fft.ifft2(zhat, axes=(0, 1), norm="forward").real, "z")
+    grid = _FlowGrid(spec, triple, z, zhat, mask)
+    vals, zhat = grid.start
     # diagnostics rows carry the latest residual, refreshed every check_every steps
-    residual = l2_norm(hamiltonian_residual(spec, z, triple))
+    residual = grid.residual(vals)
     residual_scale = max(1.0, residual)
-    act = _action_from_modes(spec, z.values, zhat, m1, m2, t1, t2, 1.0)
-    max_p_sq = float(np.max(np.sum(z.p_part() ** 2, axis=2)))
+    act = grid.action(vals, zhat, 1.0)
+    max_p_sq = grid.max_p_sq(vals)
     rows.append((s, act, residual, max_p_sq, energy_cum))
     if residual < tol:
         return FlowResult(z, 0.0, residual, True, False, "initial residual below tol", 0, ds, rows)
 
     n_steps = 0
     while s < s_max:
-        prop = _propagator(n_grid, ds, triple)
-        new_vals, new_hat = _imex_apply(z.values, zhat, spec, prop, ds, 1.0, t1, t2, mask)
+        new_vals, new_hat = grid.step(vals, zhat, ds, 1.0)
         if not np.all(np.isfinite(new_vals)):
-            return FlowResult(z, s, residual, False, True, "non-finite state", n_steps, ds, rows)
-        new_act = _action_from_modes(spec, new_vals, new_hat, m1, m2, t1, t2, 1.0)
+            return FlowResult(
+                grid.field(vals), s, residual, False, True, "non-finite state", n_steps, ds, rows
+            )
+        new_act = grid.action(new_vals, new_hat, 1.0)
         slack = MONOTONE_SLACK * max(1.0, abs(act))
         if new_act > act + slack and ds > ds_min:
             ds *= 0.5
             continue
-        dz = new_vals - z.values
-        energy_cum += float(np.mean(np.sum(dz * dz, axis=2))) / ds
-        z = TorusField(new_vals, "z")
+        dz = new_vals - vals
+        energy_cum += grid.mean(np.sum(dz * dz, axis=2)) / ds
+        vals = np.ascontiguousarray(new_vals)
         zhat = new_hat
         s += ds
         act = new_act
         n_steps += 1
-        max_p_sq = float(np.max(np.sum(z.p_part() ** 2, axis=2)))
+        max_p_sq = grid.max_p_sq(vals)
         if n_steps % check_every == 0 or max_p_sq > divergence_p_sq:
-            residual = l2_norm(hamiltonian_residual(spec, z, triple))
+            residual = grid.residual(vals)
         rows.append((s, act, residual, max_p_sq, energy_cum))
         if max_p_sq > divergence_p_sq:
-            return FlowResult(
-                z, s, residual, False, True, f"max|p|^2 {max_p_sq:.3g} escaped", n_steps, ds, rows
-            )
+            reason = f"max|p|^2 {max_p_sq:.3g} escaped"
+            return FlowResult(grid.field(vals), s, residual, False, True, reason, n_steps, ds, rows)
         if residual > residual_blowup * residual_scale:
-            return FlowResult(z, s, residual, False, True, "residual blow-up", n_steps, ds, rows)
+            return FlowResult(
+                grid.field(vals), s, residual, False, True, "residual blow-up", n_steps, ds, rows
+            )
         if residual < tol:
-            return FlowResult(z, s, residual, True, False, "residual below tol", n_steps, ds, rows)
-    residual = l2_norm(hamiltonian_residual(spec, z, triple))
-    return FlowResult(z, s, residual, False, False, "s_max reached", n_steps, ds, rows)
+            return FlowResult(
+                grid.field(vals), s, residual, True, False, "residual below tol", n_steps, ds, rows
+            )
+    residual = grid.residual(vals)
+    return FlowResult(grid.field(vals), s, residual, False, False, "s_max reached", n_steps, ds, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +497,6 @@ def run_homotopy(
     s_end = profile.s_off + pad
     n_steps = int(np.ceil((s_end - s_start) / ds))
 
-    n_grid = Z0.grid_size
-    t1, t2 = grid_points(n_grid)
-    m1, m2 = derivative_numbers(n_grid)
-
     svals = np.empty(n_steps + 1)
     act = np.empty(n_steps + 1)
     h_int = np.empty(n_steps + 1)
@@ -427,30 +504,29 @@ def run_homotopy(
     vsq = np.empty(n_steps)
     snapshots = []
 
-    z = Z0
-    zhat = np.fft.fft2(z.values, axes=(0, 1), norm="forward")
+    grid = _FlowGrid(spec, triple, Z0, np.fft.fft2(Z0.values, axes=(0, 1), norm="forward"))
+    vals, zhat = grid.start
     for i in range(n_steps + 1):
         s = s_start + i * ds
         w = float(profile.value(s))
         svals[i] = s
-        act[i] = _action_from_modes(spec, z.values, zhat, m1, m2, t1, t2, w)
-        h_int[i] = float(np.mean(h_tilde(spec, t1, t2, z.values)))
-        max_p_sq[i] = float(np.max(np.sum(z.p_part() ** 2, axis=2)))
+        act[i] = grid.action(vals, zhat, w)
+        h_int[i] = grid.mean(h_tilde(spec, grid.t1, grid.t2, vals))
+        max_p_sq[i] = grid.max_p_sq(vals)
         if snapshot_every is not None and i % snapshot_every == 0:
-            snapshots.append((s, z))
+            snapshots.append((s, grid.field(vals)))
         if i == n_steps:
             break
-        prop = _propagator(n_grid, ds, triple)
-        new_vals, new_hat = _imex_apply(z.values, zhat, spec, prop, ds, w, t1, t2)
+        new_vals, new_hat = grid.step(vals, zhat, ds, w)
         if not np.all(np.isfinite(new_vals)):
             raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
-        dz = new_vals - z.values
-        vsq[i] = float(np.mean(np.sum(dz * dz, axis=2))) / ds**2
-        z = TorusField(new_vals, "z")
+        dz = new_vals - vals
+        vsq[i] = grid.mean(np.sum(dz * dz, axis=2)) / ds**2
+        vals = np.ascontiguousarray(new_vals)
         zhat = new_hat
 
-    res_start = l2_norm(hamiltonian_residual(spec, Z0, triple, h_weight=0.0))
-    res_end = l2_norm(hamiltonian_residual(spec, z, triple, h_weight=0.0))
+    res_start = grid.residual(grid.start[0], h_weight=0.0)
+    res_end = grid.residual(vals, h_weight=0.0)
     return FlowTrajectory(
         s=svals,
         action=act,

@@ -135,23 +135,6 @@ class TrigPotential:
         out[..., : 2 * self.n_pairs, : 2 * self.n_pairs] = block
         return out
 
-    def critical_points(self):
-        """Constant critical points for the separable single-frequency case.
-
-        Valid when the modes are the 2n coordinate directions: the gradient
-        vanishes exactly on the lattice {0, pi}^(2n).
-        """
-        eye = np.eye(2 * self.n_pairs)
-        if self.modes.shape != eye.shape or not np.array_equal(np.abs(self.modes), eye):
-            raise HamiltonianError("closed-form critical points need coordinate modes")
-        pts = []
-        for bits in range(2 ** (2 * self.n_pairs)):
-            pt = np.array(
-                [np.pi if (bits >> i) & 1 else 0.0 for i in range(2 * self.n_pairs)]
-            )
-            pts.append(pt)
-        return np.array(pts)
-
 
 class TimeTrigPotential:
     """h(t, q) = epsilon * cos(w . t) * cos(a . q); oscillates in torus time."""
@@ -213,6 +196,11 @@ class HamiltonianSpec:
     h and grad_h are vectorized callables (t1, t2, z) -> values / vectors;
     hess_h is optional and only used by diagnostics.  sup_h / sup_grad_p /
     c3_norm are optional global bounds on h used for a-priori constants.
+
+    time_dependent=False is a promise that h and grad_h do not depend on the
+    torus time: the Hofer norm then samples one time only, and the flow
+    advances constant states on their (0, 0) mode alone.  The gradient check
+    also compares both callables at two times and rejects a broken promise.
     """
 
     n_pairs: int
@@ -241,10 +229,20 @@ class HamiltonianSpec:
 
     def _validate_gradient(self, tol: float = DEFAULT_GRAD_CHECK_TOL, step: float = 1e-5):
         rng = np.random.default_rng(1234)
+        other_times = np.random.default_rng(4321)
         for _ in range(5):
             t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
             z = rng.uniform(-1.0, 1.0, size=self.dim)
             grad = np.asarray(self.grad_h(t1, t2, z), dtype=float)
+            if not self.time_dependent:
+                s1, s2 = other_times.uniform(0, 2 * np.pi, size=2)
+                if not (
+                    np.array_equal(self.h(t1, t2, z), self.h(s1, s2, z))
+                    and np.array_equal(grad, np.asarray(self.grad_h(s1, s2, z), dtype=float))
+                ):
+                    raise HamiltonianError(
+                        "h depends on the torus time; declare time_dependent=True"
+                    )
             fd = np.zeros(self.dim)
             for c in range(self.dim):
                 zp, zm = z.copy(), z.copy()
@@ -314,15 +312,20 @@ def _check_z_field(spec: HamiltonianSpec, Z: TorusField):
         )
 
 
+def grad_H_values(spec: HamiltonianSpec, t1, t2, z, h_weight: float = 1.0) -> np.ndarray:
+    """Pointwise (dH/dq, dH/dp) = (w*dh/dq, p + w*dh/dp), cut-off applied."""
+    grad = grad_h_tilde(spec, t1, t2, z)
+    if h_weight != 1.0:
+        grad = h_weight * grad
+    grad[..., 2 * spec.n_pairs :] += z[..., 2 * spec.n_pairs :]
+    return grad
+
+
 def grad_H(spec: HamiltonianSpec, Z: TorusField, h_weight: float = 1.0) -> TorusField:
     """Gradient field (dH/dq, dH/dp) = (w*dh/dq, p + w*dh/dp), cut-off applied."""
     _check_z_field(spec, Z)
     t1, t2 = grid_points(Z.grid_size)
-    grad = grad_h_tilde(spec, t1, t2, Z.values)
-    if h_weight != 1.0:
-        grad = h_weight * grad
-    grad[:, :, 2 * spec.n_pairs :] += Z.p_part()
-    return TorusField(grad, "z")
+    return TorusField(grad_H_values(spec, t1, t2, Z.values, h_weight), "z")
 
 
 def hamiltonian_residual(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,17 +246,26 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
     budget_exhausted = False
     indices = list(range(config.n_seeds))
 
+    def over_budget() -> bool:
+        cap = config.wall_clock_cap
+        return cap is not None and time.monotonic() - start > cap
+
     results: dict = {}
     if jobs > 1:
         config_json = json.dumps(config.to_dict())
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for idx, result in pool.map(
-                _solve_seed_task, [config_json] * len(indices), indices
-            ):
+            futures = [pool.submit(_solve_seed_task, config_json, idx) for idx in indices]
+            for future in as_completed(futures):
+                idx, result = future.result()
                 results[idx] = result
+                if over_budget():
+                    budget_exhausted = True
+                    for pending in futures:
+                        pending.cancel()
+                    break
     else:
         for idx in indices:
-            if config.wall_clock_cap is not None and time.monotonic() - start > config.wall_clock_cap:
+            if over_budget():
                 budget_exhausted = True
                 break
             results[idx] = solve_seed(config, idx)[1]

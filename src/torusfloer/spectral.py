@@ -303,9 +303,3 @@ def random_band_limited(
     if include_mean:
         modes[(0, 0)] = amplitude * rng.standard_normal(components)
     return field_from_modes(n, components, modes, layout)
-
-
-def shift_components(field: TorusField, offset) -> TorusField:
-    """Add a constant vector to the field (used for lattice shifts in tests)."""
-    offset = np.asarray(offset, dtype=float)
-    return TorusField(field.values + offset, field.layout)

@@ -161,6 +161,27 @@ def test_cuplength_invalid_config(tmp_path):
     assert run_cli("cuplength", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # odd grid: passes ExperimentConfig, fails when the first seed is built
+        (["cuplength"], {"n_pairs": 1, "grid_size": 31}, "grid size must be even"),
+        # ds * (1 + sqrt(1 + 4M)) / 2 = 1 at M = 49^2 + 7^2 on the 128 grid
+        (["flow", "--grid", "128", "--ds", "0.02"], None, "singular implicit solve"),
+    ],
+)
+def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert err.startswith(f"{argv[0]}: ")
+
+
 def test_legendre_check(tmp_path):
     out = tmp_path / "leg"
     assert run_cli("legendre-check", "--samples", "4", "--out", str(out)) == 0

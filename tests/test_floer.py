@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusfloer import floer
 from torusfloer.floer import (
     BetaProfile,
     FlowError,
@@ -23,6 +24,7 @@ from torusfloer.spectral import (
     l2_norm,
     mode_transform,
     random_band_limited,
+    sobolev_seminorm,
 )
 from torusfloer.structures import standard_structures
 
@@ -255,6 +257,93 @@ def test_flow_converges_to_potential_critical_point():
     q = np.mod(np.mean(result.Z.values[:, :, :2], axis=(0, 1)), 2 * np.pi)
     dist = np.minimum(q, 2 * np.pi - q)
     assert np.max(dist) < 1e-6  # the ascent target is the origin cell
+
+
+# ---------------------------------------------------------------------------
+# exact constant-state path
+
+
+def _full_grid_only(monkeypatch):
+    monkeypatch.setattr(floer, "_is_constant", lambda spec, zhat: False)
+
+
+def _takes_constant_path(spec, z):
+    return floer._is_constant(spec, mode_transform(z).coeffs)
+
+
+def _flow_bytes(result):
+    return (
+        result.Z.values.tobytes(),
+        result.n_steps,
+        result.ds_final,
+        result.s_reached,
+        result.residual_norm,
+        result.reason,
+        np.array(result.rows).tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_grid, potential, rho, ds",
+    [
+        # a flagship lattice constant (6x6 lattice) at a larger epsilon
+        (32, {"kind": "trig_potential", "epsilon": 2.5, "modes": [[1, 0], [0, 1]]}, 4.0, 0.02),
+        # non-axis modes: the nonlinearity goes through matmul kernels
+        (32, {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 2], [3, -1], [1, 1]]}, 4.0, 0.02),
+        # a step long enough to be halved
+        (16, {"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]}, np.inf, 0.09),
+    ],
+)
+@pytest.mark.parametrize("seed", ["lattice", "random"])
+def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential, rho, ds, seed):
+    spec = hamiltonian_from_config(potential, rho=rho)
+    q = [np.pi / 3, 0.0] if seed == "lattice" else list(rng.uniform(0, 2 * np.pi, size=2))
+    z0 = constant_field(n_grid, [*q, 0.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+    fast = flow_to_solution(z0, spec, ds=ds, s_max=40.0)
+    _full_grid_only(monkeypatch)
+    full = flow_to_solution(z0, spec, ds=ds, s_max=40.0)
+    assert fast.n_steps > 0
+    assert _flow_bytes(fast) == _flow_bytes(full)
+    if ds == 0.09:
+        assert fast.ds_final < ds
+
+
+def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng):
+    spec = trig_spec()
+    q = rng.uniform(0, 2 * np.pi, size=2)
+    z0 = constant_field(16, [q[0], q[1], 0.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+
+    def run():
+        traj = run_homotopy(z0, spec, r=0.5, ds=0.01, snapshot_every=50)
+        arrays = (traj.s, traj.action, traj.h_int, traj.max_p_sq, traj.vsq)
+        snaps = [(s, z.values.tobytes()) for s, z in traj.snapshots]
+        return [a.tobytes() for a in arrays], traj.end_residuals, snaps
+
+    fast = run()
+    _full_grid_only(monkeypatch)
+    full = run()
+    assert len(fast[2]) > 1
+    assert fast == full
+
+
+@pytest.mark.parametrize(
+    "n_grid, potential",
+    [
+        (32, {"kind": "time_trig", "epsilon": 0.5, "t_mode": [1, 0], "q_mode": [1, 0]}),
+        # the (0, 0) coefficient of a constant is rounded off power-of-two grids
+        (24, {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 0], [0, 1]]}),
+    ],
+)
+def test_constant_path_needs_autonomous_h_on_power_of_two_grid(n_grid, potential):
+    spec = hamiltonian_from_config(potential)
+    z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
+    assert not _takes_constant_path(spec, z0)
+    if spec.time_dependent:
+        # the full-grid flow leaves the constants at once
+        result = flow_to_solution(z0, spec, s_max=0.1)
+        assert sobolev_seminorm(result.Z, 1) > 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,20 @@ def test_gradient_validation_catches_mismatch():
         HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=broken_grad)
 
 
+def test_time_dependence_must_be_declared():
+    def h(t1, t2, z):
+        return 0.1 * np.cos(t1) * np.cos(z[..., 0])
+
+    def grad_h(t1, t2, z):
+        out = np.zeros(np.broadcast_shapes(np.shape(t1), np.shape(z)[:-1]) + (4,))
+        out[..., 0] = -0.1 * np.cos(t1) * np.sin(z[..., 0])
+        return out
+
+    with pytest.raises(HamiltonianError, match="time_dependent"):
+        HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h)
+    assert HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, time_dependent=True).time_dependent
+
+
 def test_cutoff_consistency_inside_support(rng):
     # where |p|^2 <= rho - 1 the cut-off changes nothing, exactly
     spec_inf = trig_spec(np.inf)

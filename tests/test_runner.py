@@ -224,6 +224,14 @@ def test_budget_exhaustion_is_inconclusive():
     assert report.inconclusive and not report.passed
 
 
+def test_parallel_budget_cancels_pending_seeds():
+    config = ExperimentConfig(**{**FAST_TRIG, "wall_clock_cap": 0.0})
+    multi = multistart_solve(config, jobs=2)
+    assert multi.budget_exhausted
+    finished = len(multi.records) + len(multi.divergent) + len(multi.unfinished)
+    assert finished < config.n_seeds
+
+
 def test_multistart_worker_pool_matches_serial():
     config = ExperimentConfig(**FAST_TRIG)
     serial = verify_count(config, jobs=1)
