@@ -16,8 +16,8 @@ step is well posed in the regime ds*(1 + sqrt(1 + 4M))/2 < 1 for every
 grid mode; the derivatives annihilate the Nyquist band, so the largest M is
 2(N/2 - 1)^2 (ds < 0.046 at N = 32, ds < 0.023 at N = 64).  Along its
 growing direction a step multiplies mode m by 1/(1 - ds*mu(M)), which blows
-up as ds*mu(M) nears 1; a determinant guard raises FlowError where a grid
-mode is singular.
+up as ds*mu(M) nears 1; the propagator raises FlowError for a step size
+outside the regime (`mu_max`).
 States solving the system are exact fixed points of the step because the
 implicit solve uses the same discrete derivative convention as the
 residual.
@@ -36,21 +36,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hamiltonians import (
+    CutoffTerms,
     HamiltonianSpec,
     _check_z_field,
+    cutoff_terms,
     grad_H_values,
-    grad_h_tilde,
-    h_tilde,
     hamiltonian_residual,
-    hamiltonian_value,
 )
+
+# perfbench/tracing.py wraps these names on this module
+from .hamiltonians import grad_h_tilde, h_tilde, hamiltonian_value  # noqa: F401
 from .spectral import (
     FieldError,
     TorusField,
     derivative,
     derivative_numbers,
     grid_points,
-    l2_norm,
 )
 from .structures import StructureTriple, standard_structures
 
@@ -139,10 +140,26 @@ def _weight(profile: BetaProfile | None, s: float) -> float:
 _PROP_CACHE: dict = {}
 
 
+def mu_max(n_grid: int) -> float:
+    """Largest mu(M) = (1 + sqrt(1 + 4M))/2 over the derivative modes of an N grid.
+
+    The derivatives annihilate the Nyquist band, so M <= 2 (N/2 - 1)^2.
+    """
+    m = n_grid // 2 - 1
+    return 0.5 * (1.0 + np.sqrt(1.0 + 8.0 * m * m))
+
+
 def _propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
-    """Inverse per-mode matrices (Id + ds * (i(m1 J + m2 K) - P))^(-1)."""
+    """Inverse per-mode matrices (Id + ds * (i(m1 J + m2 K) - P))^(-1) on the full N x N grid."""
     if not 0.0 < ds < 1.0:
         raise FlowError(f"step size must lie in (0, 1), got {ds}")
+    mu = mu_max(n_grid)
+    if ds * mu >= 1.0:
+        raise FlowError(
+            f"ds={ds} leaves the step regime on the {n_grid}x{n_grid} grid: ds*mu_max = "
+            f"{ds * mu:.3g} >= 1, need ds < {1.0 / mu:.4g} "
+            "(at ds*mu = 1 a grid mode has a singular implicit solve)"
+        )
     key = (n_grid, float(ds), triple.dim, triple.J.tobytes(), triple.K.tobytes())
     cached = _PROP_CACHE.get(key)
     if cached is not None:
@@ -157,11 +174,7 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
         + 1j * m2[:, :, None, None] * triple.K
         - proj
     )
-    a = np.eye(dim) + ds * lin
-    dets = np.linalg.det(a)
-    if np.min(np.abs(dets)) < 1e-12:
-        raise FlowError(f"singular implicit solve at ds={ds}")
-    inv = np.linalg.inv(a)
+    inv = np.linalg.inv(np.eye(dim) + ds * lin)
     if len(_PROP_CACHE) > 64:
         _PROP_CACHE.clear()
     _PROP_CACHE[key] = inv
@@ -194,56 +207,101 @@ def _is_constant(spec: HamiltonianSpec, zhat: np.ndarray) -> bool:
     )
 
 
+def _rfft2(values):
+    return np.fft.rfft2(values, axes=(0, 1), norm="forward")
+
+
+def _irfft2(zhat, n_grid: int):
+    return np.fft.irfft2(zhat, s=(n_grid, n_grid), axes=(0, 1), norm="forward")
+
+
 class _FlowGrid:
     """The grid side of one IMEX flow run: the step, the action, grid means and the residual.
 
     A state is a pair (vals, zhat) of grid values and mode coefficients;
-    `start` is the first one.  For an exactly constant state of an
-    autonomous h (`_is_constant`) the run carries only the (0, 0) block:
-    zhat is the (1, 1, 4n) coefficient, the (0, 0) block of the propagator
-    advances it, and vals is one grid row on which the pointwise functions
-    run.  A row, not a single point, keeps the array shapes and layouts of
-    the full grid, so the same kernels round the same way.  Each grid mean
-    is the mean of an (N, N) array filled with the one pointwise value,
-    which repeats the pairwise-summation rounding of the full grid.  The
-    results are bit-identical to the full-grid path, step halving and
-    termination included.
+    `start` is the first one.  zhat is the rfft2 half spectrum, shape
+    (N, N/2 + 1, 4n): the modes of a real field at -m are the conjugates of
+    those at m, so only columns m2 = 0 .. N/2 are held.
+
+    For an exactly constant state of an autonomous h (`_is_constant`) the
+    run carries only the (0, 0) block: zhat is the (1, 1, 4n) coefficient,
+    the (0, 0) block of the propagator advances it, and vals is one grid
+    row on which the pointwise functions run.  A row, not a single point,
+    keeps the array shapes and layouts of the full grid, so the same
+    kernels round the same way.  Each grid mean is the mean of an (N, N)
+    array filled with the one pointwise value, which repeats the
+    pairwise-summation rounding of the full grid.  The results are
+    bit-identical to the full-grid path, step halving and termination
+    included.
+
+    The nonlinearity of a state is evaluated once (`cutoff_terms`) and
+    kept for the last state seen, keyed by the identity of its vals: the
+    step, the action, max|p|^2, h_int and the residual all read it.
     """
 
-    def __init__(self, spec, triple, Z: TorusField, zhat, mask=None):
+    def __init__(self, spec, triple, Z: TorusField, band_limit: int | None = None):
         _check_z_field(spec, Z)
-        self.spec, self.triple, self.n = spec, triple, Z.grid_size
+        self.spec, self.triple = spec, triple
+        n = self.n = Z.grid_size
+        zhat = _rfft2(Z.values)
+        mask = band_mask(n, band_limit)
+        if mask is not None:
+            zhat *= mask[:, : n // 2 + 1, None]
+            Z = TorusField(_irfft2(zhat, n), "z")
+        # the start state as given (band-limited if asked): a field rebuilt
+        # from one row has another memory layout, and means over it round differently
+        self.start_field = Z
         self.constant = _is_constant(spec, zhat)
-        point = np.s_[:1, :1] if self.constant else np.s_[:, :]
+        modes = np.s_[:1, :1] if self.constant else np.s_[:, : n // 2 + 1]
         row = np.s_[:1] if self.constant else np.s_[:]
-        t1, t2 = grid_points(self.n)
-        m1, m2 = derivative_numbers(self.n)
+        t1, t2 = grid_points(n)
+        m1, m2 = derivative_numbers(n)
         self.t1, self.t2 = t1[row], t2[row]
-        self.m1, self.m2 = m1[point], m2[point]
-        self.mask = None if mask is None else mask[point]
-        self.point = point
-        self.start = (Z.values[row], zhat[point])
+        self.modes = modes
+        self.im1 = (1j * m1[modes])[:, :, None]
+        self.im2 = (1j * m2[modes])[:, :, None]
+        # Parseval: each interior column of the half spectrum stands for m and -m
+        cols = np.arange(self.im1.shape[1])
+        self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
+        self.mask = None if mask is None else mask[modes][:, :, None]
+        self.start = (Z.values[row], zhat[modes])
+        self._props: dict = {}
+        self._vals = self._terms_of_vals = None
+
+    def terms(self, vals) -> CutoffTerms:
+        """The pointwise evaluation of the nonlinearity at vals, reused while vals is the last state."""
+        if vals is not self._vals:
+            self._terms_of_vals = cutoff_terms(self.spec, self.t1, self.t2, vals)
+            self._vals = vals
+        return self._terms_of_vals
+
+    def _propagator(self, ds):
+        prop = self._props.get(ds)
+        if prop is None:
+            prop = np.ascontiguousarray(_propagator(self.n, ds, self.triple)[self.modes])
+            self._props[ds] = prop
+        return prop
 
     def step(self, vals, zhat, ds, weight):
-        """One implicit-explicit Euler update in mode space; returns values and modes."""
-        prop = _propagator(self.n, ds, self.triple)[self.point]
+        """One implicit-explicit Euler update in mode space; returns C-contiguous values and modes."""
+        prop = self._propagator(ds)
         if weight != 0.0:
-            nl = weight * grad_h_tilde(self.spec, self.t1, self.t2, vals)
+            nl = weight * self.terms(vals).grad
             if self.constant:  # the (0, 0) coefficient of a constant field is its value
                 nhat = nl[:, :1].astype(complex)
             else:
-                nhat = np.fft.fft2(nl, axes=(0, 1), norm="forward")
+                nhat = _rfft2(nl)
             if self.mask is not None:
-                nhat *= self.mask[:, :, None]
+                nhat *= self.mask
             rhs = zhat + ds * nhat
         else:
             rhs = zhat
         new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
-        if self.constant:  # ifft2 of a lone (0, 0) coefficient puts it on every point
-            new_vals = np.repeat(new_hat, self.n, axis=1).real
+        if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
+            new_vals = np.repeat(new_hat.real, self.n, axis=1)
         else:
-            new_vals = np.fft.ifft2(new_hat, axes=(0, 1), norm="forward").real
-        return new_vals, new_hat
+            new_vals = _irfft2(new_hat, self.n)
+        return np.ascontiguousarray(new_vals), new_hat
 
     def mean(self, x) -> float:
         """Grid mean of a pointwise array."""
@@ -256,25 +314,27 @@ class _FlowGrid:
         n = self.spec.n_pairs
         qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
         pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
-        im1 = (1j * self.m1)[:, :, None]
-        im2 = (1j * self.m2)[:, :, None]
-        va = im1 * qa + im2 * qb
-        vb = im1 * qb - im2 * qa
-        pairing = float(np.sum((np.conj(pa) * va + np.conj(pb) * vb).real))
-        ham = self.mean(hamiltonian_value(self.spec, self.t1, self.t2, vals, weight))
-        return pairing - ham
+        va = self.im1 * qa + self.im2 * qb
+        vb = self.im1 * qb - self.im2 * qa
+        pairing = float(np.sum(self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real))
+        terms = self.terms(vals)
+        return pairing - self.mean(0.5 * terms.p_sq + weight * terms.h)
 
     def max_p_sq(self, vals) -> float:
-        return float(np.max(np.sum(vals[:, :, 2 * self.spec.n_pairs :] ** 2, axis=2)))
+        return float(np.max(self.terms(vals).p_sq))
 
-    def residual(self, vals, h_weight: float = 1.0) -> float:
-        """L2 norm of the system residual dirac(Z) - grad H(Z)."""
-        if not self.constant:
-            res = hamiltonian_residual(self.spec, TorusField(vals, "z"), self.triple, h_weight)
-            return l2_norm(res)
-        # dirac of a constant field is exactly zero
-        g = grad_H_values(self.spec, self.t1, self.t2, vals, h_weight)
-        return float(np.sqrt(max(self.mean(np.sum(g * g, axis=2)), 0.0)))
+    def h_int(self, vals) -> float:
+        """Grid mean of the cut-off nonlinearity h_tilde."""
+        return self.mean(self.terms(vals).h)
+
+    def residual(self, vals, zhat, h_weight: float = 1.0) -> float:
+        """L2 norm of the system residual dirac(Z) - grad H(Z), dirac taken from the modes."""
+        g = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
+        if self.constant:  # dirac of a constant field is exactly zero
+            return float(np.sqrt(max(self.mean(np.sum(g * g, axis=2)), 0.0)))
+        dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
+        res = _irfft2(dhat, self.n) - g
+        return float(np.sqrt(max(np.mean(np.sum(res * res, axis=2)), 0.0)))
 
     def field(self, vals) -> TorusField:
         if self.constant:
@@ -309,8 +369,7 @@ def imex_step(state: FlowState, ds: float | None = None) -> FlowState:
     diagnostics ring.
     """
     ds = state.ds if ds is None else float(ds)
-    zhat = np.fft.fft2(state.Z.values, axes=(0, 1), norm="forward")
-    grid = _FlowGrid(state.spec, state.triple, state.Z, zhat)
+    grid = _FlowGrid(state.spec, state.triple, state.Z)
     vals, zhat = grid.start
     new_vals, new_hat = grid.step(vals, zhat, ds, _weight(state.profile, state.s))
     dz = new_vals - vals
@@ -389,26 +448,22 @@ def flow_to_solution(
     if divergence_p_sq is None:
         divergence_p_sq = 2.0 * spec.rho if np.isfinite(spec.rho) else 1e6
 
-    n_grid = Z0.grid_size
-    mask = band_mask(n_grid, band_limit)
-    z = Z0
     s = 0.0
     rows = []
     energy_cum = 0.0
-    zhat = np.fft.fft2(z.values, axes=(0, 1), norm="forward")
-    if mask is not None:
-        zhat *= mask[:, :, None]
-        z = TorusField(np.fft.ifft2(zhat, axes=(0, 1), norm="forward").real, "z")
-    grid = _FlowGrid(spec, triple, z, zhat, mask)
+    grid = _FlowGrid(spec, triple, Z0, band_limit)
+    grid._propagator(ds)  # rejects a ds outside the step regime even if no step is taken
     vals, zhat = grid.start
     # diagnostics rows carry the latest residual, refreshed every check_every steps
-    residual = grid.residual(vals)
+    residual = grid.residual(vals, zhat)
     residual_scale = max(1.0, residual)
     act = grid.action(vals, zhat, 1.0)
     max_p_sq = grid.max_p_sq(vals)
     rows.append((s, act, residual, max_p_sq, energy_cum))
     if residual < tol:
-        return FlowResult(z, 0.0, residual, True, False, "initial residual below tol", 0, ds, rows)
+        return FlowResult(
+            grid.start_field, 0.0, residual, True, False, "initial residual below tol", 0, ds, rows
+        )
 
     n_steps = 0
     while s < s_max:
@@ -424,14 +479,13 @@ def flow_to_solution(
             continue
         dz = new_vals - vals
         energy_cum += grid.mean(np.sum(dz * dz, axis=2)) / ds
-        vals = np.ascontiguousarray(new_vals)
-        zhat = new_hat
+        vals, zhat = new_vals, new_hat
         s += ds
         act = new_act
         n_steps += 1
         max_p_sq = grid.max_p_sq(vals)
         if n_steps % check_every == 0 or max_p_sq > divergence_p_sq:
-            residual = grid.residual(vals)
+            residual = grid.residual(vals, zhat)
         rows.append((s, act, residual, max_p_sq, energy_cum))
         if max_p_sq > divergence_p_sq:
             reason = f"max|p|^2 {max_p_sq:.3g} escaped"
@@ -444,7 +498,7 @@ def flow_to_solution(
             return FlowResult(
                 grid.field(vals), s, residual, True, False, "residual below tol", n_steps, ds, rows
             )
-    residual = grid.residual(vals)
+    residual = grid.residual(vals, zhat)
     return FlowResult(grid.field(vals), s, residual, False, False, "s_max reached", n_steps, ds, rows)
 
 
@@ -504,14 +558,14 @@ def run_homotopy(
     vsq = np.empty(n_steps)
     snapshots = []
 
-    grid = _FlowGrid(spec, triple, Z0, np.fft.fft2(Z0.values, axes=(0, 1), norm="forward"))
+    grid = _FlowGrid(spec, triple, Z0)
     vals, zhat = grid.start
     for i in range(n_steps + 1):
         s = s_start + i * ds
         w = float(profile.value(s))
         svals[i] = s
         act[i] = grid.action(vals, zhat, w)
-        h_int[i] = grid.mean(h_tilde(spec, grid.t1, grid.t2, vals))
+        h_int[i] = grid.h_int(vals)
         max_p_sq[i] = grid.max_p_sq(vals)
         if snapshot_every is not None and i % snapshot_every == 0:
             snapshots.append((s, grid.field(vals)))
@@ -522,11 +576,10 @@ def run_homotopy(
             raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
         dz = new_vals - vals
         vsq[i] = grid.mean(np.sum(dz * dz, axis=2)) / ds**2
-        vals = np.ascontiguousarray(new_vals)
-        zhat = new_hat
+        vals, zhat = new_vals, new_hat
 
-    res_start = grid.residual(grid.start[0], h_weight=0.0)
-    res_end = grid.residual(vals, h_weight=0.0)
+    res_start = grid.residual(*grid.start, h_weight=0.0)
+    res_end = grid.residual(vals, zhat, h_weight=0.0)
     return FlowTrajectory(
         s=svals,
         action=act,

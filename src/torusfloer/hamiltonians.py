@@ -18,6 +18,7 @@ f(t1, t2, z) where t1, t2 broadcast against z[..., :].
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,27 +280,47 @@ def _p_norm_sq(spec: HamiltonianSpec, z: np.ndarray) -> np.ndarray:
     return np.sum(z[..., 2 * spec.n_pairs :] ** 2, axis=-1)
 
 
-def h_tilde(spec: HamiltonianSpec, t1, t2, z) -> np.ndarray:
-    """Cut-off nonlinearity chi(|p|^2) h; vanishes identically for |p|^2 >= rho."""
-    z = np.asarray(z, dtype=float)
-    return chi_cutoff(_p_norm_sq(spec, z), spec.rho) * np.asarray(spec.h(t1, t2, z), dtype=float)
+class CutoffTerms(NamedTuple):
+    """Pointwise |p|^2, h_tilde = chi(|p|^2) h and grad h_tilde (None if not asked for)."""
+
+    p_sq: np.ndarray
+    h: np.ndarray
+    grad: np.ndarray | None
 
 
-def grad_h_tilde(spec: HamiltonianSpec, t1, t2, z) -> np.ndarray:
+def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> CutoffTerms:
+    """Evaluate |p|^2, chi, h, grad h and chi' once and combine them.
+
+    h_tilde, grad_h_tilde and hamiltonian_value are views of this one
+    evaluation; the flow reuses it for the step, the action, max|p|^2,
+    h_int and the residual of a state.
+    """
     z = np.asarray(z, dtype=float)
     psq = _p_norm_sq(spec, z)
     chi = chi_cutoff(psq, spec.rho)
+    hval = np.asarray(spec.h(t1, t2, z), dtype=float)
+    if not with_grad:
+        return CutoffTerms(psq, chi * hval, None)
     grad = chi[..., None] * np.asarray(spec.grad_h(t1, t2, z), dtype=float)
     if np.isfinite(spec.rho):
-        hval = np.asarray(spec.h(t1, t2, z), dtype=float)
-        dchi = chi_cutoff_prime(psq, spec.rho)
-        grad[..., 2 * spec.n_pairs :] += (2.0 * dchi * hval)[..., None] * z[..., 2 * spec.n_pairs :]
-    return grad
+        dh = 2.0 * chi_cutoff_prime(psq, spec.rho) * hval
+        for k in range(2 * spec.n_pairs, spec.dim):  # per component: the same products, faster loops
+            grad[..., k] += dh * z[..., k]
+    return CutoffTerms(psq, chi * hval, grad)
+
+
+def h_tilde(spec: HamiltonianSpec, t1, t2, z) -> np.ndarray:
+    """Cut-off nonlinearity chi(|p|^2) h; vanishes identically for |p|^2 >= rho."""
+    return cutoff_terms(spec, t1, t2, z, with_grad=False).h
+
+
+def grad_h_tilde(spec: HamiltonianSpec, t1, t2, z) -> np.ndarray:
+    return cutoff_terms(spec, t1, t2, z).grad
 
 
 def hamiltonian_value(spec: HamiltonianSpec, t1, t2, z, h_weight: float = 1.0) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return 0.5 * _p_norm_sq(spec, z) + h_weight * h_tilde(spec, t1, t2, z)
+    terms = cutoff_terms(spec, t1, t2, z, with_grad=False)
+    return 0.5 * terms.p_sq + h_weight * terms.h
 
 
 # field-level operations -------------------------------------------------------
@@ -312,11 +333,12 @@ def _check_z_field(spec: HamiltonianSpec, Z: TorusField):
         )
 
 
-def grad_H_values(spec: HamiltonianSpec, t1, t2, z, h_weight: float = 1.0) -> np.ndarray:
-    """Pointwise (dH/dq, dH/dp) = (w*dh/dq, p + w*dh/dp), cut-off applied."""
-    grad = grad_h_tilde(spec, t1, t2, z)
-    if h_weight != 1.0:
-        grad = h_weight * grad
+def grad_H_values(spec: HamiltonianSpec, grad_h, z, h_weight: float = 1.0) -> np.ndarray:
+    """Pointwise (dH/dq, dH/dp) = (w*dh/dq, p + w*dh/dp) from grad_h = grad h_tilde at z.
+
+    grad_h is left unchanged.
+    """
+    grad = h_weight * grad_h if h_weight != 1.0 else grad_h.copy()
     grad[..., 2 * spec.n_pairs :] += z[..., 2 * spec.n_pairs :]
     return grad
 
@@ -325,7 +347,8 @@ def grad_H(spec: HamiltonianSpec, Z: TorusField, h_weight: float = 1.0) -> Torus
     """Gradient field (dH/dq, dH/dp) = (w*dh/dq, p + w*dh/dp), cut-off applied."""
     _check_z_field(spec, Z)
     t1, t2 = grid_points(Z.grid_size)
-    return TorusField(grad_H_values(spec, t1, t2, Z.values, h_weight), "z")
+    grad_h = grad_h_tilde(spec, t1, t2, Z.values)
+    return TorusField(grad_H_values(spec, grad_h, Z.values, h_weight), "z")
 
 
 def hamiltonian_residual(
@@ -372,8 +395,9 @@ def action_bound_constants(spec: HamiltonianSpec) -> tuple:
         z[:, 2 * spec.n_pairs :] *= pmax / np.pi
         t1 = rng.uniform(0, 2 * np.pi, size=4096)
         t2 = rng.uniform(0, 2 * np.pi, size=4096)
-        hv = np.abs(h_tilde(spec, t1, t2, z))
-        gp = np.abs(grad_h_tilde(spec, t1, t2, z)[:, 2 * spec.n_pairs :])
+        terms = cutoff_terms(spec, t1, t2, z)
+        hv = np.abs(terms.h)
+        gp = np.abs(terms.grad[:, 2 * spec.n_pairs :])
         sup_h = float(np.max(hv)) if sup_h is None else sup_h
         sup_gp = float(np.max(gp)) if sup_gp is None else sup_gp
     return 0.25, sup_gp**2 + sup_h

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floer import FlowResult, flow_to_solution
+from .floer import FlowResult, flow_to_solution, mu_max
 from .hamiltonians import (
     HamiltonianSpec,
     action,
@@ -58,6 +58,14 @@ class ExperimentConfig:
             raise ConfigError("lattice_per_dim must be >= 1")
         if self.random_starts < 0:
             raise ConfigError("random_starts must be >= 0")
+        if not isinstance(self.grid_size, int) or self.grid_size % 2 or self.grid_size < 8:
+            raise ConfigError(f"grid size must be even and >= 8, got {self.grid_size!r}")
+        mu = mu_max(self.grid_size)
+        if not 0.0 < self.ds * mu < 1.0:
+            raise ConfigError(
+                f"ds={self.ds} leaves the step regime on the {self.grid_size}x{self.grid_size} "
+                f"grid: need 0 < ds*mu_max < 1, i.e. 0 < ds < {1.0 / mu:.4g}"
+            )
         pot = nonlinearity_from_config(self.potential)
         if pot.n_pairs != self.n_pairs:
             raise ConfigError(
@@ -209,9 +217,9 @@ def _record_from_result(
     )
 
 
-def solve_seed(config: ExperimentConfig, index: int):
-    """Flow one seed; returns (index, FlowResult)."""
-    spec = config.build_spec()
+def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | None = None):
+    """Flow one seed; returns (index, FlowResult).  spec defaults to config.build_spec()."""
+    spec = config.build_spec() if spec is None else spec
     z0 = seed_field(config, index)
     result = flow_to_solution(
         z0,
@@ -238,9 +246,14 @@ class MultistartResult:
     budget_exhausted: bool
 
 
-def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResult:
-    """Run every seed; converged limits become records, the rest are reported."""
-    spec = config.build_spec()
+def multistart_solve(
+    config: ExperimentConfig, jobs: int = 1, spec: HamiltonianSpec | None = None
+) -> MultistartResult:
+    """Run every seed; converged limits become records, the rest are reported.
+
+    spec defaults to config.build_spec(); worker processes build their own.
+    """
+    spec = config.build_spec() if spec is None else spec
     records, divergent, unfinished = [], [], []
     start = time.monotonic()
     budget_exhausted = False
@@ -268,7 +281,7 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
             if over_budget():
                 budget_exhausted = True
                 break
-            results[idx] = solve_seed(config, idx)[1]
+            results[idx] = solve_seed(config, idx, spec)[1]
 
     for idx in sorted(results):
         result = results[idx]
@@ -427,7 +440,7 @@ class CountReport:
 def verify_count(config: ExperimentConfig, jobs: int = 1) -> CountReport:
     """Full experiment: multistart, dedup, count against the 2n+1 bound."""
     spec = config.build_spec()
-    multi = multistart_solve(config, jobs=jobs)
+    multi = multistart_solve(config, jobs=jobs, spec=spec)
     dd = dedup(multi.records, config.dedup_delta)
     continuum = detect_continuum(multi.records, dd, config) if multi.records else False
     bound = 2 * config.n_pairs + 1
@@ -444,6 +457,6 @@ def verify_count(config: ExperimentConfig, jobs: int = 1) -> CountReport:
         dedup_result=dd,
         divergent=multi.divergent,
         unfinished=multi.unfinished,
-        rho=config.resolved_rho(),
+        rho=spec.rho,
         bound_constants=action_bound_constants(spec),
     )

@@ -164,10 +164,16 @@ def test_cuplength_invalid_config(tmp_path):
 @pytest.mark.parametrize(
     "argv, config, message",
     [
-        # odd grid: passes ExperimentConfig, fails when the first seed is built
+        # odd grid: ExperimentConfig rejects it
         (["cuplength"], {"n_pairs": 1, "grid_size": 31}, "grid size must be even"),
         # ds * (1 + sqrt(1 + 4M)) / 2 = 1 at M = 49^2 + 7^2 on the 128 grid
         (["flow", "--grid", "128", "--ds", "0.02"], None, "singular implicit solve"),
+        # ds * mu_max = 2.0 on the 64 grid: outside the step regime, not an escape
+        (["flow", "--grid", "64", "--ds", "0.045"], None, "need ds < 0.02255"),
+        # the dry run checks what the run checks
+        (["cuplength", "--dry-run"], {"n_pairs": 1, "grid_size": 31}, "grid size must be even"),
+        # a start that already solves the system takes no step, but the ds is still checked
+        (["flow", "--grid", "64", "--ds", "0.045", "--amplitude", "0"], None, "need ds < 0.02255"),
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
