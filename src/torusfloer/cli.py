@@ -70,6 +70,12 @@ EXIT_INPUT = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 
+# one row per finished seed; columns after "cluster" say how its flow ended
+SUMMARY_COLUMNS = (
+    "seed", "converged", "action", "residual", "cluster",
+    "reason", "n_steps", "n_halvings", "s_reached",
+)
+
 
 def _default_out_root() -> Path:
     return Path(os.environ.get("TORUSFLOER_OUT", "runs"))
@@ -375,33 +381,28 @@ def cmd_cuplength(args) -> int:
         return EXIT_PASS
     report = verify_count(config, jobs=args.jobs)
     write_json(outdir / "report.json", report.to_report_dict())
-    rows = []
     cluster_of = {}
     for ci, members in enumerate(report.dedup_result.clusters):
         for i in members:
             cluster_of[report.records[i].seed_index] = ci
-    for rec in report.records:
-        rows.append(
-            {
-                "seed": rec.seed_index,
-                "converged": True,
-                "action": rec.action,
-                "residual": rec.residual,
-                "cluster": cluster_of[rec.seed_index],
-            }
-        )
-    for rec in report.divergent + report.unfinished:
-        rows.append(
-            {
-                "seed": rec.seed_index,
-                "converged": False,
-                "action": "",
-                "residual": rec.residual,
-                "cluster": "",
-            }
-        )
+
+    def seed_row(rec, converged, action, cluster):
+        return {
+            "seed": rec.seed_index,
+            "converged": converged,
+            "action": action,
+            "residual": rec.residual,
+            "cluster": cluster,
+            "reason": rec.reason,
+            "n_steps": rec.n_steps,
+            "n_halvings": rec.n_halvings,
+            "s_reached": rec.s_reached,
+        }
+
+    rows = [seed_row(rec, True, rec.action, cluster_of[rec.seed_index]) for rec in report.records]
+    rows += [seed_row(rec, False, "", "") for rec in report.divergent + report.unfinished]
     rows.sort(key=lambda r: r["seed"])
-    write_csv(outdir / "summary.csv", ["seed", "converged", "action", "residual", "cluster"], rows)
+    write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, rows)
     if args.save_fields:
         for i in report.dedup_result.representatives:
             rec = report.records[i]

@@ -207,6 +207,25 @@ def _is_constant(spec: HamiltonianSpec, zhat: np.ndarray) -> bool:
     )
 
 
+def constant_start(spec: HamiltonianSpec, Z: TorusField):
+    """(row, coefficient) of Z when its flow runs on the (0, 0) block alone, else None.
+
+    Z qualifies when it holds the same bytes at every grid point, so that it
+    is its first row repeated, and its modes pass `_is_constant`.  row is
+    the (1, N, 4n) first grid row and coefficient the (1, 1, 4n) (0, 0)
+    mode; `flow_constants` flows a list of them.  Only a field with equal
+    values is transformed.
+    """
+    _check_z_field(spec, Z)
+    bits = Z.values.view(np.uint64)
+    if spec.time_dependent or not np.all(bits == bits[0, 0]):
+        return None
+    zhat = _rfft2(Z.values)
+    if not _is_constant(spec, zhat):
+        return None
+    return Z.values[:1].copy(), zhat[:1, :1].copy()
+
+
 def _rfft2(values):
     return np.fft.rfft2(values, axes=(0, 1), norm="forward")
 
@@ -216,22 +235,27 @@ def _irfft2(zhat, n_grid: int):
 
 
 class _FlowGrid:
-    """The grid side of one IMEX flow run: the step, the action, grid means and the residual.
+    """The grid side of IMEX flow runs: the step, the action, grid means and the residual.
 
     A state is a pair (vals, zhat) of grid values and mode coefficients;
-    `start` is the first one.  zhat is the rfft2 half spectrum, shape
+    `start` is the first one.  The grid flows one or more seeds, and every
+    per-seed quantity (action, mean, max|p|^2, residual, finiteness) is an
+    array over them; a step takes one step size per seed.
+
+    A full grid flows one seed.  zhat is the rfft2 half spectrum, shape
     (N, N/2 + 1, 4n): the modes of a real field at -m are the conjugates of
     those at m, so only columns m2 = 0 .. N/2 are held.
 
-    For an exactly constant state of an autonomous h (`_is_constant`) the
-    run carries only the (0, 0) block: zhat is the (1, 1, 4n) coefficient,
-    the (0, 0) block of the propagator advances it, and vals is one grid
-    row on which the pointwise functions run.  A row, not a single point,
-    keeps the array shapes and layouts of the full grid, so the same
-    kernels round the same way.  Each grid mean is the mean of an (N, N)
-    array filled with the one pointwise value, which repeats the
-    pairwise-summation rounding of the full grid.  The results are
-    bit-identical to the full-grid path, step halving and termination
+    A constant grid flows B exactly constant states of an autonomous h
+    (`_is_constant`) on their (0, 0) blocks alone, one seed per row: zhat
+    is (B, 1, 4n), the (0, 0) block of each seed's propagator advances it,
+    and vals is (B, N, 4n), each seed's values on one grid row, on which
+    the pointwise functions run.  A row, not a single point, keeps the
+    array shapes and layouts of the full grid, so the same kernels round
+    the same way.  Each grid mean is the mean of an (N, N) array filled
+    with the seed's one pointwise value, which repeats the
+    pairwise-summation rounding of the full grid.  Every seed's results
+    are bit-identical to its full-grid flow, step halving and termination
     included.
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
@@ -241,22 +265,36 @@ class _FlowGrid:
 
     def __init__(self, spec, triple, Z: TorusField, band_limit: int | None = None):
         _check_z_field(spec, Z)
-        self.spec, self.triple = spec, triple
-        n = self.n = Z.grid_size
+        n = Z.grid_size
         zhat = _rfft2(Z.values)
         mask = band_mask(n, band_limit)
         if mask is not None:
             zhat *= mask[:, : n // 2 + 1, None]
             Z = TorusField(_irfft2(zhat, n), "z")
+        if _is_constant(spec, zhat):
+            self._setup(spec, triple, n, True, (Z.values[:1], zhat[:1, :1]), mask)
+        else:
+            self._setup(spec, triple, n, False, (Z.values, zhat), mask)
         # the start state as given (band-limited if asked): a field rebuilt
         # from one row has another memory layout, and means over it round differently
-        self.start_field = Z
-        self.constant = _is_constant(spec, zhat)
-        modes = np.s_[:1, :1] if self.constant else np.s_[:, : n // 2 + 1]
-        row = np.s_[:1] if self.constant else np.s_[:]
+        self._start_fields = [Z]
+
+    @classmethod
+    def constants(cls, spec, triple, starts) -> "_FlowGrid":
+        """The constant grid of `starts`, one (row, coefficient) pair per seed from `constant_start`."""
+        grid = cls.__new__(cls)
+        rows, coefs = zip(*starts)
+        start = (np.concatenate(rows), np.concatenate(coefs))
+        grid._setup(spec, triple, start[0].shape[1], True, start, None)
+        grid._start_fields = None
+        return grid
+
+    def _setup(self, spec, triple, n, constant, start, mask):
+        self.spec, self.triple, self.n, self.constant = spec, triple, n, constant
+        modes = np.s_[:1, :1] if constant else np.s_[:, : n // 2 + 1]
         t1, t2 = grid_points(n)
         m1, m2 = derivative_numbers(n)
-        self.t1, self.t2 = t1[row], t2[row]
+        self.t1, self.t2 = (t1[:1], t2[:1]) if constant else (t1, t2)
         self.modes = modes
         self.im1 = (1j * m1[modes])[:, :, None]
         self.im2 = (1j * m2[modes])[:, :, None]
@@ -264,8 +302,10 @@ class _FlowGrid:
         cols = np.arange(self.im1.shape[1])
         self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
         self.mask = None if mask is None else mask[modes][:, :, None]
-        self.start = (Z.values[row], zhat[modes])
+        self.start = start
+        self.n_seeds = len(start[0]) if constant else 1
         self._props: dict = {}
+        self._seed_props = self._seed_props_key = None
         self._vals = self._terms_of_vals = None
 
     def terms(self, vals) -> CutoffTerms:
@@ -275,16 +315,35 @@ class _FlowGrid:
             self._vals = vals
         return self._terms_of_vals
 
-    def _propagator(self, ds):
+    def take(self, keep, vals, zhat):
+        """The seeds `keep` (a mask) of a constant-grid state; the kept evaluation follows them."""
+        kept = vals[keep], zhat[keep]
+        if vals is self._vals:
+            t = self._terms_of_vals
+            self._terms_of_vals = CutoffTerms(t.p_sq[keep], t.h[keep], t.grad[keep])
+            self._vals = kept[0]
+        return kept
+
+    def _propagator(self, ds: float):
         prop = self._props.get(ds)
         if prop is None:
             prop = np.ascontiguousarray(_propagator(self.n, ds, self.triple)[self.modes])
             self._props[ds] = prop
         return prop
 
+    def _propagators(self, ds):
+        """The propagator for each seed's step size, stacked along the seed axis on a constant grid."""
+        if not self.constant:
+            return self._propagator(ds[0])
+        key = ds.tobytes()
+        if key != self._seed_props_key:
+            self._seed_props = np.concatenate([self._propagator(d) for d in ds.tolist()])
+            self._seed_props_key = key
+        return self._seed_props
+
     def step(self, vals, zhat, ds, weight):
-        """One implicit-explicit Euler update in mode space; returns C-contiguous values and modes."""
-        prop = self._propagator(ds)
+        """One implicit-explicit Euler update, seed i by ds[i]; returns C-contiguous vals and modes."""
+        prop = self._propagators(ds)
         if weight != 0.0:
             nl = weight * self.terms(vals).grad
             if self.constant:  # the (0, 0) coefficient of a constant field is its value
@@ -293,7 +352,7 @@ class _FlowGrid:
                 nhat = _rfft2(nl)
             if self.mask is not None:
                 nhat *= self.mask
-            rhs = zhat + ds * nhat
+            rhs = zhat + ds[:, None, None] * nhat
         else:
             rhs = zhat
         new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
@@ -303,43 +362,58 @@ class _FlowGrid:
             new_vals = _irfft2(new_hat, self.n)
         return np.ascontiguousarray(new_vals), new_hat
 
-    def mean(self, x) -> float:
-        """Grid mean of a pointwise array."""
-        if self.constant:
-            x = np.full((self.n, self.n), x[0, 0])
-        return float(np.mean(x))
+    def _by_seed(self, x):
+        """x with one row per seed: the first axis of a constant grid; a full grid is one seed."""
+        return x.reshape(len(x) if self.constant else 1, -1)
 
-    def action(self, vals, zhat, weight) -> float:
+    def mean(self, x):
+        """Grid mean of a pointwise array, per seed (np.mean's sum and division)."""
+        if self.constant:  # each seed's (N, N) array filled with its one value
+            x = np.repeat(x[:, :1], self.n * self.n, axis=1)
+        return np.add.reduce(self._by_seed(x), axis=1) / (self.n * self.n)
+
+    def finite(self, vals):
+        return np.logical_and.reduce(np.isfinite(self._by_seed(vals)), axis=1)
+
+    def action(self, vals, zhat, weight):
         """Action via Parseval for the kinetic pairing, grid values for H."""
         n = self.spec.n_pairs
         qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
         pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
         va = self.im1 * qa + self.im2 * qb
         vb = self.im1 * qb - self.im2 * qa
-        pairing = float(np.sum(self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real))
+        pairing = self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real
+        pairing = np.add.reduce(self._by_seed(pairing), axis=1)
         terms = self.terms(vals)
         return pairing - self.mean(0.5 * terms.p_sq + weight * terms.h)
 
-    def max_p_sq(self, vals) -> float:
-        return float(np.max(self.terms(vals).p_sq))
+    def max_p_sq(self, vals):
+        return np.maximum.reduce(self._by_seed(self.terms(vals).p_sq), axis=1)
 
-    def h_int(self, vals) -> float:
+    def h_int(self, vals):
         """Grid mean of the cut-off nonlinearity h_tilde."""
         return self.mean(self.terms(vals).h)
 
-    def residual(self, vals, zhat, h_weight: float = 1.0) -> float:
+    def residual(self, vals, zhat, h_weight: float = 1.0):
         """L2 norm of the system residual dirac(Z) - grad H(Z), dirac taken from the modes."""
-        g = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
-        if self.constant:  # dirac of a constant field is exactly zero
-            return float(np.sqrt(max(self.mean(np.sum(g * g, axis=2)), 0.0)))
-        dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
-        res = _irfft2(dhat, self.n) - g
-        return float(np.sqrt(max(np.mean(np.sum(res * res, axis=2)), 0.0)))
+        res = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
+        if not self.constant:  # dirac of a constant field is exactly zero
+            dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
+            res = _irfft2(dhat, self.n) - res
+        return np.sqrt(np.maximum(self.mean(np.sum(res * res, axis=2)), 0.0))
 
-    def field(self, vals) -> TorusField:
+    def field(self, vals, seed: int = 0) -> TorusField:
+        """The field of one seed in state vals."""
         if self.constant:
-            vals = np.broadcast_to(vals[:1, :1], (self.n, self.n, vals.shape[2]))
+            vals = np.broadcast_to(vals[seed : seed + 1, :1], (self.n, self.n, vals.shape[2]))
         return TorusField(vals, "z")
+
+    def start_field(self, seed: int) -> TorusField:
+        """The start field of one seed; a constant seed's is its row repeated, in C order."""
+        if self._start_fields is not None:
+            return self._start_fields[seed]
+        row = self.start[0][seed]
+        return TorusField(np.broadcast_to(row, (self.n, *row.shape)).copy(), "z")
 
 
 def floer_rhs(state) -> TorusField:
@@ -371,16 +445,16 @@ def imex_step(state: FlowState, ds: float | None = None) -> FlowState:
     ds = state.ds if ds is None else float(ds)
     grid = _FlowGrid(state.spec, state.triple, state.Z)
     vals, zhat = grid.start
-    new_vals, new_hat = grid.step(vals, zhat, ds, _weight(state.profile, state.s))
+    new_vals, new_hat = grid.step(vals, zhat, np.full(1, ds), _weight(state.profile, state.s))
     dz = new_vals - vals
-    vsq = grid.mean(np.sum(dz * dz, axis=2)) / ds**2
+    vsq = grid.mean(np.sum(dz * dz, axis=2)).item() / ds**2
     new = replace(state)
     new.Z = grid.field(new_vals)
     new.s = state.s + ds
     new.energy_total = state.energy_total + vsq * ds
     new.diagnostics = state.diagnostics
-    act = grid.action(new_vals, new_hat, _weight(state.profile, new.s))
-    new.diagnostics.append((new.s, act, grid.max_p_sq(new_vals), new.energy_total))
+    act = grid.action(new_vals, new_hat, _weight(state.profile, new.s)).item()
+    new.diagnostics.append((new.s, act, grid.max_p_sq(new_vals).item(), new.energy_total))
     return new
 
 
@@ -399,6 +473,7 @@ class FlowResult:
     n_steps: int
     ds_final: float
     rows: list
+    n_halvings: int
 
     def to_dict(self) -> dict:
         return {
@@ -409,6 +484,7 @@ class FlowResult:
             "reason": self.reason,
             "n_steps": self.n_steps,
             "ds_final": self.ds_final,
+            "n_halvings": self.n_halvings,
         }
 
 
@@ -445,61 +521,152 @@ def flow_to_solution(
     to converge band-limited low-mode data.
     """
     triple = standard_structures(spec.n_pairs) if triple is None else triple
+    grid = _FlowGrid(spec, triple, Z0, band_limit)
+    return _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup)[0]
+
+
+def flow_constants(
+    starts: list,
+    spec: HamiltonianSpec,
+    triple: StructureTriple | None = None,
+    tol: float = DEFAULT_TOL,
+    s_max: float = DEFAULT_S_MAX,
+    ds: float = DEFAULT_DS,
+    ds_min: float = 1e-6,
+    check_every: int = 10,
+    divergence_p_sq: float | None = None,
+    residual_blowup: float = 1e6,
+    stop=None,
+) -> list:
+    """Flow exactly constant seeds as one batch, each as `flow_to_solution` flows it alone.
+
+    starts holds a (row, coefficient) pair per seed from `constant_start`.
+    Returns one FlowResult per seed, in order, bit-identical to
+    flow_to_solution of the seed's field.  stop, a callable, is asked
+    between steps; once it returns True the seeds still running get None.
+    """
+    if not starts:
+        return []
+    triple = standard_structures(spec.n_pairs) if triple is None else triple
+    grid = _FlowGrid.constants(spec, triple, starts)
+    return _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup, stop)
+
+
+def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup, stop=None):
+    """The adaptive flow of every seed of grid; see flow_to_solution and flow_constants.
+
+    Each seed keeps its own step size, flow time, energy and diagnostics
+    rows, and leaves the working arrays when it finishes.  An iteration
+    advances every running seed or none: when a seed's step is halved or a
+    seed turns non-finite, the others take the same step again in the next
+    iteration.  So the running seeds share one step count, and with it the
+    residual check cadence.
+    """
+    if check_every < 1:
+        raise FlowError(f"check_every must be >= 1, got {check_every}")
+    spec = grid.spec
     if divergence_p_sq is None:
         divergence_p_sq = 2.0 * spec.rho if np.isfinite(spec.rho) else 1e6
-
-    s = 0.0
-    rows = []
-    energy_cum = 0.0
-    grid = _FlowGrid(spec, triple, Z0, band_limit)
     grid._propagator(ds)  # rejects a ds outside the step regime even if no step is taken
+
+    results = [None] * grid.n_seeds
+    seeds = np.arange(grid.n_seeds)
+    ds = np.full(grid.n_seeds, float(ds))
+    s = np.zeros(grid.n_seeds)
+    energy_cum = np.zeros(grid.n_seeds)
+    n_halvings = np.zeros(grid.n_seeds, dtype=int)
+    n_steps = 0
     vals, zhat = grid.start
     # diagnostics rows carry the latest residual, refreshed every check_every steps
     residual = grid.residual(vals, zhat)
-    residual_scale = max(1.0, residual)
+    residual_scale = np.fmax(1.0, residual)
     act = grid.action(vals, zhat, 1.0)
     max_p_sq = grid.max_p_sq(vals)
-    rows.append((s, act, residual, max_p_sq, energy_cum))
-    if residual < tol:
-        return FlowResult(
-            grid.start_field, 0.0, residual, True, False, "initial residual below tol", 0, ds, rows
+    rows = [[row] for row in zip(*(x.tolist() for x in (s, act, residual, max_p_sq, energy_cum)))]
+    # the rows between two checks share one float object for the residual
+    listed, residual_values = residual, [seed_rows[0][2] for seed_rows in rows]
+
+    def finish(i, field, converged, diverged, reason):
+        seed = seeds[i]
+        results[seed] = FlowResult(
+            field, float(s[i]), float(residual[i]), converged, diverged, reason,
+            n_steps, float(ds[i]), rows[seed], int(n_halvings[i]),
         )
 
-    n_steps = 0
-    while s < s_max:
-        new_vals, new_hat = grid.step(vals, zhat, ds, 1.0)
-        if not np.all(np.isfinite(new_vals)):
-            return FlowResult(
-                grid.field(vals), s, residual, False, True, "non-finite state", n_steps, ds, rows
+    finished = residual < tol
+    for i in np.flatnonzero(finished):
+        finish(i, grid.start_field(seeds[i]), True, False, "initial residual below tol")
+    if not 0.0 < s_max:  # no step at all
+        for i in np.flatnonzero(~finished):
+            finish(i, grid.field(vals, i), False, False, "s_max reached")
+        return results
+    while True:
+        if finished is not None and finished.any():
+            if finished.all():
+                break
+            keep = ~finished
+            seeds, ds, s, act, residual, residual_scale, energy_cum, n_halvings = (
+                x[keep] for x in (seeds, ds, s, act, residual, residual_scale, energy_cum, n_halvings)
             )
-        new_act = grid.action(new_vals, new_hat, 1.0)
-        slack = MONOTONE_SLACK * max(1.0, abs(act))
-        if new_act > act + slack and ds > ds_min:
-            ds *= 0.5
+            vals, zhat = grid.take(keep, vals, zhat)
+        finished = None
+        if stop is not None and stop():
+            break
+
+        new_vals, new_hat = grid.step(vals, zhat, ds, 1.0)
+        finite = grid.finite(new_vals)
+        if not finite.all():
+            finished = ~finite
+            for i in np.flatnonzero(finished):
+                finish(i, grid.field(vals, i), False, True, "non-finite state")
             continue
+        new_act = grid.action(new_vals, new_hat, 1.0)
+        rises = new_act > act + MONOTONE_SLACK * np.fmax(1.0, np.abs(act))
+        if rises.any():
+            halve = rises & (ds > ds_min)
+            if halve.any():
+                ds = np.where(halve, 0.5 * ds, ds)
+                n_halvings = n_halvings + halve
+                continue
         dz = new_vals - vals
-        energy_cum += grid.mean(np.sum(dz * dz, axis=2)) / ds
-        vals, zhat = new_vals, new_hat
-        s += ds
-        act = new_act
+        energy_cum = energy_cum + grid.mean(np.sum(dz * dz, axis=2)) / ds
+        vals, zhat, act = new_vals, new_hat, new_act
+        s = s + ds
         n_steps += 1
         max_p_sq = grid.max_p_sq(vals)
-        if n_steps % check_every == 0 or max_p_sq > divergence_p_sq:
+        escaped = max_p_sq > divergence_p_sq
+        exits = escaped | ~(s < s_max)
+        if n_steps % check_every == 0:
             residual = grid.residual(vals, zhat)
-        rows.append((s, act, residual, max_p_sq, energy_cum))
-        if max_p_sq > divergence_p_sq:
-            reason = f"max|p|^2 {max_p_sq:.3g} escaped"
-            return FlowResult(grid.field(vals), s, residual, False, True, reason, n_steps, ds, rows)
-        if residual > residual_blowup * residual_scale:
-            return FlowResult(
-                grid.field(vals), s, residual, False, True, "residual blow-up", n_steps, ds, rows
-            )
-        if residual < tol:
-            return FlowResult(
-                grid.field(vals), s, residual, True, False, "residual below tol", n_steps, ds, rows
-            )
-    residual = grid.residual(vals, zhat)
-    return FlowResult(grid.field(vals), s, residual, False, False, "s_max reached", n_steps, ds, rows)
+            exits |= (residual > residual_blowup * residual_scale) | (residual < tol)
+            any_exit = exits.any()
+        else:  # the residual of a seed changes only at checks, or when it escapes
+            any_exit = exits.any()
+            if any_exit and escaped.any():
+                residual = np.where(escaped, grid.residual(vals, zhat), residual)
+        if residual is not listed:
+            listed, residual_values = residual, residual.tolist()
+        new_rows = zip(s.tolist(), act.tolist(), residual_values, max_p_sq.tolist(), energy_cum.tolist())
+        for seed, row in zip(seeds.tolist(), new_rows):
+            rows[seed].append(row)
+        if any_exit:
+            blowup = residual > residual_blowup * residual_scale
+            converged = residual < tol
+            at_s_max = exits & ~(escaped | blowup | converged)
+            if at_s_max.any():
+                residual = np.where(at_s_max, grid.residual(vals, zhat), residual)
+            for i in np.flatnonzero(exits):
+                field = grid.field(vals, i)
+                if escaped[i]:
+                    finish(i, field, False, True, f"max|p|^2 {max_p_sq[i]:.3g} escaped")
+                elif blowup[i]:
+                    finish(i, field, False, True, "residual blow-up")
+                elif converged[i]:
+                    finish(i, field, True, False, "residual below tol")
+                else:
+                    finish(i, field, False, False, "s_max reached")
+            finished = exits
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -560,26 +727,27 @@ def run_homotopy(
 
     grid = _FlowGrid(spec, triple, Z0)
     vals, zhat = grid.start
+    step = np.full(1, ds)
     for i in range(n_steps + 1):
         s = s_start + i * ds
         w = float(profile.value(s))
         svals[i] = s
-        act[i] = grid.action(vals, zhat, w)
-        h_int[i] = grid.h_int(vals)
-        max_p_sq[i] = grid.max_p_sq(vals)
+        act[i] = grid.action(vals, zhat, w).item()
+        h_int[i] = grid.h_int(vals).item()
+        max_p_sq[i] = grid.max_p_sq(vals).item()
         if snapshot_every is not None and i % snapshot_every == 0:
             snapshots.append((s, grid.field(vals)))
         if i == n_steps:
             break
-        new_vals, new_hat = grid.step(vals, zhat, ds, w)
+        new_vals, new_hat = grid.step(vals, zhat, step, w)
         if not np.all(np.isfinite(new_vals)):
             raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
         dz = new_vals - vals
-        vsq[i] = grid.mean(np.sum(dz * dz, axis=2)) / ds**2
+        vsq[i] = grid.mean(np.sum(dz * dz, axis=2)).item() / ds**2
         vals, zhat = new_vals, new_hat
 
-    res_start = grid.residual(*grid.start, h_weight=0.0)
-    res_end = grid.residual(vals, zhat, h_weight=0.0)
+    res_start = grid.residual(*grid.start, h_weight=0.0).item()
+    res_end = grid.residual(vals, zhat, h_weight=0.0).item()
     return FlowTrajectory(
         s=svals,
         action=act,

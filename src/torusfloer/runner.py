@@ -10,13 +10,14 @@ shifts by 2*pi lattice vectors) and counted against the 2n+1 lower bound.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .floer import FlowResult, flow_to_solution, mu_max
+from .floer import FlowResult, constant_start, flow_constants, flow_to_solution, mu_max
 from .hamiltonians import (
     HamiltonianSpec,
     action,
@@ -29,6 +30,14 @@ from .spectral import TorusField, constant_field, random_band_limited, sobolev_s
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,20 +61,48 @@ class ExperimentConfig:
     wall_clock_cap: float | None = None
 
     def __post_init__(self):
+        for name, low in (
+            ("n_pairs", 1),
+            ("lattice_per_dim", 1),
+            ("random_starts", 0),
+            ("perturbation_band", 0),
+            ("check_every", 1),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _is_integer(self.grid_size) or self.grid_size % 2 or self.grid_size < 8:
+            raise ConfigError(f"grid size must be even and >= 8, got {self.grid_size!r}")
+        if self.perturbation_band >= self.grid_size // 2:
+            raise ConfigError(
+                f"perturbation_band must stay below the Nyquist band N/2 = {self.grid_size // 2}, "
+                f"got {self.perturbation_band}"
+            )
+        for name in ("residual_tol", "dedup_delta", "s_max", "rho"):
+            value = getattr(self, name)
+            if name == "rho" and value is None:
+                continue
+            if not (_is_real(value) and 0.0 < value < np.inf):
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+        amplitude = self.perturbation_amplitude
+        if not (_is_real(amplitude) and 0.0 <= amplitude < np.inf):
+            raise ConfigError(
+                f"perturbation_amplitude must be a finite number >= 0, got {amplitude!r}"
+            )
+        cap = self.wall_clock_cap
+        if cap is not None and not (_is_real(cap) and cap >= 0.0):
+            raise ConfigError(f"wall_clock_cap must be null or a number >= 0, got {cap!r}")
         if self.dedup_delta <= 10.0 * self.residual_tol:
             raise ConfigError("dedup_delta must exceed 10x residual_tol")
-        if self.lattice_per_dim < 1:
-            raise ConfigError("lattice_per_dim must be >= 1")
-        if self.random_starts < 0:
-            raise ConfigError("random_starts must be >= 0")
-        if not isinstance(self.grid_size, int) or self.grid_size % 2 or self.grid_size < 8:
-            raise ConfigError(f"grid size must be even and >= 8, got {self.grid_size!r}")
         mu = mu_max(self.grid_size)
-        if not 0.0 < self.ds * mu < 1.0:
+        if not (_is_real(self.ds) and 0.0 < self.ds * mu < 1.0):
             raise ConfigError(
-                f"ds={self.ds} leaves the step regime on the {self.grid_size}x{self.grid_size} "
+                f"ds={self.ds!r} leaves the step regime on the {self.grid_size}x{self.grid_size} "
                 f"grid: need 0 < ds*mu_max < 1, i.e. 0 < ds < {1.0 / mu:.4g}"
             )
+        if not isinstance(self.potential, dict):
+            raise ConfigError(f"potential must be a JSON object, got {self.potential!r}")
         pot = nonlinearity_from_config(self.potential)
         if pot.n_pairs != self.n_pairs:
             raise ConfigError(
@@ -167,6 +204,8 @@ class SolutionRecord:
     n_steps: int
     p_norm_sq: float
     bound_margin: float
+    reason: str
+    n_halvings: int
     action_trace: np.ndarray | None = None  # (samples, 2): s, action
 
     def to_row(self) -> dict:
@@ -188,6 +227,8 @@ class DivergenceRecord:
     reason: str
     s_reached: float
     residual: float
+    n_steps: int
+    n_halvings: int
 
 
 def _record_from_result(
@@ -213,29 +254,61 @@ def _record_from_result(
         n_steps=result.n_steps,
         p_norm_sq=p_norm_sq,
         bound_margin=act - (c0 * p_norm_sq - c1),
+        reason=result.reason,
+        n_halvings=result.n_halvings,
         action_trace=trace,
     )
 
 
+def _flow_options(config: ExperimentConfig) -> dict:
+    return {
+        "tol": config.residual_tol,
+        "s_max": config.s_max,
+        "ds": config.ds,
+        "check_every": config.check_every,
+    }
+
+
 def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | None = None):
-    """Flow one seed; returns (index, FlowResult).  spec defaults to config.build_spec()."""
+    """Flow one seed alone; returns (index, FlowResult).  spec defaults to config.build_spec()."""
     spec = config.build_spec() if spec is None else spec
-    z0 = seed_field(config, index)
-    result = flow_to_solution(
-        z0,
-        spec,
-        tol=config.residual_tol,
-        s_max=config.s_max,
-        ds=config.ds,
-        check_every=config.check_every,
-    )
-    return index, result
+    return index, flow_to_solution(seed_field(config, index), spec, **_flow_options(config))
 
 
-def _solve_seed_task(config_json: str, index: int):
+def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop):
+    """Flow the seeds `indices`, building each once; returns ({index: FlowResult}, stopped).
+
+    A seed that `constant_start` accepts keeps only its first row; every
+    other seed flows at once.  The constant seeds then flow as one batch
+    (`flow_constants`), each bit-identical to its own flow.  stop() is
+    asked before each seed and between batch steps; once it returns True,
+    the seeds not finished are left out and stopped is True.
+    """
+    results, constants = {}, {}
+    for idx in indices:
+        if stop():
+            return results, True
+        z0 = seed_field(config, idx)
+        start = constant_start(spec, z0)
+        if start is None:
+            results[idx] = flow_to_solution(z0, spec, **_flow_options(config))
+        else:
+            constants[idx] = start
+    if not constants:
+        return results, False
+    if stop():
+        return results, True
+    batch = flow_constants(list(constants.values()), spec, stop=stop, **_flow_options(config))
+    results.update((idx, result) for idx, result in zip(constants, batch) if result is not None)
+    return results, any(result is None for result in batch)
+
+
+def _solve_seeds_task(config_json: str, indices: list, deadline: float | None):
+    """_solve_seeds in a worker process; deadline is a time.time() value or None."""
     config = ExperimentConfig.from_dict(json.loads(config_json))
-    idx, result = solve_seed(config, index)
-    return idx, result
+    return _solve_seeds(
+        config, config.build_spec(), indices, lambda: deadline is not None and time.time() > deadline
+    )
 
 
 @dataclass
@@ -252,49 +325,50 @@ def multistart_solve(
     """Run every seed; converged limits become records, the rest are reported.
 
     spec defaults to config.build_spec(); worker processes build their own.
+    With jobs > 1 each non-constant seed is one pool task and the batch of
+    constant seeds is another.  wall_clock_cap is checked before each seed,
+    between batch steps and after each finished task.
     """
     spec = config.build_spec() if spec is None else spec
     records, divergent, unfinished = [], [], []
     start = time.monotonic()
-    budget_exhausted = False
+    cap = config.wall_clock_cap
     indices = list(range(config.n_seeds))
 
     def over_budget() -> bool:
-        cap = config.wall_clock_cap
         return cap is not None and time.monotonic() - start > cap
 
-    results: dict = {}
     if jobs > 1:
+        results, budget_exhausted = {}, False
+        deadline = None if cap is None else time.time() + cap
+        constants = [i for i in indices if constant_start(spec, seed_field(config, i)) is not None]
+        tasks = [[i] for i in sorted(set(indices) - set(constants))]
+        if constants:
+            tasks.insert(0, constants)  # the longest task first
         config_json = json.dumps(config.to_dict())
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_seed_task, config_json, idx) for idx in indices]
+            futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
             for future in as_completed(futures):
-                idx, result = future.result()
-                results[idx] = result
-                if over_budget():
+                part, stopped = future.result()
+                results.update(part)
+                if stopped or over_budget():
                     budget_exhausted = True
                     for pending in futures:
                         pending.cancel()
                     break
     else:
-        for idx in indices:
-            if over_budget():
-                budget_exhausted = True
-                break
-            results[idx] = solve_seed(config, idx, spec)[1]
+        results, budget_exhausted = _solve_seeds(config, spec, indices, over_budget)
 
     for idx in sorted(results):
         result = results[idx]
         if result.converged:
             records.append(_record_from_result(config, spec, idx, result))
-        elif result.diverged:
-            divergent.append(
-                DivergenceRecord(idx, result.reason, result.s_reached, result.residual_norm)
-            )
-        else:
-            unfinished.append(
-                DivergenceRecord(idx, result.reason, result.s_reached, result.residual_norm)
-            )
+            continue
+        record = DivergenceRecord(
+            idx, result.reason, result.s_reached, result.residual_norm,
+            result.n_steps, result.n_halvings,
+        )
+        (divergent if result.diverged else unfinished).append(record)
     return MultistartResult(records, divergent, unfinished, budget_exhausted)
 
 

@@ -174,7 +174,23 @@ def test_cuplength_invalid_config(tmp_path):
         (["cuplength", "--dry-run"], {"n_pairs": 1, "grid_size": 31}, "grid size must be even"),
         # a start that already solves the system takes no step, but the ds is still checked
         (["flow", "--grid", "64", "--ds", "0.045", "--amplitude", "0"], None, "need ds < 0.02255"),
-    ],
+    ]
+    # each field's type and range, checked alike by the dry run and the run
+    + [
+        (["cuplength", *dry], {"n_pairs": 1, "grid_size": 16, key: value}, message)
+        for key, value, message in [
+            ("check_every", 0, "check_every must be an integer >= 1"),
+            ("s_max", "400", "s_max must be a positive finite number"),
+            ("random_starts", 1.5, "random_starts must be an integer >= 0"),
+            ("seed", -3, "seed must be an integer >= 0"),
+            ("wall_clock_cap", "x", "wall_clock_cap must be null or a number >= 0"),
+            ("residual_tol", -1.0, "residual_tol must be a positive finite number"),
+            ("perturbation_band", 40, "perturbation_band must stay below the Nyquist band"),
+            ("lattice_per_dim", True, "lattice_per_dim must be an integer >= 1"),
+        ]
+        for dry in (["--dry-run"], [])
+    ]
+    + [(["flow", "--grid", "16", "--check-every", "0"], None, "check_every must be >= 1")],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
     argv = [*argv, "--out", str(tmp_path / "out")]

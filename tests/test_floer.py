@@ -328,6 +328,69 @@ def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng):
     assert fast == full
 
 
+def _constant_batch_fields(rng):
+    """Lattice and random constants: two start on critical points, one escapes at once."""
+    qs = [[0.0, 0.0], [np.pi, np.pi], [np.pi / 2, 0.0], [np.pi / 3, 0.0]]
+    qs += [list(rng.uniform(0, 2 * np.pi, size=2)) for _ in range(4)]
+    ps = [[0.0, 0.0]] * 7 + [[2.5, 2.0]]
+    return [constant_field(16, [*q, *p], "z") for q, p in zip(qs, ps)]
+
+
+# non-axis modes, finite rho and a step that is halved four times
+BATCH_SPEC = {"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 2], [3, -1], [1, 1]]}
+
+
+def test_constant_batch_is_bit_identical_to_flows_alone(monkeypatch, rng):
+    spec = hamiltonian_from_config(BATCH_SPEC, rho=4.0)
+    fields = _constant_batch_fields(rng)
+    starts = [floer.constant_start(spec, z) for z in fields]
+    batch = floer.flow_constants(starts, spec, ds=0.09, s_max=0.7)
+    alone = [flow_to_solution(z, spec, ds=0.09, s_max=0.7) for z in fields]
+    _full_grid_only(monkeypatch)
+    full = [flow_to_solution(z, spec, ds=0.09, s_max=0.7) for z in fields]
+
+    reasons = [r.reason.split()[0] for r in batch]
+    assert reasons.count("initial") == 2 and reasons.count("s_max") >= 1
+    assert reasons.count("residual") >= 1 and reasons.count("max|p|^2") == 1
+    assert any(r.n_halvings > 0 and r.ds_final < 0.09 for r in batch)
+    for b, a, f in zip(batch, alone, full):
+        assert _flow_bytes(b) == _flow_bytes(f)
+        assert b.n_halvings == f.n_halvings
+        # the runner's q_mean depends on the field's memory layout too
+        assert b.Z.values.strides == a.Z.values.strides
+        assert _flow_bytes(b) == _flow_bytes(a)
+
+
+def test_constant_batch_stops_between_steps(rng):
+    spec = hamiltonian_from_config(BATCH_SPEC, rho=4.0)
+    fields = _constant_batch_fields(rng)
+    calls = []
+    batch = floer.flow_constants(
+        [floer.constant_start(spec, z) for z in fields],
+        spec,
+        ds=0.09,
+        s_max=0.7,
+        stop=lambda: calls.append(1) or len(calls) > 5,
+    )
+    alone = [flow_to_solution(z, spec, ds=0.09, s_max=0.7) for z in fields]
+    finished = [b is not None for b in batch]
+    assert finished == [a.n_steps == 0 or a.reason.startswith("max") for a in alone]
+    for b, a in zip(batch, alone):
+        if b is not None:
+            assert _flow_bytes(b) == _flow_bytes(a)
+
+
+def test_constant_start_takes_equal_bytes_only():
+    spec = trig_spec()
+    z = constant_field(32, [1.0, 2.0, 0.0, 0.0], "z")
+    row, coef = floer.constant_start(spec, z)
+    assert row.shape == (1, 32, 4) and coef.shape == (1, 1, 4)
+    values = z.values.copy()
+    values[5, 7, 2] = -0.0  # equal to 0.0, but not the same bytes
+    assert floer.constant_start(spec, TorusField(values, "z")) is None
+    assert floer.constant_start(spec, constant_field(24, [1.0, 2.0, 0.0, 0.0], "z")) is None
+
+
 @pytest.mark.parametrize(
     "n_grid, potential",
     [

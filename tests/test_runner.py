@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,8 @@ def _constant_record(q, residual=1e-10, action=0.0, index=0):
         n_steps=0,
         p_norm_sq=0.0,
         bound_margin=1.0,
+        reason="residual below tol",
+        n_halvings=0,
     )
 
 
@@ -239,6 +243,7 @@ def test_multistart_worker_pool_matches_serial():
     assert parallel.distinct == serial.distinct
     assert [r.seed_index for r in parallel.records] == [r.seed_index for r in serial.records]
     assert [r.action for r in parallel.records] == [r.action for r in serial.records]
+    assert json.dumps(parallel.to_report_dict()) == json.dumps(serial.to_report_dict())
 
 
 def test_verify_count_n2_product_potential():
@@ -264,8 +269,6 @@ def test_verify_count_n2_product_potential():
 
 
 def test_report_dict_is_json_clean():
-    import json
-
     config = ExperimentConfig(**FAST_TRIG)
     report = verify_count(config)
     payload = json.dumps(report.to_report_dict(), sort_keys=True)
