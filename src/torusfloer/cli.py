@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -49,7 +50,7 @@ from .hamiltonians import (
     ddw_kernel_witness,
     ddw_residual,
 )
-from .runner import ConfigError, ExperimentConfig, verify_count
+from .runner import ConfigError, ExperimentConfig, seed_kind, verify_count
 from .spectral import (
     FieldError,
     constant_field,
@@ -71,9 +72,10 @@ EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 
 # one row per finished seed; columns after "cluster" say how its flow ended
+# and, last, what kind of seed it was (lattice or perturbed)
 SUMMARY_COLUMNS = (
     "seed", "converged", "action", "residual", "cluster",
-    "reason", "n_steps", "n_halvings", "s_reached",
+    "reason", "n_steps", "n_halvings", "s_reached", "kind",
 )
 
 
@@ -108,6 +110,11 @@ def _write_manifest(outdir: Path, subcommand: str, args, started: float, exit_st
             "finished_at": time.time(),
             "output_dir": str(outdir),
             "exit_status": exit_status,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+            },
         },
     )
 
@@ -363,6 +370,9 @@ def cmd_energy(args) -> int:
 
 
 def cmd_cuplength(args) -> int:
+    if args.jobs < 1:
+        print(f"cuplength: --jobs must be an integer >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INPUT
     outdir = _prepare_outdir(args, "cuplength")
     started = time.time()
     data, err = _load_json(args.config)
@@ -397,6 +407,7 @@ def cmd_cuplength(args) -> int:
             "n_steps": rec.n_steps,
             "n_halvings": rec.n_halvings,
             "s_reached": rec.s_reached,
+            "kind": seed_kind(config, rec.seed_index),
         }
 
     rows = [seed_row(rec, True, rec.action, cluster_of[rec.seed_index]) for rec in report.records]
@@ -553,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--dry-run", action="store_true")
-        p.add_argument("--plots", action="store_true")
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("structures", help="validate structure matrices")
     common(p)
@@ -604,6 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--config", required=True)
     p.add_argument("--save-fields", action="store_true")
+    p.add_argument("--plots", action="store_true", help="write static images; never affects the exit code")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     p.set_defaults(func=cmd_cuplength)
 
     p = sub.add_parser("legendre-check", help="verify the Legendre bridge")

@@ -39,6 +39,7 @@ from .hamiltonians import (
     CutoffTerms,
     HamiltonianSpec,
     _check_z_field,
+    component_sum,
     cutoff_terms,
     grad_H_values,
     hamiltonian_residual,
@@ -226,12 +227,27 @@ def constant_start(spec: HamiltonianSpec, Z: TorusField):
     return Z.values[:1].copy(), zhat[:1, :1].copy()
 
 
+def _planes(x):
+    """The (k, N, N') component planes of an (N, N', k) grid array, as a view."""
+    return x.transpose(2, 0, 1)
+
+
+def _grid(planes):
+    """The (N, N', k) grid view of (k, N, N') component planes."""
+    return planes.transpose(1, 2, 0)
+
+
 def _rfft2(values):
-    return np.fft.rfft2(values, axes=(0, 1), norm="forward")
+    """rfft2 over the grid axes of (N, N, k) values, transformed plane by plane.
+
+    The result follows the layout of values: for component-major values it
+    is the grid view of C-contiguous (k, N, N/2 + 1) planes.
+    """
+    return _grid(np.fft.rfft2(_planes(values), norm="forward"))
 
 
 def _irfft2(zhat, n_grid: int):
-    return np.fft.irfft2(zhat, s=(n_grid, n_grid), axes=(0, 1), norm="forward")
+    return _grid(np.fft.irfft2(_planes(zhat), s=(n_grid, n_grid), norm="forward"))
 
 
 class _FlowGrid:
@@ -244,19 +260,27 @@ class _FlowGrid:
 
     A full grid flows one seed.  zhat is the rfft2 half spectrum, shape
     (N, N/2 + 1, 4n): the modes of a real field at -m are the conjugates of
-    those at m, so only columns m2 = 0 .. N/2 are held.
+    those at m, so only columns m2 = 0 .. N/2 are held.  Every stepped
+    state is component-major: vals and zhat are the (N, N, 4n) and
+    (N, N/2 + 1, 4n) grid views of C-contiguous (4n, N, N) and
+    (4n, N, N/2 + 1) planes (the start state keeps the layout of the start
+    field), and the propagator is held as (4n, 4n, N, N/2 + 1).  The
+    transforms run over contiguous planes, and each sum over components
+    (|p|^2, |dZ|^2, the residual) adds whole planes in the order numpy sums
+    a C-ordered component axis (`component_sum`), so every result is
+    bit-identical to the trailing-component layout.
 
     A constant grid flows B exactly constant states of an autonomous h
     (`_is_constant`) on their (0, 0) blocks alone, one seed per row: zhat
     is (B, 1, 4n), the (0, 0) block of each seed's propagator advances it,
     and vals is (B, N, 4n), each seed's values on one grid row, on which
     the pointwise functions run.  A row, not a single point, keeps the
-    array shapes and layouts of the full grid, so the same kernels round
-    the same way.  Each grid mean is the mean of an (N, N) array filled
-    with the seed's one pointwise value, which repeats the
-    pairwise-summation rounding of the full grid.  Every seed's results
-    are bit-identical to its full-grid flow, step halving and termination
-    included.
+    array shapes of the full grid, so the same kernels round the same way
+    (their memory layout does not matter, see above).  Each grid mean is
+    the mean of an (N, N) array filled with the seed's one pointwise value,
+    which repeats the pairwise-summation rounding of the full grid.  Every
+    seed's results are bit-identical to its full-grid flow, step halving
+    and termination included.
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
     kept for the last state seen, keyed by the identity of its vals: the
@@ -325,9 +349,11 @@ class _FlowGrid:
         return kept
 
     def _propagator(self, ds: float):
+        """The propagator on the held modes: (1, 1, 4n, 4n) on a constant grid, else (4n, 4n, N, N/2 + 1)."""
         prop = self._props.get(ds)
         if prop is None:
-            prop = np.ascontiguousarray(_propagator(self.n, ds, self.triple)[self.modes])
+            prop = _propagator(self.n, ds, self.triple)[self.modes]
+            prop = np.ascontiguousarray(prop if self.constant else prop.transpose(2, 3, 0, 1))
             self._props[ds] = prop
         return prop
 
@@ -342,7 +368,11 @@ class _FlowGrid:
         return self._seed_props
 
     def step(self, vals, zhat, ds, weight):
-        """One implicit-explicit Euler update, seed i by ds[i]; returns C-contiguous vals and modes."""
+        """One implicit-explicit Euler update, seed i by ds[i].
+
+        Returns C-contiguous vals and modes on a constant grid, component-major
+        ones on a full grid.
+        """
         prop = self._propagators(ds)
         if weight != 0.0:
             nl = weight * self.terms(vals).grad
@@ -355,12 +385,13 @@ class _FlowGrid:
             rhs = zhat + ds[:, None, None] * nhat
         else:
             rhs = zhat
-        new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
         if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
-            new_vals = np.repeat(new_hat.real, self.n, axis=1)
-        else:
-            new_vals = _irfft2(new_hat, self.n)
-        return np.ascontiguousarray(new_vals), new_hat
+            new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
+            return np.repeat(new_hat.real, self.n, axis=1), new_hat
+        # C-contiguous planes in, C-contiguous planes out: from its first step on,
+        # a start state in the caller's layout is component-major
+        new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
+        return _irfft2(new_hat, self.n), new_hat
 
     def _by_seed(self, x):
         """x with one row per seed: the first axis of a constant grid; a full grid is one seed."""
@@ -371,6 +402,10 @@ class _FlowGrid:
         if self.constant:  # each seed's (N, N) array filled with its one value
             x = np.repeat(x[:, :1], self.n * self.n, axis=1)
         return np.add.reduce(self._by_seed(x), axis=1) / (self.n * self.n)
+
+    def mean_sq(self, x):
+        """Grid mean of the pointwise |x|^2, per seed."""
+        return self.mean(component_sum(x * x))
 
     def finite(self, vals):
         return np.logical_and.reduce(np.isfinite(self._by_seed(vals)), axis=1)
@@ -398,14 +433,23 @@ class _FlowGrid:
         """L2 norm of the system residual dirac(Z) - grad H(Z), dirac taken from the modes."""
         res = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
         if not self.constant:  # dirac of a constant field is exactly zero
+            # C-ordered modes: a matrix product rounds by layout (TrigPotential._phases)
+            zhat = np.ascontiguousarray(zhat)
             dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
             res = _irfft2(dhat, self.n) - res
-        return np.sqrt(np.maximum(self.mean(np.sum(res * res, axis=2)), 0.0))
+        return np.sqrt(np.maximum(self.mean_sq(res), 0.0))
 
     def field(self, vals, seed: int = 0) -> TorusField:
-        """The field of one seed in state vals."""
+        """The field of one seed in state vals; a full grid's is C-ordered, or the start field itself.
+
+        A field's memory layout matters: grid means over it round by layout.
+        """
         if self.constant:
             vals = np.broadcast_to(vals[seed : seed + 1, :1], (self.n, self.n, vals.shape[2]))
+        elif vals is self.start[0]:
+            return self._start_fields[0]
+        else:
+            vals = np.ascontiguousarray(vals)
         return TorusField(vals, "z")
 
     def start_field(self, seed: int) -> TorusField:
@@ -447,7 +491,7 @@ def imex_step(state: FlowState, ds: float | None = None) -> FlowState:
     vals, zhat = grid.start
     new_vals, new_hat = grid.step(vals, zhat, np.full(1, ds), _weight(state.profile, state.s))
     dz = new_vals - vals
-    vsq = grid.mean(np.sum(dz * dz, axis=2)).item() / ds**2
+    vsq = grid.mean_sq(dz).item() / ds**2
     new = replace(state)
     new.Z = grid.field(new_vals)
     new.s = state.s + ds
@@ -629,7 +673,7 @@ def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_b
                 n_halvings = n_halvings + halve
                 continue
         dz = new_vals - vals
-        energy_cum = energy_cum + grid.mean(np.sum(dz * dz, axis=2)) / ds
+        energy_cum = energy_cum + grid.mean_sq(dz) / ds
         vals, zhat, act = new_vals, new_hat, new_act
         s = s + ds
         n_steps += 1
@@ -743,7 +787,7 @@ def run_homotopy(
         if not np.all(np.isfinite(new_vals)):
             raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
         dz = new_vals - vals
-        vsq[i] = grid.mean(np.sum(dz * dz, axis=2)).item() / ds**2
+        vsq[i] = grid.mean_sq(dz).item() / ds**2
         vals, zhat = new_vals, new_hat
 
     res_start = grid.residual(*grid.start, h_weight=0.0).item()

@@ -12,7 +12,9 @@ picture.
 
 Conventions: a phase-space field Z has layout (q1, q2, p1, p2) with
 n_pairs entries per slot; callables are vectorized with signature
-f(t1, t2, z) where t1, t2 broadcast against z[..., :].
+f(t1, t2, z) where t1, t2 broadcast against z[..., :].  z may be any
+strided view, such as the flow grid's component-major values; the
+pointwise functions here give the same bits for every memory layout.
 """
 
 from __future__ import annotations
@@ -41,6 +43,34 @@ class LegendreError(RuntimeError):
     def __init__(self, message, iterate=None):
         super().__init__(message)
         self.iterate = iterate
+
+
+def component_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1) as numpy rounds it over C-ordered x, for x of any memory layout.
+
+    numpy sums a contiguous axis pairwise: in order below 8 terms, else in
+    8 interleaved partial sums (up to 128 terms).  Adding whole component
+    planes in that order rounds the same way, is faster than a reduction
+    over a short axis, and reads contiguous planes of a component-major x.
+    Only the sign of a sum of negative zeros can differ.
+    """
+    k = x.shape[-1]
+    if k > 128:
+        return np.sum(np.ascontiguousarray(x), axis=-1)
+    if k < 8:
+        out = x[..., 0] + 0.0
+        for j in range(1, k):
+            out += x[..., j]
+        return out
+    part = [x[..., j].copy() for j in range(8)]
+    full = k - k % 8
+    for i in range(8, full, 8):
+        for j in range(8):
+            part[j] += x[..., i + j]
+    out = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for i in range(full, k):
+        out += x[..., i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +120,7 @@ class ZeroNonlinearity:
     def grad(self, t1, t2, z):
         z = np.asarray(z, dtype=float)
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return np.zeros(shape + (z.shape[-1],))
+        return np.zeros_like(z, shape=shape + (z.shape[-1],))
 
     def hess(self, t1, t2, z):
         z = np.asarray(z, dtype=float)
@@ -115,11 +145,12 @@ class TrigPotential:
         self.time_dependent = False
 
     def _phases(self, z):
-        q = np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]
-        return q @ self.modes.T
+        # A matrix product rounds by the memory order of its operands (BLAS
+        # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
+        return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]) @ self.modes.T
 
     def value(self, t1, t2, z):
-        return self.epsilon * np.sum(np.cos(self._phases(z)), axis=-1)
+        return self.epsilon * component_sum(np.cos(self._phases(z)))
 
     def grad(self, t1, t2, z):
         z = np.asarray(z, dtype=float)
@@ -158,15 +189,18 @@ class TimeTrigPotential:
     def _tfactor(self, t1, t2):
         return np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
 
+    def _phase(self, z):
+        # C-ordered q, as in TrigPotential._phases
+        return np.ascontiguousarray(z[..., : 2 * self.n_pairs]) @ self.q_mode
+
     def value(self, t1, t2, z):
-        q = np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]
-        return self.epsilon * self._tfactor(t1, t2) * np.cos(q @ self.q_mode)
+        return self.epsilon * self._tfactor(t1, t2) * np.cos(self._phase(np.asarray(z, dtype=float)))
 
     def grad(self, t1, t2, z):
         z = np.asarray(z, dtype=float)
-        q = z[..., : 2 * self.n_pairs]
-        out = np.zeros(np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],))
-        factor = -self.epsilon * self._tfactor(t1, t2) * np.sin(q @ self.q_mode)
+        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
+        out = np.zeros_like(z, shape=shape)
+        factor = -self.epsilon * self._tfactor(t1, t2) * np.sin(self._phase(z))
         out[..., : 2 * self.n_pairs] = factor[..., None] * self.q_mode
         return out
 
@@ -194,7 +228,10 @@ def nonlinearity_from_config(cfg: dict):
 class HamiltonianSpec:
     """H(t, q, p) = |p|^2/2 + h(t, q, p) with cut-off radius rho.
 
-    h and grad_h are vectorized callables (t1, t2, z) -> values / vectors;
+    h and grad_h are vectorized callables (t1, t2, z) -> values / vectors.
+    The full flow grid passes z as a strided (N, N, 4n) view of component
+    planes: a callable that needs C order must copy z, and only the
+    built-in nonlinearities are bit-identical to a C-ordered z.
     hess_h is optional and only used by diagnostics.  sup_h / sup_grad_p /
     c3_norm are optional global bounds on h used for a-priori constants.
 
@@ -277,7 +314,7 @@ def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
 
 
 def _p_norm_sq(spec: HamiltonianSpec, z: np.ndarray) -> np.ndarray:
-    return np.sum(z[..., 2 * spec.n_pairs :] ** 2, axis=-1)
+    return component_sum(z[..., 2 * spec.n_pairs :] ** 2)
 
 
 class CutoffTerms(NamedTuple):
@@ -338,7 +375,7 @@ def grad_H_values(spec: HamiltonianSpec, grad_h, z, h_weight: float = 1.0) -> np
 
     grad_h is left unchanged.
     """
-    grad = h_weight * grad_h if h_weight != 1.0 else grad_h.copy()
+    grad = h_weight * grad_h if h_weight != 1.0 else grad_h.copy(order="K")
     grad[..., 2 * spec.n_pairs :] += z[..., 2 * spec.n_pairs :]
     return grad
 

@@ -144,6 +144,7 @@ def test_cuplength_command_and_determinism(tmp_path):
     with (out1 / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5  # 4 lattice + 1 random seed
+    assert [r["kind"] for r in rows] == ["lattice"] * 4 + ["perturbed"]
     assert any((out1 / "records").glob("*.bin"))
 
 
@@ -153,6 +154,24 @@ def test_cuplength_dry_run(tmp_path):
     out = tmp_path / "dry"
     assert run_cli("cuplength", "--config", str(cfg), "--dry-run", "--out", str(out)) == 0
     assert not (out / "report.json").exists()
+
+
+def test_manifest_records_environment(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_pairs": 1, "grid_size": 16}))
+    out = tmp_path / "dry"
+    assert run_cli("cuplength", "--config", str(cfg), "--dry-run", "--out", str(out)) == 0
+    env = read_json(out / "manifest.json")["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"].count(".") == 2
+    assert env["cpu_count"] is None or env["cpu_count"] >= 1
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--plots"]])
+def test_jobs_and_plots_belong_to_cuplength_only(tmp_path, option):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("flow", "--dry-run", "--out", str(tmp_path / "o"), *option)
+    assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 def test_cuplength_invalid_config(tmp_path):
@@ -190,7 +209,17 @@ def test_cuplength_invalid_config(tmp_path):
         ]
         for dry in (["--dry-run"], [])
     ]
-    + [(["flow", "--grid", "16", "--check-every", "0"], None, "check_every must be >= 1")],
+    + [(["flow", "--grid", "16", "--check-every", "0"], None, "check_every must be >= 1")]
+    # a worker count below 1 is an input error, not a serial run; the dry run checks it too
+    + [
+        (
+            ["cuplength", "--jobs", jobs, *dry],
+            {"n_pairs": 1, "grid_size": 16},
+            "--jobs must be an integer >= 1",
+        )
+        for jobs in ("0", "-1")
+        for dry in ([], ["--dry-run"])
+    ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
     argv = [*argv, "--out", str(tmp_path / "out")]

@@ -2,11 +2,14 @@
 
 Random even grids N = 8 .. 64 and random states: band-limited content plus,
 optionally, white noise that reaches every mode up to the Nyquist band.
+The flow grid's component-major arithmetic is also checked bit for bit
+against a reference on the trailing-component layout kept here.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from torusfloer.hamiltonians import (
     action,
     chi_cutoff,
     chi_cutoff_prime,
+    component_sum,
     cutoff_terms,
     grad_h_tilde,
     h_tilde,
@@ -27,6 +31,7 @@ from torusfloer.spectral import (
     TorusField,
     constant_field,
     derivative,
+    derivative_numbers,
     dirac,
     grid_points,
     l2_inner,
@@ -35,7 +40,7 @@ from torusfloer.spectral import (
     random_band_limited,
     sobolev_norm,
 )
-from torusfloer.structures import standard_structures
+from torusfloer.structures import compatible_triple, random_regularized_pair, standard_structures
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 TRIPLE = standard_structures(1)
@@ -50,7 +55,8 @@ SPECS = {
     for k, pot in enumerate(POTENTIALS)
     for rho in RHOS
 }
-specs = st.sampled_from(sorted(SPECS, key=str)).map(SPECS.get)
+spec_keys = st.sampled_from(sorted(SPECS, key=str))
+specs = spec_keys.map(SPECS.get)
 
 
 @st.composite
@@ -85,9 +91,6 @@ def test_derivatives_skew_adjoint_and_dirac_symmetric(a, seed):
     da, db = dirac(a, TRIPLE), dirac(b, TRIPLE)
     scale = l2_norm(da) * l2_norm(b) + l2_norm(a) * l2_norm(db)
     assert abs(l2_inner(da, b) - l2_inner(a, db)) <= 1e-12 * scale
-
-
-ZERO = hamiltonian_from_config({"kind": "zero", "n_pairs": 1}, rho=4.0)
 
 
 ZERO = hamiltonian_from_config({"kind": "zero", "n_pairs": 1}, rho=4.0)
@@ -146,7 +149,9 @@ def test_half_spectrum_step_matches_full_fft_step(z, spec, frac, weight):
     ref = np.fft.ifft2(ref_hat, axes=(0, 1), norm="forward").real
 
     scale = np.max(np.abs(ref))
-    assert new_vals.flags.c_contiguous
+    # component-major: the values and modes are grid views of C-contiguous component planes
+    assert new_vals.transpose(2, 0, 1).flags.c_contiguous
+    assert new_hat.transpose(2, 0, 1).flags.c_contiguous
     assert np.max(np.abs(new_vals - ref)) <= 1e-12 * scale
     assert np.max(np.abs(new_hat - ref_hat[:, : n // 2 + 1])) <= 1e-12 * scale
 
@@ -166,42 +171,192 @@ def test_residual_from_modes_matches_grid_residual(z, spec, h_weight):
     assert _close(grid.residual(*grid.start, h_weight), ref)
 
 
-def _separate_evaluations(spec, t1, t2, z):
-    """|p|^2, h_tilde and grad h_tilde as three evaluations of h, grad h and chi."""
+def _reference_potential(pot, t1, t2, z):
+    """h and grad h by literal copies of the TrigPotential and TimeTrigPotential formulas.
+
+    They multiply and sum over the trailing axis of a C-ordered z: the trailing-component layout.
+    """
+    z = np.ascontiguousarray(z)
+    eps = pot["epsilon"]
+    if pot["kind"] == "trig_potential":
+        modes = np.atleast_2d(np.asarray(pot["modes"], dtype=float))
+        q = z[..., : modes.shape[1]]
+        phases = q @ modes.T
+        grad = np.zeros_like(z)
+        grad[..., : modes.shape[1]] = -eps * (np.sin(phases) @ modes)
+        return eps * np.sum(np.cos(phases), axis=-1), grad
+    t_mode = np.asarray(pot["t_mode"], dtype=float)
+    q_mode = np.asarray(pot["q_mode"], dtype=float)
+    tfactor = np.cos(t_mode[0] * np.asarray(t1) + t_mode[1] * np.asarray(t2))
+    q = z[..., : q_mode.shape[0]]
+    grad = np.zeros(np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],))
+    grad[..., : q_mode.shape[0]] = (-eps * tfactor * np.sin(q @ q_mode))[..., None] * q_mode
+    return eps * tfactor * np.cos(q @ q_mode), grad
+
+
+def _separate_evaluations(pot, spec, t1, t2, z):
+    """|p|^2, h_tilde and grad h_tilde from the reference h, grad h and chi on C-ordered z."""
+    z = np.ascontiguousarray(z)
     p = z[..., 2 * spec.n_pairs :]
     psq = np.sum(p**2, axis=-1)
-    h = chi_cutoff(psq, spec.rho) * spec.h(t1, t2, z)
-    grad = chi_cutoff(psq, spec.rho)[..., None] * spec.grad_h(t1, t2, z)
+    hval, gval = _reference_potential(pot, t1, t2, z)
+    h = chi_cutoff(psq, spec.rho) * hval
+    grad = chi_cutoff(psq, spec.rho)[..., None] * gval
     if np.isfinite(spec.rho):
         dchi = chi_cutoff_prime(psq, spec.rho)
-        grad[..., 2 * spec.n_pairs :] += (2.0 * dchi * spec.h(t1, t2, z))[..., None] * p
+        grad[..., 2 * spec.n_pairs :] += (2.0 * dchi * hval)[..., None] * p
     return psq, h, grad
 
 
-@PROPERTY
-@given(
-    spec=specs,
-    seed=st.integers(0, 2**32 - 1),
-    points=st.integers(1, 64),
-    weight=st.floats(0.0, 1.0),
-)
-def test_fused_evaluation_is_bit_identical(spec, seed, points, weight):
-    rng = np.random.default_rng(seed)
+def _component_major(z):
+    """The (..., k) grid view of C-contiguous component planes holding the values of z."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
+
+
+def _fused_inputs(rng, spec, points):
+    """points random states and torus times; with finite rho the first point inside the cut-off shell."""
     z = rng.uniform(-np.pi, np.pi, size=(points, 4))
     t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, points))
     if np.isfinite(spec.rho):
-        # |p|^2 spread over [rho - 1.5, rho + 0.5]; the first point inside the cut-off shell
+        # |p|^2 spread over [rho - 1.5, rho + 0.5]
         p_sq = rng.uniform(spec.rho - 1.5, spec.rho + 0.5, size=points)
         p_sq[0] = spec.rho - 0.5
         angle = rng.uniform(0.0, 2.0 * np.pi, size=points)
         z[:, 2] = np.sqrt(p_sq) * np.cos(angle)
         z[:, 3] = np.sqrt(p_sq) * np.sin(angle)
-    psq, h, grad = _separate_evaluations(spec, t1, t2, z)
+    return z, t1, t2
 
-    terms = cutoff_terms(spec, t1, t2, z)
-    assert np.array_equal(terms.p_sq, psq)
-    assert np.array_equal(terms.h, h)
-    assert np.array_equal(terms.grad, grad)
-    assert np.array_equal(h_tilde(spec, t1, t2, z), h)
-    assert np.array_equal(grad_h_tilde(spec, t1, t2, z), grad)
-    assert np.array_equal(hamiltonian_value(spec, t1, t2, z, weight), 0.5 * psq + weight * h)
+
+@PROPERTY
+@given(
+    key=spec_keys,
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(1, 64),
+    side=st.integers(1, 8),
+    weight=st.floats(0.0, 1.0),
+)
+def test_fused_evaluation_is_bit_identical(key, seed, points, side, weight):
+    pot, spec = POTENTIALS[key[0]], SPECS[key]
+    rng = np.random.default_rng(seed)
+    z, t1, t2 = _fused_inputs(rng, spec, points)
+    grid_z, grid_t1, grid_t2 = _fused_inputs(rng, spec, side * side)
+    grid_t = (grid_t1.reshape(side, side), grid_t2.reshape(side, side))
+    grid_z = grid_z.reshape(side, side, 4)
+    # points, a C-ordered (N, N, 4) grid and its component-major view
+    for zz, (tt1, tt2) in ((z, (t1, t2)), (grid_z, grid_t), (_component_major(grid_z), grid_t)):
+        psq, h, grad = _separate_evaluations(pot, spec, tt1, tt2, zz)
+        terms = cutoff_terms(spec, tt1, tt2, zz)
+        assert np.array_equal(terms.p_sq, psq)
+        assert np.array_equal(terms.h, h)
+        assert np.array_equal(terms.grad, grad)
+        assert np.array_equal(h_tilde(spec, tt1, tt2, zz), h)
+        assert np.array_equal(grad_h_tilde(spec, tt1, tt2, zz), grad)
+        assert np.array_equal(hamiltonian_value(spec, tt1, tt2, zz, weight), 0.5 * psq + weight * h)
+
+
+@PROPERTY
+@given(
+    k=st.integers(1, 140),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    major=st.booleans(),
+)
+def test_component_sum_rounds_like_a_c_ordered_sum(k, rows, seed, major):
+    x = np.random.default_rng(seed).standard_normal((rows, 5, k)) * 10.0 ** np.arange(-4, 4, 8 / k)[:k]
+    ref = np.sum(x, axis=-1)
+    got = component_sum(_component_major(x) if major else x)
+    assert got.tobytes() == ref.tobytes()
+
+
+# the trailing-layout reference below: potentials with n = 1 and n = 2, axis and non-axis modes
+LAYOUT_POTENTIALS = (
+    {"kind": "trig_potential", "epsilon": 0.3, "modes": [[1, 0], [0, 1]]},
+    {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 2], [3, -1]]},
+    {"kind": "time_trig", "epsilon": 0.4, "t_mode": [1, 2], "q_mode": [1, -1]},
+    {"kind": "trig_potential", "epsilon": 0.2, "modes": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, -1]]},
+    {"kind": "trig_potential", "epsilon": 0.2, "modes": [[1, 2, 0, -1]]},
+    {"kind": "time_trig", "epsilon": 0.3, "t_mode": [0, 1], "q_mode": [1, -1, 2, 0]},
+)
+
+
+def _structures(n_pairs, general):
+    """The standard triple, or a compatible triple of a random regularized pair (J, K not integer)."""
+    if not general:
+        return standard_structures(n_pairs)
+    return compatible_triple(*random_regularized_pair(np.random.default_rng(n_pairs), n_pairs))
+
+
+class _TrailingGrid:
+    """The full flow grid on the trailing-component layout: C-ordered (N, N, 4n) values,
+    modes by rfft2 over axes (0, 1), the propagator applied by einsum("xyab,xyb->xya")."""
+
+    def __init__(self, pot, spec, triple, n):
+        self.pot, self.spec, self.triple, self.n = pot, spec, triple, n
+        self.t1, self.t2 = grid_points(n)
+        m1, m2 = derivative_numbers(n)
+        half = n // 2 + 1
+        self.im1, self.im2 = (1j * m1[:, :half])[:, :, None], (1j * m2[:, :half])[:, :, None]
+        cols = np.arange(half)
+        self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
+
+    def terms(self, vals):
+        return _separate_evaluations(self.pot, self.spec, self.t1, self.t2, vals)
+
+    def step(self, vals, zhat, ds, weight):
+        n = self.n
+        rhs = zhat
+        if weight != 0.0:
+            rhs = zhat + ds * np.fft.rfft2(weight * self.terms(vals)[2], axes=(0, 1), norm="forward")
+        prop = np.ascontiguousarray(_propagator(n, ds, self.triple)[:, : n // 2 + 1])
+        new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
+        new_vals = np.fft.irfft2(new_hat, s=(n, n), axes=(0, 1), norm="forward")
+        return np.ascontiguousarray(new_vals), new_hat
+
+    def action(self, vals, zhat, weight):
+        k = self.spec.n_pairs
+        qa, qb = zhat[:, :, :k], zhat[:, :, k : 2 * k]
+        pa, pb = zhat[:, :, 2 * k : 3 * k], zhat[:, :, 3 * k :]
+        va = self.im1 * qa + self.im2 * qb
+        vb = self.im1 * qb - self.im2 * qa
+        pairing = np.sum(self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real)
+        psq, h, _ = self.terms(vals)
+        return pairing - np.mean(0.5 * psq + weight * h)
+
+    def residual(self, vals, zhat):
+        grad = self.terms(vals)[2].copy()
+        grad[..., 2 * self.spec.n_pairs :] += vals[..., 2 * self.spec.n_pairs :]
+        dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
+        res = np.fft.irfft2(dhat, s=(self.n, self.n), axes=(0, 1), norm="forward") - grad
+        return np.sqrt(np.maximum(np.mean(np.sum(res * res, axis=2)), 0.0))
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+@pytest.mark.parametrize("n", [16, 24, 64])
+@pytest.mark.parametrize("rho", [4.0, np.inf])
+@pytest.mark.parametrize(
+    "pot", LAYOUT_POTENTIALS, ids=lambda pot: f"{pot['kind']}{pot.get('modes', pot.get('q_mode'))}"
+)
+def test_component_major_grid_is_bit_identical_to_trailing_layout(pot, rho, n, general):
+    spec = hamiltonian_from_config(pot, rho=rho)
+    triple = _structures(spec.n_pairs, general)
+    rng = np.random.default_rng(n)
+    z = random_band_limited(rng, n, spec.dim, 3, 0.15, "z", include_mean=True)
+    z = TorusField(z.values + 1e-3 * rng.standard_normal(z.values.shape), "z")
+    grid, ref = _FlowGrid(spec, triple, z), _TrailingGrid(pot, spec, triple, n)
+    assert not grid.constant
+    ds = 0.5 / mu_max(n)
+    vals, zhat = grid.start
+    ref_vals, ref_hat = z.values, np.fft.rfft2(z.values, axes=(0, 1), norm="forward")
+    for weight in (1.0, 0.37, 0.0):
+        vals, zhat = grid.step(vals, zhat, np.full(1, ds), weight)
+        ref_vals, ref_hat = ref.step(ref_vals, ref_hat, ds, weight)
+        assert vals.transpose(2, 0, 1).flags.c_contiguous
+        assert vals.tobytes(order="C") == ref_vals.tobytes()
+        assert zhat.tobytes(order="C") == ref_hat.tobytes()
+        ref_action = np.float64(ref.action(ref_vals, ref_hat, weight))
+        assert grid.action(vals, zhat, weight).tobytes() == ref_action.tobytes()
+        ref_residual = np.float64(ref.residual(ref_vals, ref_hat))
+        assert grid.residual(vals, zhat).tobytes() == ref_residual.tobytes()
+        assert grid.max_p_sq(vals)[0] == np.max(ref.terms(ref_vals)[0])
+        field = grid.field(vals).values
+        assert field.flags.c_contiguous and field.tobytes() == ref_vals.tobytes()
