@@ -56,13 +56,10 @@ from .hamiltonians import (
 )
 from .floer import (
     BetaProfile,
-    FlowState,
     energy,
     energy_density,
     energy_identity_check,
-    floer_rhs,
     flow_to_solution,
-    imex_step,
     max_principle_check,
     run_homotopy,
 )

@@ -17,6 +17,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,10 @@ from .fields_io import (
     write_json,
 )
 from .floer import (
+    DIAGNOSTIC_COLUMNS,
+    BetaProfile,
     FlowError,
-    energy,
+    check_step,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,
@@ -79,31 +82,44 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _default_out_root() -> Path:
-    return Path(os.environ.get("TORUSFLOER_OUT", "runs"))
+class InputError(ValueError):
+    """A bad argument or input file: exit code 1 with a one-line message."""
 
 
-def _prepare_outdir(args, subcommand: str) -> Path:
-    out = Path(args.out) if args.out else _default_out_root() / subcommand
-    out.mkdir(parents=True, exist_ok=True)
+def _prepare_outdir(args) -> Path:
+    out = Path(args.out or Path(os.environ.get("TORUSFLOER_OUT", "runs")) / args.subcommand)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory: {exc}") from None
     return out
 
 
-def _snapshot_config(outdir: Path, config_path) -> str | None:
-    if config_path is None:
-        return None
-    raw = Path(config_path).read_bytes()
+def _load_config(path, outdir: Path):
+    """(JSON object, SHA-256) of the file at path, snapshotted into outdir; (None, None) without one."""
+    if path is None:
+        return None, None
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise InputError(f"cannot parse {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, got a {type(data).__name__}")
     (outdir / "config_snapshot.json").write_bytes(raw)
-    return hashlib.sha256(raw).hexdigest()
+    return data, hashlib.sha256(raw).hexdigest()
 
 
-def _write_manifest(outdir: Path, subcommand: str, args, started: float, exit_status: int, sha=None):
+def _write_manifest(outdir: Path, args, argv: list, started: float, exit_status: int, sha):
     write_json(
         outdir / "manifest.json",
         {
-            "subcommand": subcommand,
-            "argv": sys.argv[1:],
-            "config_path": getattr(args, "config", None),
+            "subcommand": args.subcommand,
+            "argv": argv,
+            "config_path": args.config,
             "config_sha256": sha,
             "tool_version": __version__,
             "started_at": started,
@@ -119,22 +135,33 @@ def _write_manifest(outdir: Path, subcommand: str, args, started: float, exit_st
     )
 
 
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text()), None
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, str(exc)
+def _at_least_one(option: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{option} must be an integer >= 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
+# Each subcommand is a check, which validates the input and returns what the
+# run needs, and a run, which computes, writes its outputs and returns the
+# exit status.  A dry run stops after the check.
 
 
-def cmd_structures(args) -> int:
-    outdir = _prepare_outdir(args, "structures")
-    started = time.time()
-    sha = None
+def check_structures(args, data):
     if args.standard is not None:
-        triple = standard_structures(args.standard)
+        return standard_structures(args.standard)
+    if data is None:
+        raise InputError("need --standard N or --input FILE")
+    try:
+        matrices = [matrix_from_jsonable(data[key]) for key in ("omega1", "omega2", "I")]
+        aux = matrix_from_jsonable(data["aux_metric"]) if "aux_metric" in data else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed matrices: {exc}") from None
+    return (*matrices, aux)
+
+
+def run_structures(args, outdir: Path, checked) -> int:
+    if args.standard is not None:
+        triple = checked
         report = {
             "dim": triple.dim,
             "J": matrix_to_jsonable(triple.J),
@@ -147,35 +174,10 @@ def cmd_structures(args) -> int:
         }
         print(json.dumps({"J": report["J"], "K": report["K"]}, indent=2))
         write_json(outdir / "report.json", report)
-        _write_manifest(outdir, "structures", args, started, EXIT_PASS)
         return EXIT_PASS
-
-    if args.input is None:
-        print("structures: need --standard N or --input FILE", file=sys.stderr)
-        return EXIT_INPUT
-    data, err = _load_json(args.input)
-    if err is not None:
-        print(f"structures: cannot parse input: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        omega1 = matrix_from_jsonable(data["omega1"])
-        omega2 = matrix_from_jsonable(data["omega2"])
-        big_i = matrix_from_jsonable(data["I"])
-        aux = matrix_from_jsonable(data["aux_metric"]) if "aux_metric" in data else None
-    except (KeyError, ValueError) as exc:
-        print(f"structures: malformed matrices: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sha = _snapshot_config(outdir, args.input)
-    if args.dry_run:
-        print("structures: input ok (dry run)")
-        _write_manifest(outdir, "structures", args, started, EXIT_PASS, sha)
-        return EXIT_PASS
-    try:
-        pair = check_regularized_pair(omega1, omega2, big_i)
-    except StructureError as exc:
-        print(f"structures: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = {"pair_check": pair.to_dict(), "failed_checks": pair.failed_checks()}
+    omega1, omega2, big_i, aux = checked
+    pair = check_regularized_pair(omega1, omega2, big_i)
+    report = {"pair_check": asdict(pair), "failed_checks": pair.failed_checks()}
     status = EXIT_PASS if pair.passed else EXIT_FAIL
     if pair.passed:
         try:
@@ -190,31 +192,28 @@ def cmd_structures(args) -> int:
             report["triple_error"] = str(exc)
             status = EXIT_FAIL
     write_json(outdir / "report.json", report)
-    _write_manifest(outdir, "structures", args, started, status, sha)
     print(f"structures: {'pass' if status == EXIT_PASS else 'fail'}")
     return status
 
 
-def cmd_symbol(args) -> int:
-    outdir = _prepare_outdir(args, "symbol")
-    started = time.time()
-    if args.m_bound < 1 or args.nmin_m_bound < 1:
-        print("symbol: bounds must be positive", file=sys.stderr)
-        return EXIT_INPUT
+def check_symbol(args, data):
+    if args.m_bound < 1 or args.nmin_m_bound < 1 or not np.isfinite(args.xi_bound):
+        raise InputError("bounds must be finite and positive")
     try:
         xi_values = [float(x) for x in args.xi.split(",") if x.strip() != ""]
     except ValueError:
-        print(f"symbol: cannot parse --xi {args.xi!r}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.dry_run:
-        print("symbol: arguments ok (dry run)")
-        _write_manifest(outdir, "symbol", args, started, EXIT_PASS)
-        return EXIT_PASS
+        raise InputError(f"cannot parse --xi {args.xi!r}") from None
+    if not xi_values:
+        raise InputError(f"--xi needs at least one value, got {args.xi!r}")
+    return xi_values
+
+
+def run_symbol(args, outdir: Path, xi_values) -> int:
     rows = sweep_rows(xi_values, args.m_bound)
     columns = list(rows[0].keys())
     write_csv(outdir / "sweep.csv", columns, rows)
     nmin = minimal_N_search(xi_bound=args.xi_bound, m_bound=args.nmin_m_bound)
-    write_json(outdir / "nmin_certificate.json", nmin.to_dict())
+    write_json(outdir / "nmin_certificate.json", asdict(nmin))
     worst_det = max(r["det_residual"] for r in rows)
     worst_eig = max(r["eig_residual"] for r in rows)
     passed = worst_det < 1e-10 and worst_eig < 1e-10 and nmin.certified
@@ -222,115 +221,81 @@ def cmd_symbol(args) -> int:
         f"symbol: {len(rows)} rows, worst det residual {worst_det:.3e}, "
         f"worst eig residual {worst_eig:.3e}, N_min={nmin.n_min}"
     )
-    status = EXIT_PASS if passed else EXIT_FAIL
-    _write_manifest(outdir, "symbol", args, started, status)
-    return status
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _spec_from_flow_args(args):
-    if args.config is not None:
-        data, err = _load_json(args.config)
-        if err is not None:
-            return None, None, f"cannot parse config: {err}"
-        potential = data.get("potential", {"kind": "zero", "n_pairs": 1})
-        rho = data.get("rho", np.inf)
-        try:
-            spec = hamiltonian_from_config(potential, rho=rho)
-        except (HamiltonianError, KeyError) as exc:
-            return None, None, f"bad potential config: {exc}"
-        return spec, data, None
-    if args.h == "zero":
-        potential = {"kind": "zero", "n_pairs": 1}
-    else:
-        potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
-    spec = hamiltonian_from_config(potential, rho=args.rho)
-    return spec, {"potential": potential, "rho": args.rho}, None
-
-
-def cmd_flow(args) -> int:
-    outdir = _prepare_outdir(args, "flow")
-    started = time.time()
-    spec, data, err = _spec_from_flow_args(args)
-    if err is not None:
-        print(f"flow: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    sha = _snapshot_config(outdir, args.config) if args.config else None
-    if args.dry_run:
-        print("flow: config ok (dry run)")
-        _write_manifest(outdir, "flow", args, started, EXIT_PASS, sha)
-        return EXIT_PASS
-    n_grid = int(data.get("grid_size", args.grid))
+def check_flow(args, data):
+    if data is None:
+        if args.h == "zero":
+            potential = {"kind": "zero", "n_pairs": 1}
+        else:
+            potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
+        data = {"potential": potential, "rho": args.rho}
+    spec = hamiltonian_from_config(
+        data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf)
+    )
+    n_grid = data.get("grid_size", args.grid)
+    if not isinstance(n_grid, int) or isinstance(n_grid, bool):
+        raise InputError(f"grid_size must be an integer, got {n_grid!r}")
     if args.seed_mode:
         try:
             m1, m2 = (int(x) for x in args.seed_mode.split(","))
         except ValueError:
-            print(f"flow: bad --seed-mode {args.seed_mode!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"bad --seed-mode {args.seed_mode!r}") from None
         vec = np.zeros(spec.dim, dtype=complex)
         vec[0] = args.amplitude
         z0 = field_from_modes(n_grid, spec.dim, {(m1, m2): vec}, "z")
     else:
         rng = np.random.default_rng(args.rng_seed)
         z0 = random_band_limited(rng, n_grid, spec.dim, 2, args.amplitude, "z")
+    check_step(n_grid, args.ds)
+    return spec, z0
+
+
+def run_flow(args, outdir: Path, checked) -> int:
+    spec, z0 = checked
     result = flow_to_solution(
         z0, spec, tol=args.tol, s_max=args.s_max, ds=args.ds, check_every=args.check_every
     )
-    write_csv(
-        outdir / "diagnostics.csv",
-        ["s", "action", "residual", "max_p_sq", "energy_cum"],
-        result.rows,
-    )
+    write_csv(outdir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, result.rows)
     save_field(result.Z, outdir / "final_state")
     write_json(outdir / "result.json", result.to_dict())
     print(
         f"flow: {'converged' if result.converged else result.reason} at s={result.s_reached:.3f}, "
         f"residual {result.residual_norm:.3e}"
     )
-    if result.converged or result.diverged:
-        status = EXIT_PASS
-    else:
-        status = EXIT_INCONCLUSIVE
-    _write_manifest(outdir, "flow", args, started, status, sha)
-    return status
+    return EXIT_PASS if result.converged or result.diverged else EXIT_INCONCLUSIVE
 
 
-def cmd_energy(args) -> int:
-    outdir = _prepare_outdir(args, "energy")
-    started = time.time()
+def check_energy(args, data):
+    """(spec, trajectories loaded by --load) or (spec, start fields of the trajectories to run)."""
     potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
-    if args.config is not None:
-        data, err = _load_json(args.config)
-        if err is not None:
-            print(f"energy: cannot parse config: {err}", file=sys.stderr)
-            return EXIT_INPUT
+    if data is not None:
         potential = data.get("potential", potential)
-    sha = _snapshot_config(outdir, args.config) if args.config else None
-    try:
-        spec = hamiltonian_from_config(potential, rho=args.rho)
-    except (HamiltonianError, KeyError) as exc:
-        print(f"energy: bad potential config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.dry_run:
-        print("energy: config ok (dry run)")
-        _write_manifest(outdir, "energy", args, started, EXIT_PASS, sha)
-        return EXIT_PASS
-    hofer = hofer_norm(spec)
-    bound = 2.0 * hofer.value
+    spec = hamiltonian_from_config(potential, rho=args.rho)
     if args.load is not None:
         base = Path(args.load)
-        dirs = sorted(base.glob("trajectory_*")) or [base]
         try:
-            trajectories = [load_trajectory(d) for d in dirs]
+            return spec, [load_trajectory(d) for d in sorted(base.glob("trajectory_*")) or [base]]
         except (OSError, KeyError, ValueError) as exc:
-            print(f"energy: cannot load stored trajectory: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        rng = np.random.default_rng(args.rng_seed)
-        trajectories = []
-        for _ in range(args.trajectories):
-            q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
-            z0 = constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z")
-            trajectories.append(run_homotopy(z0, spec, r=args.r, ds=args.ds))
+            raise InputError(f"cannot load stored trajectory: {exc}") from None
+    _at_least_one("--trajectories", args.trajectories)
+    rng = np.random.default_rng(args.rng_seed)
+    starts = []
+    for _ in range(args.trajectories):
+        q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
+        starts.append(constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z"))
+    check_step(args.grid, args.ds)
+    BetaProfile(r=args.r, k=2 * spec.n_pairs)  # rejects r < 0 as run_homotopy does
+    return spec, starts
+
+
+def run_energy(args, outdir: Path, checked) -> int:
+    spec, trajectories = checked
+    hofer = hofer_norm(spec)
+    bound = 2.0 * hofer.value
+    if args.load is None:
+        trajectories = [run_homotopy(z0, spec, r=args.r, ds=args.ds) for z0 in trajectories]
     rows = []
     all_pass = True
     for i, traj in enumerate(trajectories):
@@ -362,33 +327,17 @@ def cmd_energy(args) -> int:
         )
     write_json(
         outdir / "report.json",
-        {"hofer_norm": hofer.to_dict(), "bound": bound, "trajectories": rows, "passed": all_pass},
+        {"hofer_norm": asdict(hofer), "bound": bound, "trajectories": rows, "passed": all_pass},
     )
-    status = EXIT_PASS if all_pass else EXIT_FAIL
-    _write_manifest(outdir, "energy", args, started, status, sha)
-    return status
+    return EXIT_PASS if all_pass else EXIT_FAIL
 
 
-def cmd_cuplength(args) -> int:
-    if args.jobs < 1:
-        print(f"cuplength: --jobs must be an integer >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_INPUT
-    outdir = _prepare_outdir(args, "cuplength")
-    started = time.time()
-    data, err = _load_json(args.config)
-    if err is not None:
-        print(f"cuplength: cannot parse config: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        config = ExperimentConfig.from_dict(data)
-    except (ConfigError, HamiltonianError, TypeError) as exc:
-        print(f"cuplength: invalid config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sha = _snapshot_config(outdir, args.config)
-    if args.dry_run:
-        print("cuplength: config ok (dry run)")
-        _write_manifest(outdir, "cuplength", args, started, EXIT_PASS, sha)
-        return EXIT_PASS
+def check_cuplength(args, data):
+    _at_least_one("--jobs", args.jobs)
+    return ExperimentConfig.from_dict(data)
+
+
+def run_cuplength(args, outdir: Path, config) -> int:
     report = verify_count(config, jobs=args.jobs)
     write_json(outdir / "report.json", report.to_report_dict())
     cluster_of = {}
@@ -428,11 +377,8 @@ def cmd_cuplength(args) -> int:
         f"{'pass' if report.passed else 'inconclusive' if report.inconclusive else 'fail'}"
     )
     if report.inconclusive:
-        status = EXIT_INCONCLUSIVE
-    else:
-        status = EXIT_PASS if report.passed else EXIT_FAIL
-    _write_manifest(outdir, "cuplength", args, started, status, sha)
-    return status
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _emit_cuplength_plots(outdir: Path, report) -> None:
@@ -466,15 +412,14 @@ def _emit_cuplength_plots(outdir: Path, report) -> None:
         plt.close(fig)
 
 
-def cmd_legendre_check(args) -> int:
-    outdir = _prepare_outdir(args, "legendre-check")
-    started = time.time()
+def check_legendre(args, data):
+    _at_least_one("--samples", args.samples)
     pot = TrigPotential(args.epsilon, [[1, 0], [0, 1]])
-    lag = quadratic_lagrangian(pot)
-    if args.dry_run:
-        print("legendre-check: arguments ok (dry run)")
-        _write_manifest(outdir, "legendre-check", args, started, EXIT_PASS)
-        return EXIT_PASS
+    return pot, quadratic_lagrangian(pot)
+
+
+def run_legendre(args, outdir: Path, checked) -> int:
+    pot, lag = checked
     rng = np.random.default_rng(args.rng_seed)
     worst_closed = 0.0
     worst_involution = 0.0
@@ -506,9 +451,7 @@ def cmd_legendre_check(args) -> int:
         f"legendre-check: closed-form residual {worst_closed:.3e}, "
         f"double-transform residual {worst_involution:.3e}"
     )
-    status = EXIT_PASS if passed else EXIT_FAIL
-    _write_manifest(outdir, "legendre-check", args, started, status)
-    return status
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _numeric_legendre(fun, q, v, iters: int = 60):
@@ -529,13 +472,12 @@ def _numeric_legendre(fun, q, v, iters: int = 60):
     return float(v @ p - fun(0.0, 0.0, q, p))
 
 
-def cmd_ddw_demo(args) -> int:
-    outdir = _prepare_outdir(args, "ddw-demo")
-    started = time.time()
-    if args.dry_run:
-        print("ddw-demo: arguments ok (dry run)")
-        _write_manifest(outdir, "ddw-demo", args, started, EXIT_PASS)
-        return EXIT_PASS
+def check_ddw(args, data):
+    _at_least_one("--samples", args.samples)
+    constant_field(args.grid, [0.0], "scalar")  # rejects a grid size the run rejects
+
+
+def run_ddw(args, outdir: Path, checked) -> int:
     rng = np.random.default_rng(args.rng_seed)
     worst = 0.0
     for _ in range(args.samples):
@@ -548,9 +490,7 @@ def cmd_ddw_demo(args) -> int:
         {"max_witness_residual": worst, "samples": args.samples, "passed": passed},
     )
     print(f"ddw-demo: max kernel-witness residual {worst:.3e}")
-    status = EXIT_PASS if passed else EXIT_FAIL
-    _write_manifest(outdir, "ddw-demo", args, started, status)
-    return status
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structures", help="validate structure matrices")
     common(p)
     p.add_argument("--standard", type=int, default=None, metavar="N")
-    p.add_argument("--input", default=None, help="JSON with omega1, omega2, I")
-    p.set_defaults(func=cmd_structures, config=None)
+    # the input file is the run's config: the manifest records its path and hash
+    p.add_argument("--input", dest="config", metavar="INPUT", help="JSON with omega1, omega2, I")
+    p.set_defaults(check=check_structures, func=run_structures)
 
     p = sub.add_parser("symbol", help="sweep the per-frequency symbol")
     common(p)
@@ -577,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", default="0,0.5,-0.5,1,-1,2,-2")
     p.add_argument("--xi-bound", type=float, default=100.0)
     p.add_argument("--nmin-m-bound", type=int, default=12)
-    p.set_defaults(func=cmd_symbol, config=None)
+    p.set_defaults(check=check_symbol, func=run_symbol, config=None)
 
     p = sub.add_parser("flow", help="single gradient flow with diagnostics")
     common(p)
@@ -593,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=50.0)
     p.add_argument("--ds", type=float, default=1e-2)
     p.add_argument("--check-every", type=int, default=10)
-    p.set_defaults(func=cmd_flow)
+    p.set_defaults(check=check_flow, func=run_flow)
 
     p = sub.add_parser("energy", help="switching trajectories: energy bound and identity")
     common(p)
@@ -607,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--save-trajectories", action="store_true")
     p.add_argument("--load", default=None, help="check a stored trajectory directory")
-    p.set_defaults(func=cmd_energy)
+    p.set_defaults(check=check_energy, func=run_energy)
 
     p = sub.add_parser("cuplength", help="multistart solution count experiment")
     common(p)
@@ -615,31 +556,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-fields", action="store_true")
     p.add_argument("--plots", action="store_true", help="write static images; never affects the exit code")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
-    p.set_defaults(func=cmd_cuplength)
+    p.set_defaults(check=check_cuplength, func=run_cuplength)
 
     p = sub.add_parser("legendre-check", help="verify the Legendre bridge")
     common(p)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.set_defaults(func=cmd_legendre_check, config=None)
+    p.set_defaults(check=check_legendre, func=run_legendre, config=None)
 
     p = sub.add_parser("ddw-demo", help="kernel witness of the three-equation system")
     common(p)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.set_defaults(func=cmd_ddw_demo, config=None)
+    p.set_defaults(check=check_ddw, func=run_ddw, config=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: output directory, config snapshot, check, dry run or run, manifest.
+
+    An input error at any stage exits 1 with a one-line message; once the
+    output directory exists, every exit writes the manifest.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
+    outdir = None
+    sha = None
     try:
-        return args.func(args)
+        outdir = _prepare_outdir(args)
+        data, sha = _load_config(args.config, outdir)
+        checked = args.check(args, data)
+        if args.dry_run:
+            print(f"{args.subcommand}: input ok (dry run)")
+            status = EXIT_PASS
+        else:
+            status = args.func(args, outdir, checked)
     except (
+        InputError,
         ConfigError,
         StructureError,
         HamiltonianError,
@@ -649,7 +606,10 @@ def main(argv=None) -> int:
         LegendreError,
     ) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        status = EXIT_INPUT
+    if outdir is not None:
+        _write_manifest(outdir, args, argv, started, status, sha)
+    return status
 
 
 if __name__ == "__main__":

@@ -30,8 +30,7 @@ is reported as divergence, not raised.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +41,10 @@ from .hamiltonians import (
     component_sum,
     cutoff_terms,
     grad_H_values,
-    hamiltonian_residual,
 )
 
 # perfbench/tracing.py wraps these names on this module
-from .hamiltonians import grad_h_tilde, h_tilde, hamiltonian_value  # noqa: F401
+from .hamiltonians import grad_h_tilde, h_tilde, hamiltonian_residual, hamiltonian_value  # noqa: F401
 from .spectral import (
     FieldError,
     TorusField,
@@ -130,15 +128,8 @@ class BetaProfile:
         return self.value(s)
 
 
-def _weight(profile: BetaProfile | None, s: float) -> float:
-    return 1.0 if profile is None else float(profile.value(s))
-
-
 # ---------------------------------------------------------------------------
 # IMEX propagator
-
-
-_PROP_CACHE: dict = {}
 
 
 def mu_max(n_grid: int) -> float:
@@ -150,8 +141,8 @@ def mu_max(n_grid: int) -> float:
     return 0.5 * (1.0 + np.sqrt(1.0 + 8.0 * m * m))
 
 
-def _propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
-    """Inverse per-mode matrices (Id + ds * (i(m1 J + m2 K) - P))^(-1) on the full N x N grid."""
+def check_step(n_grid: int, ds: float) -> None:
+    """Raise FlowError unless 0 < ds < 1 and ds * mu_max < 1 on the N x N grid."""
     if not 0.0 < ds < 1.0:
         raise FlowError(f"step size must lie in (0, 1), got {ds}")
     mu = mu_max(n_grid)
@@ -161,25 +152,27 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
             f"{ds * mu:.3g} >= 1, need ds < {1.0 / mu:.4g} "
             "(at ds*mu = 1 a grid mode has a singular implicit solve)"
         )
-    key = (n_grid, float(ds), triple.dim, triple.J.tobytes(), triple.K.tobytes())
-    cached = _PROP_CACHE.get(key)
-    if cached is not None:
-        return cached
+
+
+def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.ndarray:
+    """Inverse per-mode matrices (Id + ds * (i(m1 J + m2 K) - P))^(-1) of the grid modes `modes`.
+
+    modes is an index of the (N, N) mode grid, such as the half spectrum
+    np.s_[:, : N // 2 + 1]; each matrix is inverted alone, so a subset gives
+    the same bits as the full grid.
+    """
+    check_step(n_grid, ds)
     dim = triple.dim
     m1, m2 = derivative_numbers(n_grid)
     proj = np.zeros((dim, dim))
     half = dim // 2
     proj[half:, half:] = np.eye(half)
     lin = (
-        1j * m1[:, :, None, None] * triple.J
-        + 1j * m2[:, :, None, None] * triple.K
+        1j * m1[modes][:, :, None, None] * triple.J
+        + 1j * m2[modes][:, :, None, None] * triple.K
         - proj
     )
-    inv = np.linalg.inv(np.eye(dim) + ds * lin)
-    if len(_PROP_CACHE) > 64:
-        _PROP_CACHE.clear()
-    _PROP_CACHE[key] = inv
-    return inv
+    return np.linalg.inv(np.eye(dim) + ds * lin)
 
 
 def band_mask(n_grid: int, band_limit: int | None) -> np.ndarray | None:
@@ -352,7 +345,7 @@ class _FlowGrid:
         """The propagator on the held modes: (1, 1, 4n, 4n) on a constant grid, else (4n, 4n, N, N/2 + 1)."""
         prop = self._props.get(ds)
         if prop is None:
-            prop = _propagator(self.n, ds, self.triple)[self.modes]
+            prop = _propagator(self.n, ds, self.triple, self.modes)
             prop = np.ascontiguousarray(prop if self.constant else prop.transpose(2, 3, 0, 1))
             self._props[ds] = prop
         return prop
@@ -458,48 +451,6 @@ class _FlowGrid:
             return self._start_fields[seed]
         row = self.start[0][seed]
         return TorusField(np.broadcast_to(row, (self.n, *row.shape)).copy(), "z")
-
-
-def floer_rhs(state) -> TorusField:
-    """Flow velocity -dirac(Z) + grad H(Z), nonlinearity weighted by the profile."""
-    res = hamiltonian_residual(state.spec, state.Z, state.triple, _weight(state.profile, state.s))
-    return TorusField(-res.values, "z")
-
-
-@dataclass
-class FlowState:
-    """One point on a flow trajectory, plus integration bookkeeping."""
-
-    Z: TorusField
-    spec: HamiltonianSpec
-    triple: StructureTriple
-    s: float = 0.0
-    ds: float = DEFAULT_DS
-    profile: BetaProfile | None = None
-    energy_total: float = 0.0
-    diagnostics: deque = field(default_factory=lambda: deque(maxlen=100_000))
-
-
-def imex_step(state: FlowState, ds: float | None = None) -> FlowState:
-    """Advance one IMEX Euler step; returns a new state, input untouched.
-
-    Appends (s, action, max|p|^2, cumulative energy) to the shared
-    diagnostics ring.
-    """
-    ds = state.ds if ds is None else float(ds)
-    grid = _FlowGrid(state.spec, state.triple, state.Z)
-    vals, zhat = grid.start
-    new_vals, new_hat = grid.step(vals, zhat, np.full(1, ds), _weight(state.profile, state.s))
-    dz = new_vals - vals
-    vsq = grid.mean_sq(dz).item() / ds**2
-    new = replace(state)
-    new.Z = grid.field(new_vals)
-    new.s = state.s + ds
-    new.energy_total = state.energy_total + vsq * ds
-    new.diagnostics = state.diagnostics
-    act = grid.action(new_vals, new_hat, _weight(state.profile, new.s)).item()
-    new.diagnostics.append((new.s, act, grid.max_p_sq(new_vals).item(), new.energy_total))
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +780,6 @@ class EnergyIdentityReport:
     switch_integral: float
     defect: float
 
-    def to_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "action_drop": self.action_drop,
-            "switch_integral": self.switch_integral,
-            "defect": self.defect,
-        }
-
 
 def energy_identity_check(
     traj: FlowTrajectory, s0: float | None = None, s1: float | None = None
@@ -863,15 +806,6 @@ class MaxPrincipleReport:
     passed: bool
     ends_converged: tuple
     grid_tol: float = 1e-8
-
-    def to_dict(self) -> dict:
-        return {
-            "max_p_sq": self.max_p_sq,
-            "rho": self.rho,
-            "passed": self.passed,
-            "ends_converged": list(self.ends_converged),
-            "grid_tol": self.grid_tol,
-        }
 
 
 def max_principle_check(traj: FlowTrajectory, rho: float, grid_tol: float = 1e-8) -> MaxPrincipleReport:

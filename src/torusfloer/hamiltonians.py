@@ -19,6 +19,7 @@ pointwise functions here give the same bits for every memory layout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -122,11 +123,6 @@ class ZeroNonlinearity:
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
         return np.zeros_like(z, shape=shape + (z.shape[-1],))
 
-    def hess(self, t1, t2, z):
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return np.zeros(shape + (z.shape[-1], z.shape[-1]))
-
 
 class TrigPotential:
     """h(q) = epsilon * sum_a cos(a . q) over integer frequency vectors a."""
@@ -156,15 +152,6 @@ class TrigPotential:
         z = np.asarray(z, dtype=float)
         out = np.zeros_like(z)
         out[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(self._phases(z)) @ self.modes)
-        return out
-
-    def hess(self, t1, t2, z):
-        z = np.asarray(z, dtype=float)
-        dim = z.shape[-1]
-        out = np.zeros(z.shape[:-1] + (dim, dim))
-        cosines = np.cos(self._phases(z))
-        block = -self.epsilon * np.einsum("...m,ma,mb->...ab", cosines, self.modes, self.modes)
-        out[..., : 2 * self.n_pairs, : 2 * self.n_pairs] = block
         return out
 
 
@@ -209,14 +196,23 @@ NONLINEARITY_KINDS = ("zero", "trig_potential", "time_trig")
 
 
 def nonlinearity_from_config(cfg: dict):
-    """Build a registry nonlinearity from {'kind': ..., ...}."""
+    """Build a registry nonlinearity from {'kind': ..., ...}; HamiltonianError for a malformed cfg."""
+    if not isinstance(cfg, dict):
+        raise HamiltonianError(f"potential must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
-    if kind == "zero":
-        return ZeroNonlinearity(int(cfg.get("n_pairs", 1)))
-    if kind == "trig_potential":
-        return TrigPotential(cfg["epsilon"], cfg["modes"])
-    if kind == "time_trig":
-        return TimeTrigPotential(cfg["epsilon"], cfg["t_mode"], cfg["q_mode"])
+    try:
+        if kind == "zero":
+            return ZeroNonlinearity(int(cfg.get("n_pairs", 1)))
+        if kind == "trig_potential":
+            return TrigPotential(cfg["epsilon"], cfg["modes"])
+        if kind == "time_trig":
+            return TimeTrigPotential(cfg["epsilon"], cfg["t_mode"], cfg["q_mode"])
+    except KeyError as exc:
+        raise HamiltonianError(f"{kind} potential lacks the key {exc}") from None
+    except HamiltonianError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise HamiltonianError(f"{kind} potential has a value that is not numeric: {exc}") from None
     raise HamiltonianError(f"unknown nonlinearity kind {kind!r}; have {NONLINEARITY_KINDS}")
 
 
@@ -232,8 +228,8 @@ class HamiltonianSpec:
     The full flow grid passes z as a strided (N, N, 4n) view of component
     planes: a callable that needs C order must copy z, and only the
     built-in nonlinearities are bit-identical to a C-ordered z.
-    hess_h is optional and only used by diagnostics.  sup_h / sup_grad_p /
-    c3_norm are optional global bounds on h used for a-priori constants.
+    sup_h / sup_grad_p / c3_norm are optional global bounds on h used for
+    a-priori constants.
 
     time_dependent=False is a promise that h and grad_h do not depend on the
     torus time: the Hofer norm then samples one time only, and the flow
@@ -244,7 +240,6 @@ class HamiltonianSpec:
     n_pairs: int
     h: object
     grad_h: object
-    hess_h: object = None
     rho: float = np.inf
     time_dependent: bool = False
     name: str = "custom"
@@ -256,8 +251,8 @@ class HamiltonianSpec:
     def __post_init__(self, check_gradient):
         if self.n_pairs < 1:
             raise HamiltonianError("n_pairs must be positive")
-        if not self.rho > 0:
-            raise HamiltonianError("cut-off radius must be positive")
+        if not (isinstance(self.rho, numbers.Real) and self.rho > 0):
+            raise HamiltonianError(f"cut-off radius must be a positive number, got {self.rho!r}")
         if check_gradient:
             self._validate_gradient()
 
@@ -300,7 +295,6 @@ def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
         n_pairs=pot.n_pairs,
         h=pot.value,
         grad_h=pot.grad,
-        hess_h=getattr(pot, "hess", None),
         rho=rho,
         time_dependent=pot.time_dependent,
         name=cfg.get("kind", "custom"),
@@ -447,15 +441,6 @@ class HoferEstimate:
     p_sample_count: int
     t_points: int
     time_dependent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "q_points_per_dim": self.q_points_per_dim,
-            "p_sample_count": self.p_sample_count,
-            "t_points": self.t_points,
-            "time_dependent": self.time_dependent,
-        }
 
 
 def _p_samples(spec: HamiltonianSpec, shells: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import json
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -101,8 +101,6 @@ class ExperimentConfig:
                 f"ds={self.ds!r} leaves the step regime on the {self.grid_size}x{self.grid_size} "
                 f"grid: need 0 < ds*mu_max < 1, i.e. 0 < ds < {1.0 / mu:.4g}"
             )
-        if not isinstance(self.potential, dict):
-            raise ConfigError(f"potential must be a JSON object, got {self.potential!r}")
         pot = nonlinearity_from_config(self.potential)
         if pot.n_pairs != self.n_pairs:
             raise ConfigError(
@@ -129,25 +127,6 @@ class ExperimentConfig:
 
     def build_spec(self) -> HamiltonianSpec:
         return hamiltonian_from_config(self.potential, rho=self.resolved_rho())
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "grid_size": self.grid_size,
-            "potential": dict(self.potential),
-            "rho": self.rho,
-            "lattice_per_dim": self.lattice_per_dim,
-            "random_starts": self.random_starts,
-            "perturbation_amplitude": self.perturbation_amplitude,
-            "perturbation_band": self.perturbation_band,
-            "residual_tol": self.residual_tol,
-            "dedup_delta": self.dedup_delta,
-            "s_max": self.s_max,
-            "ds": self.ds,
-            "check_every": self.check_every,
-            "seed": self.seed,
-            "wall_clock_cap": self.wall_clock_cap,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -345,7 +324,7 @@ def multistart_solve(
         tasks = [[i] for i in sorted(set(indices) - set(constants))]
         if constants:
             tasks.insert(0, constants)  # the longest task first
-        config_json = json.dumps(config.to_dict())
+        config_json = json.dumps(asdict(config))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
             for future in as_completed(futures):
@@ -479,10 +458,6 @@ class CountReport:
     def table(self) -> list:
         """Representative rows sorted by action, largest first."""
         reps = [self.records[i] for i in self.dedup_result.representatives]
-        sizes = {
-            min(m, key=lambda i: self.records[i].residual): len(m)
-            for m in self.dedup_result.clusters
-        }
         rows = []
         for rec, members in sorted(
             zip(reps, self.dedup_result.clusters), key=lambda t: -t[0].action
@@ -507,7 +482,7 @@ class CountReport:
             "n_divergent": len(self.divergent),
             "n_unfinished": len(self.unfinished),
             "records": self.table(),
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
 
 

@@ -116,15 +116,6 @@ class RegularizedPairReport:
     min_singular_values: dict
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "tol": self.tol,
-            "residuals": dict(self.residuals),
-            "min_singular_values": dict(self.min_singular_values),
-            "passed": self.passed,
-        }
-
     def failed_checks(self) -> list:
         bad = [k for k, v in self.residuals.items() if not v < self.tol]
         bad += [k for k, v in self.min_singular_values.items() if not v > self.tol]

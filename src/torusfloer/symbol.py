@@ -253,16 +253,6 @@ class MinimalNResult:
     failures: list
     certificates: list
 
-    def to_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "m_bound": self.m_bound,
-            "xi_bound": self.xi_bound,
-            "certified": self.certified,
-            "failures": self.failures,
-            "certificates": self.certificates,
-        }
-
 
 def minimal_N_search(xi_bound: float = 100.0, m_bound: int = 12) -> MinimalNResult:
     """Smallest N with min|lam|^2 >= xi^2 + (m1^2+m2^2)/2 for all m1^2+m2^2 > N.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from torusfloer.floer import floer_rhs, FlowState
+from torusfloer.hamiltonians import hamiltonian_residual
 from torusfloer.spectral import TorusField, derivative_numbers
 from torusfloer.symbol import symbol_matrix
 
@@ -66,12 +66,10 @@ def rk4_reference(Z: TorusField, spec, triple, s_total: float, n_sub: int,
                   profile=None, s0: float = 0.0) -> TorusField:
     """Classical RK4 on the full nonlinear flow velocity; test-side oracle."""
     ds = s_total / n_sub
-    state = FlowState(Z=Z, spec=spec, triple=triple, s=s0, profile=profile)
 
     def rhs_at(values, s):
-        state.Z = TorusField(values, "z")
-        state.s = s
-        return floer_rhs(state).values
+        weight = 1.0 if profile is None else float(profile.value(s))
+        return -hamiltonian_residual(spec, TorusField(values, "z"), triple, weight).values
 
     values = Z.values.copy()
     s = s0

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,8 +66,11 @@ def test_structures_valid_input_builds_triple(tmp_path):
     assert run_cli("structures", "--input", str(cfg), "--out", str(out)) == 0
     report = read_json(out / "report.json")
     assert report["triple"]["g"] == (2 * np.eye(4)).tolist()
-    # byte-identical config snapshot
+    # byte-identical config snapshot, recorded in the manifest
     assert (out / "config_snapshot.json").read_bytes() == cfg.read_bytes()
+    manifest = read_json(out / "manifest.json")
+    assert manifest["config_path"] == str(cfg)
+    assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
 def test_symbol_sweep(tmp_path):
@@ -210,6 +216,42 @@ def test_cuplength_invalid_config(tmp_path):
         for dry in (["--dry-run"], [])
     ]
     + [(["flow", "--grid", "16", "--check-every", "0"], None, "check_every must be >= 1")]
+    # config files that are not a JSON object, or whose potential is malformed
+    + [
+        (["structures", "--input", "<tmp>/config.json"], [1, 2], "must hold a JSON object, got a list"),
+        (["flow"], [1, 2], "must hold a JSON object, got a list"),
+        (["energy"], [1, 2], "must hold a JSON object, got a list"),
+        (["flow"], {"potential": 5}, "potential must be a JSON object"),
+        (["energy"], {"potential": 5}, "potential must be a JSON object"),
+        (["flow"], {"grid_size": "abc"}, "grid_size must be an integer"),
+        (["flow"], {"grid_size": 16.7}, "grid_size must be an integer"),
+        (["flow"], {"rho": "x"}, "cut-off radius must be a positive number"),
+        (
+            ["cuplength"],
+            {"n_pairs": 1, "grid_size": 16, "potential": {"kind": "trig_potential", "modes": [[1, 0]]}},
+            "trig_potential potential lacks the key 'epsilon'",
+        ),
+        (
+            ["cuplength"],
+            {"n_pairs": 1, "grid_size": 16, "potential": {"kind": "trig_potential", "epsilon": "x", "modes": [[1, 0]]}},
+            "trig_potential potential has a value that is not numeric",
+        ),
+        (["symbol", "--xi", ""], None, "--xi needs at least one value"),
+        (["symbol", "--out", "<tmp>/file/out"], None, "cannot create output directory"),
+    ]
+    # a count below 1 would check nothing and pass; the dry run checks the grid and the step regime
+    + [
+        (argv + dry, None, message)
+        for argv, message in [
+            (["energy", "--trajectories", "0"], "--trajectories must be an integer >= 1"),
+            (["legendre-check", "--samples", "0"], "--samples must be an integer >= 1"),
+            (["ddw-demo", "--samples", "0"], "--samples must be an integer >= 1"),
+            (["ddw-demo", "--grid", "7"], "grid size must be even"),
+            (["energy", "--grid", "7"], "grid size must be even"),
+            (["energy", "--grid", "64", "--ds", "0.045"], "need ds < 0.02255"),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
     # a worker count below 1 is an input error, not a serial run; the dry run checks it too
     + [
         (
@@ -222,15 +264,48 @@ def test_cuplength_invalid_config(tmp_path):
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
-    argv = [*argv, "--out", str(tmp_path / "out")]
+    """config goes to --config unless argv names the file itself, as <tmp>/config.json."""
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("<tmp>", str(tmp_path)) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
     if config is not None:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
-        argv += ["--config", str(cfg)]
+        if str(cfg) not in argv:
+            argv += ["--config", str(cfg)]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv", [["flow", "--grid", "16", "--ds", "0.2"], ["energy", "--grid", "7"]])
+def test_input_error_writes_exit_1_manifest(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    manifest = read_json(out / "manifest.json")
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["argv"] == [*argv, "--out", str(out)]
+    assert manifest["exit_status"] == 1
+
+
+def test_perfbench_tracing_restores_every_wrapped_name():
+    """perfbench/tracing.py wraps program names by getattr: each must exist and come back unwrapped."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        wrapped = list(tracer._undo)
+        assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original
 
 
 def test_legendre_check(tmp_path):

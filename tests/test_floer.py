@@ -5,18 +5,21 @@ from torusfloer import floer
 from torusfloer.floer import (
     BetaProfile,
     FlowError,
-    FlowState,
+    _FlowGrid,
     _propagator,
     energy,
     energy_density,
     energy_identity_check,
-    floer_rhs,
     flow_to_solution,
-    imex_step,
     max_principle_check,
     run_homotopy,
 )
-from torusfloer.hamiltonians import hamiltonian_from_config, hofer_norm
+from torusfloer.hamiltonians import (
+    action,
+    hamiltonian_from_config,
+    hamiltonian_residual,
+    hofer_norm,
+)
 from torusfloer.spectral import (
     TorusField,
     constant_field,
@@ -79,78 +82,79 @@ def test_beta_profile_derivative_by_differences():
     assert np.max(np.abs(fd - bp.derivative(s))) < 1e-5
 
 
+def imex_steps(spec, z, ds, n_steps=1, weight=1.0):
+    """The field after n_steps IMEX steps of the flow grid from z."""
+    grid = _FlowGrid(spec, standard_structures(spec.n_pairs), z)
+    vals, zhat = grid.start
+    for _ in range(n_steps):
+        vals, zhat = grid.step(vals, zhat, np.full(1, ds), weight)
+    return grid.field(vals)
+
+
 # ---------------------------------------------------------------------------
-# right-hand side
+# one step of the flow
 
 
-def test_rhs_zero_at_solution():
+def test_residual_zero_at_solution():
     spec = trig_spec()
-    state = FlowState(
-        Z=constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z"),
-        spec=spec,
-        triple=standard_structures(1),
-    )
-    assert l2_norm(floer_rhs(state)) < 1e-15
+    z = constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z")
+    grid = _FlowGrid(spec, standard_structures(1), z)
+    assert grid.residual(*grid.start)[0] < 1e-15
+    assert l2_norm(hamiltonian_residual(spec, z, standard_structures(1))) < 1e-15
 
 
-def test_rhs_constant_momentum_reproduces_growth():
-    # Z = (0, p0): velocity is (0, p0) exactly; constants with momentum run away
+def test_step_constant_momentum_grows():
+    # Z = (0, p0): the velocity is (0, p), so constants with momentum run away;
+    # the implicit step multiplies p by 1 / (1 - ds) and leaves q at 0
     spec = free_spec()
     z = constant_field(16, [0.0, 0.0, 0.7, -0.2], "z")
-    state = FlowState(Z=z, spec=spec, triple=standard_structures(1))
-    rhs = floer_rhs(state).values
-    assert np.max(np.abs(rhs[:, :, :2])) == 0.0
-    assert np.max(np.abs(rhs[:, :, 2] - 0.7)) < 1e-14
-    assert np.max(np.abs(rhs[:, :, 3] + 0.2)) < 1e-14
+    ds = 0.01
+    stepped = imex_steps(spec, z, ds).values
+    assert np.max(np.abs(stepped[:, :, :2])) == 0.0
+    assert np.max(np.abs(stepped[:, :, 2] - 0.7 / (1.0 - ds))) < 1e-14
+    assert np.max(np.abs(stepped[:, :, 3] + 0.2 / (1.0 - ds))) < 1e-14
 
 
-def test_rhs_single_mode_matches_symbol_block(rng):
-    # free flow on one q mode: velocity coefficient is -L(m) v with L the
-    # per-mode block of the linearized operator at zero flow frequency
+def test_step_single_mode_matches_symbol_block():
+    # free flow on one q mode: the step solves (Id + ds L(m)) v_new = v with L
+    # the per-mode block of the linearized operator at zero flow frequency
     spec = free_spec()
     m = (1, 0)
     v = np.zeros(4, dtype=complex)
     v[0] = 0.3
     z = field_from_modes(16, 4, {m: v}, "z")
-    state = FlowState(Z=z, spec=spec, triple=standard_structures(1))
-    out = mode_transform(floer_rhs(state)).coeffs[m[0] % 16, m[1] % 16]
-    expected = -mode_block(*m) @ v
+    ds = 0.01
+    out = mode_transform(imex_steps(spec, z, ds)).coeffs[m[0] % 16, m[1] % 16]
+    expected = np.linalg.solve(np.eye(4) + ds * mode_block(*m), v)
     assert np.max(np.abs(out - expected)) < 1e-13
 
 
-def test_rhs_profile_weight():
+def test_homotopy_velocity_follows_profile_weight():
+    # a constant off the critical points of h is a fixed point of the free flow
     spec = trig_spec()
     z = constant_field(16, [1.0, 2.0, 0.0, 0.0], "z")
-    profile = BetaProfile(r=1.0, k=2)
-    before = FlowState(Z=z, spec=spec, triple=standard_structures(1), s=-2.0, profile=profile)
-    during = FlowState(Z=z, spec=spec, triple=standard_structures(1), s=1.0, profile=profile)
-    assert l2_norm(floer_rhs(before)) == 0.0  # nonlinearity switched off
-    assert l2_norm(floer_rhs(during)) > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# IMEX stepping
+    traj = run_homotopy(z, spec, r=1.0, ds=0.01)
+    before = traj.s[:-1] < -1.0
+    assert np.all(traj.vsq[before] == 0.0)  # nonlinearity switched off
+    assert np.max(traj.vsq[~before]) > 1e-6
 
 
 def test_imex_fixed_point_exact():
     spec = trig_spec()
     z = constant_field(16, [0.0, np.pi, 0.0, 0.0], "z")
-    state = FlowState(Z=z, spec=spec, triple=standard_structures(1), ds=0.05)
-    stepped = imex_step(state)
-    assert np.max(np.abs(stepped.Z.values - z.values)) < 1e-12
+    stepped = imex_steps(spec, z, 0.05)
+    assert np.max(np.abs(stepped.values - z.values)) < 1e-12
 
 
 def test_imex_rejects_large_step():
-    spec = free_spec()
-    state = FlowState(Z=constant_field(16, [0.0] * 4, "z"), spec=spec, triple=standard_structures(1))
     with pytest.raises(FlowError):
-        imex_step(state, ds=1.0)
+        imex_steps(free_spec(), constant_field(16, [0.0] * 4, "z"), 1.0)
 
 
 def test_propagator_matches_exponential_to_first_order():
     triple = standard_structures(1)
     ds = 1e-3
-    prop = _propagator(16, ds, triple)
+    prop = _propagator(16, ds, triple, np.s_[:, :])
     m = np.rint(np.fft.fftfreq(16, 1 / 16)).astype(int)
     m[8] = 0
     for a, b in [(0, 0), (1, 0), (3, 14), (5, 5)]:
@@ -167,9 +171,8 @@ def test_imex_step_accuracy_is_second_order_local(rng):
     z = project_flow_stable(random_band_limited(rng, 16, 4, 2, 0.2, "z"))
     errors = []
     for ds in (2e-2, 1e-2):
-        state = FlowState(Z=z, spec=spec, triple=triple, ds=ds)
         ref = rk4_reference(z, spec, triple, ds, 100)
-        err = np.max(np.abs(imex_step(state).Z.values - ref.values))
+        err = np.max(np.abs(imex_steps(spec, z, ds).values - ref.values))
         errors.append(err)
     ratio = errors[0] / errors[1]
     assert 3.0 < ratio < 5.5  # halving ds quarters the local error
@@ -178,31 +181,24 @@ def test_imex_step_accuracy_is_second_order_local(rng):
 def test_linear_flow_global_order_one(rng):
     # free flow has a closed form per mode; global IMEX error is O(ds)
     spec = free_spec()
-    triple = standard_structures(1)
     z0 = project_flow_stable(random_band_limited(rng, 16, 4, 2, 0.5, "z"))
     exact = linear_flow_exact(z0, 1.0)
     errors = []
     for ds in (0.02, 0.01):
-        z = z0
-        state = FlowState(Z=z, spec=spec, triple=triple, ds=ds)
-        for _ in range(int(round(1.0 / ds))):
-            state = imex_step(state)
-        errors.append(np.max(np.abs(state.Z.values - exact.values)))
+        z = imex_steps(spec, z0, ds, int(round(1.0 / ds)))
+        errors.append(np.max(np.abs(z.values - exact.values)))
     ratio = errors[0] / errors[1]
     assert 1.6 < ratio < 2.4
 
 
 def test_imex_action_decrease(rng):
-    from torusfloer.hamiltonians import action
-
     spec = trig_spec()
     triple = standard_structures(1)
     z = project_flow_stable(random_band_limited(rng, 16, 4, 2, 0.1, "z"))
     errs = []
     for ds in (5e-3, 2.5e-3):
-        state = FlowState(Z=z, spec=spec, triple=triple, ds=ds)
-        stepped = imex_step(state)
-        a0, a1 = action(spec, z), action(spec, stepped.Z)
+        stepped = imex_steps(spec, z, ds)
+        a0, a1 = action(spec, z), action(spec, stepped)
         assert a1 < a0
         ref = rk4_reference(z, spec, triple, ds, 100)
         errs.append(abs(a1 - action(spec, ref)))
@@ -484,22 +480,9 @@ def test_energy_density_decays_along_stable_mode():
     lam, vec = np.linalg.eig(block)
     stable = vec[:, np.argmax(lam.real)]  # flow factor exp(-lam s)
     z = field_from_modes(16, 4, {(1, 0): 0.1 * stable}, "z")
-    state = FlowState(Z=z, spec=spec, triple=triple, ds=0.01)
     densities = []
     for _ in range(3):
-        rhs = floer_rhs(state)
-        densities.append(float(np.max(energy_density(state.Z, rhs))))
-        for _ in range(20):
-            state = imex_step(state)
+        velocity = TorusField(-hamiltonian_residual(spec, z, triple).values, "z")
+        densities.append(float(np.max(energy_density(z, velocity))))
+        z = imex_steps(spec, z, 0.01, 20)
     assert densities[0] > densities[1] > densities[2]
-
-
-def test_flow_state_diagnostics_ring():
-    state = FlowState(
-        Z=constant_field(16, [0.0] * 4, "z"),
-        spec=free_spec(),
-        triple=standard_structures(1),
-    )
-    assert state.diagnostics.maxlen == 100_000
-    state.diagnostics.append((0.0, 1.0, 2.0, 3.0, 4.0))
-    assert len(state.diagnostics) == 1

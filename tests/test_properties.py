@@ -145,7 +145,7 @@ def test_half_spectrum_step_matches_full_fft_step(z, spec, frac, weight):
     zhat = np.fft.fft2(z.values, axes=(0, 1), norm="forward")
     nl = weight * grad_h_tilde(spec, t1, t2, z.values)
     rhs = zhat + ds * np.fft.fft2(nl, axes=(0, 1), norm="forward")
-    ref_hat = np.einsum("xyab,xyb->xya", _propagator(n, ds, TRIPLE), rhs)
+    ref_hat = np.einsum("xyab,xyb->xya", _propagator(n, ds, TRIPLE, np.s_[:, :]), rhs)
     ref = np.fft.ifft2(ref_hat, axes=(0, 1), norm="forward").real
 
     scale = np.max(np.abs(ref))
@@ -307,7 +307,8 @@ class _TrailingGrid:
         rhs = zhat
         if weight != 0.0:
             rhs = zhat + ds * np.fft.rfft2(weight * self.terms(vals)[2], axes=(0, 1), norm="forward")
-        prop = np.ascontiguousarray(_propagator(n, ds, self.triple)[:, : n // 2 + 1])
+        # the full grid's inverses, sliced: the flow grid inverts only the half spectrum
+        prop = np.ascontiguousarray(_propagator(n, ds, self.triple, np.s_[:, :])[:, : n // 2 + 1])
         new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
         new_vals = np.fft.irfft2(new_hat, s=(n, n), axes=(0, 1), norm="forward")
         return np.ascontiguousarray(new_vals), new_hat

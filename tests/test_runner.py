@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_config_validation():
 
 def test_config_round_trip():
     config = ExperimentConfig(**FAST_TRIG)
-    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(asdict(config)) == config
 
 
 def test_config_default_rho():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ def test_random_pair_generator_passes_checker(rng):
         for _ in range(10):
             w1, w2, big_i = random_regularized_pair(rng, n)
             report = check_regularized_pair(w1, w2, big_i)
-            assert report.passed, report.to_dict()
+            assert report.passed, asdict(report)
 
 
 def test_compatible_triple_standard_exact():
