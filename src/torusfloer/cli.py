@@ -44,6 +44,7 @@ from .floer import (
 )
 from .hamiltonians import (
     HamiltonianError,
+    LagrangianSpec,
     LegendreError,
     TrigPotential,
     hamiltonian_from_config,
@@ -205,6 +206,8 @@ def check_symbol(args, data):
         raise InputError(f"cannot parse --xi {args.xi!r}") from None
     if not xi_values:
         raise InputError(f"--xi needs at least one value, got {args.xi!r}")
+    if not np.all(np.isfinite(xi_values)):
+        raise InputError(f"--xi values must be finite, got {args.xi!r}")
     return xi_values
 
 
@@ -259,7 +262,7 @@ def run_flow(args, outdir: Path, checked) -> int:
     )
     write_csv(outdir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, result.rows)
     save_field(result.Z, outdir / "final_state")
-    write_json(outdir / "result.json", result.to_dict())
+    write_json(outdir / "result.json", {k: v for k, v in vars(result).items() if k not in ("Z", "rows")})
     print(
         f"flow: {'converged' if result.converged else result.reason} at s={result.s_reached:.3f}, "
         f"residual {result.residual_norm:.3e}"
@@ -286,7 +289,7 @@ def check_energy(args, data):
         q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
         starts.append(constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z"))
     check_step(args.grid, args.ds)
-    BetaProfile(r=args.r, k=2 * spec.n_pairs)  # rejects r < 0 as run_homotopy does
+    BetaProfile(r=args.r, k=2 * spec.n_pairs)  # rejects a non-finite or negative r as run_homotopy does
     return spec, starts
 
 
@@ -420,6 +423,13 @@ def check_legendre(args, data):
 
 def run_legendre(args, outdir: Path, checked) -> int:
     pot, lag = checked
+    # H = max_v (<p, v> - L) as a Lagrangian in p; its fiber gradient is p, H being quadratic in p
+    h_as_lagrangian = LagrangianSpec(
+        n_pairs=1,
+        lagrangian=lambda t1, t2, q, p: legendre_transform(lag, t1, t2, q, p).value,
+        v_grad=lambda t1, t2, q, p: p,
+        check_convexity=False,
+    )
     rng = np.random.default_rng(args.rng_seed)
     worst_closed = 0.0
     worst_involution = 0.0
@@ -430,11 +440,7 @@ def run_legendre(args, outdir: Path, checked) -> int:
         res = legendre_transform(lag, 0.0, 0.0, q, p)
         closed = 0.5 * float(p @ p) + float(pot.value(0.0, 0.0, np.concatenate([q, p * 0])))
         worst_closed = max(worst_closed, abs(res.value - closed))
-
-        def h_as_lagrangian(t1, t2, qq, pp, _lag=lag, _q=q):
-            return legendre_transform(_lag, t1, t2, qq, pp).value
-
-        dual = _numeric_legendre(h_as_lagrangian, q, v)
+        dual = legendre_transform(h_as_lagrangian, 0.0, 0.0, q, v).value
         direct = float(lag.lagrangian(0.0, 0.0, q, v))
         worst_involution = max(worst_involution, abs(dual - direct))
     passed = worst_closed < 1e-10 and worst_involution < 1e-8
@@ -452,24 +458,6 @@ def run_legendre(args, outdir: Path, checked) -> int:
         f"double-transform residual {worst_involution:.3e}"
     )
     return EXIT_PASS if passed else EXIT_FAIL
-
-
-def _numeric_legendre(fun, q, v, iters: int = 60):
-    """max_p (<v, p> - fun(q, p)) by damped Newton with finite differences."""
-    p = v.copy()
-    step = 1e-5
-    for _ in range(iters):
-        grad = np.zeros_like(p)
-        for c in range(p.shape[0]):
-            pp, pm = p.copy(), p.copy()
-            pp[c] += step
-            pm[c] -= step
-            grad[c] = (fun(0.0, 0.0, q, pp) - fun(0.0, 0.0, q, pm)) / (2 * step)
-        g = v - grad
-        if np.max(np.abs(g)) < 1e-10:
-            break
-        p = p + g  # quadratic fiber: Hessian is the identity
-    return float(v @ p - fun(0.0, 0.0, q, p))
 
 
 def check_ddw(args, data):

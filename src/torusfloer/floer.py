@@ -41,6 +41,8 @@ from .hamiltonians import (
     component_sum,
     cutoff_terms,
     grad_H_values,
+    smoothstep,
+    smoothstep_prime,
 )
 
 # perfbench/tracing.py wraps these names on this module
@@ -58,6 +60,8 @@ DEFAULT_DS = 1e-2
 DEFAULT_TOL = 1e-8
 DEFAULT_S_MAX = 1e3
 MONOTONE_SLACK = 1e-12
+DS_MIN = 1e-6  # floor of the step halving on a rising action
+RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
 
 
 class FlowError(RuntimeError):
@@ -66,22 +70,6 @@ class FlowError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # switching profile
-
-
-def smoothstep(u):
-    """0 for u <= 0, u^2 (3 - 2u) in between, 1 for u >= 1; C^1 at the knots."""
-    u = np.asarray(u, dtype=float)
-    v = np.clip(u, 0.0, 1.0)
-    return v * v * (3.0 - 2.0 * v)
-
-
-def smoothstep_prime(u):
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    out = np.zeros_like(u)
-    uu = u[inside]
-    out[inside] = 6.0 * uu * (1.0 - uu)
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,8 +85,8 @@ class BetaProfile:
     k: int
 
     def __post_init__(self):
-        if self.r < 0:
-            raise FlowError("profile parameter r must be >= 0")
+        if not (np.isfinite(self.r) and self.r >= 0):
+            raise FlowError(f"profile parameter r must be a finite number >= 0, got {self.r}")
         if self.k < 1:
             raise FlowError("profile factor k must be >= 1")
 
@@ -123,9 +111,6 @@ class BetaProfile:
         up = smoothstep(s + 1.0)
         down = smoothstep(self.s_off - s)
         return self.height * (smoothstep_prime(s + 1.0) * down - up * smoothstep_prime(self.s_off - s))
-
-    def __call__(self, s):
-        return self.value(s)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +455,6 @@ class FlowResult:
     rows: list
     n_halvings: int
 
-    def to_dict(self) -> dict:
-        return {
-            "s_reached": self.s_reached,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "reason": self.reason,
-            "n_steps": self.n_steps,
-            "ds_final": self.ds_final,
-            "n_halvings": self.n_halvings,
-        }
-
 
 DIAGNOSTIC_COLUMNS = ("s", "action", "residual", "max_p_sq", "energy_cum")
 
@@ -493,19 +466,16 @@ def flow_to_solution(
     tol: float = DEFAULT_TOL,
     s_max: float = DEFAULT_S_MAX,
     ds: float = DEFAULT_DS,
-    ds_min: float = 1e-6,
     check_every: int = 10,
-    divergence_p_sq: float | None = None,
-    residual_blowup: float = 1e6,
     band_limit: int | None = None,
 ) -> FlowResult:
     """Run the autonomous flow until the system residual drops below tol.
 
-    The step is halved whenever the action increases beyond round-off (the
-    autonomous flow is a descent, so a genuine increase means the step is
-    too long).  Divergence - the escape of |p|^2 past the threshold, a
-    residual blow-up, or non-finite values - is reported in the result,
-    not raised.
+    The step is halved, down to DS_MIN, whenever the action increases
+    beyond round-off (the autonomous flow is a descent, so a genuine
+    increase means the step is too long).  Divergence - max|p|^2 past 2 rho
+    (1e6 without a cut-off), a residual RESIDUAL_BLOWUP times its start
+    scale, or non-finite values - is reported in the result, not raised.
 
     The flow amplifies content at spatial mode m roughly like
     exp(|m| s), so transform round-off seeds the fastest grid modes and
@@ -517,7 +487,7 @@ def flow_to_solution(
     """
     triple = standard_structures(spec.n_pairs) if triple is None else triple
     grid = _FlowGrid(spec, triple, Z0, band_limit)
-    return _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup)[0]
+    return _flow(grid, tol, s_max, ds, check_every)[0]
 
 
 def flow_constants(
@@ -527,10 +497,7 @@ def flow_constants(
     tol: float = DEFAULT_TOL,
     s_max: float = DEFAULT_S_MAX,
     ds: float = DEFAULT_DS,
-    ds_min: float = 1e-6,
     check_every: int = 10,
-    divergence_p_sq: float | None = None,
-    residual_blowup: float = 1e6,
     stop=None,
 ) -> list:
     """Flow exactly constant seeds as one batch, each as `flow_to_solution` flows it alone.
@@ -544,10 +511,10 @@ def flow_constants(
         return []
     triple = standard_structures(spec.n_pairs) if triple is None else triple
     grid = _FlowGrid.constants(spec, triple, starts)
-    return _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup, stop)
+    return _flow(grid, tol, s_max, ds, check_every, stop)
 
 
-def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_blowup, stop=None):
+def _flow(grid, tol, s_max, ds, check_every, stop=None):
     """The adaptive flow of every seed of grid; see flow_to_solution and flow_constants.
 
     Each seed keeps its own step size, flow time, energy and diagnostics
@@ -559,9 +526,8 @@ def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_b
     """
     if check_every < 1:
         raise FlowError(f"check_every must be >= 1, got {check_every}")
-    spec = grid.spec
-    if divergence_p_sq is None:
-        divergence_p_sq = 2.0 * spec.rho if np.isfinite(spec.rho) else 1e6
+    rho = grid.spec.rho
+    escape_p_sq = 2.0 * rho if np.isfinite(rho) else 1e6
     grid._propagator(ds)  # rejects a ds outside the step regime even if no step is taken
 
     results = [None] * grid.n_seeds
@@ -618,7 +584,7 @@ def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_b
         new_act = grid.action(new_vals, new_hat, 1.0)
         rises = new_act > act + MONOTONE_SLACK * np.fmax(1.0, np.abs(act))
         if rises.any():
-            halve = rises & (ds > ds_min)
+            halve = rises & (ds > DS_MIN)
             if halve.any():
                 ds = np.where(halve, 0.5 * ds, ds)
                 n_halvings = n_halvings + halve
@@ -629,11 +595,11 @@ def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_b
         s = s + ds
         n_steps += 1
         max_p_sq = grid.max_p_sq(vals)
-        escaped = max_p_sq > divergence_p_sq
+        escaped = max_p_sq > escape_p_sq
         exits = escaped | ~(s < s_max)
         if n_steps % check_every == 0:
             residual = grid.residual(vals, zhat)
-            exits |= (residual > residual_blowup * residual_scale) | (residual < tol)
+            exits |= (residual > RESIDUAL_BLOWUP * residual_scale) | (residual < tol)
             any_exit = exits.any()
         else:  # the residual of a seed changes only at checks, or when it escapes
             any_exit = exits.any()
@@ -645,7 +611,7 @@ def _flow(grid, tol, s_max, ds, ds_min, check_every, divergence_p_sq, residual_b
         for seed, row in zip(seeds.tolist(), new_rows):
             rows[seed].append(row)
         if any_exit:
-            blowup = residual > residual_blowup * residual_scale
+            blowup = residual > RESIDUAL_BLOWUP * residual_scale
             converged = residual < tol
             at_s_max = exits & ~(escaped | blowup | converged)
             if at_s_max.any():

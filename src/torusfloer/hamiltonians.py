@@ -30,7 +30,6 @@ from .spectral import (
     derivative,
     dirac,
     grid_points,
-    l2_norm,
 )
 
 DEFAULT_GRAD_CHECK_TOL = 1e-6
@@ -75,32 +74,48 @@ def component_sum(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cut-off profile
+# cut-off profile; the switching profile of the flow is built from the same smoothstep
+
+
+def smoothstep(u):
+    """0 for u <= 0, u^2 (3 - 2u) in between, 1 for u >= 1; C^1 at the knots."""
+    u = np.asarray(u, dtype=float)
+    v = np.clip(u, 0.0, 1.0)
+    return v * v * (3.0 - 2.0 * v)
+
+
+def smoothstep_prime(u):
+    u = np.asarray(u, dtype=float)
+    inside = (u > 0.0) & (u < 1.0)
+    out = np.zeros_like(u)
+    uu = u[inside]
+    out[inside] = 6.0 * uu * (1.0 - uu)
+    return out
 
 
 def chi_cutoff(x, rho: float):
-    """C^1 smoothstep: 1 for x <= rho - 1, 0 for x >= rho, cubic in between."""
+    """1 for x <= rho - 1, 0 for x >= rho, the falling smoothstep in between."""
     x = np.asarray(x, dtype=float)
     if np.isinf(rho):
         return np.ones_like(x)
-    u = np.clip(x - (rho - 1.0), 0.0, 1.0)
-    return 1.0 - u * u * (3.0 - 2.0 * u)
+    return 1.0 - smoothstep(x - (rho - 1.0))
 
 
 def chi_cutoff_prime(x, rho: float):
     x = np.asarray(x, dtype=float)
     if np.isinf(rho):
         return np.zeros_like(x)
-    u = x - (rho - 1.0)
-    inside = (u > 0.0) & (u < 1.0)
-    out = np.zeros_like(x)
-    uu = u[inside]
-    out[inside] = -6.0 * uu * (1.0 - uu)
-    return out
+    return 0.0 - smoothstep_prime(x - (rho - 1.0))  # 0.0 -, not -: +0.0 outside the ramp
 
 
 # ---------------------------------------------------------------------------
 # built-in nonlinearities (classes so that worker processes can pickle them)
+
+
+def _finite_c3(c3_norm: float) -> float:
+    if not np.isfinite(c3_norm):
+        raise HamiltonianError(f"potential C3-norm estimate must be finite, got {c3_norm}")
+    return c3_norm
 
 
 class ZeroNonlinearity:
@@ -137,7 +152,7 @@ class TrigPotential:
         norms = np.linalg.norm(modes, axis=1)
         self.sup_h = abs(self.epsilon) * modes.shape[0]
         self.sup_grad_p = 0.0
-        self.c3_norm = abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3))
+        self.c3_norm = _finite_c3(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
         self.time_dependent = False
 
     def _phases(self, z):
@@ -170,7 +185,7 @@ class TimeTrigPotential:
         self.sup_h = abs(self.epsilon)
         self.sup_grad_p = 0.0
         qn = float(np.linalg.norm(self.q_mode))
-        self.c3_norm = abs(self.epsilon) * max(1.0, qn) ** 3
+        self.c3_norm = _finite_c3(abs(self.epsilon) * max(1.0, qn) ** 3)
         self.time_dependent = True
 
     def _tfactor(self, t1, t2):
@@ -389,10 +404,6 @@ def hamiltonian_residual(
     _check_z_field(spec, Z)
     out = dirac(Z, triple).values - grad_H(spec, Z, h_weight).values
     return TorusField(out, "z")
-
-
-def residual_norm(spec: HamiltonianSpec, Z: TorusField, triple, h_weight: float = 1.0) -> float:
-    return l2_norm(hamiltonian_residual(spec, Z, triple, h_weight))
 
 
 def kinetic_density(Z: TorusField) -> np.ndarray:

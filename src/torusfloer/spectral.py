@@ -232,23 +232,24 @@ def l2_norm(a: TorusField) -> float:
     return float(np.sqrt(max(l2_inner(a, a), 0.0)))
 
 
+def _weighted_mode_norm(field: TorusField, shift: float, k: int) -> float:
+    """sqrt of the sum over modes of (shift + |m|^2)^k |c(m)|^2."""
+    m1, m2 = mode_numbers(field.grid_size)
+    weight = (shift + m1.astype(float) ** 2 + m2.astype(float) ** 2) ** k
+    coeffs = np.fft.fft2(field.values, axes=(0, 1), norm="forward")
+    return float(np.sqrt(np.sum(weight[:, :, None] * np.abs(coeffs) ** 2)))
+
+
 def sobolev_norm(field: TorusField, k: int) -> float:
     """H^k norm: sqrt of sum over modes of (1 + |m|^2)^k |c(m)|^2."""
     if k < 0 or int(k) != k:
         raise FieldError("Sobolev order must be a nonnegative integer")
-    m1, m2 = mode_numbers(field.grid_size)
-    weight = (1.0 + m1.astype(float) ** 2 + m2.astype(float) ** 2) ** k
-    coeffs = np.fft.fft2(field.values, axes=(0, 1), norm="forward")
-    total = np.sum(weight[:, :, None] * np.abs(coeffs) ** 2)
-    return float(np.sqrt(total))
+    return _weighted_mode_norm(field, 1.0, k)
 
 
 def sobolev_seminorm(field: TorusField, k: int = 1) -> float:
     """Like sobolev_norm but with |m|^(2k) weights; zero iff the field is constant."""
-    m1, m2 = mode_numbers(field.grid_size)
-    weight = (m1.astype(float) ** 2 + m2.astype(float) ** 2) ** k
-    coeffs = np.fft.fft2(field.values, axes=(0, 1), norm="forward")
-    return float(np.sqrt(np.sum(weight[:, :, None] * np.abs(coeffs) ** 2)))
+    return _weighted_mode_norm(field, 0.0, k)
 
 
 def constant_field(n: int, vector, layout: str = "z") -> TorusField:

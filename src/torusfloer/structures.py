@@ -341,16 +341,6 @@ class CurrentReport:
     x_f_mismatch: float | None
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "is_current": self.is_current,
-            "max_cr_residual": self.max_cr_residual,
-            "x_f_mismatch": self.x_f_mismatch,
-            "tol": self.tol,
-            "n_samples": len(self.samples),
-            "x_f": None if self.x_f is None else self.x_f.tolist(),
-        }
-
 
 def _fd_jacobian(f, point: np.ndarray, step: float) -> np.ndarray:
     dim = point.shape[0]

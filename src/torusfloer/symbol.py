@@ -30,12 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .structures import standard_structures
+
 #: smallest N such that |lam(xi, m)|^2 >= xi^2 + (m1^2+m2^2)/2 whenever
 #: m1^2 + m2^2 > N.  Derived by minimal_N_search; the bound fails at
 #: m1^2 + m2^2 = 1 and holds from 2 on (with equality at 2).
 MIN_MODE_SQ_THRESHOLD = 1
 
 P_MATRIX = np.diag([0.0, 0.0, 1.0, 1.0])
+_STANDARD = standard_structures(1)
 
 
 class SymbolError(ValueError):
@@ -43,22 +46,10 @@ class SymbolError(ValueError):
 
 
 def mode_matrix(m1, m2) -> np.ndarray:
-    """The antisymmetric mode block m1*J + m2*K, broadcasting over inputs."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    shape = np.broadcast_shapes(m1.shape, m2.shape)
-    m1 = np.broadcast_to(m1, shape)
-    m2 = np.broadcast_to(m2, shape)
-    out = np.zeros(shape + (4, 4))
-    out[..., 0, 2] = -m1
-    out[..., 0, 3] = m2
-    out[..., 1, 2] = -m2
-    out[..., 1, 3] = -m1
-    out[..., 2, 0] = m1
-    out[..., 2, 1] = m2
-    out[..., 3, 0] = -m2
-    out[..., 3, 1] = m1
-    return out
+    """The antisymmetric mode block m1*J + m2*K of the standard structures, broadcasting over inputs."""
+    m1 = np.asarray(m1, dtype=float)[..., None, None]
+    m2 = np.asarray(m2, dtype=float)[..., None, None]
+    return m1 * _STANDARD.J + m2 * _STANDARD.K
 
 
 def symbol_matrix(xi, m1, m2) -> np.ndarray:
@@ -99,16 +90,6 @@ class DetReport:
     numeric: complex
     formula: complex
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "m1": self.m1,
-            "m2": self.m2,
-            "det_numeric": [self.numeric.real, self.numeric.imag],
-            "det_formula": [self.formula.real, self.formula.imag],
-            "residual": self.residual,
-        }
 
 
 def symbol_det(xi, m1, m2) -> DetReport:
@@ -158,19 +139,6 @@ class SymbolReport:
     eigenvalues: np.ndarray
     invertible: bool
     residuals: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "m1": self.m1,
-            "m2": self.m2,
-            "matrix_re": self.matrix.real.tolist(),
-            "matrix_im": self.matrix.imag.tolist(),
-            "det": [self.det.real, self.det.imag],
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "invertible": self.invertible,
-            "residuals": dict(self.residuals),
-        }
 
 
 def symbol_report(xi, m1, m2, tol: float = 1e-10) -> SymbolReport:

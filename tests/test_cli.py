@@ -1,13 +1,18 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torusfloer.cli import main
+from torusfloer.cli import build_parser, main
+from torusfloer.floer import flow_constants, flow_to_solution, run_homotopy
+from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
 
 
@@ -261,6 +266,29 @@ def test_cuplength_invalid_config(tmp_path):
         )
         for jobs in ("0", "-1")
         for dry in ([], ["--dry-run"])
+    ]
+    # a non-finite number is rejected where it enters, by the dry run as well
+    + [
+        (argv + dry, None, message)
+        for argv, message in [
+            (["energy", "--r", "nan"], "profile parameter r must be a finite number >= 0"),
+            (["energy", "--r", "inf"], "profile parameter r must be a finite number >= 0"),
+            (["symbol", "--xi", "nan"], "--xi values must be finite"),
+            (["flow", "--h", "trig", "--epsilon", "inf"], "potential C3-norm estimate must be finite"),
+            (["flow", "--h", "trig", "--epsilon", "1e308"], "potential C3-norm estimate must be finite"),
+            (["flow", "--h", "trig", "--epsilon", "nan"], "potential C3-norm estimate must be finite"),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
+    # a cuplength config's step is checked by the flow's own step check
+    + [
+        (["cuplength", *dry], {"n_pairs": 1, "grid_size": 64, "ds": ds}, message)
+        for ds, message in [
+            (0.045, "need ds < 0.02255"),
+            ("x", "ds must be a number"),
+            (0, "step size must lie in (0, 1)"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -334,3 +362,36 @@ def test_field_round_trip(tmp_path):
     assert g.layout == "z"
     header = json.loads((tmp_path / "field.json").read_text())
     assert header["shape"] == [16, 16, 4]
+
+
+def test_knob_census():
+    """Every CLI option, config field and flow parameter, in order: a knob added or dropped edits this pin."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings] for name, p in sub.choices.items()}
+    own = {
+        "structures": ["--standard", "--input"],
+        "symbol": ["--m-bound", "--xi", "--xi-bound", "--nmin-m-bound"],
+        "flow": [
+            "--config", "--h", "--epsilon", "--rho", "--grid", "--seed-mode", "--amplitude",
+            "--rng-seed", "--tol", "--s-max", "--ds", "--check-every",
+        ],
+        "energy": [
+            "--config", "--epsilon", "--rho", "--grid", "--r", "--ds", "--trajectories",
+            "--rng-seed", "--save-trajectories", "--load",
+        ],
+        "cuplength": ["--config", "--save-fields", "--plots", "--jobs"],
+        "legendre-check": ["--epsilon", "--samples", "--rng-seed"],
+        "ddw-demo": ["--grid", "--samples", "--rng-seed"],
+    }
+    assert options == {name: ["-h", "--help", "--out", "--dry-run", *rest] for name, rest in own.items()}
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "n_pairs", "grid_size", "potential", "rho", "lattice_per_dim", "random_starts",
+        "perturbation_amplitude", "perturbation_band", "residual_tol", "dedup_delta", "s_max",
+        "ds", "check_every", "seed", "wall_clock_cap",
+    ]
+    flows = (flow_to_solution, flow_constants, run_homotopy)
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {
+        "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every", "band_limit"],
+        "flow_constants": ["starts", "spec", "triple", "tol", "s_max", "ds", "check_every", "stop"],
+        "run_homotopy": ["Z0", "spec", "r", "triple", "ds", "pad", "k", "tol", "snapshot_every"],
+    }

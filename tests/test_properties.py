@@ -17,8 +17,6 @@ from torusfloer import floer
 from torusfloer.floer import _FlowGrid, _propagator, mu_max
 from torusfloer.hamiltonians import (
     action,
-    chi_cutoff,
-    chi_cutoff_prime,
     component_sum,
     cutoff_terms,
     grad_h_tilde,
@@ -194,16 +192,30 @@ def _reference_potential(pot, t1, t2, z):
     return eps * tfactor * np.cos(q @ q_mode), grad
 
 
+def _reference_chi(x, rho):
+    """chi and chi' of the cut-off by literal copies of their formulas, 1 and 0 for rho = inf."""
+    if np.isinf(rho):
+        return np.ones_like(x), np.zeros_like(x)
+    u = np.clip(x - (rho - 1.0), 0.0, 1.0)
+    chi = 1.0 - u * u * (3.0 - 2.0 * u)
+    u = x - (rho - 1.0)
+    inside = (u > 0.0) & (u < 1.0)
+    dchi = np.zeros_like(x)
+    uu = u[inside]
+    dchi[inside] = -6.0 * uu * (1.0 - uu)
+    return chi, dchi
+
+
 def _separate_evaluations(pot, spec, t1, t2, z):
     """|p|^2, h_tilde and grad h_tilde from the reference h, grad h and chi on C-ordered z."""
     z = np.ascontiguousarray(z)
     p = z[..., 2 * spec.n_pairs :]
     psq = np.sum(p**2, axis=-1)
     hval, gval = _reference_potential(pot, t1, t2, z)
-    h = chi_cutoff(psq, spec.rho) * hval
-    grad = chi_cutoff(psq, spec.rho)[..., None] * gval
+    chi, dchi = _reference_chi(psq, spec.rho)
+    h = chi * hval
+    grad = chi[..., None] * gval
     if np.isfinite(spec.rho):
-        dchi = chi_cutoff_prime(psq, spec.rho)
         grad[..., 2 * spec.n_pairs :] += (2.0 * dchi * hval)[..., None] * p
     return psq, h, grad
 
