@@ -228,6 +228,11 @@ def run_symbol(args, outdir: Path, xi_values) -> int:
 
 
 def check_flow(args, data):
+    for option, value in (("--tol", args.tol), ("--s-max", args.s_max)):
+        if not 0.0 < value < np.inf:
+            raise InputError(f"{option} must be a positive finite number, got {value}")
+    if not np.isfinite(args.amplitude):
+        raise InputError(f"--amplitude must be finite, got {args.amplitude}")
     if data is None:
         if args.h == "zero":
             potential = {"kind": "zero", "n_pairs": 1}

@@ -304,6 +304,8 @@ class _FlowGrid:
         cols = np.arange(self.im1.shape[1])
         self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
         self.mask = None if mask is None else mask[modes][:, :, None]
+        # the transform of a +0.0 plane, signed zeros and all, for the p planes of a q-only gradient
+        self._zero_hat = None if constant else np.fft.rfft2(np.zeros((n, n)), norm="forward")
         self.start = start
         self.n_seeds = len(start[0]) if constant else 1
         self._props: dict = {}
@@ -322,7 +324,7 @@ class _FlowGrid:
         kept = vals[keep], zhat[keep]
         if vals is self._vals:
             t = self._terms_of_vals
-            self._terms_of_vals = CutoffTerms(t.p_sq[keep], t.h[keep], t.grad[keep])
+            self._terms_of_vals = CutoffTerms(t.p_sq[keep], t.h[keep], t.grad[keep], t.p_grad_zero)
             self._vals = kept[0]
         return kept
 
@@ -345,6 +347,21 @@ class _FlowGrid:
             self._seed_props_key = key
         return self._seed_props
 
+    def _nonlinear_modes(self, vals, weight):
+        """The held modes of weight * grad h_tilde at vals."""
+        terms = self.terms(vals)
+        nl = terms.grad if weight == 1.0 else weight * terms.grad
+        if self.constant:  # the (0, 0) coefficient of a constant field is its value
+            return nl[:, :1].astype(complex)
+        if not (terms.p_grad_zero and 0.0 < weight < np.inf):
+            return _rfft2(nl)
+        # the p planes of nl are +0.0: only the q planes are transformed
+        q = 2 * self.spec.n_pairs
+        nhat = np.empty((self.spec.dim, *self._zero_hat.shape), dtype=complex)
+        np.fft.rfft2(_planes(nl)[:q], norm="forward", out=nhat[:q])
+        nhat[q:] = self._zero_hat
+        return _grid(nhat)
+
     def step(self, vals, zhat, ds, weight):
         """One implicit-explicit Euler update, seed i by ds[i].
 
@@ -353,11 +370,7 @@ class _FlowGrid:
         """
         prop = self._propagators(ds)
         if weight != 0.0:
-            nl = weight * self.terms(vals).grad
-            if self.constant:  # the (0, 0) coefficient of a constant field is its value
-                nhat = nl[:, :1].astype(complex)
-            else:
-                nhat = _rfft2(nl)
+            nhat = self._nonlinear_modes(vals, weight)
             if self.mask is not None:
                 nhat *= self.mask
             rhs = zhat + ds[:, None, None] * nhat

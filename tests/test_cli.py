@@ -12,6 +12,7 @@ import pytest
 
 from torusfloer.cli import build_parser, main
 from torusfloer.floer import flow_constants, flow_to_solution, run_homotopy
+from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
 
@@ -289,6 +290,21 @@ def test_cuplength_invalid_config(tmp_path):
             (0, "step size must lie in (0, 1)"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a flow tolerance or horizon that no run can meet or reach, and a non-finite amplitude
+    + [
+        (["flow", "--grid", "16", *argv, *dry], None, message)
+        for argv, message in [
+            (["--tol", "inf", "--s-max", "0.5"], "--tol must be a positive finite number"),
+            (["--tol", "nan"], "--tol must be a positive finite number"),
+            (["--tol", "0"], "--tol must be a positive finite number"),
+            (["--tol", "-1"], "--tol must be a positive finite number"),
+            (["--s-max", "nan"], "--s-max must be a positive finite number"),
+            (["--s-max", "-1"], "--s-max must be a positive finite number"),
+            (["--amplitude", "inf"], "--amplitude must be finite"),
+            (["--amplitude", "nan"], "--amplitude must be finite"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -389,6 +405,11 @@ def test_knob_census():
         "perturbation_amplitude", "perturbation_band", "residual_tol", "dedup_delta", "s_max",
         "ds", "check_every", "seed", "wall_clock_cap",
     ]
+    assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == [
+        "n_pairs", "h", "grad_h", "rho", "time_dependent", "name", "sup_h", "sup_grad_p",
+        "c3_norm", "h_and_grad",
+    ]
+    assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
     flows = (flow_to_solution, flow_constants, run_homotopy)
     assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {
         "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every", "band_limit"],

@@ -113,6 +113,25 @@ def test_gradient_validation_catches_mismatch():
         HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=broken_grad)
 
 
+def test_fused_callable_must_match_h_and_grad_h_bit_for_bit():
+    pot = TrigPotential(0.1, [[1, 0], [0, 1]])
+
+    def h_one_ulp_up(t1, t2, z):
+        h, grad = pot.value_and_grad(t1, t2, z)
+        return np.nextafter(h, np.inf), grad
+
+    def grad_negative_zero(t1, t2, z):  # -0.0 for the +0.0 of dh/dp1: one bit, equal as numbers
+        h, grad = pot.value_and_grad(t1, t2, z)
+        grad[..., 2] = -grad[..., 2]
+        return h, grad
+
+    for fused in (h_one_ulp_up, grad_negative_zero):
+        with pytest.raises(HamiltonianError, match="h_and_grad differs"):
+            HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, h_and_grad=fused)
+    spec = HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, h_and_grad=pot.value_and_grad)
+    assert spec.h_and_grad == pot.value_and_grad
+
+
 def test_time_dependence_must_be_declared():
     def h(t1, t2, z):
         return 0.1 * np.cos(t1) * np.cos(z[..., 0])

@@ -24,6 +24,7 @@ from torusfloer.hamiltonians import (
     hamiltonian_from_config,
     hamiltonian_residual,
     hamiltonian_value,
+    nonlinearity_from_config,
 )
 from torusfloer.spectral import (
     TorusField,
@@ -170,11 +171,14 @@ def test_residual_from_modes_matches_grid_residual(z, spec, h_weight):
 
 
 def _reference_potential(pot, t1, t2, z):
-    """h and grad h by literal copies of the TrigPotential and TimeTrigPotential formulas.
+    """h and grad h by literal copies of the built-in potentials' formulas.
 
     They multiply and sum over the trailing axis of a C-ordered z: the trailing-component layout.
     """
     z = np.ascontiguousarray(z)
+    if pot["kind"] == "zero":
+        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
+        return np.zeros(shape), np.zeros_like(z, shape=shape + (z.shape[-1],))
     eps = pot["epsilon"]
     if pot["kind"] == "trig_potential":
         modes = np.atleast_2d(np.asarray(pot["modes"], dtype=float))
@@ -373,3 +377,109 @@ def test_component_major_grid_is_bit_identical_to_trailing_layout(pot, rho, n, g
         assert grid.max_p_sq(vals)[0] == np.max(ref.terms(ref_vals)[0])
         field = grid.field(vals).values
         assert field.flags.c_contiguous and field.tobytes() == ref_vals.tobytes()
+
+
+# the fast paths of one evaluation: the fused built-in call, the identity cut-off, the q-plane transform
+BUILT_IN_POTENTIALS = ({"kind": "zero", "n_pairs": 1}, {"kind": "zero", "n_pairs": 2}) + LAYOUT_POTENTIALS
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.tobytes(order="C")
+
+
+@PROPERTY
+@given(
+    k=st.integers(0, len(BUILT_IN_POTENTIALS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    side=st.integers(1, 8),
+    scale=st.sampled_from([0.1, 3.0, 1e3]),
+)
+def test_value_and_grad_has_the_bits_of_value_and_grad(k, seed, side, scale):
+    pot = nonlinearity_from_config(BUILT_IN_POTENTIALS[k])
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-scale, scale, size=(side, side, 4 * pot.n_pairs))
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, side, side))
+    for zz in (z, _component_major(z)):
+        h, grad = pot.value_and_grad(t1, t2, zz)
+        assert _bits(h) == _bits(pot.value(t1, t2, zz))
+        assert _bits(grad) == _bits(pot.grad(t1, t2, zz))
+
+
+@PROPERTY
+@given(
+    key=spec_keys,
+    seed=st.integers(0, 2**32 - 1),
+    side=st.integers(1, 8),
+    place=st.sampled_from(["inside", "ramp", "beyond"]),
+    nonfinite=st.booleans(),
+    major=st.booleans(),
+)
+def test_cutoff_terms_match_the_literal_formula_in_each_region(key, seed, side, place, nonfinite, major):
+    """All |p|^2 <= rho - 1, some on the ramp (rho - 1, rho) or some beyond rho; maybe q = inf somewhere."""
+    pot, spec = POTENTIALS[key[0]], SPECS[key]
+    rng = np.random.default_rng(seed)
+    inner = spec.rho - 1.0 if np.isfinite(spec.rho) else 3.0
+    p_sq = rng.uniform(0.0, inner, size=side * side)
+    p_sq[0] = inner
+    count = rng.integers(1, side * side + 1)
+    if place == "ramp":
+        p_sq[-count:] = rng.uniform(inner, inner + 1.0, size=count)
+    elif place == "beyond":
+        p_sq[-count:] = rng.uniform(inner + 1.0, inner + 3.0, size=count)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=side * side)
+    q = rng.uniform(-np.pi, np.pi, size=(2, side * side))
+    p = np.sqrt(p_sq) * np.stack([np.cos(angle), np.sin(angle)])
+    z = np.concatenate([q, p]).T.reshape(side, side, 4).copy()
+    if nonfinite:
+        z[0, 0, 0] = np.inf
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, side, side))
+    zz = _component_major(z) if major else z
+    psq, h, grad = _separate_evaluations(pot, spec, t1, t2, z)
+    terms = cutoff_terms(spec, t1, t2, zz)
+    assert _bits(terms.p_sq) == _bits(psq)
+    assert _bits(terms.h) == _bits(h)
+    assert _bits(terms.grad) == _bits(grad)
+    assert _bits(h_tilde(spec, t1, t2, zz)) == _bits(h)
+    identity = np.isinf(spec.rho) or np.max(psq) <= spec.rho - 1.0
+    assert terms.p_grad_zero == (identity and (np.isinf(spec.rho) or not nonfinite))
+    if terms.p_grad_zero:
+        assert not np.any(terms.grad[..., 2:].view(np.uint64))
+
+
+def _parent_step(grid, pot, vals, zhat, ds, weight):
+    """The full grid's step transforming every plane of the nonlinearity, from the reference gradient."""
+    prop = grid._propagators(ds)
+    nl = weight * _separate_evaluations(pot, grid.spec, grid.t1, grid.t2, vals)[2]
+    rhs = zhat + ds[:, None, None] * floer._rfft2(nl)
+    planes = np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(floer._planes(rhs)))
+    new_hat = floer._grid(planes)
+    return floer._irfft2(new_hat, grid.n), new_hat
+
+
+@PROPERTY
+@given(
+    k=st.integers(0, len(BUILT_IN_POTENTIALS) - 1),
+    rho=st.sampled_from([4.0, np.inf]),
+    half=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half, seed):
+    n, pot = 2 * half, BUILT_IN_POTENTIALS[k]
+    spec = hamiltonian_from_config(pot, rho=rho)
+    rng = np.random.default_rng(seed)
+    z = random_band_limited(rng, n, spec.dim, 3, 0.02, "z", include_mean=True).values
+    z = z + 1e-3 * rng.standard_normal(z.shape)
+    z /= max(1.0, np.sqrt(np.max(np.sum(z[..., spec.dim // 2 :] ** 2, axis=-1))))  # |p|^2 <= 1 < rho - 1
+    grid = _FlowGrid(spec, _structures(spec.n_pairs, False), TorusField(z, "z"))
+    ds = np.full(1, 0.5 / mu_max(n))
+    vals, zhat = ref_vals, ref_hat = grid.start
+    assert grid.terms(vals).p_grad_zero  # the first step takes the q-plane path; later ones may leave it
+    for weight in (1.0, 0.37, 1.0):
+        ref_grad = _separate_evaluations(pot, spec, grid.t1, grid.t2, vals)[2]
+        nhat = grid._nonlinear_modes(vals, weight)
+        assert _bits(nhat) == _bits(floer._rfft2(weight * ref_grad))
+        vals, zhat = grid.step(vals, zhat, ds, weight)
+        ref_vals, ref_hat = _parent_step(grid, pot, ref_vals, ref_hat, ds, weight)
+        assert _bits(vals) == _bits(ref_vals)
+        assert _bits(zhat) == _bits(ref_hat)
