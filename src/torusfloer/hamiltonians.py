@@ -163,19 +163,24 @@ class TrigPotential:
         # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
         return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]) @ self.modes.T
 
-    def value(self, t1, t2, z, phases=None):
-        return self.epsilon * component_sum(np.cos(self._phases(z) if phases is None else phases))
+    def _value_of(self, cos_phases):
+        return self.epsilon * component_sum(cos_phases)
 
-    def grad(self, t1, t2, z, phases=None):
+    def _grad_of(self, z, phases):
         z = np.asarray(z, dtype=float)
-        phases = self._phases(z) if phases is None else phases
         out = np.zeros_like(z)
         out[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(phases) @ self.modes)
         return out
 
+    def value(self, t1, t2, z):
+        return self._value_of(np.cos(self._phases(z)))  # the phases are freed before the sum
+
+    def grad(self, t1, t2, z):
+        return self._grad_of(z, self._phases(z))
+
     def value_and_grad(self, t1, t2, z):
         phases = self._phases(z)
-        return self.value(t1, t2, z, phases), self.grad(t1, t2, z, phases)
+        return self._value_of(np.cos(phases)), self._grad_of(z, phases)
 
 
 class TimeTrigPotential:
@@ -201,21 +206,25 @@ class TimeTrigPotential:
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
         return tfactor, np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]) @ self.q_mode
 
-    def value(self, t1, t2, z, parts=None):
-        tfactor, phase = parts or self._parts(t1, t2, z)
+    def _value_of(self, tfactor, phase):
         return self.epsilon * tfactor * np.cos(phase)
 
-    def grad(self, t1, t2, z, parts=None):
+    def _grad_of(self, t1, t2, z, tfactor, phase):
         z = np.asarray(z, dtype=float)
-        tfactor, phase = parts or self._parts(t1, t2, z)
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
         out = np.zeros_like(z, shape=shape)
         out[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode
         return out
 
+    def value(self, t1, t2, z):
+        return self._value_of(*self._parts(t1, t2, z))
+
+    def grad(self, t1, t2, z):
+        return self._grad_of(t1, t2, z, *self._parts(t1, t2, z))
+
     def value_and_grad(self, t1, t2, z):
         parts = self._parts(t1, t2, z)
-        return self.value(t1, t2, z, parts), self.grad(t1, t2, z, parts)
+        return self._value_of(*parts), self._grad_of(t1, t2, z, *parts)
 
 
 NONLINEARITY_KINDS = ("zero", "trig_potential", "time_trig")
@@ -255,9 +264,7 @@ class HamiltonianSpec:
     planes: a callable that needs C order must copy z, and only the
     built-in nonlinearities are bit-identical to a C-ordered z.
     sup_h / sup_grad_p / c3_norm are optional global bounds on h used for
-    a-priori constants.  h_and_grad, optional, returns (h, grad_h) from one
-    call with the same bits as the two callables; `cutoff_terms` then calls
-    it alone, and the gradient check rejects a fused callable that differs.
+    a-priori constants.
 
     time_dependent=False is a promise that h and grad_h do not depend on the
     torus time: the Hofer norm then samples one time only, and the flow
@@ -274,7 +281,6 @@ class HamiltonianSpec:
     sup_h: float | None = None
     sup_grad_p: float | None = None
     c3_norm: float | None = None
-    h_and_grad: object = None
     check_gradient: InitVar[bool] = True
 
     def __post_init__(self, check_gradient):
@@ -296,10 +302,6 @@ class HamiltonianSpec:
             t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
             z = rng.uniform(-1.0, 1.0, size=self.dim)
             grad = np.asarray(self.grad_h(t1, t2, z), dtype=float)
-            if self.h_and_grad is not None:
-                pairs = zip(self.h_and_grad(t1, t2, z), (self.h(t1, t2, z), grad), strict=True)
-                if any(np.asarray(a, float).tobytes() != np.asarray(b, float).tobytes() for a, b in pairs):
-                    raise HamiltonianError("h_and_grad differs from (h, grad_h) in some bit")
             if not self.time_dependent:
                 s1, s2 = other_times.uniform(0, 2 * np.pi, size=2)
                 if not (
@@ -328,7 +330,6 @@ def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
         n_pairs=pot.n_pairs,
         h=pot.value,
         grad_h=pot.grad,
-        h_and_grad=pot.value_and_grad,
         rho=rho,
         time_dependent=pot.time_dependent,
         name=cfg.get("kind", "custom"),
@@ -364,31 +365,32 @@ def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> Cu
     evaluation; the flow reuses it for the step, the action, max|p|^2,
     h_int and the residual of a state.
 
-    Where every |p|^2 <= rho - 1 (not for NaN), chi is 1.0 and chi' +0.0: for a
-    built-in h (q alone) chi * x has the bits of x, and (+0.0) h p added to the
-    +0.0 p gradient leaves +0.0 while h is finite, so both are skipped.
+    A spec of one built-in potential (h of q alone) gets h and grad h from one
+    value_and_grad call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
+    chi' +0.0, chi * x has the bits of x, and (+0.0) h p added to the +0.0 p
+    gradient leaves +0.0 while h is finite, so both are skipped.
     """
     z = np.asarray(z, dtype=float)
     psq = _p_norm_sq(spec, z)
-    rho = spec.rho
-    built_in = isinstance(getattr(spec.h_and_grad, "__self__", None), _BUILT_IN)
-    identity = built_in and (np.isinf(rho) or np.max(psq, initial=-np.inf) <= rho - 1.0)
-    chi = None if identity else chi_cutoff(psq, rho)  # chi while h is held raises the peak memory
-    if with_grad and spec.h_and_grad is not None:
-        hval, grad = spec.h_and_grad(t1, t2, z)
+    pot = getattr(spec.h, "__self__", None)
+    built_in = isinstance(pot, _BUILT_IN) and (spec.h, spec.grad_h) == (pot.value, pot.grad)
+    identity = built_in and (np.isinf(spec.rho) or np.max(psq, initial=-np.inf) <= spec.rho - 1.0)
+    chi = None if identity else chi_cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
+    if with_grad and built_in:
+        hval, grad = pot.value_and_grad(t1, t2, z)
     else:
         hval = spec.h(t1, t2, z)
         grad = spec.grad_h(t1, t2, z) if with_grad else None
     hval = np.asarray(hval, dtype=float)
     if identity:
-        if grad is None or np.isinf(rho) or np.isfinite(hval).all():
+        if grad is None or np.isinf(spec.rho) or np.isfinite(hval).all():
             return CutoffTerms(psq, hval, grad, grad is not None)
-        chi = chi_cutoff(psq, rho)
+        chi = chi_cutoff(psq, spec.rho)
     if grad is None:
         return CutoffTerms(psq, chi * hval, None)
     grad = chi[..., None] * np.asarray(grad, dtype=float)
-    if np.isfinite(rho):
-        dh = 2.0 * chi_cutoff_prime(psq, rho) * hval
+    if np.isfinite(spec.rho):
+        dh = 2.0 * chi_cutoff_prime(psq, spec.rho) * hval
         for k in range(2 * spec.n_pairs, spec.dim):  # per component: the same products, faster loops
             grad[..., k] += dh * z[..., k]
     return CutoffTerms(psq, chi * hval, grad)

@@ -407,7 +407,7 @@ def test_knob_census():
     ]
     assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == [
         "n_pairs", "h", "grad_h", "rho", "time_dependent", "name", "sup_h", "sup_grad_p",
-        "c3_norm", "h_and_grad",
+        "c3_norm",
     ]
     assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
     flows = (flow_to_solution, flow_constants, run_homotopy)

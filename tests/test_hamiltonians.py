@@ -11,6 +11,7 @@ from torusfloer.hamiltonians import (
     action_bound_constants,
     chi_cutoff,
     chi_cutoff_prime,
+    cutoff_terms,
     ddw_kernel_witness,
     ddw_residual,
     euler_lagrange_residual,
@@ -113,23 +114,20 @@ def test_gradient_validation_catches_mismatch():
         HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=broken_grad)
 
 
-def test_fused_callable_must_match_h_and_grad_h_bit_for_bit():
-    pot = TrigPotential(0.1, [[1, 0], [0, 1]])
-
-    def h_one_ulp_up(t1, t2, z):
-        h, grad = pot.value_and_grad(t1, t2, z)
-        return np.nextafter(h, np.inf), grad
-
-    def grad_negative_zero(t1, t2, z):  # -0.0 for the +0.0 of dh/dp1: one bit, equal as numbers
-        h, grad = pot.value_and_grad(t1, t2, z)
-        grad[..., 2] = -grad[..., 2]
-        return h, grad
-
-    for fused in (h_one_ulp_up, grad_negative_zero):
-        with pytest.raises(HamiltonianError, match="h_and_grad differs"):
-            HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, h_and_grad=fused)
-    spec = HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, h_and_grad=pot.value_and_grad)
-    assert spec.h_and_grad == pot.value_and_grad
+def test_only_the_callables_of_one_built_in_take_its_fused_shortcut():
+    pot, twin = TrigPotential(0.1, [[1, 0], [0, 1]]), TrigPotential(0.1, [[1, 0], [0, 1]])
+    z = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4, 4))  # |p|^2 <= 2 < rho - 1
+    fused = cutoff_terms(HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, rho=4.0), 0.0, 0.0, z)
+    assert fused.p_grad_zero
+    mixed = (
+        (pot.value, twin.grad),
+        (pot.value, lambda t1, t2, z: pot.grad(t1, t2, z)),
+        (lambda t1, t2, z: pot.value(t1, t2, z), pot.grad),
+    )
+    for h, grad_h in mixed:  # the full evaluation, which rounds to the same bits here
+        terms = cutoff_terms(HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, rho=4.0), 0.0, 0.0, z)
+        assert not terms.p_grad_zero
+        assert terms.h.tobytes() == fused.h.tobytes() and terms.grad.tobytes() == fused.grad.tobytes()
 
 
 def test_time_dependence_must_be_declared():
