@@ -57,6 +57,7 @@ from .hamiltonians import (
 from .runner import ConfigError, ExperimentConfig, seed_kind, verify_count
 from .spectral import (
     FieldError,
+    check_grid_size,
     constant_field,
     field_from_modes,
     l2_norm,
@@ -127,6 +128,7 @@ def _write_manifest(outdir: Path, args, argv: list, started: float, exit_status:
             "finished_at": time.time(),
             "output_dir": str(outdir),
             "exit_status": exit_status,
+            "step_regime": args.step_regime,
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -136,15 +138,17 @@ def _write_manifest(outdir: Path, args, argv: list, started: float, exit_status:
     )
 
 
-def _at_least_one(option: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{option} must be an integer >= 1, got {value}")
+def _at_least(option: str, value: int, low: int) -> None:
+    if value < low:
+        raise InputError(f"{option} must be an integer >= {low}, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # Each subcommand is a check, which validates the input and returns what the
 # run needs, and a run, which computes, writes its outputs and returns the
-# exit status.  A dry run stops after the check.
+# exit status.  A dry run stops after the check.  A check of a subcommand
+# that takes flow steps keeps the step regime for the manifest in
+# args.step_regime.
 
 
 def check_structures(args, data):
@@ -228,6 +232,7 @@ def run_symbol(args, outdir: Path, xi_values) -> int:
 
 
 def check_flow(args, data):
+    _at_least("--rng-seed", args.rng_seed, 0)
     for option, value in (("--tol", args.tol), ("--s-max", args.s_max)):
         if not 0.0 < value < np.inf:
             raise InputError(f"{option} must be a positive finite number, got {value}")
@@ -245,18 +250,23 @@ def check_flow(args, data):
     n_grid = data.get("grid_size", args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
+    check_grid_size(n_grid)
     if args.seed_mode:
         try:
             m1, m2 = (int(x) for x in args.seed_mode.split(","))
         except ValueError:
             raise InputError(f"bad --seed-mode {args.seed_mode!r}") from None
+        if max(abs(m1), abs(m2)) >= n_grid // 2:  # the Nyquist band and beyond alias
+            raise InputError(
+                f"--seed-mode must satisfy |m1|, |m2| < N/2 = {n_grid // 2}, got {args.seed_mode}"
+            )
         vec = np.zeros(spec.dim, dtype=complex)
         vec[0] = args.amplitude
         z0 = field_from_modes(n_grid, spec.dim, {(m1, m2): vec}, "z")
     else:
         rng = np.random.default_rng(args.rng_seed)
         z0 = random_band_limited(rng, n_grid, spec.dim, 2, args.amplitude, "z")
-    check_step(n_grid, args.ds)
+    args.step_regime = check_step(n_grid, args.ds)
     return spec, z0
 
 
@@ -277,6 +287,7 @@ def run_flow(args, outdir: Path, checked) -> int:
 
 def check_energy(args, data):
     """(spec, trajectories loaded by --load) or (spec, start fields of the trajectories to run)."""
+    _at_least("--rng-seed", args.rng_seed, 0)
     potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
     if data is not None:
         potential = data.get("potential", potential)
@@ -287,13 +298,13 @@ def check_energy(args, data):
             return spec, [load_trajectory(d) for d in sorted(base.glob("trajectory_*")) or [base]]
         except (OSError, KeyError, ValueError) as exc:
             raise InputError(f"cannot load stored trajectory: {exc}") from None
-    _at_least_one("--trajectories", args.trajectories)
+    _at_least("--trajectories", args.trajectories, 1)
     rng = np.random.default_rng(args.rng_seed)
     starts = []
     for _ in range(args.trajectories):
         q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
         starts.append(constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z"))
-    check_step(args.grid, args.ds)
+    args.step_regime = check_step(args.grid, args.ds)
     BetaProfile(r=args.r, k=2 * spec.n_pairs)  # rejects a non-finite or negative r as run_homotopy does
     return spec, starts
 
@@ -341,8 +352,10 @@ def run_energy(args, outdir: Path, checked) -> int:
 
 
 def check_cuplength(args, data):
-    _at_least_one("--jobs", args.jobs)
-    return ExperimentConfig.from_dict(data)
+    _at_least("--jobs", args.jobs, 1)
+    config = ExperimentConfig.from_dict(data)
+    args.step_regime = check_step(config.grid_size, config.ds)
+    return config
 
 
 def run_cuplength(args, outdir: Path, config) -> int:
@@ -421,7 +434,8 @@ def _emit_cuplength_plots(outdir: Path, report) -> None:
 
 
 def check_legendre(args, data):
-    _at_least_one("--samples", args.samples)
+    _at_least("--samples", args.samples, 1)
+    _at_least("--rng-seed", args.rng_seed, 0)
     pot = TrigPotential(args.epsilon, [[1, 0], [0, 1]])
     return pot, quadratic_lagrangian(pot)
 
@@ -466,8 +480,9 @@ def run_legendre(args, outdir: Path, checked) -> int:
 
 
 def check_ddw(args, data):
-    _at_least_one("--samples", args.samples)
-    constant_field(args.grid, [0.0], "scalar")  # rejects a grid size the run rejects
+    _at_least("--samples", args.samples, 1)
+    _at_least("--rng-seed", args.rng_seed, 0)
+    check_grid_size(args.grid)
 
 
 def run_ddw(args, outdir: Path, checked) -> int:
@@ -497,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--dry-run", action="store_true")
+        p.set_defaults(step_regime=None)
 
     p = sub.add_parser("structures", help="validate structure matrices")
     common(p)

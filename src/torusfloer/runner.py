@@ -17,7 +17,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .floer import FlowError, FlowResult, check_step, constant_start, flow_constants, flow_to_solution
+from .floer import (
+    POLISH_BELOW,
+    FlowError,
+    FlowResult,
+    check_step,
+    constant_start,
+    flow_constants,
+    flow_to_solution,
+    polish_constants,
+)
 from .hamiltonians import (
     HamiltonianSpec,
     action,
@@ -257,25 +266,39 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
 
     A seed that `constant_start` accepts keeps only its first row; every
     other seed flows at once.  The constant seeds then flow as one batch
-    (`flow_constants`), each bit-identical to its own flow.  stop() is
+    (`flow_constants`), each bit-identical to its own flow, but only down
+    to the residual POLISH_BELOW; `polish_constants` takes each seed that
+    got there on to residual_tol.  A seed whose polish fails flows again
+    from its start to residual_tol, so its result is the plain flow's.
+    Seeds that start below residual_tol, and seeds that diverge or stop
+    before POLISH_BELOW, get the plain flow's result as well.  stop() is
     asked before each seed and between batch steps; once it returns True,
     the seeds not finished are left out and stopped is True.
     """
     results, constants = {}, {}
+    options = _flow_options(config)
     for idx in indices:
         if stop():
             return results, True
         z0 = seed_field(config, idx)
         start = constant_start(spec, z0)
         if start is None:
-            results[idx] = flow_to_solution(z0, spec, **_flow_options(config))
+            results[idx] = flow_to_solution(z0, spec, **options)
         else:
             constants[idx] = start
     if not constants:
         return results, False
     if stop():
         return results, True
-    batch = flow_constants(list(constants.values()), spec, stop=stop, **_flow_options(config))
+    starts = list(constants.values())
+    tol = options["tol"]
+    batch = flow_constants(starts, spec, stop=stop, **{**options, "tol": max(tol, POLISH_BELOW)})
+    handed = [i for i, r in enumerate(batch) if r is not None and r.converged and not r.residual_norm < tol]
+    for i, result in zip(handed, polish_constants([batch[i] for i in handed], spec, tol)):
+        batch[i] = result
+    failed = [i for i in handed if batch[i] is None]
+    for i, result in zip(failed, flow_constants([starts[i] for i in failed], spec, stop=stop, **options)):
+        batch[i] = result
     results.update((idx, result) for idx, result in zip(constants, batch) if result is not None)
     return results, any(result is None for result in batch)
 

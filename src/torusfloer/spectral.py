@@ -35,7 +35,10 @@ class FieldError(ValueError):
 def _check_grid(values: np.ndarray) -> None:
     if values.ndim != 3 or values.shape[0] != values.shape[1]:
         raise FieldError(f"expected (N, N, components) array, got shape {values.shape}")
-    n = values.shape[0]
+    check_grid_size(values.shape[0])
+
+
+def check_grid_size(n: int) -> None:
     if n % 2 != 0 or n < 8:
         raise FieldError(f"grid size must be even and >= 8, got {n}")
 

@@ -62,6 +62,19 @@ def linear_flow_exact(field: TorusField, s: float) -> TorusField:
     return TorusField(values, field.layout)
 
 
+def flow_bytes(result):
+    """The bytes of a FlowResult's field, counters, reason and diagnostics rows."""
+    return (
+        result.Z.values.tobytes(),
+        result.n_steps,
+        result.ds_final,
+        result.s_reached,
+        result.residual_norm,
+        result.reason,
+        np.array(result.rows).tobytes(),
+    )
+
+
 def rk4_reference(Z: TorusField, spec, triple, s_total: float, n_sub: int,
                   profile=None, s0: float = 0.0) -> TorusField:
     """Classical RK4 on the full nonlinear flow velocity; test-side oracle."""

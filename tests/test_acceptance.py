@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfloer.floer import energy_identity_check, max_principle_check, run_homotopy
+from torusfloer.floer import (
+    constant_start,
+    energy_identity_check,
+    flow_constants,
+    max_principle_check,
+    run_homotopy,
+)
 from torusfloer.hamiltonians import (
     hamiltonian_from_config,
     hamiltonian_residual,
@@ -24,7 +30,7 @@ from torusfloer.hamiltonians import (
     action,
     TrigPotential,
 )
-from torusfloer.runner import ExperimentConfig, verify_count
+from torusfloer.runner import ExperimentConfig, quotient_l2_distance, seed_field, verify_count
 from torusfloer.spectral import (
     TorusField,
     constant_field,
@@ -333,3 +339,26 @@ def test_criterion_11_action_lower_bound(flagship_report):
         f"action >= {c0} |p|^2 - {c1:.3f} holds for all {len(report.records)} "
         f"records (worst margin {worst:.3e})",
     )
+
+
+def test_polished_flagship_limits_match_the_flow(flagship_report):
+    """Every Newton-polished constant lies within 1e-6 of the flow's own limit at residual_tol."""
+    config = flagship_report.config
+    spec = config.build_spec()
+    polished = [rec for rec in flagship_report.records if "Newton" in rec.reason]
+    assert len(polished) == 32  # 36 lattice seeds, 4 of them start on critical points
+    flowed = flow_constants(
+        [constant_start(spec, seed_field(config, rec.seed_index)) for rec in polished],
+        spec,
+        tol=config.residual_tol,
+        s_max=config.s_max,
+        ds=config.ds,
+        check_every=config.check_every,
+    )
+    worst = 0.0
+    for rec, plain in zip(polished, flowed):
+        assert rec.residual < 1e-12 and plain.converged
+        # a field's layout decides how its grid means round (q_mean, the action)
+        assert rec.field.values.strides == plain.Z.values.strides
+        worst = max(worst, quotient_l2_distance(rec.field, plain.Z))
+    assert worst < 1e-6

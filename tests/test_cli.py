@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from torusfloer.cli import build_parser, main
-from torusfloer.floer import flow_constants, flow_to_solution, run_homotopy
+from torusfloer.floer import flow_constants, flow_to_solution, mu_max, run_homotopy
 from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
@@ -179,6 +179,30 @@ def test_manifest_records_environment(tmp_path):
     assert env["cpu_count"] is None or env["cpu_count"] >= 1
 
 
+@pytest.mark.parametrize(
+    "argv, n_grid, ds",
+    [
+        (["flow", "--grid", "16", "--ds", "0.02"], 16, 0.02),
+        (["energy", "--grid", "32"], 32, 5e-3),
+        (["cuplength", "--config", "<cfg>"], 16, 0.02),
+        (["structures", "--standard", "1"], None, None),
+    ],
+)
+def test_manifest_records_the_step_regime(tmp_path, argv, n_grid, ds):
+    """ds * mu_max and the largest step amplification go to the manifest, not to report.json."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_pairs": 1, "grid_size": 16}))
+    out = tmp_path / "dry"
+    argv = [str(cfg) if arg == "<cfg>" else arg for arg in argv]
+    assert run_cli(*argv, "--dry-run", "--out", str(out)) == 0
+    regime = read_json(out / "manifest.json")["step_regime"]
+    if n_grid is None:
+        assert regime is None
+        return
+    ds_mu = ds * mu_max(n_grid)
+    assert regime == pytest.approx({"ds_mu_max": ds_mu, "max_step_amplification": 1.0 / (1.0 - ds_mu)})
+
+
 @pytest.mark.parametrize("option", [["--jobs", "2"], ["--plots"]])
 def test_jobs_and_plots_belong_to_cuplength_only(tmp_path, option):
     with pytest.raises(SystemExit) as exc:
@@ -288,6 +312,29 @@ def test_cuplength_invalid_config(tmp_path):
             (0.045, "need ds < 0.02255"),
             ("x", "ds must be a number"),
             (0, "step size must lie in (0, 1)"),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
+    # numpy rejects a negative seed with a traceback; the dry run checks it too
+    + [
+        (argv + ["--rng-seed", seed, *dry], None, "--rng-seed must be an integer >= 0")
+        for argv, seed in [
+            (["flow", "--grid", "16"], "-1"),
+            (["energy"], "-1"),
+            (["legendre-check"], "-1"),
+            (["ddw-demo", "--grid", "16", "--samples", "1"], "-5"),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
+    # a seed mode at or past the Nyquist band would alias; a grid too small gets its own message
+    + [
+        (["flow", *argv, *dry], None, message)
+        for argv, message in [
+            (["--grid", "16", "--seed-mode", "8,0"], "--seed-mode must satisfy |m1|, |m2| < N/2 = 8"),
+            (["--grid", "16", "--seed-mode", "0,-8"], "--seed-mode must satisfy |m1|, |m2| < N/2 = 8"),
+            (["--grid", "16", "--seed-mode", "100,0"], "--seed-mode must satisfy |m1|, |m2| < N/2 = 8"),
+            (["--grid", "4"], "grid size must be even and >= 8, got 4"),
+            (["--grid", "0"], "grid size must be even and >= 8, got 0"),
         ]
         for dry in ([], ["--dry-run"])
     ]

@@ -15,6 +15,7 @@ from torusfloer.floer import (
     run_homotopy,
 )
 from torusfloer.hamiltonians import (
+    HamiltonianSpec,
     action,
     hamiltonian_from_config,
     hamiltonian_residual,
@@ -31,7 +32,7 @@ from torusfloer.spectral import (
 )
 from torusfloer.structures import standard_structures
 
-from conftest import linear_flow_exact, mode_block, project_flow_stable, rk4_reference
+from conftest import flow_bytes, linear_flow_exact, mode_block, project_flow_stable, rk4_reference
 
 TRIG = {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, 1]]}
 
@@ -267,18 +268,6 @@ def _takes_constant_path(spec, z):
     return floer._is_constant(spec, mode_transform(z).coeffs)
 
 
-def _flow_bytes(result):
-    return (
-        result.Z.values.tobytes(),
-        result.n_steps,
-        result.ds_final,
-        result.s_reached,
-        result.residual_norm,
-        result.reason,
-        np.array(result.rows).tobytes(),
-    )
-
-
 @pytest.mark.parametrize(
     "n_grid, potential, rho, ds",
     [
@@ -300,7 +289,7 @@ def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential
     _full_grid_only(monkeypatch)
     full = flow_to_solution(z0, spec, ds=ds, s_max=40.0)
     assert fast.n_steps > 0
-    assert _flow_bytes(fast) == _flow_bytes(full)
+    assert flow_bytes(fast) == flow_bytes(full)
     if ds == 0.09:
         assert fast.ds_final < ds
 
@@ -350,11 +339,11 @@ def test_constant_batch_is_bit_identical_to_flows_alone(monkeypatch, rng):
     assert reasons.count("residual") >= 1 and reasons.count("max|p|^2") == 1
     assert any(r.n_halvings > 0 and r.ds_final < 0.09 for r in batch)
     for b, a, f in zip(batch, alone, full):
-        assert _flow_bytes(b) == _flow_bytes(f)
+        assert flow_bytes(b) == flow_bytes(f)
         assert b.n_halvings == f.n_halvings
         # the runner's q_mean depends on the field's memory layout too
         assert b.Z.values.strides == a.Z.values.strides
-        assert _flow_bytes(b) == _flow_bytes(a)
+        assert flow_bytes(b) == flow_bytes(a)
 
 
 def test_constant_batch_stops_between_steps(rng):
@@ -373,7 +362,41 @@ def test_constant_batch_stops_between_steps(rng):
     assert finished == [a.n_steps == 0 or a.reason.startswith("max") for a in alone]
     for b, a in zip(batch, alone):
         if b is not None:
-            assert _flow_bytes(b) == _flow_bytes(a)
+            assert flow_bytes(b) == flow_bytes(a)
+
+
+def test_newton_polish_takes_the_jacobian_from_a_custom_gradient():
+    """h couples p to q, so every block of the 4 x 4 Jacobian is exercised."""
+
+    def h(t1, t2, z):
+        return 0.2 * np.cos(z[..., 0]) * np.cos(z[..., 1]) + 0.1 * z[..., 2] * np.sin(z[..., 0])
+
+    def grad_h(t1, t2, z):
+        q1, q2, p1 = z[..., 0], z[..., 1], z[..., 2]
+        return np.stack(
+            [
+                -0.2 * np.sin(q1) * np.cos(q2) + 0.1 * p1 * np.cos(q1),
+                -0.2 * np.cos(q1) * np.sin(q2),
+                0.1 * np.sin(q1),
+                np.zeros_like(q1),
+            ],
+            axis=-1,
+        )
+
+    spec = HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, rho=4.0)
+    roots = [[np.pi, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]  # grad H = 0
+    starts = [[np.pi + 0.02, -0.01, 0.005, -0.003], [0.01, 0.02, -0.004, 0.002]]
+    handed = [
+        floer.FlowResult(constant_field(16, z, "z"), 1.5, 1e-3, True, False, "residual below tol", 75, 0.02, [], 0)
+        for z in starts
+    ]
+    polished = floer.polish_constants(handed, spec, 1e-8)
+    for result, root in zip(polished, roots):
+        assert result.reason.startswith("residual below tol after")
+        assert (result.s_reached, result.n_steps) == (1.5, 75)
+        assert result.residual_norm < 1e-12
+        assert l2_norm(hamiltonian_residual(spec, result.Z, standard_structures(1))) < 1e-12
+        assert np.max(np.abs(result.Z.values - root)) < 1e-12
 
 
 def test_constant_start_takes_equal_bytes_only():

@@ -4,9 +4,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conftest import flow_bytes
+from torusfloer.floer import POLISH_BELOW, constant_start, flow_constants, polish_constants
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
+    _solve_seeds,
     dedup,
     detect_continuum,
     multistart_solve,
@@ -168,6 +171,32 @@ def test_solve_seed_exact_critical_point():
         np.mean(seed_field(config, i).q_part(), axis=(0, 1)), [np.pi, np.pi])][0]
     _, result = solve_seed(config, idx)
     assert result.converged and result.n_steps == 0
+
+
+def test_failed_polish_falls_back_to_the_plain_flow():
+    """V = eps cos(q1) leaves the Jacobian's q2 column exactly zero, so Newton fails on every seed.
+
+    Each such seed flows again from its start, and every seed's result, those
+    that start on a critical point included, is byte-identical to the plain
+    flow of the batch to residual_tol.
+    """
+    potential = {"kind": "trig_potential", "epsilon": 1.0, "modes": [[1, 0]]}
+    config = ExperimentConfig(**{**FAST_TRIG, "potential": potential, "lattice_per_dim": 4, "random_starts": 0})
+    spec = config.build_spec()
+    starts = [constant_start(spec, seed_field(config, i)) for i in range(config.n_seeds)]
+    options = dict(s_max=config.s_max, ds=config.ds, check_every=config.check_every)
+    handed = flow_constants(starts, spec, tol=POLISH_BELOW, **options)
+    polish = [r for r in handed if not r.residual_norm < config.residual_tol]
+    assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8
+
+    results, stopped = _solve_seeds(config, spec, range(config.n_seeds), lambda: False)
+    plain = flow_constants(starts, spec, tol=config.residual_tol, **options)
+    assert not stopped and sorted(results) == list(range(config.n_seeds))
+    assert sum(r.reason == "initial residual below tol" for r in plain) == 8
+    for i, expected in enumerate(plain):
+        assert expected.converged
+        assert flow_bytes(results[i]) == flow_bytes(expected)
+        assert results[i].Z.values.strides == expected.Z.values.strides
 
 
 def test_multistart_and_count_trig():
