@@ -233,6 +233,7 @@ def run_symbol(args, outdir: Path, xi_values) -> int:
 
 def check_flow(args, data):
     _at_least("--rng-seed", args.rng_seed, 0)
+    _at_least("--check-every", args.check_every, 1)
     for option, value in (("--tol", args.tol), ("--s-max", args.s_max)):
         if not 0.0 < value < np.inf:
             raise InputError(f"{option} must be a positive finite number, got {value}")

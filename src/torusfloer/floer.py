@@ -70,6 +70,14 @@ RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
 POLISH_BELOW = 1e-3
 NEWTON_STEPS = 8  # a polish that is not below tol after this many steps has failed
 NEWTON_FD_STEP = 2.0**-17  # central-difference step of the Jacobian
+# A constant grid holds each seed on this many grid points (see _FlowGrid): with one,
+# numpy sends the potentials' matrix products to gemv, which rounds unlike the gemm
+# of the full grid; two points keep a matrix product, and the full grid's bits.
+CONSTANT_ROW = 2
+# numpy sums a contiguous array pairwise in blocks of up to 128 terms and halves a
+# longer one on a multiple of 8, so N^2 >= 256 equal values of a power-of-two grid sum
+# to the sum of 128 of them times N^2 / 128: exact doublings, overflow included.
+PAIRWISE_BLOCK = 128
 
 
 class FlowError(RuntimeError):
@@ -264,14 +272,17 @@ class _FlowGrid:
     A constant grid flows B exactly constant states of an autonomous h
     (`_is_constant`) on their (0, 0) blocks alone, one seed per row: zhat
     is (B, 1, 4n), the (0, 0) block of each seed's propagator advances it,
-    and vals is (B, N, 4n), each seed's values on one grid row, on which
-    the pointwise functions run.  A row, not a single point, keeps the
-    array shapes of the full grid, so the same kernels round the same way
-    (their memory layout does not matter, see above).  Each grid mean is
-    the mean of an (N, N) array filled with the seed's one pointwise value,
-    which repeats the pairwise-summation rounding of the full grid.  Every
-    seed's results are bit-identical to its full-grid flow, step halving
-    and termination included.
+    and vals is (B, CONSTANT_ROW, 4n), each seed's value on the first two
+    points of a grid row, on which the pointwise functions run.  Two
+    points, not one, keep every matrix product of a potential a matrix
+    product: numpy computes a one-row product as a matrix-vector product,
+    which rounds unlike the full grid's (N, 2n) products, while the rows of
+    a matrix product round alike at every row count (their memory layout
+    does not matter, see above).  Each grid mean is taken in closed form:
+    numpy's pairwise sum of the N^2 equal values of a power-of-two grid is
+    the sum of 128 of them doubled exactly (`mean`).  Every seed's results
+    are bit-identical to its full-grid flow, step halving and termination
+    included.
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
     kept for the last state seen, keyed by the identity of its vals: the
@@ -287,7 +298,7 @@ class _FlowGrid:
             zhat *= mask[:, : n // 2 + 1, None]
             Z = TorusField(_irfft2(zhat, n), "z")
         if _is_constant(spec, zhat):
-            self._setup(spec, triple, n, True, (Z.values[:1], zhat[:1, :1]), mask)
+            self._setup(spec, triple, n, True, (Z.values[:1, :CONSTANT_ROW], zhat[:1, :1]), mask)
         else:
             self._setup(spec, triple, n, False, (Z.values, zhat), mask)
         # the start state as given (band-limited if asked): a field rebuilt
@@ -299,8 +310,8 @@ class _FlowGrid:
         """The constant grid of `starts`, one (row, coefficient) pair per seed from `constant_start`."""
         grid = cls.__new__(cls)
         rows, coefs = zip(*starts)
-        start = (np.concatenate(rows), np.concatenate(coefs))
-        grid._setup(spec, triple, start[0].shape[1], True, start, None)
+        start = (np.concatenate([row[:, :CONSTANT_ROW] for row in rows]), np.concatenate(coefs))
+        grid._setup(spec, triple, rows[0].shape[1], True, start, None)
         grid._start_fields = None
         return grid
 
@@ -309,7 +320,7 @@ class _FlowGrid:
         modes = np.s_[:1, :1] if constant else np.s_[:, : n // 2 + 1]
         t1, t2 = grid_points(n)
         m1, m2 = derivative_numbers(n)
-        self.t1, self.t2 = (t1[:1], t2[:1]) if constant else (t1, t2)
+        self.t1, self.t2 = (t1[:1, :CONSTANT_ROW], t2[:1, :CONSTANT_ROW]) if constant else (t1, t2)
         self.modes = modes
         self.im1 = (1j * m1[modes])[:, :, None]
         self.im2 = (1j * m2[modes])[:, :, None]
@@ -391,7 +402,7 @@ class _FlowGrid:
             rhs = zhat
         if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
             new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
-            return np.repeat(new_hat.real, self.n, axis=1), new_hat
+            return np.repeat(new_hat.real, CONSTANT_ROW, axis=1), new_hat
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # a start state in the caller's layout is component-major
         new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
@@ -402,10 +413,16 @@ class _FlowGrid:
         return x.reshape(len(x) if self.constant else 1, -1)
 
     def mean(self, x):
-        """Grid mean of a pointwise array, per seed (np.mean's sum and division)."""
-        if self.constant:  # each seed's (N, N) array filled with its one value
-            x = np.repeat(x[:, :1], self.n * self.n, axis=1)
-        return np.add.reduce(self._by_seed(x), axis=1) / (self.n * self.n)
+        """Grid mean of a pointwise array, per seed (np.mean's sum and division).
+
+        On a constant grid the sum of a seed's N^2 equal values is taken in
+        closed form (PAIRWISE_BLOCK); a grid of at most 128 points sums them all.
+        """
+        points = self.n * self.n
+        if not self.constant:
+            return np.add.reduce(self._by_seed(x), axis=1) / points
+        block = min(points, PAIRWISE_BLOCK)
+        return np.add.reduce(np.repeat(x[:, :1], block, axis=1), axis=1) * (points // block) / points
 
     def mean_sq(self, x):
         """Grid mean of the pointwise |x|^2, per seed."""
@@ -459,11 +476,11 @@ class _FlowGrid:
         return TorusField(vals, "z")
 
     def start_field(self, seed: int) -> TorusField:
-        """The start field of one seed; a constant seed's is its row repeated, in C order."""
+        """The start field of one seed; a constant seed's holds its value on every point, in C order."""
         if self._start_fields is not None:
             return self._start_fields[seed]
-        row = self.start[0][seed]
-        return TorusField(np.broadcast_to(row, (self.n, *row.shape)).copy(), "z")
+        point = self.start[0][seed, 0]
+        return TorusField(np.broadcast_to(point, (self.n, self.n, len(point))).copy(), "z")
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +580,15 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
     if not results:
         return []
     polished = [None] * len(results)
-    n = results[0].Z.grid_size
 
     def state(z):
-        return np.repeat(z[:, None], n, axis=1), z[:, None].astype(complex)
+        return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None].astype(complex)
 
     seeds = np.arange(len(results))
-    z = np.array([r.Z.values[0, 0] for r in results])
-    vals, zhat = state(z)
-    grid = _FlowGrid.constants(spec, standard_structures(spec.n_pairs), zip(vals[:, None], zhat[:, None]))
+    starts = [(r.Z.values[:1], r.Z.values[:1, :1].astype(complex)) for r in results]
+    grid = _FlowGrid.constants(spec, standard_structures(spec.n_pairs), starts)
+    vals, zhat = grid.start
+    z = vals[:, 0]
     residual = grid.residual(vals, zhat)
     t = grid.t1[:, :1]  # h is autonomous: one point stands for all
     probes = NEWTON_FD_STEP * np.stack([np.eye(spec.dim), -np.eye(spec.dim)])  # (2, k, dim)
@@ -780,7 +797,7 @@ def run_homotopy(
     s_end = profile.s_off + pad
     n_steps = int(np.ceil((s_end - s_start) / ds))
 
-    svals = np.empty(n_steps + 1)
+    svals = s_start + np.arange(n_steps + 1) * ds
     act = np.empty(n_steps + 1)
     h_int = np.empty(n_steps + 1)
     max_p_sq = np.empty(n_steps + 1)
@@ -790,10 +807,8 @@ def run_homotopy(
     grid = _FlowGrid(spec, triple, Z0)
     vals, zhat = grid.start
     step = np.full(1, ds)
-    for i in range(n_steps + 1):
-        s = s_start + i * ds
-        w = float(profile.value(s))
-        svals[i] = s
+    weights = profile.value(svals).tolist()  # elementwise: each weight has the bits of a call at its s
+    for i, (s, w) in enumerate(zip(svals.tolist(), weights)):
         act[i] = grid.action(vals, zhat, w).item()
         h_int[i] = grid.h_int(vals).item()
         max_p_sq[i] = grid.max_p_sq(vals).item()

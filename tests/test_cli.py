@@ -245,7 +245,7 @@ def test_cuplength_invalid_config(tmp_path):
         ]
         for dry in (["--dry-run"], [])
     ]
-    + [(["flow", "--grid", "16", "--check-every", "0"], None, "check_every must be >= 1")]
+    + [(["flow", "--grid", "16", "--check-every", "0"], None, "--check-every must be an integer >= 1")]
     # config files that are not a JSON object, or whose potential is malformed
     + [
         (["structures", "--input", "<tmp>/config.json"], [1, 2], "must hold a JSON object, got a list"),
@@ -352,6 +352,14 @@ def test_cuplength_invalid_config(tmp_path):
             (["--amplitude", "nan"], "--amplitude must be finite"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # the dry run checks --check-every as the run does
+    + [
+        (
+            ["flow", "--grid", "16", "--check-every", "0", "--dry-run"],
+            None,
+            "--check-every must be an integer >= 1",
+        )
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):

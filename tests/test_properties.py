@@ -3,7 +3,8 @@
 Random even grids N = 8 .. 64 and random states: band-limited content plus,
 optionally, white noise that reaches every mode up to the Nyquist band.
 The flow grid's component-major arithmetic is also checked bit for bit
-against a reference on the trailing-component layout kept here.
+against a reference on the trailing-component layout kept here, and the
+constant grid's two-point rows and closed-form means against the full grid.
 """
 
 from unittest import mock
@@ -483,3 +484,62 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
         ref_vals, ref_hat = _parent_step(grid, pot, ref_vals, ref_hat, ds, weight)
         assert _bits(vals) == _bits(ref_vals)
         assert _bits(zhat) == _bits(ref_hat)
+
+
+# the constant grid: each seed on two grid points, its grid means in closed form
+
+
+def _constant_grid(spec, n, z):
+    """The constant grid of an N grid holding the constant states z, one (4n,) row of z per seed."""
+    starts = [(np.broadcast_to(v, (1, n, len(v))), v[None, None].astype(complex)) for v in z]
+    return _FlowGrid.constants(spec, standard_structures(spec.n_pairs), starts)
+
+
+grid_means = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.7e308]),
+)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(n=st.sampled_from([8, 16, 32, 64, 128, 256]), values=st.lists(grid_means, min_size=1, max_size=40))
+def test_constant_grid_mean_is_the_mean_of_the_filled_grid(n, values):
+    grid = _constant_grid(SPECS[0, np.inf], n, np.zeros((len(values), 4)))
+    x = np.repeat(np.array(values)[:, None], floer.CONSTANT_ROW, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [np.add.reduce(np.full(n * n, v)) / (n * n) for v in values]
+        assert _bits(grid.mean(x)) == _bits(np.array(ref))
+
+
+@PROPERTY
+@given(
+    k=st.integers(0, len(LAYOUT_POTENTIALS) - 1),
+    rho=st.sampled_from([4.0, np.inf]),
+    n=st.sampled_from([8, 16, 32, 64]),
+    seeds=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_point_rows_evaluate_like_the_full_grid(k, rho, n, seeds, seed):
+    """The constant grid's rows against each seed's full grid, C-ordered and component-major.
+
+    |p|^2 lies inside, on or beyond the cut-off ramp, seed by seed, so a batch
+    mixes the identity cut-off of some full grids with the ramp of others.
+    """
+    spec = hamiltonian_from_config(LAYOUT_POTENTIALS[k], rho=rho)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-np.pi, np.pi, size=(seeds, spec.dim))
+    p = z[:, spec.dim // 2 :]
+    p *= np.sqrt(rng.uniform(0.0, 5.0, size=(seeds, 1)) / np.sum(p * p, axis=1, keepdims=True))
+    grid = _constant_grid(spec, n, z)
+    row = grid.terms(grid.start[0])
+    t1, t2 = grid_points(n)
+    for b, v in enumerate(z):
+        full = np.broadcast_to(v, (n, n, spec.dim)).copy()
+        for zz in (full, _component_major(full)):
+            ref = cutoff_terms(spec, t1, t2, zz)
+            for got, want in zip(row[:3], ref[:3]):
+                assert _bits(got[b]) == _bits(want[0, : floer.CONSTANT_ROW])
+                if not spec.time_dependent:  # a constant state of an autonomous h: one value everywhere
+                    assert _bits(want) == _bits(np.broadcast_to(want[:1, :1], want.shape))
