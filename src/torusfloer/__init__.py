@@ -71,6 +71,6 @@ from .symbol import (
     symbol_matrix,
     symbol_report,
 )
-from .runner import ExperimentConfig, dedup, multistart_solve, verify_count
+from .runner import ExperimentConfig, dedup, multistart_solve, quotient_l2_distance, verify_count
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -181,14 +181,6 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.nd
     return np.linalg.inv(np.eye(dim) + ds * lin)
 
 
-def band_mask(n_grid: int, band_limit: int | None) -> np.ndarray | None:
-    """Boolean (N, N) mask keeping modes with max(|m1|, |m2|) <= band_limit."""
-    if band_limit is None:
-        return None
-    m1, m2 = derivative_numbers(n_grid)
-    return (np.abs(m1) <= band_limit) & (np.abs(m2) <= band_limit)
-
-
 def _is_constant(spec: HamiltonianSpec, zhat: np.ndarray) -> bool:
     """True when the flow of zhat may be advanced on its (0, 0) block alone.
 
@@ -262,8 +254,8 @@ class _FlowGrid:
     those at m, so only columns m2 = 0 .. N/2 are held.  Every stepped
     state is component-major: vals and zhat are the (N, N, 4n) and
     (N, N/2 + 1, 4n) grid views of C-contiguous (4n, N, N) and
-    (4n, N, N/2 + 1) planes (the start state keeps the layout of the start
-    field), and the propagator is held as (4n, 4n, N, N/2 + 1).  The
+    (4n, N, N/2 + 1) planes (the start vals are the C-ordered start
+    field's), and the propagator is held as (4n, 4n, N, N/2 + 1).  The
     transforms run over contiguous planes, and each sum over components
     (|p|^2, |dZ|^2, the residual) adds whole planes in the order numpy sums
     a C-ordered component axis (`component_sum`), so every result is
@@ -289,21 +281,13 @@ class _FlowGrid:
     step, the action, max|p|^2, h_int and the residual all read it.
     """
 
-    def __init__(self, spec, triple, Z: TorusField, band_limit: int | None = None):
+    def __init__(self, spec, triple, Z: TorusField):
         _check_z_field(spec, Z)
-        n = Z.grid_size
         zhat = _rfft2(Z.values)
-        mask = band_mask(n, band_limit)
-        if mask is not None:
-            zhat *= mask[:, : n // 2 + 1, None]
-            Z = TorusField(_irfft2(zhat, n), "z")
         if _is_constant(spec, zhat):
-            self._setup(spec, triple, n, True, (Z.values[:1, :CONSTANT_ROW], zhat[:1, :1]), mask)
+            self._setup(spec, triple, Z.grid_size, True, (Z.values[:1, :CONSTANT_ROW], zhat[:1, :1]))
         else:
-            self._setup(spec, triple, n, False, (Z.values, zhat), mask)
-        # the start state as given (band-limited if asked): a field rebuilt
-        # from one row has another memory layout, and means over it round differently
-        self._start_fields = [Z]
+            self._setup(spec, triple, Z.grid_size, False, (Z.values, zhat))
 
     @classmethod
     def constants(cls, spec, triple, starts) -> "_FlowGrid":
@@ -311,11 +295,10 @@ class _FlowGrid:
         grid = cls.__new__(cls)
         rows, coefs = zip(*starts)
         start = (np.concatenate([row[:, :CONSTANT_ROW] for row in rows]), np.concatenate(coefs))
-        grid._setup(spec, triple, rows[0].shape[1], True, start, None)
-        grid._start_fields = None
+        grid._setup(spec, triple, rows[0].shape[1], True, start)
         return grid
 
-    def _setup(self, spec, triple, n, constant, start, mask):
+    def _setup(self, spec, triple, n, constant, start):
         self.spec, self.triple, self.n, self.constant = spec, triple, n, constant
         modes = np.s_[:1, :1] if constant else np.s_[:, : n // 2 + 1]
         t1, t2 = grid_points(n)
@@ -327,7 +310,6 @@ class _FlowGrid:
         # Parseval: each interior column of the half spectrum stands for m and -m
         cols = np.arange(self.im1.shape[1])
         self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
-        self.mask = None if mask is None else mask[modes][:, :, None]
         # the transform of a +0.0 plane, signed zeros and all, for the p planes of a q-only gradient
         self._zero_hat = None if constant else np.fft.rfft2(np.zeros((n, n)), norm="forward")
         self.start = start
@@ -394,17 +376,14 @@ class _FlowGrid:
         """
         prop = self._propagators(ds)
         if weight != 0.0:
-            nhat = self._nonlinear_modes(vals, weight)
-            if self.mask is not None:
-                nhat *= self.mask
-            rhs = zhat + ds[:, None, None] * nhat
+            rhs = zhat + ds[:, None, None] * self._nonlinear_modes(vals, weight)
         else:
             rhs = zhat
         if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
             new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
             return np.repeat(new_hat.real, CONSTANT_ROW, axis=1), new_hat
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
-        # a start state in the caller's layout is component-major
+        # the C-ordered start state is component-major
         new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
         return _irfft2(new_hat, self.n), new_hat
 
@@ -463,24 +442,10 @@ class _FlowGrid:
         return np.sqrt(np.maximum(self.mean_sq(res), 0.0))
 
     def field(self, vals, seed: int = 0) -> TorusField:
-        """The field of one seed in state vals; a full grid's is C-ordered, or the start field itself.
-
-        A field's memory layout matters: grid means over it round by layout.
-        """
+        """The field of one seed in state vals; a constant seed's holds its value on every point."""
         if self.constant:
             vals = np.broadcast_to(vals[seed : seed + 1, :1], (self.n, self.n, vals.shape[2]))
-        elif vals is self.start[0]:
-            return self._start_fields[0]
-        else:
-            vals = np.ascontiguousarray(vals)
         return TorusField(vals, "z")
-
-    def start_field(self, seed: int) -> TorusField:
-        """The start field of one seed; a constant seed's holds its value on every point, in C order."""
-        if self._start_fields is not None:
-            return self._start_fields[seed]
-        point = self.start[0][seed, 0]
-        return TorusField(np.broadcast_to(point, (self.n, self.n, len(point))).copy(), "z")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +477,6 @@ def flow_to_solution(
     s_max: float = DEFAULT_S_MAX,
     ds: float = DEFAULT_DS,
     check_every: int = 10,
-    band_limit: int | None = None,
 ) -> FlowResult:
     """Run the autonomous flow until the system residual drops below tol.
 
@@ -526,12 +490,10 @@ def flow_to_solution(
     exp(|m| s), so transform round-off seeds the fastest grid modes and
     caps how small the residual of a non-constant state can get over long
     horizons (exactly constant states are immune: they stay constant to
-    the last bit).  band_limit optionally confines the run to modes with
-    max(|m1|, |m2|) <= band_limit, which pushes that floor out far enough
-    to converge band-limited low-mode data.
+    the last bit).
     """
     triple = standard_structures(spec.n_pairs) if triple is None else triple
-    grid = _FlowGrid(spec, triple, Z0, band_limit)
+    grid = _FlowGrid(spec, triple, Z0)
     return _flow(grid, tol, s_max, ds, check_every)[0]
 
 
@@ -574,8 +536,8 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
     gets None, when its residual stops falling (a singular or non-finite
     Jacobian makes the step NaN) before it is below tol, or when it is not
     below tol after NEWTON_STEPS steps.  Otherwise it gets a copy of its FlowResult with the polished
-    field, in the layout of a constant-grid flow result, its residual and
-    the reason; the flow's fields (steps, flow time, rows) are kept.
+    field, its residual and the reason; the flow's fields (steps, flow
+    time, rows) are kept.
     """
     if not results:
         return []
@@ -674,7 +636,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
 
     finished = residual < tol
     for i in np.flatnonzero(finished):
-        finish(i, grid.start_field(seeds[i]), True, False, "initial residual below tol")
+        finish(i, grid.field(vals, i), True, False, "initial residual below tol")
     if not 0.0 < s_max:  # no step at all
         for i in np.flatnonzero(~finished):
             finish(i, grid.field(vals, i), False, False, "s_max reached")

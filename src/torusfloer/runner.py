@@ -31,6 +31,7 @@ from .hamiltonians import (
     HamiltonianSpec,
     action,
     action_bound_constants,
+    component_sum,
     hamiltonian_from_config,
     nonlinearity_from_config,
 )
@@ -346,7 +347,8 @@ def multistart_solve(
         if constants:
             tasks.insert(0, constants)  # the longest task first
         config_json = json.dumps(asdict(config))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
             for future in as_completed(futures):
                 part, stopped = future.result()
@@ -376,6 +378,27 @@ def multistart_solve(
 # deduplication in the quotient metric
 
 
+def _component_planes(z: TorusField) -> np.ndarray:
+    """The C-contiguous (4n, N^2) component planes of a field."""
+    return np.ascontiguousarray(z.values.reshape(-1, z.components).T)
+
+
+def _plane_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """quotient_l2_distance of two fields given as `_component_planes`.
+
+    Each sum over components adds whole planes in numpy's order over a
+    C-ordered component axis (`component_sum`), and the mean over points is
+    numpy's pairwise mean, so the result has the bits of the same formula
+    taken over the fields' (N, N, 4n) values.
+    """
+    q = len(a) // 2
+    dq = a[:q] - b[:q]
+    dq -= 2.0 * np.pi * np.round(np.mean(dq, axis=1) / (2.0 * np.pi))[:, None]
+    dp = a[q:] - b[q:]
+    dist_sq = float(np.mean(component_sum((dq * dq).T) + component_sum((dp * dp).T)))
+    return float(np.sqrt(max(dist_sq, 0.0)))
+
+
 def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
     """L2 distance with the q block compared modulo constant 2*pi shifts.
 
@@ -385,12 +408,7 @@ def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
     """
     if a.values.shape != b.values.shape:
         raise ConfigError("cannot compare fields of different shapes")
-    dq = a.q_part() - b.q_part()
-    shift = 2.0 * np.pi * np.round(np.mean(dq, axis=(0, 1)) / (2.0 * np.pi))
-    dq = dq - shift
-    dp = a.p_part() - b.p_part()
-    dist_sq = float(np.mean(np.sum(dq**2, axis=2) + np.sum(dp**2, axis=2)))
-    return float(np.sqrt(max(dist_sq, 0.0)))
+    return _plane_distance(_component_planes(a), _component_planes(b))
 
 
 @dataclass
@@ -409,15 +427,13 @@ def dedup(records: list, delta: float) -> DedupResult:
     """Single-linkage greedy clustering; representatives take the lowest residual."""
     if delta <= 0:
         raise ConfigError("dedup delta must be positive")
+    planes = [_component_planes(r.field) for r in records]
     order = sorted(range(len(records)), key=lambda i: records[i].residual)
     clusters: list[list[int]] = []
     for i in order:
         hits = []
         for ci, members in enumerate(clusters):
-            if any(
-                quotient_l2_distance(records[i].field, records[j].field) <= delta
-                for j in members
-            ):
+            if any(_plane_distance(planes[i], planes[j]) <= delta for j in members):
                 hits.append(ci)
         if not hits:
             clusters.append([i])
@@ -434,12 +450,7 @@ def dedup(records: list, delta: float) -> DedupResult:
         worst = 0.0
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                worst = max(
-                    worst,
-                    quotient_l2_distance(
-                        records[members[a]].field, records[members[b]].field
-                    ),
-                )
+                worst = max(worst, _plane_distance(planes[members[a]], planes[members[b]]))
         diameters.append(worst)
     return DedupResult(clusters, representatives, diameters, delta)
 

@@ -58,13 +58,17 @@ def _check_layout(layout: str, components: int) -> None:
 
 @dataclass(frozen=True)
 class TorusField:
-    """Real field on the N x N periodic grid, immutable."""
+    """Real field on the N x N periodic grid, immutable.
+
+    The values are stored as a C-contiguous copy, whatever the memory
+    layout of the input, so reductions over a field round by its values alone.
+    """
 
     values: np.ndarray
     layout: str = "generic"
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         _check_grid(values)
         _check_layout(self.layout, values.shape[2])
         if not np.all(np.isfinite(values)):
@@ -149,15 +153,6 @@ def mode_transform(field: TorusField) -> ModeField:
 def inverse_mode_transform(modes: ModeField) -> TorusField:
     values = np.fft.ifft2(modes.coeffs, axes=(0, 1), norm="forward").real
     return TorusField(values, modes.layout)
-
-
-def hermitian_residual(modes: ModeField) -> float:
-    """Max deviation from c(-m) = conj(c(m)); zero for transforms of real fields."""
-    c = modes.coeffs
-    n = c.shape[0]
-    idx = (-np.arange(n)) % n
-    mirrored = np.conj(c[np.ix_(idx, idx)])
-    return float(np.max(np.abs(c - mirrored)))
 
 
 def _pair_indices(layout: str, components: int):

@@ -255,24 +255,6 @@ def polysymplectic_pair(omega_c) -> tuple:
     return wc.real.copy(), wc.imag.copy()
 
 
-def antiholomorphic_kernel_residual(omega_c, I) -> float:
-    """Relative residual of omega_c applied to the -i eigenspace of I.
-
-    Vectors e + i*I e span that eigenspace as e runs over the real basis,
-    so the residual is |omega_c (Id + i I)| / |omega_c|.
-    """
-    wc = np.asarray(omega_c, dtype=complex)
-    ii = _as_square("I", I)
-    return _opnorm(wc @ (np.eye(ii.shape[0]) + 1j * ii)) / max(1e-300, _opnorm(wc))
-
-
-def holomorphic_rank(omega_c, tol: float = 1e-9) -> int:
-    """Complex rank of the form; 2n for a non-degenerate holomorphic form on R^(4n)."""
-    wc = np.asarray(omega_c, dtype=complex)
-    s = np.linalg.svd(wc, compute_uv=False)
-    return int(np.sum(s > tol * max(1e-300, s[0])))
-
-
 def random_regularized_pair(rng: np.random.Generator, n: int, cond: float = 2.0):
     """Random (omega1, omega2, I) built from a random holomorphic symplectic form.
 

@@ -467,7 +467,7 @@ def test_knob_census():
     assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
     flows = (flow_to_solution, flow_constants, run_homotopy)
     assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {
-        "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every", "band_limit"],
+        "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every"],
         "flow_constants": ["starts", "spec", "triple", "tol", "s_max", "ds", "check_every", "stop"],
         "run_homotopy": ["Z0", "spec", "r", "triple", "ds", "pad", "k", "tol", "snapshot_every"],
     }

@@ -217,26 +217,6 @@ def test_flow_exact_solution_returns_immediately():
     assert result.converged and result.s_reached == 0.0 and result.n_steps == 0
 
 
-def test_flow_converges_from_stable_data(rng):
-    # free flow from small data in the non-growing subspace of the lowest
-    # modes: closed-form decay to the constant given by the starting q
-    # mean.  The band limit keeps transform round-off out of the fast
-    # modes, whose exponential growth would otherwise swamp a 1e-8
-    # residual long before the slow components have decayed to it.
-    spec = free_spec()
-    modes = {}
-    for m in [(1, 0), (0, 1)]:
-        modes[m] = 1e-5 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    z0 = project_flow_stable(field_from_modes(16, 4, modes, "z"))
-    q_mean = np.mean(z0.values[:, :, :2], axis=(0, 1))
-    result = flow_to_solution(z0, spec, tol=1e-8, s_max=100.0, ds=0.01, band_limit=1)
-    assert result.converged
-    assert np.max(np.abs(np.mean(result.Z.values[:, :, :2], axis=(0, 1)) - q_mean)) < 1e-9
-    assert np.max(np.abs(result.Z.p_part())) < 1e-7
-    acts = [row[1] for row in result.rows]
-    assert all(b <= a + 1e-12 for a, b in zip(acts, acts[1:]))
-
-
 def test_flow_reports_divergence_for_constant_momentum():
     spec = trig_spec(rho=4.0)
     z0 = constant_field(16, [0.0, 0.0, 0.5, 0.0], "z")

@@ -1,14 +1,19 @@
 import json
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import flow_bytes
-from torusfloer.floer import POLISH_BELOW, constant_start, flow_constants, polish_constants
+from torusfloer import runner
+from torusfloer.floer import POLISH_BELOW, FlowResult, constant_start, flow_constants, polish_constants
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
+    _component_planes,
+    _plane_distance,
+    _record_from_result,
     _solve_seeds,
     dedup,
     detect_continuum,
@@ -19,7 +24,7 @@ from torusfloer.runner import (
     solve_seed,
     verify_count,
 )
-from torusfloer.spectral import constant_field
+from torusfloer.spectral import TorusField, constant_field
 
 FAST_TRIG = dict(
     n_pairs=1,
@@ -121,6 +126,51 @@ def test_quotient_distance_half_period():
     a = constant_field(16, [0.0, 0.0, 0.0, 0.0], "z")
     b = constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z")
     assert quotient_l2_distance(a, b) == pytest.approx(np.pi)
+
+
+def _grid_distance(a, b):
+    """The quotient distance as a formula over the fields' (N, N, 4n) values."""
+    dq = a.q_part() - b.q_part()
+    shift = 2.0 * np.pi * np.round(np.mean(dq, axis=(0, 1)) / (2.0 * np.pi))
+    dq = dq - shift
+    dp = a.p_part() - b.p_part()
+    dist_sq = float(np.mean(np.sum(dq**2, axis=2) + np.sum(dp**2, axis=2)))
+    return float(np.sqrt(max(dist_sq, 0.0)))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 5])  # 2n components below 8, and above
+@pytest.mark.parametrize("n", [16, 32])
+def test_plane_distance_has_the_bits_of_the_grid_formula(rng, n_pairs, n):
+    base = rng.standard_normal((n, n, 4 * n_pairs))
+    fields = []
+    for scale, points in ((0.0, 0), (1e-3, 3), (0.1, 3), (1.0, 3), (0.1, n * n)):
+        # differences on a few points: the sums over components there round the mean
+        noise = rng.standard_normal(base.shape)
+        noise.reshape(n * n, -1)[rng.permutation(n * n)[points:]] = 0.0
+        values = base + scale * noise
+        values[:, :, : 2 * n_pairs] += 2.0 * np.pi * rng.integers(-3, 4, 2 * n_pairs)
+        fields.append(TorusField(values, "z"))
+    pairs = [(a, b) for i, a in enumerate(fields) for b in fields[i + 1 :]]
+    expected = [_grid_distance(a, b) for a, b in pairs]
+    assert 0.0 < max(expected) < 2.0  # every lattice shift is taken out
+    assert [quotient_l2_distance(a, b) for a, b in pairs] == expected
+    assert [_plane_distance(_component_planes(a), _component_planes(b)) for a, b in pairs] == expected
+    records = [_constant_record([0.0, 0.0], index=i) for i in range(len(fields))]
+    for record, z in zip(records, fields):
+        record.field = z
+    assert dedup(records, delta=1e3).diameters == [max(expected)]
+
+
+def test_record_q_mean_has_the_bits_of_the_values_in_every_layout():
+    config = ExperimentConfig(**{**FAST_TRIG, "grid_size": 32})
+    point = np.array([np.pi, np.pi, 0.0, 0.0])
+    grid = np.broadcast_to(point, (32, 32, 4))
+    layouts = [grid.copy(), np.asfortranarray(grid), grid.transpose(2, 0, 1).copy().transpose(1, 2, 0), grid]
+    means = []
+    for values in layouts:
+        result = FlowResult(TorusField(values, "z"), 0.0, 0.0, True, False, "", 0, 0.02, [[0.0] * 5], 0)
+        means.append(_record_from_result(config, config.build_spec(), 0, result).q_mean.tobytes())
+    assert means == [np.mean(grid.copy()[:, :, :2], axis=(0, 1)).tobytes()] * len(layouts)
 
 
 def test_dedup_merges_same_limit():
@@ -274,6 +324,33 @@ def test_multistart_worker_pool_matches_serial():
     assert [r.seed_index for r in parallel.records] == [r.seed_index for r in serial.records]
     assert [r.action for r in parallel.records] == [r.action for r in serial.records]
     assert json.dumps(parallel.to_report_dict()) == json.dumps(serial.to_report_dict())
+
+
+def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
+    """A fork pool starts every worker at its first submit, so jobs beyond the task count cost processes."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    config = ExperimentConfig(**FAST_TRIG)  # one task for the 4 lattice seeds, one per perturbed seed
+    pooled = multistart_solve(config, jobs=8)
+    serial = multistart_solve(config, jobs=1)
+    assert sizes == [3]
+    assert [r.seed_index for r in pooled.records] == [r.seed_index for r in serial.records]
 
 
 def test_verify_count_n2_product_potential():

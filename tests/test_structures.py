@@ -5,12 +5,10 @@ import pytest
 
 from torusfloer.structures import (
     StructureError,
-    antiholomorphic_kernel_residual,
     check_regularized_pair,
     compatible_triple,
     current_check,
     holomorphic_form,
-    holomorphic_rank,
     polysymplectic_pair,
     random_regularized_pair,
     standard_structures,
@@ -149,18 +147,6 @@ def test_holomorphic_form_round_trip(rng):
     r1, r2 = polysymplectic_pair(wc)
     assert np.array_equal(r1, w1)
     assert np.array_equal(r2, w2)
-
-
-def test_holomorphic_form_annihilates_antiholomorphic(rng):
-    t = standard_structures(1)
-    wc = holomorphic_form(t.omega1, t.omega2)
-    assert antiholomorphic_kernel_residual(wc, t.I) < 1e-10
-    assert holomorphic_rank(wc) == 2
-    for n in (1, 2):
-        w1, w2, big_i = random_regularized_pair(rng, n)
-        wc = holomorphic_form(w1, w2)
-        assert antiholomorphic_kernel_residual(wc, big_i) < 1e-10
-        assert holomorphic_rank(wc) == 2 * n
 
 
 def test_holomorphic_form_rejects_non_antisymmetric():
