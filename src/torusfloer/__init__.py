@@ -5,8 +5,8 @@ Submodules
 ----------
 structures    structure matrices, compatible triples, holomorphy checks
 spectral      grids, transforms, derivatives, the first-order operator
-hamiltonians  Hamiltonians with cut-off, actions, Legendre transform
-floer         the gradient flow, switching profiles, energy diagnostics
+hamiltonians  Hamiltonians with cut-off, residuals, Legendre transform
+floer         the action, the gradient flow, switching profiles, energy diagnostics
 symbol        per-frequency symbol of the linearized flow operator
 runner        multistart experiments and solution counting
 fields_io     file formats for fields, matrices, trajectories
@@ -43,7 +43,6 @@ from .structures import (
 from .hamiltonians import (
     HamiltonianSpec,
     LagrangianSpec,
-    action,
     ddw_kernel_witness,
     ddw_residual,
     euler_lagrange_residual,
@@ -56,6 +55,7 @@ from .hamiltonians import (
 )
 from .floer import (
     BetaProfile,
+    action,
     energy,
     energy_density,
     energy_identity_check,

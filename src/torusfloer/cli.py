@@ -34,13 +34,13 @@ from .fields_io import (
 )
 from .floer import (
     DIAGNOSTIC_COLUMNS,
-    BetaProfile,
     FlowError,
     check_step,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,
     run_homotopy,
+    switching_window,
 )
 from .hamiltonians import (
     HamiltonianError,
@@ -202,7 +202,7 @@ def run_structures(args, outdir: Path, checked) -> int:
 
 
 def check_symbol(args, data):
-    if args.m_bound < 1 or args.nmin_m_bound < 1 or not np.isfinite(args.xi_bound):
+    if args.m_bound < 1 or args.nmin_m_bound < 1 or not 0.0 < args.xi_bound < np.inf:
         raise InputError("bounds must be finite and positive")
     try:
         xi_values = [float(x) for x in args.xi.split(",") if x.strip() != ""]
@@ -306,7 +306,7 @@ def check_energy(args, data):
         q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
         starts.append(constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z"))
     args.step_regime = check_step(args.grid, args.ds)
-    BetaProfile(r=args.r, k=2 * spec.n_pairs)  # rejects a non-finite or negative r as run_homotopy does
+    switching_window(spec.n_pairs, args.r, args.ds)  # rejects the r and window run_homotopy rejects
     return spec, starts
 
 

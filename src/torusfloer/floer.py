@@ -68,6 +68,10 @@ RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
 # 1e-3 the state lies about 1e-2 from the critical point the flow is heading for,
 # far inside its basin (the critical points are pi apart).
 POLISH_BELOW = 1e-3
+HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
+# run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
+# max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap
+MAX_HOMOTOPY_STEPS = 10**6
 NEWTON_STEPS = 8  # a polish that is not below tol after this many steps has failed
 NEWTON_FD_STEP = 2.0**-17  # central-difference step of the Jacobian
 # A constant grid holds each seed on this many grid points (see _FlowGrid): with one,
@@ -262,7 +266,7 @@ class _FlowGrid:
     bit-identical to the trailing-component layout.
 
     A constant grid flows B exactly constant states of an autonomous h
-    (`_is_constant`) on their (0, 0) blocks alone, one seed per row: zhat
+    (`constant_start`) on their (0, 0) blocks alone, one seed per row: zhat
     is (B, 1, 4n), the (0, 0) block of each seed's propagator advances it,
     and vals is (B, CONSTANT_ROW, 4n), each seed's value on the first two
     points of a grid row, on which the pointwise functions run.  Two
@@ -282,12 +286,11 @@ class _FlowGrid:
     """
 
     def __init__(self, spec, triple, Z: TorusField):
-        _check_z_field(spec, Z)
-        zhat = _rfft2(Z.values)
-        if _is_constant(spec, zhat):
-            self._setup(spec, triple, Z.grid_size, True, (Z.values[:1, :CONSTANT_ROW], zhat[:1, :1]))
+        start = constant_start(spec, Z)
+        if start is None:
+            self._setup(spec, triple, Z.grid_size, False, (Z.values, _rfft2(Z.values)))
         else:
-            self._setup(spec, triple, Z.grid_size, False, (Z.values, zhat))
+            self._setup(spec, triple, Z.grid_size, True, (start[0][:, :CONSTANT_ROW], start[1]))
 
     @classmethod
     def constants(cls, spec, triple, starts) -> "_FlowGrid":
@@ -299,6 +302,7 @@ class _FlowGrid:
         return grid
 
     def _setup(self, spec, triple, n, constant, start):
+        triple = standard_structures(spec.n_pairs) if triple is None else triple
         self.spec, self.triple, self.n, self.constant = spec, triple, n, constant
         modes = np.s_[:1, :1] if constant else np.s_[:, : n // 2 + 1]
         t1, t2 = grid_points(n)
@@ -448,6 +452,12 @@ class _FlowGrid:
         return TorusField(vals, "z")
 
 
+def action(spec: HamiltonianSpec, Z: TorusField, h_weight: float = 1.0) -> float:
+    """Action integral of Z, unit-mass normalized: mean(<p, 2 d_t q> - H_tilde), as the flow takes it."""
+    grid = _FlowGrid(spec, None, Z)
+    return float(grid.action(*grid.start, h_weight)[0])
+
+
 # ---------------------------------------------------------------------------
 # autonomous flow to a critical point
 
@@ -483,8 +493,9 @@ def flow_to_solution(
     The step is halved, down to DS_MIN, whenever the action increases
     beyond round-off (the autonomous flow is a descent, so a genuine
     increase means the step is too long).  Divergence - max|p|^2 past 2 rho
-    (1e6 without a cut-off), a residual RESIDUAL_BLOWUP times its start
-    scale, or non-finite values - is reported in the result, not raised.
+    (1e6 without a cut-off), a residual that is RESIDUAL_BLOWUP times its
+    start scale or not finite (at the start and at s_max too), or non-finite
+    values - is reported in the result, not raised.
 
     The flow amplifies content at spatial mode m roughly like
     exp(|m| s), so transform round-off seeds the fastest grid modes and
@@ -492,15 +503,12 @@ def flow_to_solution(
     horizons (exactly constant states are immune: they stay constant to
     the last bit).
     """
-    triple = standard_structures(spec.n_pairs) if triple is None else triple
-    grid = _FlowGrid(spec, triple, Z0)
-    return _flow(grid, tol, s_max, ds, check_every)[0]
+    return _flow(_FlowGrid(spec, triple, Z0), tol, s_max, ds, check_every)[0]
 
 
 def flow_constants(
     starts: list,
     spec: HamiltonianSpec,
-    triple: StructureTriple | None = None,
     tol: float = DEFAULT_TOL,
     s_max: float = DEFAULT_S_MAX,
     ds: float = DEFAULT_DS,
@@ -516,9 +524,7 @@ def flow_constants(
     """
     if not starts:
         return []
-    triple = standard_structures(spec.n_pairs) if triple is None else triple
-    grid = _FlowGrid.constants(spec, triple, starts)
-    return _flow(grid, tol, s_max, ds, check_every, stop)
+    return _flow(_FlowGrid.constants(spec, None, starts), tol, s_max, ds, check_every, stop)
 
 
 def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
@@ -548,7 +554,7 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
 
     seeds = np.arange(len(results))
     starts = [(r.Z.values[:1], r.Z.values[:1, :1].astype(complex)) for r in results]
-    grid = _FlowGrid.constants(spec, standard_structures(spec.n_pairs), starts)
+    grid = _FlowGrid.constants(spec, None, starts)
     vals, zhat = grid.start
     z = vals[:, 0]
     residual = grid.residual(vals, zhat)
@@ -634,9 +640,11 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
             n_steps, float(ds[i]), rows[seed], int(n_halvings[i]),
         )
 
-    finished = residual < tol
+    # a start residual that is not finite sets no scale for a blow-up: the seed ends at once
+    finished = (residual < tol) | ~np.isfinite(residual)
     for i in np.flatnonzero(finished):
-        finish(i, grid.field(vals, i), True, False, "initial residual below tol")
+        done = bool(residual[i] < tol)
+        finish(i, grid.field(vals, i), done, not done, "initial residual below tol" if done else "residual blow-up")
     if not 0.0 < s_max:  # no step at all
         for i in np.flatnonzero(~finished):
             finish(i, grid.field(vals, i), False, False, "s_max reached")
@@ -679,7 +687,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
         exits = escaped | ~(s < s_max)
         if n_steps % check_every == 0:
             residual = grid.residual(vals, zhat)
-            exits |= (residual > RESIDUAL_BLOWUP * residual_scale) | (residual < tol)
+            exits |= ~(residual <= RESIDUAL_BLOWUP * residual_scale) | (residual < tol)  # NaN too
             any_exit = exits.any()
         else:  # the residual of a seed changes only at checks, or when it escapes
             any_exit = exits.any()
@@ -691,11 +699,12 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
         for seed, row in zip(seeds.tolist(), new_rows):
             rows[seed].append(row)
         if any_exit:
-            blowup = residual > RESIDUAL_BLOWUP * residual_scale
+            blowup = ~(residual <= RESIDUAL_BLOWUP * residual_scale)
             converged = residual < tol
             at_s_max = exits & ~(escaped | blowup | converged)
             if at_s_max.any():
                 residual = np.where(at_s_max, grid.residual(vals, zhat), residual)
+                blowup |= at_s_max & ~np.isfinite(residual)
             for i in np.flatnonzero(exits):
                 field = grid.field(vals, i)
                 if escaped[i]:
@@ -735,30 +744,35 @@ class FlowTrajectory:
     snapshots: list
 
 
+def switching_window(n_pairs: int, r: float, ds: float) -> tuple:
+    """(profile beta_r with k = 2n, step count) of run_homotopy's window; at most MAX_HOMOTOPY_STEPS."""
+    profile = BetaProfile(r=r, k=2 * n_pairs)
+    n_steps = np.ceil((profile.s_off + HOMOTOPY_PAD - (profile.s_on - HOMOTOPY_PAD)) / ds)
+    if not n_steps <= MAX_HOMOTOPY_STEPS:  # an infinite window too
+        raise FlowError(
+            f"the switching window of r={r} needs {n_steps:.3g} steps of ds={ds}, "
+            f"more than the cap of {MAX_HOMOTOPY_STEPS:.0e}"
+        )
+    return profile, int(n_steps)
+
+
 def run_homotopy(
     Z0: TorusField,
     spec: HamiltonianSpec,
     r: float,
     triple: StructureTriple | None = None,
     ds: float = 5e-3,
-    pad: float = 1.0,
-    k: int | None = None,
-    tol: float = DEFAULT_TOL,
     snapshot_every: int | None = None,
 ) -> FlowTrajectory:
-    """Flow across the full switching window of beta_r, recording diagnostics.
+    """Flow across the full switching window of beta_r (k = 2n), recording diagnostics.
 
-    Integrates from s = -(1 + pad) to (k+1)r + 1 + pad so the profile is
-    identically zero at both ends; end residuals are taken against the
-    plain quadratic Hamiltonian there.
+    Integrates from s = -(1 + HOMOTOPY_PAD) to (k+1)r + 1 + HOMOTOPY_PAD so
+    the profile is identically zero at both ends; end residuals are taken
+    against the plain quadratic Hamiltonian there and count as converged
+    below DEFAULT_TOL.
     """
-    triple = standard_structures(spec.n_pairs) if triple is None else triple
-    k = 2 * spec.n_pairs if k is None else k
-    profile = BetaProfile(r=r, k=k)
-    s_start = profile.s_on - pad
-    s_end = profile.s_off + pad
-    n_steps = int(np.ceil((s_end - s_start) / ds))
-
+    profile, n_steps = switching_window(spec.n_pairs, r, ds)
+    s_start = profile.s_on - HOMOTOPY_PAD
     svals = s_start + np.arange(n_steps + 1) * ds
     act = np.empty(n_steps + 1)
     h_int = np.empty(n_steps + 1)
@@ -796,7 +810,7 @@ def run_homotopy(
         ds=ds,
         profile=profile,
         end_residuals=(res_start, res_end),
-        ends_converged=(res_start < tol, res_end < tol),
+        ends_converged=(res_start < DEFAULT_TOL, res_end < DEFAULT_TOL),
         snapshots=snapshots,
     )
 

@@ -4,11 +4,10 @@ The nonlinearity h(t, q, p) may depend on the base point t of the 2-torus.
 A cut-off radius rho suppresses h where |p|^2 >= rho through a C^1
 smoothstep chi, giving the modified Hamiltonian used by the gradient flow;
 below |p|^2 <= rho - 1 nothing changes.  The module supplies gradients and
-residuals of the first-order system "dirac Z = grad H(Z)", the action
-functional whose L2 gradient that residual is, the oscillation (Hofer)
-norm of the nonlinearity, the scalar first-order system with two momenta
-and its explicit kernel family, and the Legendre bridge to the Lagrangian
-picture.
+the full-FFT residual of the first-order system "dirac Z = grad H(Z)" (its
+action is `floer.action`), the oscillation (Hofer) norm of the nonlinearity,
+the scalar first-order system with two momenta and its explicit kernel
+family, and the Legendre bridge to the Lagrangian picture.
 
 Conventions: a phase-space field Z has layout (q1, q2, p1, p2) with
 n_pairs entries per slot; callables are vectorized with signature
@@ -445,21 +444,6 @@ def hamiltonian_residual(
     _check_z_field(spec, Z)
     out = dirac(Z, triple).values - grad_H(spec, Z, h_weight).values
     return TorusField(out, "z")
-
-
-def kinetic_density(Z: TorusField) -> np.ndarray:
-    """Pointwise pairing <p, v> with v the holomorphic velocity of the q block."""
-    qf = TorusField(Z.q_part(), "q")
-    v = 2.0 * derivative(qf, "dt").values
-    return np.sum(Z.p_part() * v, axis=-1)
-
-
-def action(spec: HamiltonianSpec, Z: TorusField, h_weight: float = 1.0) -> float:
-    """Action integral, unit-mass normalized: mean(<p, v> - H_tilde)."""
-    _check_z_field(spec, Z)
-    t1, t2 = grid_points(Z.grid_size)
-    density = kinetic_density(Z) - hamiltonian_value(spec, t1, t2, Z.values, h_weight)
-    return float(np.mean(density))
 
 
 def action_bound_constants(spec: HamiltonianSpec) -> tuple:

@@ -21,6 +21,7 @@ from .floer import (
     POLISH_BELOW,
     FlowError,
     FlowResult,
+    action,
     check_step,
     constant_start,
     flow_constants,
@@ -29,7 +30,6 @@ from .floer import (
 )
 from .hamiltonians import (
     HamiltonianSpec,
-    action,
     action_bound_constants,
     component_sum,
     hamiltonian_from_config,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from torusfloer.floer import (
+    action,
     constant_start,
     energy_identity_check,
     flow_constants,
@@ -27,7 +28,6 @@ from torusfloer.hamiltonians import (
     euler_lagrange_residual,
     ddw_kernel_witness,
     ddw_residual,
-    action,
     TrigPotential,
 )
 from torusfloer.runner import ExperimentConfig, quotient_l2_distance, seed_field, verify_count

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from torusfloer.cli import build_parser, main
-from torusfloer.floer import flow_constants, flow_to_solution, mu_max, run_homotopy
+from torusfloer.floer import action, flow_constants, flow_to_solution, mu_max, run_homotopy
 from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
@@ -315,6 +315,18 @@ def test_cuplength_invalid_config(tmp_path):
         ]
         for dry in ([], ["--dry-run"])
     ]
+    # a switching window longer than run_homotopy's step cap, and a bound that is not positive
+    + [
+        (argv + dry, None, message)
+        for argv, message in [
+            (["energy", "--r", "1e7"], "more than the cap of 1e+06"),
+            (["energy", "--r", "1e300"], "more than the cap of 1e+06"),
+            (["energy", "--r", "1e308"], "needs inf steps"),
+            (["symbol", "--xi-bound", "0"], "bounds must be finite and positive"),
+            (["symbol", "--xi-bound", "-5"], "bounds must be finite and positive"),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
     # numpy rejects a negative seed with a traceback; the dry run checks it too
     + [
         (argv + ["--rng-seed", seed, *dry], None, "--rng-seed must be an integer >= 0")
@@ -389,12 +401,17 @@ def test_input_error_writes_exit_1_manifest(tmp_path, argv):
     assert manifest["exit_status"] == 1
 
 
-def test_perfbench_tracing_restores_every_wrapped_name():
-    """perfbench/tracing.py wraps program names by getattr: each must exist and come back unwrapped."""
+def _perfbench_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracing_restores_every_wrapped_name():
+    """perfbench/tracing.py wraps program names by getattr: each must exist and come back unwrapped."""
+    tracing = _perfbench_tracing()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
@@ -405,6 +422,26 @@ def test_perfbench_tracing_restores_every_wrapped_name():
     assert wrapped
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original
+
+
+def test_perfbench_tracing_times_a_cuplength_run(tmp_path):
+    """A traced run writes the untraced report and times the record action through runner.action."""
+    tracing = _perfbench_tracing()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid_size": 16, "lattice_per_dim": 2, "random_starts": 1, "s_max": 5.0}))
+    status = run_cli("cuplength", "--config", str(cfg), "--out", str(tmp_path / "plain"))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert run_cli("cuplength", "--config", str(cfg), "--out", str(tmp_path / "traced")) == status
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["runner.build_spec.calls"] >= 1 and metrics["hamiltonians.action.s"] > 0.0
+    records = read_json(tmp_path / "traced" / "report.json")["records"]
+    assert tracer.names.count("hamiltonians.action") == len(records) > 0
+    for name in ("report.json", "summary.csv"):
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_legendre_check(tmp_path):
@@ -465,9 +502,10 @@ def test_knob_census():
         "c3_norm",
     ]
     assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
-    flows = (flow_to_solution, flow_constants, run_homotopy)
+    flows = (flow_to_solution, flow_constants, run_homotopy, action)
     assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {
         "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every"],
-        "flow_constants": ["starts", "spec", "triple", "tol", "s_max", "ds", "check_every", "stop"],
-        "run_homotopy": ["Z0", "spec", "r", "triple", "ds", "pad", "k", "tol", "snapshot_every"],
+        "flow_constants": ["starts", "spec", "tol", "s_max", "ds", "check_every", "stop"],
+        "run_homotopy": ["Z0", "spec", "r", "triple", "ds", "snapshot_every"],
+        "action": ["spec", "Z", "h_weight"],
     }

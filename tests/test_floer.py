@@ -7,6 +7,7 @@ from torusfloer.floer import (
     FlowError,
     _FlowGrid,
     _propagator,
+    action,
     energy,
     energy_density,
     energy_identity_check,
@@ -16,7 +17,6 @@ from torusfloer.floer import (
 )
 from torusfloer.hamiltonians import (
     HamiltonianSpec,
-    action,
     hamiltonian_from_config,
     hamiltonian_residual,
     hofer_norm,
@@ -321,7 +321,7 @@ def test_constant_batch_is_bit_identical_to_flows_alone(monkeypatch, rng):
     for b, a, f in zip(batch, alone, full):
         assert flow_bytes(b) == flow_bytes(f)
         assert b.n_halvings == f.n_halvings
-        # the runner's q_mean depends on the field's memory layout too
+        # every field is stored in C order, batched or not
         assert b.Z.values.strides == a.Z.values.strides
         assert flow_bytes(b) == flow_bytes(a)
 
@@ -388,6 +388,45 @@ def test_constant_start_takes_equal_bytes_only():
     values[5, 7, 2] = -0.0  # equal to 0.0, but not the same bytes
     assert floer.constant_start(spec, TorusField(values, "z")) is None
     assert floer.constant_start(spec, constant_field(24, [1.0, 2.0, 0.0, 0.0], "z")) is None
+
+
+def _constant_rule_fields():
+    z = constant_field(32, [1.0, 2.0, 0.0, 0.0], "z")
+    values = z.values.copy()
+    values[5, 7, 2] = -0.0
+    time_trig = hamiltonian_from_config({"kind": "time_trig", "epsilon": 0.5, "t_mode": [1, 0], "q_mode": [1, 0]})
+    return [
+        (trig_spec(), z),
+        (trig_spec(), TorusField(values, "z")),
+        (trig_spec(), constant_field(24, [1.0, 2.0, 0.0, 0.0], "z")),
+        (time_trig, z),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_flow_grid_takes_the_constant_path_by_the_batch_rule(case):
+    """A single flow and the constant batch agree on which states are constant."""
+    spec, z = _constant_rule_fields()[case]
+    assert _FlowGrid(spec, None, z).constant == (floer.constant_start(spec, z) is not None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_flow_ends_at_once_on_a_start_residual_that_is_not_finite():
+    """At q = (pi, 0) the residual eps sin(pi) of eps = 1e200 overflows to inf: no scale for a blow-up."""
+    spec = hamiltonian_from_config({**TRIG, "epsilon": 1e200})
+    result = flow_to_solution(constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z"), spec, s_max=0.05)
+    assert result.diverged and not result.converged
+    assert (result.reason, result.n_steps, result.residual_norm) == ("residual blow-up", 0, np.inf)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_residual_that_overflows_at_s_max_is_a_blow_up():
+    """No check falls inside the run, so the residual is first taken again at s_max, where it overflows."""
+    spec = hamiltonian_from_config({**TRIG, "epsilon": 1e200})
+    z0 = constant_field(16, [1e-190, 0.0, 0.0, 0.0], "z")
+    result = flow_to_solution(z0, spec, s_max=1e-4, check_every=10**9)
+    assert result.n_steps > 0 and result.diverged and not result.converged
+    assert (result.reason, result.residual_norm) == ("residual blow-up", np.inf)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from torusfloer.floer import action
 from torusfloer.hamiltonians import (
     HamiltonianError,
     HamiltonianSpec,
     LagrangianSpec,
     LegendreError,
     TrigPotential,
-    action,
     action_bound_constants,
     chi_cutoff,
     chi_cutoff_prime,

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusfloer import floer
-from torusfloer.floer import _FlowGrid, _propagator, mu_max
+from torusfloer.floer import _FlowGrid, _propagator, action, mu_max
 from torusfloer.hamiltonians import (
-    action,
     component_sum,
     cutoff_terms,
     grad_h_tilde,
@@ -156,11 +155,29 @@ def test_half_spectrum_step_matches_full_fft_step(z, spec, frac, weight):
     assert np.max(np.abs(new_hat - ref_hat[:, : n // 2 + 1])) <= 1e-12 * scale
 
 
+def _density_action(spec, z, weight):
+    """The action as the grid mean of the density <p, 2 d_t q> - H, over full-grid transforms."""
+    v = 2.0 * derivative(TorusField(z.q_part(), "q"), "dt").values
+    t1, t2 = grid_points(z.grid_size)
+    density = np.sum(z.p_part() * v, axis=-1) - hamiltonian_value(spec, t1, t2, z.values, weight)
+    return float(np.mean(density))
+
+
 @PROPERTY
 @given(z=states(), spec=specs, weight=st.floats(0.0, 1.0))
 def test_parseval_action_matches_grid_action(z, spec, weight):
-    grid = _FlowGrid(spec, TRIPLE, z)
-    assert _close(grid.action(*grid.start, weight), action(spec, z, weight))
+    assert _close(action(spec, z, weight), _density_action(spec, z, weight))
+
+
+@pytest.mark.parametrize("q", [[0.0, 0.0], [0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]])
+def test_action_of_lattice_critical_points_has_the_density_bits(q):
+    """Constant critical points at eps 2.5; at the two saddles H = 0, and the action is zero, sign included."""
+    spec = hamiltonian_from_config({**POTENTIALS[0], "epsilon": 2.5}, rho=4.0)
+    z = constant_field(32, [*q, 0.0, 0.0], "z")
+    value = action(spec, z)
+    assert np.float64(value).tobytes() == np.float64(_density_action(spec, z, 1.0)).tobytes()
+    if (np.cos(q[0]) + np.cos(q[1])) == 0.0:  # H = 0
+        assert value == 0.0
 
 
 @PROPERTY

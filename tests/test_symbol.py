@@ -153,8 +153,9 @@ def test_minimal_N_search():
 
 
 def test_minimal_N_rejects_bad_bounds():
-    with pytest.raises(Exception):
-        minimal_N_search(xi_bound=np.inf, m_bound=3)
+    for xi_bound in (np.inf, 0.0, -5.0):
+        with pytest.raises(Exception):
+            minimal_N_search(xi_bound=xi_bound, m_bound=3)
 
 
 def test_sweep_row_count():
