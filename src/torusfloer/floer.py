@@ -63,11 +63,13 @@ MONOTONE_SLACK = 1e-12
 DS_MIN = 1e-6  # floor of the step halving on a rising action
 RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
 # Constant seeds flow down to this residual, then Newton takes over (`polish_constants`).
-# Near a nondegenerate critical point the residual falls linearly under the flow
-# (about 1,150 steps a decade on the flagship) and quadratically under Newton; at
-# 1e-3 the state lies about 1e-2 from the critical point the flow is heading for,
-# far inside its basin (the critical points are pi apart).
-POLISH_BELOW = 1e-3
+# The level is measured on the flagship: handed over at 1e-2 or 3e-2, every polished
+# seed lands within 1e-7 of the flow's own limit.  At 1e-1 the seed at (2 pi/3, 0)
+# starts below the level, and Newton takes it to the saddle (pi, 0), pi from the
+# flow's limit (0, 0); 1e-2 keeps a factor 10 below that.  A per-seed contraction test
+# (simplified second Newton step at most a tenth of the first) was no safer: it handed
+# a seed over between basins, and Newton took it to (pi, pi), 4.44 from its limit.
+POLISH_BELOW = 1e-2
 HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
 # run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
 # max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap
@@ -417,7 +419,17 @@ class _FlowGrid:
         return np.logical_and.reduce(np.isfinite(self._by_seed(vals)), axis=1)
 
     def action(self, vals, zhat, weight):
-        """Action via Parseval for the kinetic pairing, grid values for H."""
+        """Action via Parseval for the kinetic pairing, grid values for H.
+
+        On a constant grid the pairing is exactly +-0 for a finite state, so
+        the action is -mean(H) wherever that mean is nonzero and finite; the
+        pairing is formed only when some seed's mean is 0 or not finite,
+        where +-0 - mean keeps a sign or NaN bits that -mean would not.
+        """
+        terms = self.terms(vals)
+        mean = self.mean(0.5 * terms.p_sq + weight * terms.h)
+        if self.constant and np.all(np.isfinite(mean) & (mean != 0.0)):
+            return -mean
         n = self.spec.n_pairs
         qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
         pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
@@ -425,8 +437,7 @@ class _FlowGrid:
         vb = self.im1 * qb - self.im2 * qa
         pairing = self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real
         pairing = np.add.reduce(self._by_seed(pairing), axis=1)
-        terms = self.terms(vals)
-        return pairing - self.mean(0.5 * terms.p_sq + weight * terms.h)
+        return pairing - mean
 
     def max_p_sq(self, vals):
         return np.maximum.reduce(self._by_seed(self.terms(vals).p_sq), axis=1)

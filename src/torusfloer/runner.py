@@ -218,12 +218,27 @@ class DivergenceRecord:
     n_halvings: int
 
 
+def _flat(values: np.ndarray) -> bool:
+    """True when sobolev_seminorm of the (N, N, k) values is exactly 0 without a transform.
+
+    That holds when they are the same bytes at every point of a power-of-two
+    grid and their squares are finite: the transform of such a constant is
+    exact, zero off (0, 0) (see floer.constant_start), and the zero weight
+    of (0, 0) times the finite square of the value is 0.
+    """
+    n = values.shape[0]
+    bits = values.view(np.uint64)
+    with np.errstate(over="ignore"):
+        squares = values[0, 0] * values[0, 0]
+    return n & (n - 1) == 0 and bool(np.isfinite(squares).all() and np.all(bits == bits[0, 0]))
+
+
 def _record_from_result(
     config: ExperimentConfig, spec: HamiltonianSpec, index: int, result: FlowResult
 ) -> SolutionRecord:
     z = result.Z
-    seminorm = sobolev_seminorm(z, 1)
-    classification = "constant" if seminorm < 10.0 * config.residual_tol else "nonconstant"
+    flat = _flat(z.values) or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
+    classification = "constant" if flat else "nonconstant"
     q_mean = np.mean(z.q_part(), axis=(0, 1))
     p_norm_sq = float(np.mean(np.sum(z.p_part() ** 2, axis=2)))
     c0, c1 = action_bound_constants(spec)
@@ -262,11 +277,12 @@ def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | Non
     return index, flow_to_solution(seed_field(config, index), spec, **_flow_options(config))
 
 
-def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop):
+def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop, constants=None):
     """Flow the seeds `indices`, building each once; returns ({index: FlowResult}, stopped).
 
     A seed that `constant_start` accepts keeps only its first row; every
-    other seed flows at once.  The constant seeds then flow as one batch
+    other seed flows at once.  constants maps further seed indices to their
+    `constant_start`s, taken by the caller.  The constant seeds then flow as one batch
     (`flow_constants`), each bit-identical to its own flow, but only down
     to the residual POLISH_BELOW; `polish_constants` takes each seed that
     got there on to residual_tol.  A seed whose polish fails flows again
@@ -276,7 +292,7 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
     asked before each seed and between batch steps; once it returns True,
     the seeds not finished are left out and stopped is True.
     """
-    results, constants = {}, {}
+    results, constants = {}, dict(constants or {})
     options = _flow_options(config)
     for idx in indices:
         if stop():
@@ -304,11 +320,12 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
     return results, any(result is None for result in batch)
 
 
-def _solve_seeds_task(config_json: str, indices: list, deadline: float | None):
+def _solve_seeds_task(config_json: str, indices: list, constants: dict, deadline: float | None):
     """_solve_seeds in a worker process; deadline is a time.time() value or None."""
     config = ExperimentConfig.from_dict(json.loads(config_json))
     return _solve_seeds(
-        config, config.build_spec(), indices, lambda: deadline is not None and time.time() > deadline
+        config, config.build_spec(), indices,
+        lambda: deadline is not None and time.time() > deadline, constants,
     )
 
 
@@ -327,8 +344,9 @@ def multistart_solve(
 
     spec defaults to config.build_spec(); worker processes build their own.
     With jobs > 1 each non-constant seed is one pool task and the batch of
-    constant seeds is another.  wall_clock_cap is checked before each seed,
-    between batch steps and after each finished task.
+    constant seeds is another, which receives the seeds' `constant_start`s
+    taken here.  wall_clock_cap is checked before each seed, between batch
+    steps and after each finished task.
     """
     spec = config.build_spec() if spec is None else spec
     records, divergent, unfinished = [], [], []
@@ -342,14 +360,15 @@ def multistart_solve(
     if jobs > 1:
         results, budget_exhausted = {}, False
         deadline = None if cap is None else time.time() + cap
-        constants = [i for i in indices if constant_start(spec, seed_field(config, i)) is not None]
-        tasks = [[i] for i in sorted(set(indices) - set(constants))]
+        starts = {i: constant_start(spec, seed_field(config, i)) for i in indices}
+        tasks = [([i], {}) for i, start in starts.items() if start is None]
+        constants = {i: start for i, start in starts.items() if start is not None}
         if constants:
-            tasks.insert(0, constants)  # the longest task first
+            tasks.insert(0, ([], constants))  # the longest task first
         config_json = json.dumps(asdict(config))
         # a fork pool starts all its workers at the first submit: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
+            futures = [pool.submit(_solve_seeds_task, config_json, *task, deadline) for task in tasks]
             for future in as_completed(futures):
                 part, stopped = future.result()
                 results.update(part)
@@ -383,20 +402,24 @@ def _component_planes(z: TorusField) -> np.ndarray:
     return np.ascontiguousarray(z.values.reshape(-1, z.components).T)
 
 
-def _plane_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """quotient_l2_distance of two fields given as `_component_planes`.
+def _plane_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """quotient_l2_distance of fields given as `_component_planes`, from a to each of b.
 
-    Each sum over components adds whole planes in numpy's order over a
-    C-ordered component axis (`component_sum`), and the mean over points is
-    numpy's pairwise mean, so the result has the bits of the same formula
-    taken over the fields' (N, N, 4n) values.
+    a is one field's (4n, N^2) planes and b one field's or a stack (B, 4n, N^2)
+    of them; the result has b's leading shape.  Each sum over components adds
+    whole planes in numpy's order over a C-ordered component axis
+    (`component_sum`), and each mean over points is numpy's pairwise mean
+    along a contiguous axis, so every distance has the bits of the same
+    formula taken over the two fields' (N, N, 4n) values.
     """
     q = len(a) // 2
-    dq = a[:q] - b[:q]
-    dq -= 2.0 * np.pi * np.round(np.mean(dq, axis=1) / (2.0 * np.pi))[:, None]
-    dp = a[q:] - b[q:]
-    dist_sq = float(np.mean(component_sum((dq * dq).T) + component_sum((dp * dp).T)))
-    return float(np.sqrt(max(dist_sq, 0.0)))
+    dq = a[:q] - b[..., :q, :]
+    dq -= 2.0 * np.pi * np.round(np.mean(dq, axis=-1) / (2.0 * np.pi))[..., None]
+    dq *= dq
+    dp = a[q:] - b[..., q:, :]
+    dp *= dp
+    sq = component_sum(np.swapaxes(dq, -1, -2)) + component_sum(np.swapaxes(dp, -1, -2))
+    return np.sqrt(np.maximum(np.mean(sq, axis=-1), 0.0))
 
 
 def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
@@ -408,7 +431,7 @@ def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
     """
     if a.values.shape != b.values.shape:
         raise ConfigError("cannot compare fields of different shapes")
-    return _plane_distance(_component_planes(a), _component_planes(b))
+    return float(_plane_distance(_component_planes(a), _component_planes(b)))
 
 
 @dataclass
@@ -424,16 +447,25 @@ class DedupResult:
 
 
 def dedup(records: list, delta: float) -> DedupResult:
-    """Single-linkage greedy clustering; representatives take the lowest residual."""
+    """Single-linkage greedy clustering; representatives take the lowest residual.
+
+    Each record's distances to the records after it are taken in one
+    broadcast over their stacked planes (a distance is symmetric to the
+    bit), and the clustering and the diameters read them.
+    """
     if delta <= 0:
         raise ConfigError("dedup delta must be positive")
-    planes = [_component_planes(r.field) for r in records]
+    planes = np.array([_component_planes(r.field) for r in records])
+    dist = np.zeros((len(records), len(records)))
+    for i in range(len(records) - 1):
+        dist[i, i + 1 :] = dist[i + 1 :, i] = _plane_distance(planes[i], planes[i + 1 :])
+    dist = dist.tolist()
     order = sorted(range(len(records)), key=lambda i: records[i].residual)
     clusters: list[list[int]] = []
     for i in order:
         hits = []
         for ci, members in enumerate(clusters):
-            if any(_plane_distance(planes[i], planes[j]) <= delta for j in members):
+            if any(dist[i][j] <= delta for j in members):
                 hits.append(ci)
         if not hits:
             clusters.append([i])
@@ -450,7 +482,7 @@ def dedup(records: list, delta: float) -> DedupResult:
         worst = 0.0
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                worst = max(worst, _plane_distance(planes[members[a]], planes[members[b]]))
+                worst = max(worst, dist[members[a]][members[b]])
         diameters.append(worst)
     return DedupResult(clusters, representatives, diameters, delta)
 

@@ -17,6 +17,7 @@ and omega2 = -omega1(., I.) reads M2 = -M1 I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,13 +83,15 @@ class StructureTriple:
         }
 
 
+@lru_cache(maxsize=16)
 def standard_structures(n: int) -> StructureTriple:
     """Flat Darboux-frame structure on R^(4n) with coordinates (q1, q2, p1, p2).
 
     omega1 = sum dp1^dq1 + dp2^dq2, omega2 = sum dp1^dq2 - dp2^dq1, the
     complex structure is i on the q block and -i on the p block, the metric
     is the identity, and J, K are the standard block matrices.  All entries
-    are integers, so every identity holds exactly.
+    are integers, so every identity holds exactly.  The triple is built once
+    for each n and shared: it is frozen and its arrays are read-only.
     """
     if int(n) != n or n < 1:
         raise StructureError(f"n must be a positive integer, got {n}")

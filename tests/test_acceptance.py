@@ -358,7 +358,13 @@ def test_polished_flagship_limits_match_the_flow(flagship_report):
     worst = 0.0
     for rec, plain in zip(polished, flowed):
         assert rec.residual < 1e-12 and plain.converged
-        # a field's layout decides how its grid means round (q_mean, the action)
+        # every field is stored in C order, so its grid means (q_mean, the action) round alike
         assert rec.field.values.strides == plain.Z.values.strides
         worst = max(worst, quotient_l2_distance(rec.field, plain.Z))
     assert worst < 1e-6
+
+
+def test_polished_flagship_seeds_hand_over_within_2000_steps(flagship_report):
+    """The flow hands each constant seed to Newton at POLISH_BELOW after fewer than 2,000 steps."""
+    polished = [rec for rec in flagship_report.records if "Newton" in rec.reason]
+    assert polished and max(rec.n_steps for rec in polished) < 2000

@@ -560,3 +560,45 @@ def test_two_point_rows_evaluate_like_the_full_grid(k, rho, n, seeds, seed):
                 assert _bits(got[b]) == _bits(want[0, : floer.CONSTANT_ROW])
                 if not spec.time_dependent:  # a constant state of an autonomous h: one value everywhere
                     assert _bits(want) == _bits(np.broadcast_to(want[:1, :1], want.shape))
+
+
+def _pairing_action(grid, vals, zhat, weight):
+    """The action with the Parseval pairing formed, as every grid took it before the constant shortcut."""
+    n = grid.spec.n_pairs
+    qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
+    pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
+    va = grid.im1 * qa + grid.im2 * qb
+    vb = grid.im1 * qb - grid.im2 * qa
+    pairing = grid.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real
+    pairing = np.add.reduce(pairing.reshape(len(pairing), -1), axis=1)
+    terms = grid.terms(vals)
+    return pairing - grid.mean(0.5 * terms.p_sq + weight * terms.h)
+
+
+# lattice points, the saddles (0, pi) and (pi, 0) among them, where h = 0; signed zeros;
+# momenta on and beyond the cut-off ramp, ones whose |p|^2 overflows, and non-finite states
+constant_components = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 1.5, -2.5, 1e155, -1e200]),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    seeds=st.sampled_from([1, 32]),
+    weight=st.sampled_from([0.0, 0.37, 1.0]),
+    n=st.sampled_from([16, 32]),
+    rho=st.sampled_from([4.0, np.inf]),
+    data=st.data(),
+)
+def test_constant_grid_action_has_the_bits_of_the_pairing_formula(seeds, weight, n, rho, data):
+    spec = hamiltonian_from_config({**POTENTIALS[0], "epsilon": 2.5}, rho=rho)
+    point = st.lists(constant_components, min_size=4, max_size=4)
+    z = np.array(data.draw(st.lists(point, min_size=seeds, max_size=seeds)))
+    if data.draw(st.booleans()):  # a saddle with +-0 momenta, so that H = 0 on some seed
+        z[0] = [0.0, np.pi, data.draw(st.sampled_from([0.0, -0.0])), data.draw(st.sampled_from([0.0, -0.0]))]
+    grid = _constant_grid(spec, n, z)
+    vals, zhat = grid.start
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(grid.action(vals, zhat, weight)) == _bits(_pairing_action(grid, vals, zhat, weight))

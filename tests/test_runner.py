@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flow_bytes
 from torusfloer import runner
@@ -12,6 +15,7 @@ from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
     _component_planes,
+    _flat,
     _plane_distance,
     _record_from_result,
     _solve_seeds,
@@ -24,7 +28,7 @@ from torusfloer.runner import (
     solve_seed,
     verify_count,
 )
-from torusfloer.spectral import TorusField, constant_field
+from torusfloer.spectral import TorusField, constant_field, sobolev_seminorm
 
 FAST_TRIG = dict(
     n_pairs=1,
@@ -154,7 +158,15 @@ def test_plane_distance_has_the_bits_of_the_grid_formula(rng, n_pairs, n):
     expected = [_grid_distance(a, b) for a, b in pairs]
     assert 0.0 < max(expected) < 2.0  # every lattice shift is taken out
     assert [quotient_l2_distance(a, b) for a, b in pairs] == expected
-    assert [_plane_distance(_component_planes(a), _component_planes(b)) for a, b in pairs] == expected
+    assert [float(_plane_distance(_component_planes(a), _component_planes(b))) for a, b in pairs] == expected
+    # the batched form dedup takes: one field against the stacked planes of the fields after it,
+    # and the other way round, since dedup fills both halves of its distance matrix from one
+    planes = np.stack([_component_planes(z) for z in fields])
+    batched = [_plane_distance(a, planes[i + 1 :]).tolist() for i, a in enumerate(planes[:-1])]
+    assert [d for row in batched for d in row] == expected
+    count = len(planes)
+    mirrored = [_plane_distance(planes[j], planes[:j])[i] for i in range(count) for j in range(i + 1, count)]
+    assert [float(d) for d in mirrored] == expected
     records = [_constant_record([0.0, 0.0], index=i) for i in range(len(fields))]
     for record, z in zip(records, fields):
         record.field = z
@@ -171,6 +183,50 @@ def test_record_q_mean_has_the_bits_of_the_values_in_every_layout():
         result = FlowResult(TorusField(values, "z"), 0.0, 0.0, True, False, "", 0, 0.02, [[0.0] * 5], 0)
         means.append(_record_from_result(config, config.build_spec(), 0, result).q_mean.tobytes())
     assert means == [np.mean(grid.copy()[:, :, :2], axis=(0, 1)).tobytes()] * len(layouts)
+
+
+components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 5e-324, 1.3e154, 1.4e154, 1e300]),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    point=st.lists(components, min_size=4, max_size=4),
+    tol=st.sampled_from([1e-8, 1e-300]),
+)
+def test_flat_constants_classify_as_their_seminorm_does(n, point, tol):
+    """An equal-bytes constant of a power-of-two grid has seminorm exactly 0 unless its squares overflow."""
+    z = TorusField(np.broadcast_to(point, (n, n, 4)), "z")
+    with np.errstate(over="ignore", invalid="ignore"):
+        seminorm = sobolev_seminorm(z, 1)
+        squares_finite = bool(np.all(np.isfinite(np.square(point))))
+    assert _flat(z.values) == squares_finite
+    if _flat(z.values):  # the shortcut: "constant" for every positive tolerance
+        assert seminorm == 0.0 and seminorm < 10.0 * tol
+
+
+def test_flat_shortcut_leaves_other_fields_to_the_transform(monkeypatch):
+    point = np.array([np.pi, -0.0, 0.0, 1.0])
+    assert not _flat(np.broadcast_to(point, (24, 24, 4)).copy())  # N = 24: the transform rounds
+    nan = np.broadcast_to(point, (16, 16, 4)).copy()
+    nan[..., 2] = np.nan
+    assert not _flat(nan)
+    mixed = np.broadcast_to(point, (16, 16, 4)).copy()
+    mixed[3, 5, 1] = 0.0  # +0.0 at one point, -0.0 at the others
+    assert not _flat(mixed)
+
+    config = ExperimentConfig(**FAST_TRIG)
+    seminorms = []
+    monkeypatch.setattr(
+        runner, "sobolev_seminorm", lambda z, k: seminorms.append(z.grid_size) or sobolev_seminorm(z, k)
+    )
+    for n, expected in ((16, "constant"), (24, "constant")):
+        result = FlowResult(constant_field(n, point, "z"), 0.0, 0.0, True, False, "", 0, 0.02, [[0.0] * 5], 0)
+        assert _record_from_result(config, config.build_spec(), 0, result).classification == expected
+    assert seminorms == [24]  # the power-of-two constant took no transform
 
 
 def test_dedup_merges_same_limit():
@@ -345,9 +401,14 @@ def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
             future.set_result(fn(*args))
             return future
 
+    built = Counter()
+    seed_field = runner.seed_field
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(runner, "seed_field", lambda config, i: built.update([i]) or seed_field(config, i))
     config = ExperimentConfig(**FAST_TRIG)  # one task for the 4 lattice seeds, one per perturbed seed
     pooled = multistart_solve(config, jobs=8)
+    # the batch task receives the starts taken to classify its seeds; a perturbed seed is built again to flow
+    assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2})
     serial = multistart_solve(config, jobs=1)
     assert sizes == [3]
     assert [r.seed_index for r in pooled.records] == [r.seed_index for r in serial.records]

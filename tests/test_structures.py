@@ -41,6 +41,16 @@ def test_standard_structures_identities_exact(n):
     assert np.array_equal(t.omega2, -t.omega1 @ t.I)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_standard_structures_are_built_once_and_read_only(n):
+    """Every flow grid shares the one triple of its n, so no caller may write to it."""
+    t = standard_structures(n)
+    assert standard_structures(n) is t
+    with pytest.raises(ValueError, match="read-only"):
+        t.J[0, 0] = 5.0
+    assert np.array_equal(t.J @ t.J, -np.eye(4 * n))
+
+
 def test_standard_structures_rejects_bad_n():
     with pytest.raises(StructureError):
         standard_structures(0)
