@@ -62,14 +62,19 @@ DEFAULT_S_MAX = 1e3
 MONOTONE_SLACK = 1e-12
 DS_MIN = 1e-6  # floor of the step halving on a rising action
 RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
-# Constant seeds flow down to this residual, then Newton takes over (`polish_constants`).
-# The level is measured on the flagship: handed over at 1e-2 or 3e-2, every polished
-# seed lands within 1e-7 of the flow's own limit.  At 1e-1 the seed at (2 pi/3, 0)
-# starts below the level, and Newton takes it to the saddle (pi, 0), pi from the
-# flow's limit (0, 0); 1e-2 keeps a factor 10 below that.  A per-seed contraction test
+# Constant seeds flow down to the residual `polish_level`, POLISH_FRACTION of the
+# largest residual of a constant state, then Newton takes over (`polish_constants`).
+# The residual of a constant (q, 0) is |grad h(q)|, so for every multiple epsilon h
+# the level marks the same neighbourhood of the critical points.  The fraction is
+# measured on the flagship's 6 x 6 lattice at epsilon 0.01, 0.1 and 1: handed over at
+# 0.07, 0.21, 0.35 or 0.5, every polished seed lands on the critical point that the
+# plain flow converges to.  At 0.71 a seed at (2 pi/3, 0) or (4 pi/3, 0), whose start
+# residual is 0.61 of the largest, is handed over at once, and Newton takes it to the
+# saddle (pi, 0), pi from the flow's limit (0, 0).  A per-seed contraction test
 # (simplified second Newton step at most a tenth of the first) was no safer: it handed
 # a seed over between basins, and Newton took it to (pi, pi), 4.44 from its limit.
-POLISH_BELOW = 1e-2
+POLISH_FRACTION = 0.07
+POLISH_SAMPLES = 1024  # constant states sampled for the largest residual
 HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
 # run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
 # max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap
@@ -187,41 +192,37 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.nd
     return np.linalg.inv(np.eye(dim) + ds * lin)
 
 
-def _is_constant(spec: HamiltonianSpec, zhat: np.ndarray) -> bool:
-    """True when the flow of zhat may be advanced on its (0, 0) block alone.
+def exact_constant(values: np.ndarray) -> bool:
+    """True when the grid transforms of the (N, N, k) values are exact, without taking one.
 
-    That holds for an exactly constant state (every other coefficient is
-    zero) of an autonomous h on a power-of-two grid.  There the transforms
-    of a constant field are exact: zero off (0, 0) and the value itself at
-    (0, 0), so the state stays constant to the last bit.  On other grids
-    (N = 12, 24, 48, ...) the (0, 0) coefficient of a constant is rounded.
+    That holds when they are the same bytes at every point of a power-of-two
+    grid and their squares are finite: rfft2 is then the values themselves
+    at (0, 0) and zero elsewhere, to the last bit and signed zeros included,
+    and no sum of the transform, nor a square of a mode, overflows.  On
+    other grids (N = 12, 24, 48, ...) the (0, 0) coefficient of a constant
+    is rounded.  `constant_start` and the classification of a record
+    (`runner`) rest on it.
     """
-    n = zhat.shape[0]
-    return (
-        not spec.time_dependent
-        and n & (n - 1) == 0
-        and not np.any(zhat[1:])
-        and not np.any(zhat[0, 1:])
-    )
+    n = values.shape[0]
+    bits = values.view(np.uint64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = values[0, 0] * values[0, 0]
+    return n & (n - 1) == 0 and bool(np.isfinite(squares).all() and np.all(bits == bits[0, 0]))
 
 
 def constant_start(spec: HamiltonianSpec, Z: TorusField):
     """(row, coefficient) of Z when its flow runs on the (0, 0) block alone, else None.
 
-    Z qualifies when it holds the same bytes at every grid point, so that it
-    is its first row repeated, and its modes pass `_is_constant`.  row is
-    the (1, N, 4n) first grid row and coefficient the (1, 1, 4n) (0, 0)
-    mode; `flow_constants` flows a list of them.  Only a field with equal
-    values is transformed.
+    That holds for an `exact_constant` state of an autonomous h: its other
+    coefficients are zero and stay zero, so the state stays constant to the
+    last bit.  row is the (1, N, 4n) first grid row and coefficient the
+    (1, 1, 4n) (0, 0) mode, the value itself; `flow_constants` flows a list
+    of them.
     """
     _check_z_field(spec, Z)
-    bits = Z.values.view(np.uint64)
-    if spec.time_dependent or not np.all(bits == bits[0, 0]):
+    if spec.time_dependent or not exact_constant(Z.values):
         return None
-    zhat = _rfft2(Z.values)
-    if not _is_constant(spec, zhat):
-        return None
-    return Z.values[:1].copy(), zhat[:1, :1].copy()
+    return Z.values[:1].copy(), Z.values[:1, :1].astype(complex)
 
 
 def _planes(x):
@@ -536,6 +537,19 @@ def flow_constants(
     if not starts:
         return []
     return _flow(_FlowGrid.constants(spec, None, starts), tol, s_max, ds, check_every, stop)
+
+
+def polish_level(spec: HamiltonianSpec) -> float:
+    """The residual at which constant seeds are handed to Newton: see POLISH_FRACTION.
+
+    The largest residual of a constant state is taken over POLISH_SAMPLES
+    states (q, 0) with q uniform on the base torus, from a fixed generator,
+    so the level is a property of h alone and scales with it.
+    """
+    q = np.random.default_rng(99).uniform(0.0, 2.0 * np.pi, size=(POLISH_SAMPLES, 2 * spec.n_pairs))
+    z = np.concatenate([q, np.zeros_like(q)], axis=1)
+    grad = grad_H_values(spec, cutoff_terms(spec, 0.0, 0.0, z).grad, z)
+    return POLISH_FRACTION * float(np.sqrt(np.max(component_sum(grad * grad))))
 
 
 def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:

@@ -18,15 +18,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .floer import (
-    POLISH_BELOW,
     FlowError,
     FlowResult,
     action,
     check_step,
     constant_start,
+    exact_constant,
     flow_constants,
     flow_to_solution,
     polish_constants,
+    polish_level,
 )
 from .hamiltonians import (
     HamiltonianSpec,
@@ -218,26 +219,12 @@ class DivergenceRecord:
     n_halvings: int
 
 
-def _flat(values: np.ndarray) -> bool:
-    """True when sobolev_seminorm of the (N, N, k) values is exactly 0 without a transform.
-
-    That holds when they are the same bytes at every point of a power-of-two
-    grid and their squares are finite: the transform of such a constant is
-    exact, zero off (0, 0) (see floer.constant_start), and the zero weight
-    of (0, 0) times the finite square of the value is 0.
-    """
-    n = values.shape[0]
-    bits = values.view(np.uint64)
-    with np.errstate(over="ignore"):
-        squares = values[0, 0] * values[0, 0]
-    return n & (n - 1) == 0 and bool(np.isfinite(squares).all() and np.all(bits == bits[0, 0]))
-
-
 def _record_from_result(
     config: ExperimentConfig, spec: HamiltonianSpec, index: int, result: FlowResult
 ) -> SolutionRecord:
     z = result.Z
-    flat = _flat(z.values) or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
+    # the seminorm of an exact constant is exactly 0: its transform is zero off (0, 0)
+    flat = exact_constant(z.values) or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
     classification = "constant" if flat else "nonconstant"
     q_mean = np.mean(z.q_part(), axis=(0, 1))
     p_norm_sq = float(np.mean(np.sum(z.p_part() ** 2, axis=2)))
@@ -277,28 +264,35 @@ def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | Non
     return index, flow_to_solution(seed_field(config, index), spec, **_flow_options(config))
 
 
-def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop, constants=None):
-    """Flow the seeds `indices`, building each once; returns ({index: FlowResult}, stopped).
+def _built_seed(config: ExperimentConfig, spec: HamiltonianSpec, index: int):
+    """(field, None) for a seed that flows alone, (None, start) for one `constant_start` accepts."""
+    z0 = seed_field(config, index)
+    start = constant_start(spec, z0)
+    return (z0, None) if start is None else (None, start)
 
-    A seed that `constant_start` accepts keeps only its first row; every
-    other seed flows at once.  constants maps further seed indices to their
-    `constant_start`s, taken by the caller.  The constant seeds then flow as one batch
-    (`flow_constants`), each bit-identical to its own flow, but only down
-    to the residual POLISH_BELOW; `polish_constants` takes each seed that
-    got there on to residual_tol.  A seed whose polish fails flows again
-    from its start to residual_tol, so its result is the plain flow's.
-    Seeds that start below residual_tol, and seeds that diverge or stop
-    before POLISH_BELOW, get the plain flow's result as well.  stop() is
-    asked before each seed and between batch steps; once it returns True,
-    the seeds not finished are left out and stopped is True.
+
+def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, seeds: dict, stop):
+    """Flow the seeds, each built once; returns ({index: FlowResult}, stopped).
+
+    seeds maps each seed index to its `_built_seed` pair, or to None for a
+    seed to be built here when its turn comes.  A seed that `constant_start`
+    accepts keeps only its first row; every other seed flows at once.  The
+    constant seeds then flow as one batch (`flow_constants`), each
+    bit-identical to its own flow, but only down to the residual
+    `polish_level`; `polish_constants` takes each seed that got there on to
+    residual_tol.  A seed whose polish fails flows again from its start to
+    residual_tol, so its result is the plain flow's.  Seeds that start below
+    residual_tol, and seeds that diverge or stop before `polish_level`, get
+    the plain flow's result as well.  stop() is asked before each seed and
+    between batch steps; once it returns True, the seeds not finished are
+    left out and stopped is True.
     """
-    results, constants = {}, dict(constants or {})
+    results, constants = {}, {}
     options = _flow_options(config)
-    for idx in indices:
+    for idx, built in seeds.items():
         if stop():
             return results, True
-        z0 = seed_field(config, idx)
-        start = constant_start(spec, z0)
+        z0, start = _built_seed(config, spec, idx) if built is None else built
         if start is None:
             results[idx] = flow_to_solution(z0, spec, **options)
         else:
@@ -309,7 +303,7 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop,
         return results, True
     starts = list(constants.values())
     tol = options["tol"]
-    batch = flow_constants(starts, spec, stop=stop, **{**options, "tol": max(tol, POLISH_BELOW)})
+    batch = flow_constants(starts, spec, stop=stop, **{**options, "tol": max(tol, polish_level(spec))})
     handed = [i for i, r in enumerate(batch) if r is not None and r.converged and not r.residual_norm < tol]
     for i, result in zip(handed, polish_constants([batch[i] for i in handed], spec, tol)):
         batch[i] = result
@@ -320,12 +314,11 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop,
     return results, any(result is None for result in batch)
 
 
-def _solve_seeds_task(config_json: str, indices: list, constants: dict, deadline: float | None):
+def _solve_seeds_task(config_json: str, seeds: dict, deadline: float | None):
     """_solve_seeds in a worker process; deadline is a time.time() value or None."""
     config = ExperimentConfig.from_dict(json.loads(config_json))
     return _solve_seeds(
-        config, config.build_spec(), indices,
-        lambda: deadline is not None and time.time() > deadline, constants,
+        config, config.build_spec(), seeds, lambda: deadline is not None and time.time() > deadline
     )
 
 
@@ -343,10 +336,10 @@ def multistart_solve(
     """Run every seed; converged limits become records, the rest are reported.
 
     spec defaults to config.build_spec(); worker processes build their own.
-    With jobs > 1 each non-constant seed is one pool task and the batch of
-    constant seeds is another, which receives the seeds' `constant_start`s
-    taken here.  wall_clock_cap is checked before each seed, between batch
-    steps and after each finished task.
+    With jobs > 1 every seed is built here, each non-constant seed is one
+    pool task with its field and the batch of constant seeds is another with
+    their `constant_start`s.  wall_clock_cap is checked before each seed,
+    between batch steps and after each finished task.
     """
     spec = config.build_spec() if spec is None else spec
     records, divergent, unfinished = [], [], []
@@ -360,15 +353,15 @@ def multistart_solve(
     if jobs > 1:
         results, budget_exhausted = {}, False
         deadline = None if cap is None else time.time() + cap
-        starts = {i: constant_start(spec, seed_field(config, i)) for i in indices}
-        tasks = [([i], {}) for i, start in starts.items() if start is None]
-        constants = {i: start for i, start in starts.items() if start is not None}
+        built = {i: _built_seed(config, spec, i) for i in indices}
+        tasks = [{i: pair} for i, pair in built.items() if pair[1] is None]
+        constants = {i: pair for i, pair in built.items() if pair[1] is not None}
         if constants:
-            tasks.insert(0, ([], constants))  # the longest task first
+            tasks.insert(0, constants)  # the longest task first
         config_json = json.dumps(asdict(config))
         # a fork pool starts all its workers at the first submit: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_solve_seeds_task, config_json, *task, deadline) for task in tasks]
+            futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
             for future in as_completed(futures):
                 part, stopped = future.result()
                 results.update(part)
@@ -378,7 +371,7 @@ def multistart_solve(
                         pending.cancel()
                     break
     else:
-        results, budget_exhausted = _solve_seeds(config, spec, indices, over_budget)
+        results, budget_exhausted = _solve_seeds(config, spec, dict.fromkeys(indices), over_budget)
 
     for idx in sorted(results):
         result = results[idx]
@@ -455,18 +448,18 @@ def dedup(records: list, delta: float) -> DedupResult:
     """
     if delta <= 0:
         raise ConfigError("dedup delta must be positive")
-    planes = np.array([_component_planes(r.field) for r in records])
     dist = np.zeros((len(records), len(records)))
-    for i in range(len(records) - 1):
-        dist[i, i + 1 :] = dist[i + 1 :, i] = _plane_distance(planes[i], planes[i + 1 :])
-    dist = dist.tolist()
+    if records:
+        n, _, k = records[0].field.values.shape
+        planes = np.empty((len(records), k, n * n))  # `_component_planes` of each record
+        for plane, r in zip(planes, records):
+            plane[...] = r.field.values.reshape(-1, k).T
+        for i in range(len(records) - 1):
+            dist[i, i + 1 :] = dist[i + 1 :, i] = _plane_distance(planes[i], planes[i + 1 :])
     order = sorted(range(len(records)), key=lambda i: records[i].residual)
     clusters: list[list[int]] = []
     for i in order:
-        hits = []
-        for ci, members in enumerate(clusters):
-            if any(dist[i][j] <= delta for j in members):
-                hits.append(ci)
+        hits = [ci for ci, members in enumerate(clusters) if np.any(dist[i, members] <= delta)]
         if not hits:
             clusters.append([i])
         else:
@@ -477,13 +470,8 @@ def dedup(records: list, delta: float) -> DedupResult:
     representatives = [
         min(members, key=lambda i: records[i].residual) for members in clusters
     ]
-    diameters = []
-    for members in clusters:
-        worst = 0.0
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                worst = max(worst, dist[members[a]][members[b]])
-        diameters.append(worst)
+    # the largest distance within each cluster; a NaN distance is passed over
+    diameters = [float(np.fmax.reduce(dist[np.ix_(m, m)], axis=None, initial=0.0)) for m in clusters]
     return DedupResult(clusters, representatives, diameters, delta)
 
 

@@ -241,11 +241,11 @@ def test_flow_converges_to_potential_critical_point():
 
 
 def _full_grid_only(monkeypatch):
-    monkeypatch.setattr(floer, "_is_constant", lambda spec, zhat: False)
+    monkeypatch.setattr(floer, "exact_constant", lambda values: False)
 
 
 def _takes_constant_path(spec, z):
-    return floer._is_constant(spec, mode_transform(z).coeffs)
+    return floer.constant_start(spec, z) is not None
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,7 @@ def test_constant_critical_point_is_fixed_point_of_full_grid_step(n, spec, q, fr
     for spec, point in ((ZERO, q), (spec, [0.0, 0.0])):
         for n_grid in (n, 1 << (n.bit_length() - 1)):
             z = constant_field(n_grid, [*point, 0.0, 0.0], "z")
-            with mock.patch.object(floer, "_is_constant", lambda spec, zhat: False):
+            with mock.patch.object(floer, "exact_constant", lambda values: False):
                 grid = _FlowGrid(spec, TRIPLE, z)
             assert not grid.constant
             ds = np.full(1, frac / mu_max(n_grid))
@@ -125,6 +125,35 @@ def test_constant_critical_point_is_fixed_point_of_full_grid_step(n, spec, q, fr
                 assert grid.residual(vals1, zhat1)[0] == 0.0
             scale = max(1.0, np.max(np.abs(vals)))
             assert max(np.max(np.abs(vals1 - vals)), np.max(np.abs(vals2 - vals))) <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    log_n=st.integers(3, 7),
+    point=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1.3e154, -1.4e154, 1e300]),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_exact_constants_have_the_transform_they_claim(log_n, point):
+    """rfft2 of an exact constant is its value at (0, 0), bytes and signed zeros included, and 0 elsewhere.
+
+    constant_start takes the value as the (0, 0) mode without a transform.
+    """
+    n = 1 << log_n
+    values = np.broadcast_to(np.asarray(point), (n, n, 4)).copy()
+    with np.errstate(over="ignore"):
+        assert floer.exact_constant(values) == bool(np.all(np.isfinite(np.square(point))))
+    if floer.exact_constant(values):
+        zhat = floer._rfft2(values)
+        assert not np.any(zhat[1:]) and not np.any(zhat[0, 1:])
+        row, coefficient = floer.constant_start(ZERO, TorusField(values, "z"))
+        assert coefficient.tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
+        assert row.tobytes() == values[:1].tobytes()
 
 
 def _close(value, ref, tol=1e-12):

@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 
 from conftest import flow_bytes
 from torusfloer import runner
-from torusfloer.floer import POLISH_BELOW, FlowResult, constant_start, flow_constants, polish_constants
+from torusfloer.floer import (
+    FlowResult,
+    constant_start,
+    exact_constant,
+    flow_constants,
+    POLISH_FRACTION,
+    polish_constants,
+    polish_level,
+)
+from torusfloer.hamiltonians import hamiltonian_from_config
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
     _component_planes,
-    _flat,
     _plane_distance,
     _record_from_result,
     _solve_seeds,
@@ -203,20 +211,20 @@ def test_flat_constants_classify_as_their_seminorm_does(n, point, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         seminorm = sobolev_seminorm(z, 1)
         squares_finite = bool(np.all(np.isfinite(np.square(point))))
-    assert _flat(z.values) == squares_finite
-    if _flat(z.values):  # the shortcut: "constant" for every positive tolerance
+    assert exact_constant(z.values) == squares_finite
+    if exact_constant(z.values):  # the shortcut: "constant" for every positive tolerance
         assert seminorm == 0.0 and seminorm < 10.0 * tol
 
 
 def test_flat_shortcut_leaves_other_fields_to_the_transform(monkeypatch):
     point = np.array([np.pi, -0.0, 0.0, 1.0])
-    assert not _flat(np.broadcast_to(point, (24, 24, 4)).copy())  # N = 24: the transform rounds
+    assert not exact_constant(np.broadcast_to(point, (24, 24, 4)).copy())  # N = 24: the transform rounds
     nan = np.broadcast_to(point, (16, 16, 4)).copy()
     nan[..., 2] = np.nan
-    assert not _flat(nan)
+    assert not exact_constant(nan)
     mixed = np.broadcast_to(point, (16, 16, 4)).copy()
     mixed[3, 5, 1] = 0.0  # +0.0 at one point, -0.0 at the others
-    assert not _flat(mixed)
+    assert not exact_constant(mixed)
 
     config = ExperimentConfig(**FAST_TRIG)
     seminorms = []
@@ -291,11 +299,11 @@ def test_failed_polish_falls_back_to_the_plain_flow():
     spec = config.build_spec()
     starts = [constant_start(spec, seed_field(config, i)) for i in range(config.n_seeds)]
     options = dict(s_max=config.s_max, ds=config.ds, check_every=config.check_every)
-    handed = flow_constants(starts, spec, tol=POLISH_BELOW, **options)
+    handed = flow_constants(starts, spec, tol=polish_level(spec), **options)
     polish = [r for r in handed if not r.residual_norm < config.residual_tol]
     assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8
 
-    results, stopped = _solve_seeds(config, spec, range(config.n_seeds), lambda: False)
+    results, stopped = _solve_seeds(config, spec, dict.fromkeys(range(config.n_seeds)), lambda: False)
     plain = flow_constants(starts, spec, tol=config.residual_tol, **options)
     assert not stopped and sorted(results) == list(range(config.n_seeds))
     assert sum(r.reason == "initial residual below tol" for r in plain) == 8
@@ -303,6 +311,37 @@ def test_failed_polish_falls_back_to_the_plain_flow():
         assert expected.converged
         assert flow_bytes(results[i]) == flow_bytes(expected)
         assert results[i].Z.values.strides == expected.Z.values.strides
+
+
+def test_polish_level_scales_with_the_potential():
+    """The handover level is a fixed fraction of the largest residual of a constant, |grad h|."""
+    def spec(epsilon):
+        return hamiltonian_from_config({"kind": "trig_potential", "epsilon": epsilon, "modes": [[1, 0], [0, 1]]})
+
+    levels = [polish_level(spec(eps)) for eps in (0.01, 0.1, 2.5)]
+    assert levels[0] > 0.0 and levels == pytest.approx([levels[0], 10.0 * levels[0], 250.0 * levels[0]], rel=1e-12)
+    # sup |grad h| = sqrt(2) epsilon at (pi/2, pi/2), nearly reached by the samples
+    assert levels[1] == pytest.approx(POLISH_FRACTION * np.sqrt(2.0) * 0.1, rel=1e-3)
+    assert polish_level(hamiltonian_from_config({"kind": "zero", "n_pairs": 1})) == 0.0
+
+
+def test_a_small_potential_hands_over_no_nearer_its_saddle():
+    """At epsilon 0.01 the seed (2 pi/3, 0) starts at residual 0.0087, below an absolute 1e-2.
+
+    Handed to Newton there, it would be polished onto the saddle (pi, 0); the
+    flow takes it to (0, 0), and so must the polish.
+    """
+    potential = {"kind": "trig_potential", "epsilon": 0.01, "modes": [[1, 0], [0, 1]]}
+    config = ExperimentConfig(
+        **{**FAST_TRIG, "potential": potential, "lattice_per_dim": 6, "random_starts": 0, "s_max": 400.0, "ds": 0.08}
+    )
+    spec = config.build_spec()
+    assert np.array_equal(seed_field(config, 2).values[0, 0], [2 * np.pi / 3, 0.0, 0.0, 0.0])
+    results, stopped = _solve_seeds(config, spec, {2: None}, lambda: False)
+    result = results[2]
+    assert not stopped and result.converged and "Newton" in result.reason
+    assert result.residual_norm < config.residual_tol
+    assert np.max(np.abs(np.mod(result.Z.values[0, 0, :2] + np.pi, 2 * np.pi) - np.pi)) < 1e-12
 
 
 def test_multistart_and_count_trig():
@@ -407,8 +446,8 @@ def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
     monkeypatch.setattr(runner, "seed_field", lambda config, i: built.update([i]) or seed_field(config, i))
     config = ExperimentConfig(**FAST_TRIG)  # one task for the 4 lattice seeds, one per perturbed seed
     pooled = multistart_solve(config, jobs=8)
-    # the batch task receives the starts taken to classify its seeds; a perturbed seed is built again to flow
-    assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2})
+    # every task receives the seeds built to classify them: no seed is built twice
+    assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
     serial = multistart_solve(config, jobs=1)
     assert sizes == [3]
     assert [r.seed_index for r in pooled.records] == [r.seed_index for r in serial.records]
