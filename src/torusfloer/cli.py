@@ -297,9 +297,10 @@ def check_energy(args, data):
         base = Path(args.load)
         try:
             return spec, [load_trajectory(d) for d in sorted(base.glob("trajectory_*")) or [base]]
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # TypeError: a JSON value of the wrong shape
             raise InputError(f"cannot load stored trajectory: {exc}") from None
     _at_least("--trajectories", args.trajectories, 1)
+    check_grid_size(args.grid)
     rng = np.random.default_rng(args.rng_seed)
     starts = []
     for _ in range(args.trajectories):

@@ -119,6 +119,11 @@ def load_trajectory(outdir):
 
     outdir = Path(outdir)
     manifest = json.loads((outdir / "trajectory.json").read_text())
+    ds, r, k = manifest["ds"], manifest["r"], manifest["k"]
+    if type(ds) not in (int, float) or not 0.0 < ds < np.inf or type(r) not in (int, float) or type(k) is not int:
+        raise ValueError(
+            f"trajectory.json needs a positive finite ds, a number r and an integer k, got {ds!r}, {r!r}, {k!r}"
+        )
     s, act, h_int, max_p_sq, vsq = [], [], [], [], []
     with (outdir / "diagnostics.csv").open() as handle:
         for row in csv.DictReader(handle):
@@ -137,8 +142,8 @@ def load_trajectory(outdir):
         h_int=np.asarray(h_int),
         max_p_sq=np.asarray(max_p_sq),
         vsq=np.asarray(vsq),
-        ds=manifest["ds"],
-        profile=BetaProfile(r=manifest["r"], k=manifest["k"]),
+        ds=ds,
+        profile=BetaProfile(r=r, k=k),
         end_residuals=tuple(manifest["end_residuals"]),
         ends_converged=tuple(manifest["ends_converged"]),
         snapshots=snapshots,

@@ -211,18 +211,22 @@ def exact_constant(values: np.ndarray) -> bool:
 
 
 def constant_start(spec: HamiltonianSpec, Z: TorusField):
-    """(row, coefficient) of Z when its flow runs on the (0, 0) block alone, else None.
+    """The (1, N, 4n) first grid row of Z when its flow runs on the (0, 0) block alone, else None.
 
     That holds for an `exact_constant` state of an autonomous h: its other
     coefficients are zero and stay zero, so the state stays constant to the
-    last bit.  row is the (1, N, 4n) first grid row and coefficient the
-    (1, 1, 4n) (0, 0) mode, the value itself; `flow_constants` flows a list
-    of them.
+    last bit, and its (0, 0) mode is its value (`_constant_state`).
+    `flow_constants` flows a list of such rows.
     """
     _check_z_field(spec, Z)
     if spec.time_dependent or not exact_constant(Z.values):
         return None
-    return Z.values[:1].copy(), Z.values[:1, :1].astype(complex)
+    return Z.values[:1].copy()
+
+
+def _constant_state(z):
+    """Constant-grid (vals, zhat) of constant states z, one (4n,) row per seed: CONSTANT_ROW points, (0, 0) mode."""
+    return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None].astype(complex)
 
 
 def _planes(x):
@@ -289,19 +293,15 @@ class _FlowGrid:
     """
 
     def __init__(self, spec, triple, Z: TorusField):
-        start = constant_start(spec, Z)
-        if start is None:
-            self._setup(spec, triple, Z.grid_size, False, (Z.values, _rfft2(Z.values)))
-        else:
-            self._setup(spec, triple, Z.grid_size, True, (start[0][:, :CONSTANT_ROW], start[1]))
+        row = constant_start(spec, Z)
+        start = (Z.values, _rfft2(Z.values)) if row is None else _constant_state(row[:, 0])
+        self._setup(spec, triple, Z.grid_size, row is not None, start)
 
     @classmethod
-    def constants(cls, spec, triple, starts) -> "_FlowGrid":
-        """The constant grid of `starts`, one (row, coefficient) pair per seed from `constant_start`."""
+    def constants(cls, spec, triple, n: int, z) -> "_FlowGrid":
+        """The constant grid of the constant states z of an N x N grid, one (4n,) row per seed."""
         grid = cls.__new__(cls)
-        rows, coefs = zip(*starts)
-        start = (np.concatenate([row[:, :CONSTANT_ROW] for row in rows]), np.concatenate(coefs))
-        grid._setup(spec, triple, rows[0].shape[1], True, start)
+        grid._setup(spec, triple, n, True, _constant_state(z))
         return grid
 
     def _setup(self, spec, triple, n, constant, start):
@@ -447,15 +447,19 @@ class _FlowGrid:
         """Grid mean of the cut-off nonlinearity h_tilde."""
         return self.mean(self.terms(vals).h)
 
+    def residual_map(self, vals, zhat, h_weight: float = 1.0):
+        """F(Z) = dirac(Z) - grad H(Z) on the grid, dirac from the modes; -grad H, negated, on a constant grid."""
+        grad = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
+        if self.constant:
+            return np.negative(grad, out=grad)
+        # C-ordered modes: a matrix product rounds by layout (_BuiltIn._q)
+        zhat = np.ascontiguousarray(zhat)
+        dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
+        return _irfft2(dhat, self.n) - grad
+
     def residual(self, vals, zhat, h_weight: float = 1.0):
-        """L2 norm of the system residual dirac(Z) - grad H(Z), dirac taken from the modes."""
-        res = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
-        if not self.constant:  # dirac of a constant field is exactly zero
-            # C-ordered modes: a matrix product rounds by layout (TrigPotential._phases)
-            zhat = np.ascontiguousarray(zhat)
-            dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
-            res = _irfft2(dhat, self.n) - res
-        return np.sqrt(np.maximum(self.mean_sq(res), 0.0))
+        """L2 norm of the system residual F(Z) (`residual_map`)."""
+        return np.sqrt(np.maximum(self.mean_sq(self.residual_map(vals, zhat, h_weight)), 0.0))
 
     def field(self, vals, seed: int = 0) -> TorusField:
         """The field of one seed in state vals; a constant seed's holds its value on every point."""
@@ -529,14 +533,15 @@ def flow_constants(
 ) -> list:
     """Flow exactly constant seeds as one batch, each as `flow_to_solution` flows it alone.
 
-    starts holds a (row, coefficient) pair per seed from `constant_start`.
+    starts holds the first grid row of each seed from `constant_start`.
     Returns one FlowResult per seed, in order, bit-identical to
     flow_to_solution of the seed's field.  stop, a callable, is asked
     between steps; once it returns True the seeds still running get None.
     """
     if not starts:
         return []
-    return _flow(_FlowGrid.constants(spec, None, starts), tol, s_max, ds, check_every, stop)
+    grid = _FlowGrid.constants(spec, None, starts[0].shape[1], np.concatenate([row[:, 0] for row in starts]))
+    return _flow(grid, tol, s_max, ds, check_every, stop)
 
 
 def polish_level(spec: HamiltonianSpec) -> float:
@@ -557,11 +562,11 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
 
     results holds FlowResults of constant states, such as the converged
     results of `flow_constants` at a looser tolerance.  A constant state z
-    solves the system when F(z) = grad H(z) vanishes, so each Newton step
-    is one dim x dim solve per seed.  The Jacobian of F is the central
-    difference of the spec's own gradient (one `cutoff_terms` call for
-    every seed and probe), so any autonomous h qualifies, and the residual
-    is the constant grid's, the flow's own.  A seed takes steps while each
+    solves the system when the constant grid's residual map F(z) = -grad H(z)
+    vanishes, so each Newton step is one dim x dim solve per seed.  Its
+    Jacobian is the central difference of F, taken on the same grid at every
+    seed's probes z +- step e_c, so any autonomous h qualifies, and the
+    residual is the constant grid's, the flow's own.  A seed takes steps while each
     lowers its residual and moves its state by more than round-off, and
     keeps the last such state, usually at round-off level.  It fails, and
     gets None, when its residual stops falling (a singular or non-finite
@@ -573,27 +578,23 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
     if not results:
         return []
     polished = [None] * len(results)
-
-    def state(z):
-        return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None].astype(complex)
-
     seeds = np.arange(len(results))
-    starts = [(r.Z.values[:1], r.Z.values[:1, :1].astype(complex)) for r in results]
-    grid = _FlowGrid.constants(spec, None, starts)
+    dim = spec.dim
+    grid = _FlowGrid.constants(spec, None, results[0].Z.grid_size, np.stack([r.Z.values[0, 0] for r in results]))
     vals, zhat = grid.start
     z = vals[:, 0]
     residual = grid.residual(vals, zhat)
-    t = grid.t1[:, :1]  # h is autonomous: one point stands for all
-    probes = NEWTON_FD_STEP * np.stack([np.eye(spec.dim), -np.eye(spec.dim)])  # (2, k, dim)
+    probes = NEWTON_FD_STEP * np.stack([np.eye(dim), -np.eye(dim)])  # (2, k, dim)
     for n_newton in range(NEWTON_STEPS + 1):
         falls = np.zeros(len(z), dtype=bool)
         if n_newton < NEWTON_STEPS:
-            f = grad_H_values(spec, grid.terms(vals).grad, vals)[:, 0]
-            zp = z[:, None, None] + probes
-            fp = grad_H_values(spec, cutoff_terms(spec, t, t, zp).grad, zp)  # (B, 2, k, dim)
-            jac = np.swapaxes(fp[:, 0] - fp[:, 1], 1, 2) / (2.0 * NEWTON_FD_STEP)
-            new_z = z + _solve_each(jac, -f)
-            new_vals, new_hat = state(new_z)
+            f = grid.residual_map(vals, zhat)[:, 0]
+            fp = grid.residual_map(*_constant_state((z[:, None, None] + probes).reshape(-1, dim)))
+            fp = fp[:, 0].reshape(len(z), 2, dim, dim)
+            # F(z - step) - F(z + step) has the bits of grad H(z + step) - grad H(z - step)
+            jac = np.swapaxes(fp[:, 1] - fp[:, 0], 1, 2) / (2.0 * NEWTON_FD_STEP)
+            new_z = z + _solve_each(jac, f)
+            new_vals, new_hat = _constant_state(new_z)
             new_residual = grid.residual(new_vals, new_hat)
             # a step counts if it lowers the residual and moves the state by more than round-off
             round_off = np.finfo(float).eps * np.fmax(1.0, np.max(np.abs(z), axis=1))

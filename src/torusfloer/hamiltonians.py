@@ -30,6 +30,7 @@ from .spectral import (
     dirac,
     grid_points,
 )
+from .structures import central_difference
 
 DEFAULT_GRAD_CHECK_TOL = 1e-6
 
@@ -117,7 +118,25 @@ def _finite_c3(c3_norm: float) -> float:
     return c3_norm
 
 
-class ZeroNonlinearity:
+class _BuiltIn:
+    """value, grad and value_and_grad from the one evaluate(t1, t2, z, with_grad) -> (h, grad h or None)."""
+
+    def _q(self, z):
+        # A matrix product rounds by the memory order of its operands (BLAS
+        # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
+        return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs])
+
+    def value(self, t1, t2, z):
+        return self.evaluate(t1, t2, z, False)[0]
+
+    def grad(self, t1, t2, z):
+        return self.evaluate(t1, t2, z, True)[1]
+
+    def value_and_grad(self, t1, t2, z):
+        return self.evaluate(t1, t2, z, True)
+
+
+class ZeroNonlinearity(_BuiltIn):
     """h identically zero."""
 
     def __init__(self, n_pairs: int):
@@ -127,21 +146,13 @@ class ZeroNonlinearity:
         self.c3_norm = 0.0
         self.time_dependent = False
 
-    def value(self, t1, t2, z):
+    def evaluate(self, t1, t2, z, with_grad):
         z = np.asarray(z, dtype=float)
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return np.zeros(shape)
-
-    def grad(self, t1, t2, z):
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return np.zeros_like(z, shape=shape + (z.shape[-1],))
-
-    def value_and_grad(self, t1, t2, z):
-        return self.value(t1, t2, z), self.grad(t1, t2, z)
+        return np.zeros(shape), (np.zeros_like(z, shape=shape + (z.shape[-1],)) if with_grad else None)
 
 
-class TrigPotential:
+class TrigPotential(_BuiltIn):
     """h(q) = epsilon * sum_a cos(a . q) over integer frequency vectors a."""
 
     def __init__(self, epsilon: float, modes):
@@ -157,32 +168,18 @@ class TrigPotential:
         self.c3_norm = _finite_c3(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
         self.time_dependent = False
 
-    def _phases(self, z):
-        # A matrix product rounds by the memory order of its operands (BLAS
-        # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
-        return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]) @ self.modes.T
-
-    def _value_of(self, cos_phases):
-        return self.epsilon * component_sum(cos_phases)
-
-    def _grad_of(self, z, phases):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        out[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(phases) @ self.modes)
-        return out
-
-    def value(self, t1, t2, z):
-        return self._value_of(np.cos(self._phases(z)))  # the phases are freed before the sum
-
-    def grad(self, t1, t2, z):
-        return self._grad_of(z, self._phases(z))
-
-    def value_and_grad(self, t1, t2, z):
-        phases = self._phases(z)
-        return self._value_of(np.cos(phases)), self._grad_of(z, phases)
+    def evaluate(self, t1, t2, z, with_grad):
+        phases = self._q(z) @ self.modes.T
+        grad = None
+        if with_grad:
+            grad = np.zeros_like(np.asarray(z, dtype=float))
+            grad[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(phases) @ self.modes)
+        cos_phases = np.cos(phases)
+        del phases  # freed before the sum, which holds its partial sums
+        return self.epsilon * component_sum(cos_phases), grad
 
 
-class TimeTrigPotential:
+class TimeTrigPotential(_BuiltIn):
     """h(t, q) = epsilon * cos(w . t) * cos(a . q); oscillates in torus time."""
 
     def __init__(self, epsilon: float, t_mode, q_mode):
@@ -200,30 +197,16 @@ class TimeTrigPotential:
         self.c3_norm = _finite_c3(abs(self.epsilon) * max(1.0, qn) ** 3)
         self.time_dependent = True
 
-    def _parts(self, t1, t2, z):
-        """The time factor cos(w . t) and the phase a . q of a C-ordered q, as in TrigPotential._phases."""
+    def evaluate(self, t1, t2, z, with_grad):
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
-        return tfactor, np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs]) @ self.q_mode
-
-    def _value_of(self, tfactor, phase):
-        return self.epsilon * tfactor * np.cos(phase)
-
-    def _grad_of(self, t1, t2, z, tfactor, phase):
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
-        out = np.zeros_like(z, shape=shape)
-        out[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode
-        return out
-
-    def value(self, t1, t2, z):
-        return self._value_of(*self._parts(t1, t2, z))
-
-    def grad(self, t1, t2, z):
-        return self._grad_of(t1, t2, z, *self._parts(t1, t2, z))
-
-    def value_and_grad(self, t1, t2, z):
-        parts = self._parts(t1, t2, z)
-        return self._value_of(*parts), self._grad_of(t1, t2, z, *parts)
+        phase = self._q(z) @ self.q_mode
+        grad = None
+        if with_grad:
+            z = np.asarray(z, dtype=float)
+            shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
+            grad = np.zeros_like(z, shape=shape)
+            grad[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode
+        return self.epsilon * tfactor * np.cos(phase), grad
 
 
 NONLINEARITY_KINDS = ("zero", "trig_potential", "time_trig")
@@ -310,12 +293,7 @@ class HamiltonianSpec:
                     raise HamiltonianError(
                         "h depends on the torus time; declare time_dependent=True"
                     )
-            fd = np.zeros(self.dim)
-            for c in range(self.dim):
-                zp, zm = z.copy(), z.copy()
-                zp[c] += step
-                zm[c] -= step
-                fd[c] = (float(self.h(t1, t2, zp)) - float(self.h(t1, t2, zm))) / (2 * step)
+            fd = central_difference(lambda zz: self.h(t1, t2, zz), z, step)
             err = np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(grad))))
             if err > tol:
                 raise HamiltonianError(
@@ -341,10 +319,6 @@ def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
 # pointwise cut-off evaluations ------------------------------------------------
 
 
-def _p_norm_sq(spec: HamiltonianSpec, z: np.ndarray) -> np.ndarray:
-    return component_sum(z[..., 2 * spec.n_pairs :] ** 2)
-
-
 class CutoffTerms(NamedTuple):
     """Pointwise |p|^2, h_tilde = chi(|p|^2) h, grad h_tilde (or None) and whether its p part is +0.0."""
 
@@ -354,9 +328,6 @@ class CutoffTerms(NamedTuple):
     p_grad_zero: bool = False
 
 
-_BUILT_IN = (ZeroNonlinearity, TrigPotential, TimeTrigPotential)
-
-
 def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> CutoffTerms:
     """Evaluate |p|^2, chi, h, grad h and chi' once and combine them.
 
@@ -364,19 +335,19 @@ def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> Cu
     evaluation; the flow reuses it for the step, the action, max|p|^2,
     h_int and the residual of a state.
 
-    A spec of one built-in potential (h of q alone) gets h and grad h from one
-    value_and_grad call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
+    A spec of one built-in potential gets h and grad h from one `evaluate`
+    call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
     chi' +0.0, chi * x has the bits of x, and (+0.0) h p added to the +0.0 p
     gradient leaves +0.0 while h is finite, so both are skipped.
     """
     z = np.asarray(z, dtype=float)
-    psq = _p_norm_sq(spec, z)
+    psq = component_sum(z[..., 2 * spec.n_pairs :] ** 2)
     pot = getattr(spec.h, "__self__", None)
-    built_in = isinstance(pot, _BUILT_IN) and (spec.h, spec.grad_h) == (pot.value, pot.grad)
+    built_in = isinstance(pot, _BuiltIn) and (spec.h, spec.grad_h) == (pot.value, pot.grad)
     identity = built_in and (np.isinf(spec.rho) or np.max(psq, initial=-np.inf) <= spec.rho - 1.0)
     chi = None if identity else chi_cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
-    if with_grad and built_in:
-        hval, grad = pot.value_and_grad(t1, t2, z)
+    if built_in:
+        hval, grad = pot.evaluate(t1, t2, z, with_grad)
     else:
         hval = spec.h(t1, t2, z)
         grad = spec.grad_h(t1, t2, z) if with_grad else None
@@ -608,23 +579,11 @@ class LagrangianSpec:
     def base_dim(self) -> int:
         return 2 * self.n_pairs
 
-    def _fd_v_hess(self, t1, t2, q, v, step: float = 1e-5) -> np.ndarray:
-        dim = self.base_dim
-        hess = np.zeros((dim, dim))
-        for c in range(dim):
-            vp, vm = v.copy(), v.copy()
-            vp[c] += step
-            vm[c] -= step
-            hess[:, c] = (
-                np.asarray(self.v_grad(t1, t2, q, vp), dtype=float)
-                - np.asarray(self.v_grad(t1, t2, q, vm), dtype=float)
-            ) / (2 * step)
-        return 0.5 * (hess + hess.T)
-
     def fiber_hessian(self, t1, t2, q, v) -> np.ndarray:
         if self.v_hess is not None:
             return np.asarray(self.v_hess(t1, t2, q, v), dtype=float)
-        return self._fd_v_hess(t1, t2, q, np.asarray(v, dtype=float))
+        hess = central_difference(lambda vv: self.v_grad(t1, t2, q, vv), v, 1e-5)
+        return 0.5 * (hess + hess.T)
 
     def _spot_check_convexity(self):
         rng = np.random.default_rng(4321)
@@ -658,11 +617,13 @@ def legendre_transform(
         return p - np.asarray(L.v_grad(t1, t2, q, vv), dtype=float)
 
     g = residual(v)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         gn = float(np.max(np.abs(g)))
         if gn < grad_tol:
             value = float(np.dot(p, v) - float(L.lagrangian(t1, t2, q, v)))
             return LegendreResult(value, v, it)
+        if it == max_iter:
+            break
         hess = L.fiber_hessian(t1, t2, q, v)
         try:
             step = np.linalg.solve(hess, g)
@@ -678,9 +639,6 @@ def legendre_transform(
             raise LegendreError("line search failed", iterate=v)
         v = v + alpha * step
         g = g_new
-    if float(np.max(np.abs(g))) < grad_tol:
-        value = float(np.dot(p, v) - float(L.lagrangian(t1, t2, q, v)))
-        return LegendreResult(value, v, max_iter)
     raise LegendreError(f"no convergence in {max_iter} iterations", iterate=v)
 
 
@@ -704,16 +662,7 @@ def euler_lagrange_residual(L: LagrangianSpec, q_field: TorusField) -> TorusFiel
     if L.q_grad is not None:
         lq = np.asarray(L.q_grad(t1, t2, q, v), dtype=float)
     else:
-        step = 1e-6
-        lq = np.zeros_like(q)
-        for c in range(L.base_dim):
-            qp, qm = q.copy(), q.copy()
-            qp[:, :, c] += step
-            qm[:, :, c] -= step
-            lq[:, :, c] = (
-                np.asarray(L.lagrangian(t1, t2, qp, v), dtype=float)
-                - np.asarray(L.lagrangian(t1, t2, qm, v), dtype=float)
-            ) / (2 * step)
+        lq = central_difference(lambda qq: L.lagrangian(t1, t2, qq, v), q, 1e-6)
     lv = TorusField(np.asarray(L.v_grad(t1, t2, q, v), dtype=float), "q")
     d1lv = derivative(lv, "d1").values
     d2lv = derivative(lv, "d2").values

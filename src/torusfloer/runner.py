@@ -36,7 +36,11 @@ from .hamiltonians import (
     hamiltonian_from_config,
     nonlinearity_from_config,
 )
-from .spectral import TorusField, constant_field, random_band_limited, sobolev_seminorm
+from .spectral import FieldError, TorusField, check_grid_size, constant_field, random_band_limited, sobolev_seminorm
+
+# The records keep one float64 field per converged seed: n_seeds * N^2 * 4n values
+# are capped at 2^28, 2 GiB (65,536 seeds at N = 32, n = 1; 64 at N = 1024).
+MAX_SEED_VALUES = 2**28
 
 
 class ConfigError(ValueError):
@@ -74,6 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (
             ("n_pairs", 1),
+            ("grid_size", 8),
             ("lattice_per_dim", 1),
             ("random_starts", 0),
             ("perturbation_band", 0),
@@ -83,8 +88,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_integer(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not _is_integer(self.grid_size) or self.grid_size % 2 or self.grid_size < 8:
-            raise ConfigError(f"grid size must be even and >= 8, got {self.grid_size!r}")
         if self.perturbation_band >= self.grid_size // 2:
             raise ConfigError(
                 f"perturbation_band must stay below the Nyquist band N/2 = {self.grid_size // 2}, "
@@ -109,9 +112,13 @@ class ExperimentConfig:
         if not _is_real(self.ds):
             raise ConfigError(f"ds must be a number, got {self.ds!r}")
         try:
+            check_grid_size(self.grid_size)
             check_step(self.grid_size, self.ds)
-        except FlowError as exc:
+        except (FieldError, FlowError) as exc:
             raise ConfigError(str(exc)) from None
+        cap = MAX_SEED_VALUES // (self.grid_size**2 * 4 * self.n_pairs)
+        if self.n_seeds > cap:
+            raise ConfigError(f"n_seeds must be at most {cap} at grid size {self.grid_size} (2 GiB of fields)")
         pot = nonlinearity_from_config(self.potential)
         if pot.n_pairs != self.n_pairs:
             raise ConfigError(

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PERIOD = 2.0 * np.pi
+# The grid cap keeps one flow's arrays in memory: at N = 1024 the (4, 4, N, N/2 + 1)
+# propagator of n = 1 takes 134 MB and one complex (N, N, 4) field 67 MB.
+MAX_GRID = 1024
 
 #: component conventions; "z" is (q1, q2, p1, p2) with n entries per slot,
 #: "q" is (q1, q2), "ddw" is (q, p1, p2) for scalar first-order systems.
@@ -39,8 +42,11 @@ def _check_grid(values: np.ndarray) -> None:
 
 
 def check_grid_size(n: int) -> None:
+    """Raise FieldError unless 8 <= N <= MAX_GRID and N is even; checked before any grid array exists."""
     if n % 2 != 0 or n < 8:
         raise FieldError(f"grid size must be even and >= 8, got {n}")
+    if n > MAX_GRID:
+        raise FieldError(f"grid size {n} exceeds the cap of {MAX_GRID}: a flow's arrays grow as N^2")
 
 
 def _check_layout(layout: str, components: int) -> None:

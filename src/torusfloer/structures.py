@@ -294,6 +294,21 @@ def random_regularized_pair(rng: np.random.Generator, n: int, cond: float = 2.0)
     return wc.real.copy(), wc.imag.copy(), ii
 
 
+def central_difference(f, x, step: float) -> np.ndarray:
+    """(f(x + step e_c) - f(x - step e_c)) / (2 step), stacked over the components c of x's last axis.
+
+    Each side moves a copy of x; for a vector f the result is its Jacobian, one column per c.
+    """
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for c in range(x.shape[-1]):
+        plus, minus = x.copy(), x.copy()
+        plus[..., c] += step
+        minus[..., c] -= step
+        columns.append(np.asarray(f(plus), dtype=float) - np.asarray(f(minus), dtype=float))
+    return np.stack(columns, axis=-1) / (2 * step)
+
+
 @dataclass(frozen=True)
 class CurrentSample:
     """One evaluation point of a candidate current F: R^(4n) -> R^2."""
@@ -327,20 +342,6 @@ class CurrentReport:
     tol: float
 
 
-def _fd_jacobian(f, point: np.ndarray, step: float) -> np.ndarray:
-    dim = point.shape[0]
-    jac = np.zeros((2, dim))
-    for c in range(dim):
-        plus = np.array(point)
-        minus = np.array(point)
-        plus[c] += step
-        minus[c] -= step
-        jac[:, c] = (np.asarray(f(plus), dtype=float) - np.asarray(f(minus), dtype=float)) / (
-            2.0 * step
-        )
-    return jac
-
-
 def current_check(f, points, step: float = 1e-5, tol: float = 1e-6) -> CurrentReport:
     """Decide whether F = (F1, F2) is a current, i.e. holomorphic in the chart.
 
@@ -367,7 +368,7 @@ def current_check(f, points, step: float = 1e-5, tol: float = 1e-6) -> CurrentRe
     samples = []
     max_res = 0.0
     for point in pts:
-        jac = _fd_jacobian(f, point, step)
+        jac = central_difference(f, point, step)
         samples.append(CurrentSample(point, np.asarray(f(point), dtype=float), jac))
         for j in range(n):
             q1, q2, p1, p2 = j, n + j, 2 * n + j, 3 * n + j

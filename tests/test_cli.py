@@ -17,6 +17,9 @@ from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
 
 
+FLAGSHIP = json.loads((Path(__file__).resolve().parents[1] / "configs" / "trig_n1.json").read_text())
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -129,6 +132,37 @@ def test_energy_command(tmp_path):
     assert [r["energy"] for r in report2["trajectories"]] == pytest.approx(
         [r["energy"] for r in report["trajectories"]]
     )
+
+
+@pytest.fixture(scope="module")
+def saved_trajectory(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved") / "energy"
+    argv = ["--trajectories", "1", "--grid", "16", "--ds", "0.01", "--r", "0.2", "--save-trajectories"]
+    assert run_cli("energy", *argv, "--out", str(out)) == 0
+    return out / "trajectory_000"
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize(
+    "key, value",
+    [("r", "0.2"), ("k", "2"), ("ds", "0.01"), ("ds", None), ("ds", 0.0), ("snapshots", [5]), (None, [])],
+)
+def test_energy_load_rejects_a_malformed_trajectory(tmp_path, capsys, saved_trajectory, key, value, dry):
+    """A stored r, k or ds of the wrong type or range, or a manifest of the wrong shape, exits 1 with one line."""
+    stored = tmp_path / "stored"
+    stored.mkdir()
+    for path in saved_trajectory.iterdir():
+        (stored / path.name).write_bytes(path.read_bytes())
+    manifest = read_json(stored / "trajectory.json")
+    if key is None:
+        manifest = value
+    else:
+        manifest[key] = value
+    (stored / "trajectory.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("energy", "--load", str(stored), "--out", str(tmp_path / "out"), *dry) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot load stored trajectory" in err
 
 
 def test_cuplength_command_and_determinism(tmp_path):
@@ -372,6 +406,24 @@ def test_cuplength_invalid_config(tmp_path):
             None,
             "--check-every must be an integer >= 1",
         )
+    ]
+    # a grid or a seed count past its cap is rejected before any array is allocated
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (["flow", "--grid", "100000"], None, "grid size 100000 exceeds the cap of 1024"),
+            (["flow"], {"grid_size": 2048}, "grid size 2048 exceeds the cap of 1024"),
+            (["energy", "--grid", "100000"], None, "grid size 100000 exceeds the cap of 1024"),
+            (["ddw-demo", "--grid", "100000"], None, "grid size 100000 exceeds the cap of 1024"),
+            (["cuplength"], {**FLAGSHIP, "grid_size": 100000}, "grid size 100000 exceeds the cap of 1024"),
+            (["cuplength"], {**FLAGSHIP, "lattice_per_dim": 100000}, "n_seeds must be at most 65536 at grid size 32"),
+            (
+                ["cuplength"],
+                {**FLAGSHIP, "grid_size": 1024, "ds": 0.001, "lattice_per_dim": 8},
+                "n_seeds must be at most 64 at grid size 1024",
+            ),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):

@@ -151,7 +151,8 @@ def test_exact_constants_have_the_transform_they_claim(log_n, point):
     if floer.exact_constant(values):
         zhat = floer._rfft2(values)
         assert not np.any(zhat[1:]) and not np.any(zhat[0, 1:])
-        row, coefficient = floer.constant_start(ZERO, TorusField(values, "z"))
+        z = TorusField(values, "z")
+        row, coefficient = floer.constant_start(ZERO, z), _FlowGrid(ZERO, None, z).start[1]
         assert coefficient.tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
         assert row.tobytes() == values[:1].tobytes()
 
@@ -537,8 +538,7 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
 
 def _constant_grid(spec, n, z):
     """The constant grid of an N grid holding the constant states z, one (4n,) row of z per seed."""
-    starts = [(np.broadcast_to(v, (1, n, len(v))), v[None, None].astype(complex)) for v in z]
-    return _FlowGrid.constants(spec, standard_structures(spec.n_pairs), starts)
+    return _FlowGrid.constants(spec, standard_structures(spec.n_pairs), n, z)
 
 
 grid_means = st.one_of(
