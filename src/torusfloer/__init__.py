@@ -66,8 +66,6 @@ from .floer import (
 from .symbol import (
     MIN_MODE_SQ_THRESHOLD,
     minimal_N_search,
-    symbol_det,
-    symbol_eigs,
     symbol_matrix,
     symbol_report,
 )

@@ -54,7 +54,7 @@ from .hamiltonians import (
     ddw_kernel_witness,
     ddw_residual,
 )
-from .runner import ConfigError, ExperimentConfig, seed_kind, verify_count
+from .runner import ConfigError, ExperimentConfig, check_keys, seed_kind, verify_count
 from .spectral import (
     FieldError,
     check_grid_size,
@@ -245,6 +245,7 @@ def check_flow(args, data):
         else:
             potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
         data = {"potential": potential, "rho": args.rho}
+    check_keys(data, ("potential", "rho", "grid_size"))
     spec = hamiltonian_from_config(
         data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf)
     )
@@ -291,6 +292,7 @@ def check_energy(args, data):
     _at_least("--rng-seed", args.rng_seed, 0)
     potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
     if data is not None:
+        check_keys(data, ("potential",))
         potential = data.get("potential", potential)
     spec = hamiltonian_from_config(potential, rho=args.rho)
     if args.load is not None:
@@ -506,8 +508,15 @@ def run_ddw(args, outdir: Path, checked) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 with one line, not argparse's 2 and usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="torusfloer", description=__doc__)
+    parser = _Parser(prog="torusfloer", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -175,20 +175,16 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.nd
     """Inverse per-mode matrices (Id + ds * (i(m1 J + m2 K) - P))^(-1) of the grid modes `modes`.
 
     modes is an index of the (N, N) mode grid, such as the half spectrum
-    np.s_[:, : N // 2 + 1]; each matrix is inverted alone, so a subset gives
-    the same bits as the full grid.
+    np.s_[:, : N // 2 + 1], and only its modes are built; each matrix is
+    inverted alone, so a subset gives the same bits as the full grid.
     """
     check_step(n_grid, ds)
     dim = triple.dim
-    m1, m2 = derivative_numbers(n_grid)
+    m1, m2 = derivative_numbers(n_grid, modes)
     proj = np.zeros((dim, dim))
     half = dim // 2
     proj[half:, half:] = np.eye(half)
-    lin = (
-        1j * m1[modes][:, :, None, None] * triple.J
-        + 1j * m2[modes][:, :, None, None] * triple.K
-        - proj
-    )
+    lin = 1j * m1[:, :, None, None] * triple.J + 1j * m2[:, :, None, None] * triple.K - proj
     return np.linalg.inv(np.eye(dim) + ds * lin)
 
 
@@ -308,12 +304,11 @@ class _FlowGrid:
         triple = standard_structures(spec.n_pairs) if triple is None else triple
         self.spec, self.triple, self.n, self.constant = spec, triple, n, constant
         modes = np.s_[:1, :1] if constant else np.s_[:, : n // 2 + 1]
-        t1, t2 = grid_points(n)
-        m1, m2 = derivative_numbers(n)
-        self.t1, self.t2 = (t1[:1, :CONSTANT_ROW], t2[:1, :CONSTANT_ROW]) if constant else (t1, t2)
+        self.t1, self.t2 = grid_points(n, np.s_[:1, :CONSTANT_ROW] if constant else np.s_[:, :])
+        m1, m2 = derivative_numbers(n, modes)
         self.modes = modes
-        self.im1 = (1j * m1[modes])[:, :, None]
-        self.im2 = (1j * m2[modes])[:, :, None]
+        self.im1 = (1j * m1)[:, :, None]
+        self.im2 = (1j * m2)[:, :, None]
         # Parseval: each interior column of the half spectrum stands for m and -m
         cols = np.arange(self.im1.shape[1])
         self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]

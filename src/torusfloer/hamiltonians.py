@@ -268,7 +268,7 @@ class HamiltonianSpec:
     def __post_init__(self, check_gradient):
         if self.n_pairs < 1:
             raise HamiltonianError("n_pairs must be positive")
-        if not (isinstance(self.rho, numbers.Real) and self.rho > 0):
+        if not (isinstance(self.rho, numbers.Real) and not isinstance(self.rho, bool) and self.rho > 0):
             raise HamiltonianError(f"cut-off radius must be a positive number, got {self.rho!r}")
         if check_gradient:
             self._validate_gradient()

@@ -9,11 +9,10 @@ shifts by 2*pi lattice vectors) and counted against the 2n+1 lower bound.
 
 from __future__ import annotations
 
-import json
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -133,24 +132,27 @@ class ExperimentConfig:
     def n_seeds(self) -> int:
         return self.n_lattice_seeds + self.random_starts
 
-    def resolved_rho(self) -> float:
-        """Configured rho, or 4 plus the a-priori |p|^2 level of the action bound."""
-        if self.rho is not None:
-            return float(self.rho)
-        spec = hamiltonian_from_config(self.potential)
-        c0, c1 = action_bound_constants(spec)
-        return 4.0 + c1 / c0
-
     def build_spec(self) -> HamiltonianSpec:
-        return hamiltonian_from_config(self.potential, rho=self.resolved_rho())
+        """The run's spec, its gradient checked once; rho defaults to 4 plus the action bound's |p|^2 level."""
+        spec = hamiltonian_from_config(self.potential)
+        if self.rho is not None:
+            rho = float(self.rho)
+        else:
+            c0, c1 = action_bound_constants(spec)
+            rho = 4.0 + c1 / c0
+        return replace(spec, rho=rho, check_gradient=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(data, cls.__dataclass_fields__)
         return cls(**data)
+
+
+def check_keys(data: dict, known) -> None:
+    """Reject the keys of a config object that its reader does not read."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
 
 def seed_field(config: ExperimentConfig, index: int) -> TorusField:
@@ -271,35 +273,27 @@ def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | Non
     return index, flow_to_solution(seed_field(config, index), spec, **_flow_options(config))
 
 
-def _built_seed(config: ExperimentConfig, spec: HamiltonianSpec, index: int):
-    """(field, None) for a seed that flows alone, (None, start) for one `constant_start` accepts."""
-    z0 = seed_field(config, index)
-    start = constant_start(spec, z0)
-    return (z0, None) if start is None else (None, start)
+def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop):
+    """Flow the seeds `indices`, each built when its turn comes; returns ({index: FlowResult}, stopped).
 
-
-def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, seeds: dict, stop):
-    """Flow the seeds, each built once; returns ({index: FlowResult}, stopped).
-
-    seeds maps each seed index to its `_built_seed` pair, or to None for a
-    seed to be built here when its turn comes.  A seed that `constant_start`
-    accepts keeps only its first row; every other seed flows at once.  The
-    constant seeds then flow as one batch (`flow_constants`), each
-    bit-identical to its own flow, but only down to the residual
-    `polish_level`; `polish_constants` takes each seed that got there on to
-    residual_tol.  A seed whose polish fails flows again from its start to
-    residual_tol, so its result is the plain flow's.  Seeds that start below
-    residual_tol, and seeds that diverge or stop before `polish_level`, get
-    the plain flow's result as well.  stop() is asked before each seed and
-    between batch steps; once it returns True, the seeds not finished are
-    left out and stopped is True.
+    A seed that `constant_start` accepts keeps only its first row; every
+    other seed flows at once.  The constant seeds then flow as one batch
+    (`flow_constants`), each bit-identical to its own flow, but only down to
+    the residual `polish_level`; `polish_constants` takes each seed that got
+    there on to residual_tol.  A seed whose polish fails flows again from its
+    start to residual_tol, so its result is the plain flow's.  Seeds that
+    start below residual_tol, and seeds that diverge or stop before
+    `polish_level`, get the plain flow's result as well.  stop() is asked
+    before each seed and between batch steps; once it returns True, the
+    seeds not finished are left out and stopped is True.
     """
     results, constants = {}, {}
     options = _flow_options(config)
-    for idx, built in seeds.items():
+    for idx in indices:
         if stop():
             return results, True
-        z0, start = _built_seed(config, spec, idx) if built is None else built
+        z0 = seed_field(config, idx)
+        start = constant_start(spec, z0)
         if start is None:
             results[idx] = flow_to_solution(z0, spec, **options)
         else:
@@ -321,11 +315,10 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, seeds: dict, s
     return results, any(result is None for result in batch)
 
 
-def _solve_seeds_task(config_json: str, seeds: dict, deadline: float | None):
+def _solve_seeds_task(config: ExperimentConfig, indices, deadline: float | None):
     """_solve_seeds in a worker process; deadline is a time.time() value or None."""
-    config = ExperimentConfig.from_dict(json.loads(config_json))
     return _solve_seeds(
-        config, config.build_spec(), seeds, lambda: deadline is not None and time.time() > deadline
+        config, config.build_spec(), indices, lambda: deadline is not None and time.time() > deadline
     )
 
 
@@ -342,17 +335,18 @@ def multistart_solve(
 ) -> MultistartResult:
     """Run every seed; converged limits become records, the rest are reported.
 
-    spec defaults to config.build_spec(); worker processes build their own.
-    With jobs > 1 every seed is built here, each non-constant seed is one
-    pool task with its field and the batch of constant seeds is another with
-    their `constant_start`s.  wall_clock_cap is checked before each seed,
-    between batch steps and after each finished task.
+    spec defaults to config.build_spec().  With jobs > 1 the seed indices
+    are dealt round-robin into min(jobs, n_seeds) pool tasks; each worker
+    builds its own spec and its seeds, as the serial run does.  A seed's
+    result does not depend on the other seeds of its task, so every split
+    writes the serial run's records.  wall_clock_cap is checked before each
+    seed, between batch steps and after each finished task.
     """
     spec = config.build_spec() if spec is None else spec
     records, divergent, unfinished = [], [], []
     start = time.monotonic()
     cap = config.wall_clock_cap
-    indices = list(range(config.n_seeds))
+    indices = range(config.n_seeds)
 
     def over_budget() -> bool:
         return cap is not None and time.monotonic() - start > cap
@@ -360,15 +354,10 @@ def multistart_solve(
     if jobs > 1:
         results, budget_exhausted = {}, False
         deadline = None if cap is None else time.time() + cap
-        built = {i: _built_seed(config, spec, i) for i in indices}
-        tasks = [{i: pair} for i, pair in built.items() if pair[1] is None]
-        constants = {i: pair for i, pair in built.items() if pair[1] is not None}
-        if constants:
-            tasks.insert(0, constants)  # the longest task first
-        config_json = json.dumps(asdict(config))
+        tasks = [indices[k::jobs] for k in range(min(jobs, config.n_seeds))]
         # a fork pool starts all its workers at the first submit: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_solve_seeds_task, config_json, task, deadline) for task in tasks]
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            futures = [pool.submit(_solve_seeds_task, config, task, deadline) for task in tasks]
             for future in as_completed(futures):
                 part, stopped = future.result()
                 results.update(part)
@@ -378,7 +367,7 @@ def multistart_solve(
                         pending.cancel()
                     break
     else:
-        results, budget_exhausted = _solve_seeds(config, spec, dict.fromkeys(indices), over_budget)
+        results, budget_exhausted = _solve_seeds(config, spec, indices, over_budget)
 
     for idx in sorted(results):
         result = results[idx]

@@ -132,10 +132,10 @@ class ModeField:
         return self.coeffs.shape[2]
 
 
-def grid_points(n: int):
-    """Return T1, T2 meshgrids of shape (n, n), 'ij' indexing."""
+def grid_points(n: int, index=np.s_[:, :]):
+    """Return T1, T2 meshgrids of shape (n, n), 'ij' indexing; index (two slices) builds that block alone."""
     t = PERIOD * np.arange(n) / n
-    return np.meshgrid(t, t, indexing="ij")
+    return np.meshgrid(t[index[0]], t[index[1]], indexing="ij")
 
 
 def mode_numbers(n: int):
@@ -144,11 +144,11 @@ def mode_numbers(n: int):
     return np.meshgrid(m, m, indexing="ij")
 
 
-def derivative_numbers(n: int):
-    """Mode meshgrids with the Nyquist entry zeroed, for derivatives."""
+def derivative_numbers(n: int, index=np.s_[:, :]):
+    """Mode meshgrids with the Nyquist entry zeroed, for derivatives; index (two slices) builds that block alone."""
     m = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
     m[n // 2] = 0
-    return np.meshgrid(m, m, indexing="ij")
+    return np.meshgrid(m[index[0]], m[index[1]], indexing="ij")
 
 
 def mode_transform(field: TorusField) -> ModeField:

@@ -82,89 +82,59 @@ def eigenvalue_formula(xi, m1, m2):
     return lam_plus, lam_minus
 
 
-@dataclass(frozen=True)
-class DetReport:
-    xi: float
-    m1: int
-    m2: int
-    numeric: complex
-    formula: complex
-    residual: float
-
-
-def symbol_det(xi, m1, m2) -> DetReport:
-    """Numeric determinant against the closed form; residual relative above 1."""
-    numeric = complex(np.linalg.det(symbol_matrix(xi, m1, m2)))
-    formula = complex(det_formula(xi, m1, m2))
-    residual = abs(numeric - formula) / max(1.0, abs(formula))
-    return DetReport(float(xi), int(m1), int(m2), numeric, formula, residual)
-
-
-@dataclass(frozen=True)
-class EigReport:
-    xi: float
-    m1: int
-    m2: int
-    lambda_plus: complex
-    lambda_minus: complex
-    numeric: np.ndarray
-    residual: float
-
-
 def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
     order = np.lexsort((values.imag, values.real))
     return values[order]
 
 
-def symbol_eigs(xi, m1, m2) -> EigReport:
-    """Numeric spectrum against {lam+, lam+, lam-, lam-} as multisets."""
-    lam_plus, lam_minus = eigenvalue_formula(xi, m1, m2)
-    lam_plus = complex(lam_plus)
-    lam_minus = complex(lam_minus)
-    numeric = _sorted_spectrum(np.linalg.eigvals(symbol_matrix(xi, m1, m2)))
-    expected = _sorted_spectrum(np.array([lam_plus, lam_plus, lam_minus, lam_minus]))
-    residual = float(np.max(np.abs(numeric - expected)) / max(1.0, np.max(np.abs(expected))))
-    return EigReport(float(xi), int(m1), int(m2), lam_plus, lam_minus, numeric, residual)
-
-
 @dataclass(frozen=True)
 class SymbolReport:
-    """Everything about one frequency: matrix, determinant, spectrum."""
+    """Everything about one frequency: matrix, determinant, spectrum, each taken once.
+
+    det and numeric_eigenvalues are numpy's, det_formula and eigenvalues
+    (lam+, lam+, lam-, lam-) the closed forms; the residuals compare them.
+    """
 
     xi: float
     m1: int
     m2: int
     matrix: np.ndarray
     det: complex
-    eigenvalues: np.ndarray
+    det_formula: complex
+    eigenvalues: tuple
+    numeric_eigenvalues: np.ndarray
     invertible: bool
     residuals: dict
 
 
 def symbol_report(xi, m1, m2, tol: float = 1e-10) -> SymbolReport:
-    det = symbol_det(xi, m1, m2)
-    eig = symbol_eigs(xi, m1, m2)
     matrix = symbol_matrix(xi, m1, m2)
+    det = complex(np.linalg.det(matrix))
+    formula = complex(det_formula(xi, m1, m2))
+    lam_plus, lam_minus = (complex(lam) for lam in eigenvalue_formula(xi, m1, m2))
+    eigenvalues = (lam_plus, lam_plus, lam_minus, lam_minus)
+    numeric = _sorted_spectrum(np.linalg.eigvals(matrix))
+    expected = _sorted_spectrum(np.array(eigenvalues))
+    scale = max(1.0, abs(formula))
     # the closed form vanishes only at the zero frequency, where the kernel
     # is the constant q direction
-    invertible = abs(det.formula) > tol * max(
+    invertible = abs(formula) > tol * max(
         1.0, (1.0 + float(xi) ** 2 + float(m1) ** 2 + float(m2) ** 2) ** 2
     )
-    prod_resid = abs(
-        np.prod(eig.numeric) - det.numeric
-    ) / max(1.0, abs(det.formula))
     return SymbolReport(
         float(xi),
         int(m1),
         int(m2),
         matrix,
-        det.numeric,
-        np.array([eig.lambda_plus, eig.lambda_plus, eig.lambda_minus, eig.lambda_minus]),
+        det,
+        formula,
+        eigenvalues,
+        numeric,
         invertible,
         {
-            "det": det.residual,
-            "eigenvalues": eig.residual,
-            "det_vs_eig_product": float(prod_resid),
+            "det": abs(det - formula) / scale,
+            "eigenvalues": float(np.max(np.abs(numeric - expected)) / max(1.0, np.max(np.abs(expected)))),
+            "det_vs_eig_product": float(abs(np.prod(numeric) - det) / scale),
         },
     )
 
@@ -261,23 +231,23 @@ def sweep_rows(xi_values, m_bound: int):
     for xi in xi_values:
         for m1 in range(-m_bound, m_bound + 1):
             for m2 in range(-m_bound, m_bound + 1):
-                det = symbol_det(xi, m1, m2)
-                eig = symbol_eigs(xi, m1, m2)
+                rep = symbol_report(xi, m1, m2)
+                lam_plus, _, lam_minus, _ = rep.eigenvalues
                 rows.append(
                     {
                         "xi": float(xi),
                         "m1": m1,
                         "m2": m2,
-                        "det_numeric_re": det.numeric.real,
-                        "det_numeric_im": det.numeric.imag,
-                        "det_formula_re": det.formula.real,
-                        "det_formula_im": det.formula.imag,
-                        "det_residual": det.residual,
-                        "lambda_plus_re": eig.lambda_plus.real,
-                        "lambda_plus_im": eig.lambda_plus.imag,
-                        "lambda_minus_re": eig.lambda_minus.real,
-                        "lambda_minus_im": eig.lambda_minus.imag,
-                        "eig_residual": eig.residual,
+                        "det_numeric_re": rep.det.real,
+                        "det_numeric_im": rep.det.imag,
+                        "det_formula_re": rep.det_formula.real,
+                        "det_formula_im": rep.det_formula.imag,
+                        "det_residual": rep.residuals["det"],
+                        "lambda_plus_re": lam_plus.real,
+                        "lambda_plus_im": lam_plus.imag,
+                        "lambda_minus_re": lam_minus.real,
+                        "lambda_minus_im": lam_minus.imag,
+                        "eig_residual": rep.residuals["eigenvalues"],
                         "bound_margin": eig_bound_margin(m1, m2),
                     }
                 )

@@ -241,7 +241,24 @@ def test_manifest_records_the_step_regime(tmp_path, argv, n_grid, ds):
 def test_jobs_and_plots_belong_to_cuplength_only(tmp_path, option):
     with pytest.raises(SystemExit) as exc:
         run_cli("flow", "--dry-run", "--out", str(tmp_path / "o"), *option)
-    assert exc.value.code == 2  # argparse: unrecognized arguments
+    assert exc.value.code == 1  # a usage error is an input error
+
+
+@pytest.mark.parametrize("argv", [["flow", "--grid", "abc"], ["flow", "--bogus"], []], ids=["type", "unknown", "none"])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("torusfloer")
+
+
+@pytest.mark.parametrize("option", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(option)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_cuplength_invalid_config(tmp_path):
@@ -422,6 +439,20 @@ def test_cuplength_invalid_config(tmp_path):
                 {**FLAGSHIP, "grid_size": 1024, "ds": 0.001, "lattice_per_dim": 8},
                 "n_seeds must be at most 64 at grid size 1024",
             ),
+        ]
+        for dry in ([], ["--dry-run"])
+    ]
+    # config keys that flow and energy do not read, and a boolean cut-off radius
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (
+                ["flow"],
+                {"grid_size": 16, "ds": 0.5, "potnetial": {"kind": "zero", "n_pairs": 1}},
+                "unknown config keys: ['ds', 'potnetial']",
+            ),
+            (["energy"], {"rho": 0.5, "grid_size": 12}, "unknown config keys: ['grid_size', 'rho']"),
+            (["flow"], {"grid_size": 16, "rho": True}, "cut-off radius must be a positive number, got True"),
         ]
         for dry in ([], ["--dry-run"])
     ],

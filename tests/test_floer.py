@@ -379,6 +379,30 @@ def test_newton_polish_takes_the_jacobian_from_a_custom_gradient():
         assert np.max(np.abs(result.Z.values - root)) < 1e-12
 
 
+@pytest.mark.parametrize("modes", [[[1, 0], [0, 1]], [[1, 0]]], ids=["polished", "singular_jacobian"])
+def test_polish_batch_is_bit_identical_to_seeds_polished_alone(rng, modes):
+    """A seed's polish does not depend on the other seeds of its batch, failures included.
+
+    V = cos(q1) leaves the Jacobian's q2 column exactly zero, so there every seed fails.
+    """
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": 1.0, "modes": modes}, rho=4.0)
+    fields = [constant_field(16, [*rng.uniform(0, 2 * np.pi, size=2), 0.0, 0.0], "z") for _ in range(6)]
+    flowed = floer.flow_constants(
+        [floer.constant_start(spec, z) for z in fields], spec, tol=floer.polish_level(spec), ds=0.02, s_max=100.0
+    )
+    handed = [r for r in flowed if r.converged and not r.residual_norm < 1e-8]
+    assert len(handed) >= 4
+    batch = floer.polish_constants(handed, spec, 1e-8)
+    assert [b is None for b in batch] == [len(modes) == 1] * len(handed)
+    for b, r in zip(batch, handed):
+        (alone,) = floer.polish_constants([r], spec, 1e-8)
+        if b is None:
+            assert alone is None
+        else:
+            assert flow_bytes(b) == flow_bytes(alone)
+            assert b.Z.values.strides == alone.Z.values.strides
+
+
 def test_constant_start_takes_equal_bytes_only():
     spec = trig_spec()
     z = constant_field(32, [1.0, 2.0, 0.0, 0.0], "z")

@@ -19,7 +19,7 @@ from torusfloer.floer import (
     polish_constants,
     polish_level,
 )
-from torusfloer.hamiltonians import hamiltonian_from_config
+from torusfloer.hamiltonians import HamiltonianSpec, hamiltonian_from_config
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
@@ -95,9 +95,18 @@ def test_config_round_trip():
 def test_config_default_rho():
     config = ExperimentConfig(**FAST_TRIG)
     # 4 + c1/c0 with c0 = 1/4, c1 = sup|h| = 2 * 0.3
-    assert config.resolved_rho() == pytest.approx(4.0 + 4.0 * 0.6)
+    assert config.build_spec().rho == pytest.approx(4.0 + 4.0 * 0.6)
     explicit = ExperimentConfig(**{**FAST_TRIG, "rho": 5.0})
-    assert explicit.resolved_rho() == 5.0
+    assert explicit.build_spec().rho == 5.0
+
+
+@pytest.mark.parametrize("rho", [None, 5.0])
+def test_verify_count_checks_the_gradient_once(monkeypatch, rho):
+    calls = []
+    check = HamiltonianSpec._validate_gradient
+    monkeypatch.setattr(HamiltonianSpec, "_validate_gradient", lambda spec: calls.append(spec) or check(spec))
+    verify_count(ExperimentConfig(**{**FAST_TRIG, "rho": rho, "lattice_per_dim": 1, "random_starts": 1}))
+    assert len(calls) == 1
 
 
 def test_seed_fields_deterministic():
@@ -303,7 +312,7 @@ def test_failed_polish_falls_back_to_the_plain_flow():
     polish = [r for r in handed if not r.residual_norm < config.residual_tol]
     assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8
 
-    results, stopped = _solve_seeds(config, spec, dict.fromkeys(range(config.n_seeds)), lambda: False)
+    results, stopped = _solve_seeds(config, spec, range(config.n_seeds), lambda: False)
     plain = flow_constants(starts, spec, tol=config.residual_tol, **options)
     assert not stopped and sorted(results) == list(range(config.n_seeds))
     assert sum(r.reason == "initial residual below tol" for r in plain) == 8
@@ -337,7 +346,7 @@ def test_a_small_potential_hands_over_no_nearer_its_saddle():
     )
     spec = config.build_spec()
     assert np.array_equal(seed_field(config, 2).values[0, 0], [2 * np.pi / 3, 0.0, 0.0, 0.0])
-    results, stopped = _solve_seeds(config, spec, {2: None}, lambda: False)
+    results, stopped = _solve_seeds(config, spec, [2], lambda: False)
     result = results[2]
     assert not stopped and result.converged and "Newton" in result.reason
     assert result.residual_norm < config.residual_tol
@@ -411,10 +420,15 @@ def test_parallel_budget_cancels_pending_seeds():
     assert finished < config.n_seeds
 
 
-def test_multistart_worker_pool_matches_serial():
-    config = ExperimentConfig(**FAST_TRIG)
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+@pytest.mark.parametrize("changes", [{}, {"lattice_per_dim": 3}], ids=["fast_trig", "newton_lattice"])
+def test_multistart_worker_pool_matches_serial(jobs, changes):
+    """Round-robin tasks write the serial report, with lattice constants handed to Newton in each."""
+    config = ExperimentConfig(**{**FAST_TRIG, **changes})
     serial = verify_count(config, jobs=1)
-    parallel = verify_count(config, jobs=2)
+    if changes:
+        assert any("Newton" in r.reason for r in serial.records)
+    parallel = verify_count(config, jobs=jobs)
     assert parallel.distinct == serial.distinct
     assert [r.seed_index for r in parallel.records] == [r.seed_index for r in serial.records]
     assert [r.action for r in parallel.records] == [r.action for r in serial.records]
@@ -444,12 +458,12 @@ def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
     seed_field = runner.seed_field
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(runner, "seed_field", lambda config, i: built.update([i]) or seed_field(config, i))
-    config = ExperimentConfig(**FAST_TRIG)  # one task for the 4 lattice seeds, one per perturbed seed
+    config = ExperimentConfig(**FAST_TRIG)  # 6 seeds: one task each at jobs=8
     pooled = multistart_solve(config, jobs=8)
-    # every task receives the seeds built to classify them: no seed is built twice
+    # each task builds its own seeds: no seed is built twice
     assert built == Counter({0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
     serial = multistart_solve(config, jobs=1)
-    assert sizes == [3]
+    assert sizes == [6]
     assert [r.seed_index for r in pooled.records] == [r.seed_index for r in serial.records]
 
 

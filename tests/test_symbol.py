@@ -10,8 +10,6 @@ from torusfloer.symbol import (
     eigenvalue_formula,
     minimal_N_search,
     mode_matrix,
-    symbol_det,
-    symbol_eigs,
     symbol_matrix,
     symbol_report,
     sweep_rows,
@@ -39,30 +37,30 @@ def test_symbol_matrix_pure_xi():
 
 
 def test_det_pinned_values():
-    assert symbol_det(0, 0, 0).numeric == 0
-    r = symbol_det(1, 0, 0)
-    assert r.formula == pytest.approx(2j)
-    assert abs(r.numeric - 2j) < 1e-12
-    r = symbol_det(0, 1, 0)
-    assert r.formula == pytest.approx(1.0)
-    assert abs(r.numeric - 1.0) < 1e-12
+    assert symbol_report(0, 0, 0).det == 0
+    r = symbol_report(1, 0, 0)
+    assert r.det_formula == pytest.approx(2j)
+    assert abs(r.det - 2j) < 1e-12
+    r = symbol_report(0, 1, 0)
+    assert r.det_formula == pytest.approx(1.0)
+    assert abs(r.det - 1.0) < 1e-12
 
 
 def test_eigs_zero_frequency_matches_projector_spectrum():
     # independent oracle: eigendecomposition of -P
     oracle = np.sort(np.linalg.eigvals(-P_MATRIX).real)
-    r = symbol_eigs(0, 0, 0)
-    assert r.lambda_plus == pytest.approx(-1.0)
-    assert r.lambda_minus == pytest.approx(0.0)
-    assert np.allclose(np.sort(r.numeric.real), oracle, atol=1e-12)
-    assert np.max(np.abs(r.numeric.imag)) < 1e-12
+    r = symbol_report(0, 0, 0)
+    assert r.eigenvalues[0] == pytest.approx(-1.0)
+    assert r.eigenvalues[2] == pytest.approx(0.0)
+    assert np.allclose(np.sort(r.numeric_eigenvalues.real), oracle, atol=1e-12)
+    assert np.max(np.abs(r.numeric_eigenvalues.imag)) < 1e-12
 
 
 def test_eigs_mode_one():
-    r = symbol_eigs(0, 1, 0)
-    assert r.lambda_plus == pytest.approx((-1 - np.sqrt(5)) / 2)
-    assert r.lambda_minus == pytest.approx((-1 + np.sqrt(5)) / 2)
-    assert r.residual < 1e-12
+    r = symbol_report(0, 1, 0)
+    assert r.eigenvalues[0] == pytest.approx((-1 - np.sqrt(5)) / 2)
+    assert r.eigenvalues[2] == pytest.approx((-1 + np.sqrt(5)) / 2)
+    assert r.residuals["eigenvalues"] < 1e-12
 
 
 def test_det_and_eigs_random_sample(rng):
