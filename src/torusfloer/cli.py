@@ -143,6 +143,13 @@ def _at_least(option: str, value: int, low: int) -> None:
         raise InputError(f"{option} must be an integer >= {low}, got {value}")
 
 
+def _beside_config(args, flags) -> None:
+    """Exit 1 on the first of the (flag, config key) pairs whose flag was given: the config sets the key."""
+    for flag, key in flags:
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise InputError(f"{flag} conflicts with --config: the config sets {key}")
+
+
 # ---------------------------------------------------------------------------
 # Each subcommand is a check, which validates the input and returns what the
 # run needs, and a run, which computes, writes its outputs and returns the
@@ -231,6 +238,11 @@ def run_symbol(args, outdir: Path, xi_values) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
+def _trig_potential(epsilon):
+    """The potential of --epsilon (0.1 when not given): epsilon (cos q1 + cos q2)."""
+    return {"kind": "trig_potential", "epsilon": 0.1 if epsilon is None else epsilon, "modes": [[1, 0], [0, 1]]}
+
+
 def check_flow(args, data):
     _at_least("--rng-seed", args.rng_seed, 0)
     _at_least("--check-every", args.check_every, 1)
@@ -239,17 +251,19 @@ def check_flow(args, data):
             raise InputError(f"{option} must be a positive finite number, got {value}")
     if not np.isfinite(args.amplitude):
         raise InputError(f"--amplitude must be finite, got {args.amplitude}")
-    if data is None:
-        if args.h == "zero":
-            potential = {"kind": "zero", "n_pairs": 1}
-        else:
-            potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
-        data = {"potential": potential, "rho": args.rho}
-    check_keys(data, ("potential", "rho", "grid_size"))
+    if data is None:  # the flags as a config; what they leave out takes the defaults below
+        data = {} if args.rho is None else {"rho": args.rho}
+        if args.h == "trig":
+            data["potential"] = _trig_potential(args.epsilon)
+    else:  # the config's potential and rho apply, present or not; --grid fills in a missing grid_size
+        check_keys(data, ("potential", "rho", "grid_size"))
+        _beside_config(args, [("--h", "potential"), ("--epsilon", "potential"), ("--rho", "rho")])
+        if "grid_size" in data:
+            _beside_config(args, [("--grid", "grid_size")])
     spec = hamiltonian_from_config(
         data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf)
     )
-    n_grid = data.get("grid_size", args.grid)
+    n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
     check_grid_size(n_grid)
@@ -290,10 +304,12 @@ def run_flow(args, outdir: Path, checked) -> int:
 def check_energy(args, data):
     """(spec, trajectories loaded by --load) or (spec, start fields of the trajectories to run)."""
     _at_least("--rng-seed", args.rng_seed, 0)
-    potential = {"kind": "trig_potential", "epsilon": args.epsilon, "modes": [[1, 0], [0, 1]]}
+    potential = _trig_potential(args.epsilon)
     if data is not None:
         check_keys(data, ("potential",))
-        potential = data.get("potential", potential)
+        if "potential" in data:  # --epsilon fills in a missing potential
+            _beside_config(args, [("--epsilon", "potential")])
+            potential = data["potential"]
     spec = hamiltonian_from_config(potential, rho=args.rho)
     if args.load is not None:
         base = Path(args.load)
@@ -543,10 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="single gradient flow with diagnostics")
     common(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--h", choices=("zero", "trig"), default="zero")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=np.inf)
-    p.add_argument("--grid", type=int, default=32)
+    # None marks a flag not given: --config sets potential, rho and grid_size (see check_flow)
+    p.add_argument("--h", choices=("zero", "trig"), default=None, help="default zero")
+    p.add_argument("--epsilon", type=float, default=None, help="default 0.1")
+    p.add_argument("--rho", type=float, default=None, help="default inf")
+    p.add_argument("--grid", type=int, default=None, help="default 32")
     p.add_argument("--seed-mode", default=None, metavar="M1,M2")
     p.add_argument("--amplitude", type=float, default=0.1)
     p.add_argument("--rng-seed", type=int, default=0)
@@ -559,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", help="switching trajectories: energy bound and identity")
     common(p)
     p.add_argument("--config", default=None)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=None, help="default 0.1")
     p.add_argument("--rho", type=float, default=4.0)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--r", type=float, default=1.0)

@@ -77,8 +77,15 @@ POLISH_FRACTION = 0.07
 POLISH_SAMPLES = 1024  # constant states sampled for the largest residual
 HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
 # run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
-# max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap
+# max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap.  On a constant grid it
+# also holds up to HOMOTOPY_BLOCK states, HOMOTOPY_BLOCK * (CONSTANT_ROW*4n*8 + 4n*16)
+# bytes (128 KiB at n = 1), whatever the window's length.
 MAX_HOMOTOPY_STEPS = 10**6
+# samples of a constant-grid homotopy whose diagnostics are taken as one grid of
+# seeds.  Taken one sample at a time they cost about 40 us a sample, nearly all numpy
+# call overhead on one-row arrays; a block costs 1.6-1.9 us a sample from 256 samples
+# on, 2.6 us at 64 (N = 32, trig potential, one BLAS thread)
+HOMOTOPY_BLOCK = 1024
 NEWTON_STEPS = 8  # a polish that is not below tol after this many steps has failed
 NEWTON_FD_STEP = 2.0**-17  # central-difference step of the Jacobian
 # A constant grid holds each seed on this many grid points (see _FlowGrid): with one,
@@ -281,7 +288,12 @@ class _FlowGrid:
     numpy's pairwise sum of the N^2 equal values of a power-of-two grid is
     the sum of 128 of them doubled exactly (`mean`).  Every seed's results
     are bit-identical to its full-grid flow, step halving and termination
-    included.
+    included, as long as the full grid's transforms stay finite: for an
+    unbounded custom h, the full grid's rfft2 of a huge gradient can
+    overflow a step before the (0, 0) value itself does, so there the full
+    grid loses finiteness earlier (built-in potentials are bounded).  A
+    seed's results do not depend on the other seeds of its grid, so a grid
+    of B seeds also evaluates B states of one seed at once (`stack`).
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
     kept for the last state seen, keyed by the identity of its vals: the
@@ -335,6 +347,18 @@ class _FlowGrid:
             self._terms_of_vals = CutoffTerms(t.p_sq[keep], t.h[keep], t.grad[keep], t.p_grad_zero)
             self._vals = kept[0]
         return kept
+
+    def stack(self, states):
+        """One state of the grid holding a list of states (tuples of arrays), one seed each.
+
+        A constant grid concatenates them along its seed axis; a full grid
+        holds one state, which is returned as it is, so its kept evaluation
+        still applies.
+        """
+        if not self.constant:
+            (state,) = states
+            return state
+        return tuple(np.concatenate(x) for x in zip(*states))
 
     def _propagator(self, ds: float):
         """The propagator on the held modes: (1, 1, 4n, 4n) on a constant grid, else (4n, 4n, N, N/2 + 1)."""
@@ -791,6 +815,15 @@ def run_homotopy(
     the profile is identically zero at both ends; end residuals are taken
     against the plain quadratic Hamiltonian there and count as converged
     below DEFAULT_TOL.
+
+    The loop steps and checks each new state for finiteness.  The
+    diagnostics of a sample (action at the sample's profile weight, h_int,
+    max|p|^2, and |d_s Z|^2 of its step) are taken for a block of samples
+    at once: HOMOTOPY_BLOCK samples of a constant start, evaluated as one
+    constant grid with a seed per sample, and one sample of a full grid,
+    right after its step, from the evaluation the step kept.  A seed's
+    results do not depend on the other seeds of its grid, so every output
+    is the one a sample-by-sample evaluation gives, bit for bit.
     """
     profile, n_steps = switching_window(spec.n_pairs, r, ds)
     s_start = profile.s_on - HOMOTOPY_PAD
@@ -802,23 +835,31 @@ def run_homotopy(
     snapshots = []
 
     grid = _FlowGrid(spec, triple, Z0)
+    block = HOMOTOPY_BLOCK if grid.constant else 1
     vals, zhat = grid.start
     step = np.full(1, ds)
-    weights = profile.value(svals).tolist()  # elementwise: each weight has the bits of a call at its s
-    for i, (s, w) in enumerate(zip(svals.tolist(), weights)):
-        act[i] = grid.action(vals, zhat, w).item()
-        h_int[i] = grid.h_int(vals).item()
-        max_p_sq[i] = grid.max_p_sq(vals).item()
+    weights = profile.value(svals)  # elementwise: each weight has the bits of a call at its s
+    states, moves = [], []  # the samples since the last diagnostics, and their steps
+    for i, (s, w) in enumerate(zip(svals.tolist(), weights.tolist())):
         if snapshot_every is not None and i % snapshot_every == 0:
             snapshots.append((s, grid.field(vals)))
-        if i == n_steps:
-            break
-        new_vals, new_hat = grid.step(vals, zhat, step, w)
-        if not np.all(np.isfinite(new_vals)):
-            raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
-        dz = new_vals - vals
-        vsq[i] = grid.mean_sq(dz).item() / ds**2
-        vals, zhat = new_vals, new_hat
+        states.append((vals, zhat))
+        if i < n_steps:
+            new_vals, new_hat = grid.step(vals, zhat, step, w)
+            if not np.all(np.isfinite(new_vals)):
+                raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
+            moves.append((vals, new_vals))
+            vals, zhat = new_vals, new_hat
+        if len(states) == block or i == n_steps:
+            first = i + 1 - len(states)
+            block_vals, block_hat = grid.stack(states)
+            act[first : i + 1] = grid.action(block_vals, block_hat, weights[first : i + 1, None])
+            h_int[first : i + 1] = grid.h_int(block_vals)
+            max_p_sq[first : i + 1] = grid.max_p_sq(block_vals)
+            if moves:
+                old, new = grid.stack(moves)
+                vsq[first : first + len(moves)] = grid.mean_sq(new - old) / ds**2
+            states, moves = [], []
 
     res_start = grid.residual(*grid.start, h_weight=0.0).item()
     res_end = grid.residual(vals, zhat, h_weight=0.0).item()

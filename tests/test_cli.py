@@ -18,6 +18,7 @@ from torusfloer.structures import standard_structures
 
 
 FLAGSHIP = json.loads((Path(__file__).resolve().parents[1] / "configs" / "trig_n1.json").read_text())
+TRIG_16 = {"potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, 1]]}, "grid_size": 16}
 
 
 def run_cli(*args):
@@ -455,6 +456,18 @@ def test_cuplength_invalid_config(tmp_path):
             (["flow"], {"grid_size": 16, "rho": True}, "cut-off radius must be a positive number, got True"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a flag that would set what the config sets, present or by its default
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (["flow", "--rho", "2", "--grid", "32"], TRIG_16, "--rho conflicts with --config: the config sets rho"),
+            (["flow", "--grid", "32"], TRIG_16, "--grid conflicts with --config: the config sets grid_size"),
+            (["flow", "--h", "zero", "--epsilon", "5"], TRIG_16, "--h conflicts with --config: the config sets potential"),
+            (["flow", "--epsilon", "5"], {"grid_size": 16}, "--epsilon conflicts with --config: the config sets potential"),
+            (["energy", "--epsilon", "5"], {"potential": TRIG_16["potential"]}, "--epsilon conflicts with --config: the config sets potential"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -472,6 +485,19 @@ def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, mes
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+def test_flags_fill_in_what_the_config_leaves_out(tmp_path):
+    """--grid gives flow a missing grid_size; --epsilon gives energy a missing potential."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"potential": TRIG_16["potential"]}))
+    assert run_cli("flow", "--config", str(cfg), "--grid", "16", "--dry-run", "--out", str(tmp_path / "flow")) == 0
+    regime = read_json(tmp_path / "flow" / "manifest.json")["step_regime"]
+    assert regime["ds_mu_max"] == pytest.approx(1e-2 * mu_max(16))
+    cfg.write_text("{}")
+    argv = ["--trajectories", "1", "--grid", "16", "--ds", "0.01", "--r", "0.2", "--config", str(cfg)]
+    assert run_cli("energy", *argv, "--epsilon", "5", "--out", str(tmp_path / "energy")) == 0
+    assert read_json(tmp_path / "energy" / "report.json")["hofer_norm"]["value"] == pytest.approx(20.0)
 
 
 @pytest.mark.parametrize("argv", [["flow", "--grid", "16", "--ds", "0.2"], ["energy", "--grid", "7"]])

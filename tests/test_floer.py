@@ -274,23 +274,81 @@ def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential
         assert fast.ds_final < ds
 
 
-def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng):
-    spec = trig_spec()
+@pytest.mark.parametrize(
+    "rho, p, r, snapshot_every",
+    [
+        (4.0, [0.0, 0.0], 0.5, 50),
+        # |p|^2 = 1.93 starts past rho - 1: the samples of one block lie on and beyond the cut-off ramp
+        (2.5, [1.2, -0.7], 0.5, 50),
+        # |p|^2 crosses rho - 1 and rho within the first block
+        (4.0, [1.2, -0.7], 0.5, 50),
+        # 3,101 samples: three full blocks and a part, with velocities across their boundaries
+        (4.0, [0.0, 0.0], 9.0, 500),
+    ],
+)
+def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, rho, p, r, snapshot_every):
+    spec = trig_spec(rho)
     q = rng.uniform(0, 2 * np.pi, size=2)
-    z0 = constant_field(16, [q[0], q[1], 0.0, 0.0], "z")
+    z0 = constant_field(16, [q[0], q[1], *p], "z")
     assert _takes_constant_path(spec, z0)
 
     def run():
-        traj = run_homotopy(z0, spec, r=0.5, ds=0.01, snapshot_every=50)
+        traj = run_homotopy(z0, spec, r=r, ds=0.01, snapshot_every=snapshot_every)
         arrays = (traj.s, traj.action, traj.h_int, traj.max_p_sq, traj.vsq)
         snaps = [(s, z.values.tobytes()) for s, z in traj.snapshots]
-        return [a.tobytes() for a in arrays], traj.end_residuals, snaps
+        return traj, ([a.tobytes() for a in arrays], traj.end_residuals, snaps)
 
-    fast = run()
+    traj, fast = run()
     _full_grid_only(monkeypatch)
-    full = run()
-    assert len(fast[2]) > 1
-    assert fast == full
+    assert len(traj.snapshots) > 1
+    assert fast == run()[1]
+    if r > 1.0:
+        assert len(traj.s) > 3 * floer.HOMOTOPY_BLOCK and len(traj.s) % floer.HOMOTOPY_BLOCK != 0
+    if p[0] != 0.0:  # |p|^2 leaves the cut-off ramp [rho - 1, rho] upwards
+        assert traj.max_p_sq[0] < rho < np.max(traj.max_p_sq)
+
+
+@pytest.mark.parametrize("n_grid", [16, 24])
+def test_constant_homotopy_takes_diagnostics_in_blocks(monkeypatch, n_grid):
+    """A constant start evaluates the action once a block; a full grid (N = 24), once a sample."""
+    calls = []
+    action_of = _FlowGrid.action
+    monkeypatch.setattr(_FlowGrid, "action", lambda grid, *args: calls.append(1) or action_of(grid, *args))
+    z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
+    traj = run_homotopy(z0, trig_spec(), r=9.0 if n_grid == 16 else 0.5, ds=0.01)
+    samples = len(traj.s)
+    if _takes_constant_path(trig_spec(), z0):
+        assert samples > floer.HOMOTOPY_BLOCK
+        assert len(calls) <= -(-samples // floer.HOMOTOPY_BLOCK)
+    else:
+        assert len(calls) == samples
+
+
+def test_homotopy_overflow_of_unbounded_h(monkeypatch):
+    """h = 500 q1^2 outgrows every float: the flow raises where a state stops being finite.
+
+    The full grid's rfft2 of the huge gradient overflows two steps before
+    the constant path's (0, 0) value does, so in this regime alone (an
+    unbounded custom h) the full grid stops earlier.
+    """
+
+    def h(t1, t2, z):
+        return 500.0 * z[..., 0] ** 2
+
+    def grad_h(t1, t2, z):
+        grad = np.zeros_like(np.asarray(z, dtype=float))
+        grad[..., 0] = 1000.0 * z[..., 0]
+        return grad
+
+    spec = HamiltonianSpec(1, h, grad_h)
+    z0 = constant_field(16, [1.0, 0.5, 0.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FlowError, match=r"^homotopy flow lost finiteness at s=2\.300$"):
+            run_homotopy(z0, spec, r=1.0, ds=0.01)
+        _full_grid_only(monkeypatch)
+        with pytest.raises(FlowError, match=r"^homotopy flow lost finiteness at s=2\.280$"):
+            run_homotopy(z0, spec, r=1.0, ds=0.01)
 
 
 def _constant_batch_fields(rng):
