@@ -253,6 +253,8 @@ def check_flow(args, data):
         raise InputError(f"--amplitude must be finite, got {args.amplitude}")
     if data is None:  # the flags as a config; what they leave out takes the defaults below
         data = {} if args.rho is None else {"rho": args.rho}
+        if args.epsilon is not None and args.h != "trig":
+            raise InputError("--epsilon acts only with --h trig: the zero potential has no epsilon")
         if args.h == "trig":
             data["potential"] = _trig_potential(args.epsilon)
     else:  # the config's potential and rho apply, present or not; --grid fills in a missing grid_size

@@ -297,7 +297,10 @@ class _FlowGrid:
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
     kept for the last state seen, keyed by the identity of its vals: the
-    step, the action, max|p|^2, h_int and the residual all read it.
+    step, the action, max|p|^2, h_int and the residual all read it.  The
+    step of a constant grid reads only the gradient, so an evaluation it
+    makes skips h; a kept evaluation without h is taken again for a reader
+    of h.
     """
 
     def __init__(self, spec, triple, Z: TorusField):
@@ -332,10 +335,14 @@ class _FlowGrid:
         self._seed_props = self._seed_props_key = None
         self._vals = self._terms_of_vals = None
 
-    def terms(self, vals) -> CutoffTerms:
-        """The pointwise evaluation of the nonlinearity at vals, reused while vals is the last state."""
-        if vals is not self._vals:
-            self._terms_of_vals = cutoff_terms(self.spec, self.t1, self.t2, vals)
+    def terms(self, vals, with_h: bool = True) -> CutoffTerms:
+        """The pointwise evaluation of the nonlinearity at vals, reused while vals is the last state.
+
+        with_h=False serves a reader of |p|^2 and the gradient alone: a new
+        evaluation then skips h (`cutoff_terms`), and a kept one serves too.
+        """
+        if vals is not self._vals or (with_h and self._terms_of_vals.h is None):
+            self._terms_of_vals = cutoff_terms(self.spec, self.t1, self.t2, vals, with_h=with_h)
             self._vals = vals
         return self._terms_of_vals
 
@@ -380,8 +387,15 @@ class _FlowGrid:
         return self._seed_props
 
     def _nonlinear_modes(self, vals, weight):
-        """The held modes of weight * grad h_tilde at vals."""
-        terms = self.terms(vals)
+        """The held modes of weight * grad h_tilde at vals.
+
+        A full grid's step keeps h: `run_homotopy` takes the action of the
+        same state next.  A constant grid's step asks for the gradient
+        alone: `run_homotopy` takes its diagnostics on a stack of states
+        instead, and `_flow`'s step finds the evaluation that its action
+        took, h included.
+        """
+        terms = self.terms(vals, with_h=not self.constant)
         nl = terms.grad if weight == 1.0 else weight * terms.grad
         if self.constant:  # the (0, 0) coefficient of a constant field is its value
             return nl[:, :1].astype(complex)
@@ -407,7 +421,7 @@ class _FlowGrid:
             rhs = zhat
         if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
             new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
-            return np.repeat(new_hat.real, CONSTANT_ROW, axis=1), new_hat
+            return new_hat.real.repeat(CONSTANT_ROW, axis=1), new_hat
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # the C-ordered start state is component-major
         new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
@@ -823,7 +837,9 @@ def run_homotopy(
     constant grid with a seed per sample, and one sample of a full grid,
     right after its step, from the evaluation the step kept.  A seed's
     results do not depend on the other seeds of its grid, so every output
-    is the one a sample-by-sample evaluation gives, bit for bit.
+    is the one a sample-by-sample evaluation gives, bit for bit.  So a
+    constant start's step evaluates the gradient alone (`cutoff_terms`),
+    and h is evaluated once a block.
     """
     profile, n_steps = switching_window(spec.n_pairs, r, ds)
     s_start = profile.s_on - HOMOTOPY_PAD
@@ -846,7 +862,7 @@ def run_homotopy(
         states.append((vals, zhat))
         if i < n_steps:
             new_vals, new_hat = grid.step(vals, zhat, step, w)
-            if not np.all(np.isfinite(new_vals)):
+            if not np.isfinite(new_vals).all():
                 raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
             moves.append((vals, new_vals))
             vals, zhat = new_vals, new_hat

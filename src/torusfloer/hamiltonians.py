@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -119,7 +120,10 @@ def _finite_c3(c3_norm: float) -> float:
 
 
 class _BuiltIn:
-    """value, grad and value_and_grad from the one evaluate(t1, t2, z, with_grad) -> (h, grad h or None)."""
+    """value, grad and value_and_grad from the one evaluate(t1, t2, z, with_grad, with_h).
+
+    evaluate returns (h, grad h), each None where its flag is False.
+    """
 
     def _q(self, z):
         # A matrix product rounds by the memory order of its operands (BLAS
@@ -127,13 +131,13 @@ class _BuiltIn:
         return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs])
 
     def value(self, t1, t2, z):
-        return self.evaluate(t1, t2, z, False)[0]
+        return self.evaluate(t1, t2, z, False, True)[0]
 
     def grad(self, t1, t2, z):
-        return self.evaluate(t1, t2, z, True)[1]
+        return self.evaluate(t1, t2, z, True, False)[1]
 
     def value_and_grad(self, t1, t2, z):
-        return self.evaluate(t1, t2, z, True)
+        return self.evaluate(t1, t2, z, True, True)
 
 
 class ZeroNonlinearity(_BuiltIn):
@@ -146,10 +150,13 @@ class ZeroNonlinearity(_BuiltIn):
         self.c3_norm = 0.0
         self.time_dependent = False
 
-    def evaluate(self, t1, t2, z, with_grad):
+    def evaluate(self, t1, t2, z, with_grad, with_h):
         z = np.asarray(z, dtype=float)
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return np.zeros(shape), (np.zeros_like(z, shape=shape + (z.shape[-1],)) if with_grad else None)
+        return (
+            np.zeros(shape) if with_h else None,
+            np.zeros_like(z, shape=shape + (z.shape[-1],)) if with_grad else None,
+        )
 
 
 class TrigPotential(_BuiltIn):
@@ -168,12 +175,14 @@ class TrigPotential(_BuiltIn):
         self.c3_norm = _finite_c3(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
         self.time_dependent = False
 
-    def evaluate(self, t1, t2, z, with_grad):
+    def evaluate(self, t1, t2, z, with_grad, with_h):
         phases = self._q(z) @ self.modes.T
         grad = None
         if with_grad:
             grad = np.zeros_like(np.asarray(z, dtype=float))
             grad[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(phases) @ self.modes)
+        if not with_h:
+            return None, grad
         cos_phases = np.cos(phases)
         del phases  # freed before the sum, which holds its partial sums
         return self.epsilon * component_sum(cos_phases), grad
@@ -197,7 +206,7 @@ class TimeTrigPotential(_BuiltIn):
         self.c3_norm = _finite_c3(abs(self.epsilon) * max(1.0, qn) ** 3)
         self.time_dependent = True
 
-    def evaluate(self, t1, t2, z, with_grad):
+    def evaluate(self, t1, t2, z, with_grad, with_h):
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
         phase = self._q(z) @ self.q_mode
         grad = None
@@ -206,7 +215,7 @@ class TimeTrigPotential(_BuiltIn):
             shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
             grad = np.zeros_like(z, shape=shape)
             grad[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode
-        return self.epsilon * tfactor * np.cos(phase), grad
+        return (self.epsilon * tfactor * np.cos(phase) if with_h else None), grad
 
 
 NONLINEARITY_KINDS = ("zero", "trig_potential", "time_trig")
@@ -277,6 +286,20 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return 4 * self.n_pairs
 
+    # Facts that `cutoff_terms` reads on every call, decided on the first.  They are
+    # kept in the instance dict, beside the frozen fields, and are pickled with it.
+
+    @cached_property
+    def built_in(self):
+        """The built-in potential whose `value` and `grad` are h and grad_h, else None."""
+        pot = getattr(self.h, "__self__", None)
+        return pot if isinstance(pot, _BuiltIn) and (self.h, self.grad_h) == (pot.value, pot.grad) else None
+
+    @cached_property
+    def has_cutoff(self) -> bool:
+        """Whether rho is finite, so that the cut-off acts somewhere."""
+        return not np.isinf(self.rho)
+
     def _validate_gradient(self, tol: float = DEFAULT_GRAD_CHECK_TOL, step: float = 1e-5):
         rng = np.random.default_rng(1234)
         other_times = np.random.default_rng(4321)
@@ -320,15 +343,17 @@ def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
 
 
 class CutoffTerms(NamedTuple):
-    """Pointwise |p|^2, h_tilde = chi(|p|^2) h, grad h_tilde (or None) and whether its p part is +0.0."""
+    """Pointwise |p|^2, h_tilde = chi(|p|^2) h (or None), grad h_tilde (or None) and whether its p part is +0.0."""
 
     p_sq: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None
     grad: np.ndarray | None
     p_grad_zero: bool = False
 
 
-def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> CutoffTerms:
+def cutoff_terms(
+    spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True, with_h: bool = True
+) -> CutoffTerms:
     """Evaluate |p|^2, chi, h, grad h and chi' once and combine them.
 
     h_tilde, grad_h_tilde and hamiltonian_value are views of this one
@@ -339,31 +364,48 @@ def cutoff_terms(spec: HamiltonianSpec, t1, t2, z, with_grad: bool = True) -> Cu
     call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
     chi' +0.0, chi * x has the bits of x, and (+0.0) h p added to the +0.0 p
     gradient leaves +0.0 while h is finite, so both are skipped.
+
+    What a caller may skip: with_grad=False skips the gradient (h_tilde,
+    hamiltonian_value, the Hofer norm).  with_h=False is for a caller that
+    reads only |p|^2 and the gradient, such as the constant grid's step,
+    and gives h None.  For a built-in potential where the cut-off is
+    skipped, h is then not evaluated (no cosine, no sum) nor checked for
+    being finite; a custom h is evaluated all the same, and on the cut-off
+    ramp the gradient needs h.  The gradient has the bits of the evaluation
+    with h wherever h is finite.  A built-in h is bounded by its finite
+    C3-norm estimate, so it is not finite only where a phase a . q is not;
+    sin is NaN there, and the matrix product spreads it to the q gradient.
+    So where the evaluation with h turns the p gradient NaN, the q gradient
+    is not finite either: a step from it is not finite either way, and the
+    flow stops at the same s.
+
+    Whether h and grad_h are one built-in's and whether rho is finite are
+    decided once per spec (`HamiltonianSpec.built_in`, `has_cutoff`).
     """
     z = np.asarray(z, dtype=float)
     psq = component_sum(z[..., 2 * spec.n_pairs :] ** 2)
-    pot = getattr(spec.h, "__self__", None)
-    built_in = isinstance(pot, _BuiltIn) and (spec.h, spec.grad_h) == (pot.value, pot.grad)
-    identity = built_in and (np.isinf(spec.rho) or np.max(psq, initial=-np.inf) <= spec.rho - 1.0)
+    pot, cut = spec.built_in, spec.has_cutoff
+    identity = pot is not None and (
+        not cut or np.maximum.reduce(psq, axis=None, initial=-np.inf) <= spec.rho - 1.0
+    )
     chi = None if identity else chi_cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
-    if built_in:
-        hval, grad = pot.evaluate(t1, t2, z, with_grad)
+    if pot is not None:
+        hval, grad = pot.evaluate(t1, t2, z, with_grad, with_h or not identity)
     else:
-        hval = spec.h(t1, t2, z)
+        hval = np.asarray(spec.h(t1, t2, z), dtype=float)
         grad = spec.grad_h(t1, t2, z) if with_grad else None
-    hval = np.asarray(hval, dtype=float)
     if identity:
-        if grad is None or np.isinf(spec.rho) or np.isfinite(hval).all():
+        if grad is None or not (with_h and cut) or np.isfinite(hval).all():
             return CutoffTerms(psq, hval, grad, grad is not None)
         chi = chi_cutoff(psq, spec.rho)
     if grad is None:
         return CutoffTerms(psq, chi * hval, None)
     grad = chi[..., None] * np.asarray(grad, dtype=float)
-    if np.isfinite(spec.rho):
+    if cut:
         dh = 2.0 * chi_cutoff_prime(psq, spec.rho) * hval
         for k in range(2 * spec.n_pairs, spec.dim):  # per component: the same products, faster loops
             grad[..., k] += dh * z[..., k]
-    return CutoffTerms(psq, chi * hval, grad)
+    return CutoffTerms(psq, chi * hval if with_h else None, grad)
 
 
 def h_tilde(spec: HamiltonianSpec, t1, t2, z) -> np.ndarray:
@@ -485,13 +527,11 @@ def hofer_norm(
     axes = [2 * np.pi * np.arange(per_dim) / per_dim] * dim_q
     qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
     ps = _p_samples(spec, p_shells)
-    zs = np.concatenate(
-        [
-            np.repeat(qs, ps.shape[0], axis=0),
-            np.tile(ps, (qs.shape[0], 1)),
-        ],
-        axis=1,
-    )
+    # every q with every p, q-major: one array filled by broadcasting
+    zs = np.empty((qs.shape[0], ps.shape[0], spec.dim))
+    zs[:, :, :dim_q] = qs[:, None]
+    zs[:, :, dim_q:] = ps
+    zs = zs.reshape(-1, spec.dim)
     if not spec.time_dependent:
         vals = h_tilde(spec, 0.0, 0.0, zs)
         value = float(np.max(vals) - np.min(vals))

@@ -12,7 +12,7 @@ import pytest
 
 from torusfloer.cli import build_parser, main
 from torusfloer.floer import action, flow_constants, flow_to_solution, mu_max, run_homotopy
-from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec
+from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec, cutoff_terms
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
 
@@ -468,6 +468,12 @@ def test_cuplength_invalid_config(tmp_path):
             (["energy", "--epsilon", "5"], {"potential": TRIG_16["potential"]}, "--epsilon conflicts with --config: the config sets potential"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # --epsilon scales the trig potential alone: beside the zero potential it would do nothing
+    + [
+        (["flow", "--grid", "16", *argv, *dry], None, "--epsilon acts only with --h trig")
+        for argv in (["--epsilon", "5"], ["--h", "zero", "--epsilon", "5"])
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -582,7 +588,7 @@ def test_field_round_trip(tmp_path):
 
 
 def test_knob_census():
-    """Every CLI option, config field and flow parameter, in order: a knob added or dropped edits this pin."""
+    """Every CLI option, config field, flow parameter and evaluation flag, in order: a knob added or dropped edits this pin."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: [s for a in p._actions for s in a.option_strings] for name, p in sub.choices.items()}
     own = {
@@ -611,10 +617,11 @@ def test_knob_census():
         "c3_norm",
     ]
     assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
-    flows = (flow_to_solution, flow_constants, run_homotopy, action)
+    flows = (flow_to_solution, flow_constants, run_homotopy, action, cutoff_terms)
     assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {
         "flow_to_solution": ["Z0", "spec", "triple", "tol", "s_max", "ds", "check_every"],
         "flow_constants": ["starts", "spec", "tol", "s_max", "ds", "check_every", "stop"],
         "run_homotopy": ["Z0", "spec", "r", "triple", "ds", "snapshot_every"],
         "action": ["spec", "Z", "h_weight"],
+        "cutoff_terms": ["spec", "t1", "t2", "z", "with_grad", "with_h"],
     }

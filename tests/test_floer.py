@@ -324,6 +324,36 @@ def test_constant_homotopy_takes_diagnostics_in_blocks(monkeypatch, n_grid):
         assert len(calls) == samples
 
 
+@pytest.mark.parametrize("n_grid", [16, 24])
+def test_constant_homotopy_steps_on_the_gradient_alone(monkeypatch, n_grid):
+    """A constant start takes the cosine of h once a block and for the two end residuals; N = 24, once a sample."""
+    spec = trig_spec()
+    z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
+    constant = _takes_constant_path(spec, z0)
+    calls = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda *args, **kwargs: calls.append(1) or cos(*args, **kwargs))
+    samples = len(run_homotopy(z0, spec, r=9.0 if constant else 0.5, ds=0.01).s)
+    if constant:
+        assert samples > floer.HOMOTOPY_BLOCK
+        assert len(calls) <= -(-samples // floer.HOMOTOPY_BLOCK) + 2
+    else:
+        assert len(calls) >= samples
+
+
+def test_constant_grid_action_after_a_step_evaluates_h():
+    """A step keeps an evaluation without h; the action of the state it stepped from takes h again."""
+    spec = trig_spec()
+    z = np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]])  # |p|^2 inside and on the cut-off ramp
+    grid = _FlowGrid.constants(spec, None, 16, z)
+    vals, zhat = grid.start
+    grid.step(vals, zhat, np.full(2, 0.01), 0.7)
+    assert grid.terms(vals).h is not None
+    fresh = _FlowGrid.constants(spec, None, 16, z)
+    assert grid.action(vals, zhat, 0.7).tobytes() == fresh.action(*fresh.start, 0.7).tobytes()
+    assert grid.h_int(vals).tobytes() == fresh.h_int(fresh.start[0]).tobytes()
+
+
 def test_homotopy_overflow_of_unbounded_h(monkeypatch):
     """h = 500 q1^2 outgrows every float: the flow raises where a state stops being finite.
 

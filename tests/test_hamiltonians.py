@@ -1,8 +1,10 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+from torusfloer import hamiltonians
 from torusfloer.floer import action
 from torusfloer.hamiltonians import (
     HamiltonianError,
@@ -132,6 +134,17 @@ def test_only_the_callables_of_one_built_in_take_its_fused_shortcut():
         assert terms.h.tobytes() == fused.h.tobytes() and terms.grad.tobytes() == fused.grad.tobytes()
 
 
+def test_per_spec_facts_are_decided_once_and_pickle():
+    """built_in and has_cutoff are kept beside the frozen fields, and a pickled spec (--jobs N) keeps them right."""
+    spec = trig_spec(rho=4.0)
+    assert spec.built_in is spec.h.__self__ and spec.has_cutoff and not trig_spec().has_cutoff
+    assert {"built_in", "has_cutoff"} <= set(vars(spec))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy.built_in is copy.h.__self__ and copy.has_cutoff
+    custom = HamiltonianSpec(n_pairs=1, h=lambda t1, t2, z: spec.h(t1, t2, z), grad_h=spec.grad_h)
+    assert custom.built_in is None
+
+
 def test_time_dependence_must_be_declared():
     def h(t1, t2, z):
         return 0.1 * np.cos(t1) * np.cos(z[..., 0])
@@ -252,6 +265,35 @@ def test_hofer_time_dependent_vs_quadrature():
     oracle = 2 * eps * np.trapezoid(np.abs(np.cos(t)), t) / (2 * np.pi)
     assert est.value == pytest.approx(oracle, rel=2e-3)
     assert est.time_dependent
+
+
+@pytest.mark.parametrize(
+    "potential, kwargs",
+    [
+        (TRIG, {}),
+        ({"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]}, {"q_points_cap": 64, "t_points": 4}),
+    ],
+)
+def test_hofer_samples_every_q_with_every_p(monkeypatch, potential, kwargs):
+    """The sample array is the repeated q lattice beside the tiled p samples, and so is the estimate's."""
+    spec = hamiltonian_from_config(potential, rho=4.0)
+    seen = []
+    h_tilde = hamiltonians.h_tilde
+    monkeypatch.setattr(hamiltonians, "h_tilde", lambda spec, t1, t2, z: seen.append(z) or h_tilde(spec, t1, t2, z))
+    est = hofer_norm(spec, **kwargs)
+    monkeypatch.undo()
+    axes = [2 * np.pi * np.arange(est.q_points_per_dim) / est.q_points_per_dim] * 2
+    qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    ps = hamiltonians._p_samples(spec, 5)
+    zs = np.concatenate([np.repeat(qs, len(ps), axis=0), np.tile(ps, (len(qs), 1))], axis=1)
+    assert np.concatenate([z.reshape(-1, 4) for z in seen]).tobytes() == zs.tobytes()
+    if spec.time_dependent:
+        t1, t2 = grid_points(kwargs["t_points"])
+        vals = hamiltonians.h_tilde(spec, t1.reshape(-1, 1), t2.reshape(-1, 1), zs[None])
+        assert est.value == float(np.mean(vals.max(axis=1) - vals.min(axis=1)))
+    else:
+        vals = hamiltonians.h_tilde(spec, 0.0, 0.0, zs)
+        assert est.value == float(np.max(vals) - np.min(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,17 @@ def test_cutoff_terms_match_the_literal_formula_in_each_region(key, seed, side, 
     assert terms.p_grad_zero == (identity and (np.isinf(spec.rho) or not nonfinite))
     if terms.p_grad_zero:
         assert not np.any(terms.grad[..., 2:].view(np.uint64))
+    # the gradient alone: the bits of the evaluation with h wherever h is finite
+    only = cutoff_terms(spec, t1, t2, zz, with_h=False)
+    assert only.h is None
+    assert _bits(only.p_sq) == _bits(psq)
+    assert only.p_grad_zero == identity
+    finite_h = np.isfinite(h)
+    assert _bits(only.grad[finite_h]) == _bits(grad[finite_h])
+    assert nonfinite != finite_h.all()
+    # where h is not finite, a phase is not: the q gradient is not finite either, with h or without
+    for g in (only.grad, grad):
+        assert not np.isfinite(g[~finite_h][:, :2]).all(axis=1).any()
 
 
 def _parent_step(grid, pot, vals, zhat, ds, weight):
