@@ -338,17 +338,18 @@ def run_energy(args, outdir: Path, checked) -> int:
     if args.load is None:
         trajectories = [run_homotopy(z0, spec, r=args.r, ds=args.ds) for z0 in trajectories]
     rows = []
-    all_pass = True
+    failed = diverged = False
     for i, traj in enumerate(trajectories):
         identity = energy_identity_check(traj)
         principle = max_principle_check(traj, spec.rho)
+        blown_up = principle.max_p_sq > spec.escape_p_sq  # diverged, as `flow` reports it: it tests no bound
         ok = (
             identity.defect < 1e-3
             and identity.energy <= bound + 1e-2
             and all(traj.ends_converged)
             and principle.passed
         )
-        all_pass = all_pass and ok
+        failed, diverged = failed or not (ok or blown_up), diverged or blown_up
         rows.append(
             {
                 "trajectory": i,
@@ -358,19 +359,23 @@ def run_energy(args, outdir: Path, checked) -> int:
                 "max_p_sq": principle.max_p_sq,
                 "ends_converged": all(traj.ends_converged),
                 "passed": ok,
+                **({"diverged": True} if blown_up else {}),
             }
         )
         if args.save_trajectories and args.load is None:
             save_trajectory(traj, outdir / f"trajectory_{i:03d}")
-        print(
-            f"energy[{i}]: E={identity.energy:.6f} <= {bound:.6f}, defect={identity.defect:.2e}, "
-            f"max|p|^2={principle.max_p_sq:.3e} ({'ok' if ok else 'FAIL'})"
-        )
+        if blown_up:
+            print(f"energy[{i}]: diverged, max|p|^2={principle.max_p_sq:.3e} > {spec.escape_p_sq:g}")
+        else:
+            print(
+                f"energy[{i}]: E={identity.energy:.6f} <= {bound:.6f}, defect={identity.defect:.2e}, "
+                f"max|p|^2={principle.max_p_sq:.3e} ({'ok' if ok else 'FAIL'})"
+            )
     write_json(
         outdir / "report.json",
-        {"hofer_norm": asdict(hofer), "bound": bound, "trajectories": rows, "passed": all_pass},
+        {"hofer_norm": asdict(hofer), "bound": bound, "trajectories": rows, "passed": not (failed or diverged)},
     )
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    return EXIT_FAIL if failed else EXIT_INCONCLUSIVE if diverged else EXIT_PASS
 
 
 def check_cuplength(args, data):

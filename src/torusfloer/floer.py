@@ -78,8 +78,8 @@ POLISH_SAMPLES = 1024  # constant states sampled for the largest residual
 HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
 # run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
 # max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap.  On a constant grid it
-# also holds up to HOMOTOPY_BLOCK states, HOMOTOPY_BLOCK * (CONSTANT_ROW*4n*8 + 4n*16)
-# bytes (128 KiB at n = 1), whatever the window's length.
+# also holds up to HOMOTOPY_BLOCK states, HOMOTOPY_BLOCK * (CONSTANT_ROW*4n*8 + 4n*8)
+# bytes (96 KiB at n = 1), whatever the window's length.
 MAX_HOMOTOPY_STEPS = 10**6
 # samples of a constant-grid homotopy whose diagnostics are taken as one grid of
 # seeds.  Taken one sample at a time they cost about 40 us a sample, nearly all numpy
@@ -229,7 +229,7 @@ def constant_start(spec: HamiltonianSpec, Z: TorusField):
 
 def _constant_state(z):
     """Constant-grid (vals, zhat) of constant states z, one (4n,) row per seed: CONSTANT_ROW points, (0, 0) mode."""
-    return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None].astype(complex)
+    return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None]
 
 
 def _planes(x):
@@ -276,24 +276,25 @@ class _FlowGrid:
     bit-identical to the trailing-component layout.
 
     A constant grid flows B exactly constant states of an autonomous h
-    (`constant_start`) on their (0, 0) blocks alone, one seed per row: zhat
-    is (B, 1, 4n), the (0, 0) block of each seed's propagator advances it,
-    and vals is (B, CONSTANT_ROW, 4n), each seed's value on the first two
-    points of a grid row, on which the pointwise functions run.  Two
-    points, not one, keep every matrix product of a potential a matrix
-    product: numpy computes a one-row product as a matrix-vector product,
-    which rounds unlike the full grid's (N, 2n) products, while the rows of
-    a matrix product round alike at every row count (their memory layout
-    does not matter, see above).  Each grid mean is taken in closed form:
-    numpy's pairwise sum of the N^2 equal values of a power-of-two grid is
-    the sum of 128 of them doubled exactly (`mean`).  Every seed's results
-    are bit-identical to its full-grid flow, step halving and termination
-    included, as long as the full grid's transforms stay finite: for an
-    unbounded custom h, the full grid's rfft2 of a huge gradient can
-    overflow a step before the (0, 0) value itself does, so there the full
-    grid loses finiteness earlier (built-in potentials are bounded).  A
-    seed's results do not depend on the other seeds of its grid, so a grid
-    of B seeds also evaluates B states of one seed at once (`stack`).
+    (`constant_start`) on their (0, 0) blocks alone, one seed per row: vals
+    is (B, CONSTANT_ROW, 4n), each seed's value on the first two points of
+    a grid row, on which the pointwise functions run, and zhat is the real
+    (B, 1, 4n) value rows, the (0, 0) modes, which a step scales by the
+    diagonal (0, 0) propagator (`_propagators`).  Two points, not one, keep
+    every matrix product of a potential a matrix product: numpy computes a
+    one-row product as a matrix-vector product, which rounds unlike the
+    full grid's (N, 2n) products, while the rows of a matrix product round
+    alike at every row count (their memory layout does not matter, see
+    above).  Each grid mean is taken in closed form: numpy's pairwise sum of
+    the N^2 equal values of a power-of-two grid is the sum of 128 of them
+    doubled exactly (`mean`).  Every seed's results are bit-identical to its
+    full-grid flow, step halving and termination included, as long as the
+    full grid's transforms stay finite: for an unbounded custom h, the full
+    grid's rfft2 of a huge gradient can overflow a step before the (0, 0)
+    value itself does, so there the full grid loses finiteness earlier
+    (built-in potentials are bounded).  A seed's results do not depend on
+    the other seeds of its grid, so a grid of B seeds also evaluates B
+    states of one seed at once (`stack`).
 
     The nonlinearity of a state is evaluated once (`cutoff_terms`) and
     kept for the last state seen, keyed by the identity of its vals: the
@@ -331,8 +332,7 @@ class _FlowGrid:
         self._zero_hat = None if constant else np.fft.rfft2(np.zeros((n, n)), norm="forward")
         self.start = start
         self.n_seeds = len(start[0]) if constant else 1
-        self._props: dict = {}
-        self._seed_props = self._seed_props_key = None
+        self._prop = self._prop_key = None
         self._vals = self._terms_of_vals = None
 
     def terms(self, vals, with_h: bool = True) -> CutoffTerms:
@@ -367,24 +367,21 @@ class _FlowGrid:
             return state
         return tuple(np.concatenate(x) for x in zip(*states))
 
-    def _propagator(self, ds: float):
-        """The propagator on the held modes: (1, 1, 4n, 4n) on a constant grid, else (4n, 4n, N, N/2 + 1)."""
-        prop = self._props.get(ds)
-        if prop is None:
-            prop = _propagator(self.n, ds, self.triple, self.modes)
-            prop = np.ascontiguousarray(prop if self.constant else prop.transpose(2, 3, 0, 1))
-            self._props[ds] = prop
-        return prop
-
     def _propagators(self, ds):
-        """The propagator for each seed's step size, stacked along the seed axis on a constant grid."""
-        if not self.constant:
-            return self._propagator(ds[0])
+        """The propagator of the step sizes ds last seen, (4n, 4n, N, N/2 + 1); on a constant grid, per seed,
+        diag(1, 1/(1 - ds)), the exact inverse of Id + ds L(0) (`_propagator`), as (B, CONSTANT_ROW, 4n)."""
         key = ds.tobytes()
-        if key != self._seed_props_key:
-            self._seed_props = np.concatenate([self._propagator(d) for d in ds.tolist()])
-            self._seed_props_key = key
-        return self._seed_props
+        if key != self._prop_key:
+            if not self.constant:
+                prop = _propagator(self.n, ds[0], self.triple, self.modes)
+                self._prop = np.ascontiguousarray(prop.transpose(2, 3, 0, 1))
+            else:
+                for d in (ds.min(), ds.max()):  # the step regime is an interval
+                    check_step(self.n, float(d))
+                self._prop = np.ones((len(ds), CONSTANT_ROW, self.spec.dim))
+                self._prop[:, :, 2 * self.spec.n_pairs :] = (1.0 / (1.0 - ds))[:, None, None]
+            self._prop_key = key
+        return self._prop
 
     def _nonlinear_modes(self, vals, weight):
         """The held modes of weight * grad h_tilde at vals.
@@ -398,7 +395,7 @@ class _FlowGrid:
         terms = self.terms(vals, with_h=not self.constant)
         nl = terms.grad if weight == 1.0 else weight * terms.grad
         if self.constant:  # the (0, 0) coefficient of a constant field is its value
-            return nl[:, :1].astype(complex)
+            return nl[:, :1]
         if not (terms.p_grad_zero and 0.0 < weight < np.inf):
             return _rfft2(nl)
         # the p planes of nl are +0.0: only the q planes are transformed
@@ -411,17 +408,15 @@ class _FlowGrid:
     def step(self, vals, zhat, ds, weight):
         """One implicit-explicit Euler update, seed i by ds[i].
 
-        Returns C-contiguous vals and modes on a constant grid, component-major
-        ones on a full grid.
+        Returns C-contiguous vals and their first point as the modes on a
+        constant grid, component-major ones on a full grid.
         """
         prop = self._propagators(ds)
-        if weight != 0.0:
-            rhs = zhat + ds[:, None, None] * self._nonlinear_modes(vals, weight)
-        else:
-            rhs = zhat
-        if self.constant:  # the inverse transform of a lone (0, 0) coefficient puts it on every point
-            new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
-            return new_hat.real.repeat(CONSTANT_ROW, axis=1), new_hat
+        rhs = zhat + ds[:, None, None] * self._nonlinear_modes(vals, weight) if weight != 0.0 else zhat
+        if self.constant:  # the diagonal propagator scales each value row onto every point
+            new_vals = prop * rhs
+            new_vals += 0.0  # -0.0 to +0.0, as the full grid's inverse transform sums it
+            return new_vals, new_vals[:, :1]
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # the C-ordered start state is component-major
         new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
@@ -464,6 +459,7 @@ class _FlowGrid:
         mean = self.mean(0.5 * terms.p_sq + weight * terms.h)
         if self.constant and np.all(np.isfinite(mean) & (mean != 0.0)):
             return -mean
+        zhat = np.asarray(zhat, dtype=complex)  # a constant grid's real modes, as the full grid holds them
         n = self.spec.n_pairs
         qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
         pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
@@ -671,9 +667,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
     """
     if check_every < 1:
         raise FlowError(f"check_every must be >= 1, got {check_every}")
-    rho = grid.spec.rho
-    escape_p_sq = 2.0 * rho if np.isfinite(rho) else 1e6
-    grid._propagator(ds)  # rejects a ds outside the step regime even if no step is taken
+    check_step(grid.n, ds)  # rejects a ds outside the step regime even if no step is taken
 
     results = [None] * grid.n_seeds
     seeds = np.arange(grid.n_seeds)
@@ -742,7 +736,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
         s = s + ds
         n_steps += 1
         max_p_sq = grid.max_p_sq(vals)
-        escaped = max_p_sq > escape_p_sq
+        escaped = max_p_sq > grid.spec.escape_p_sq
         exits = escaped | ~(s < s_max)
         if n_steps % check_every == 0:
             residual = grid.residual(vals, zhat)

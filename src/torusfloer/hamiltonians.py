@@ -286,6 +286,11 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return 4 * self.n_pairs
 
+    @property
+    def escape_p_sq(self) -> float:
+        """The max|p|^2 past which a flow has diverged: 2 rho, or 1e6 without a cut-off."""
+        return 2.0 * self.rho if self.has_cutoff else 1e6
+
     # Facts that `cutoff_terms` reads on every call, decided on the first.  They are
     # kept in the instance dict, beside the frozen fields, and are pickled with it.
 
@@ -519,6 +524,8 @@ def hofer_norm(
     unit-mass time measure, sampling q on a lattice of the base torus and p
     on radial shells within the cut-off support.  A sampling estimate, not
     an exact value; the resolution is reported alongside.
+    A built-in autonomous h depends on q alone: chi on the p samples times h on the q lattice
+    has the bits of `h_tilde`.  A custom or time-dependent h sees every (q, p) sample.
     """
     dim_q = 2 * spec.n_pairs
     cap = min(q_points_cap, 1024) if spec.time_dependent else q_points_cap
@@ -527,6 +534,9 @@ def hofer_norm(
     axes = [2 * np.pi * np.arange(per_dim) / per_dim] * dim_q
     qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
     ps = _p_samples(spec, p_shells)
+    if spec.built_in is not None and not spec.time_dependent:  # a built-in reads the q part of z alone
+        vals = chi_cutoff(component_sum(ps**2), spec.rho) * spec.h(0.0, 0.0, qs)[:, None]
+        return HoferEstimate(float(np.max(vals) - np.min(vals)), per_dim, ps.shape[0], 1, False)
     # every q with every p, q-major: one array filled by broadcasting
     zs = np.empty((qs.shape[0], ps.shape[0], spec.dim))
     zs[:, :, :dim_q] = qs[:, None]

@@ -135,6 +135,22 @@ def test_energy_command(tmp_path):
     )
 
 
+def test_energy_reports_blown_up_trajectories_as_diverged(tmp_path, capsys):
+    """Under this time_trig potential both flows grow along unstable modes to max|p|^2 ~ 1e25: exit 3, not a failed bound."""
+    config = tmp_path / "time_trig.json"
+    config.write_text(json.dumps({"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]}}))
+    out = tmp_path / "energy"
+    capsys.readouterr()
+    assert run_cli("energy", "--config", str(config), "--grid", "16", "--trajectories", "2", "--out", str(out)) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["energy[0]: diverged", "energy[1]: diverged"]
+    assert all(line.endswith("> 8") for line in lines)
+    report = read_json(out / "report.json")
+    assert not report["passed"]
+    for row in report["trajectories"]:
+        assert row["diverged"] and not row["passed"] and row["max_p_sq"] > 8.0
+
+
 @pytest.fixture(scope="module")
 def saved_trajectory(tmp_path_factory):
     out = tmp_path_factory.mktemp("saved") / "energy"

@@ -152,6 +152,13 @@ def test_imex_rejects_large_step():
         imex_steps(free_spec(), constant_field(16, [0.0] * 4, "z"), 1.0)
 
 
+@pytest.mark.parametrize("ds", [[0.01, 0.0, 0.02], [0.01, -0.01, 0.02], [0.01, 0.5, 0.02]])
+def test_constant_grid_rejects_any_seeds_step_outside_the_regime(ds):
+    grid = _FlowGrid.constants(free_spec(), None, 16, np.zeros((3, 4)))
+    with pytest.raises(FlowError, match=r"step size must lie in \(0, 1\)|leaves the step regime"):
+        grid.step(*grid.start, np.array(ds), 1.0)
+
+
 def test_propagator_matches_exponential_to_first_order():
     triple = standard_structures(1)
     ds = 1e-3
@@ -275,6 +282,30 @@ def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential
 
 
 @pytest.mark.parametrize(
+    "point",
+    # h(0, -pi) = 0.1 (cos 0 + cos -pi) = 0: with p = 0 the action is the pairing's signed zero
+    [[0.0, -np.pi, -0.0, 0.0], [-np.pi, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0], [np.pi, 0.0, -0.0, -0.0]],
+)
+def test_constant_path_keeps_the_full_grid_signed_zeros(monkeypatch, point):
+    """A -0.0 component steps to the full grid's +0.0, and an action of H = 0 takes the full grid's sign."""
+    z0 = constant_field(16, point, "z")
+    assert _takes_constant_path(trig_spec(), z0)
+
+    def run():
+        grid = _FlowGrid(trig_spec(), None, z0)
+        vals, zhat = grid.start
+        out = [grid.action(vals, zhat, 1.0).tobytes()]
+        for weight in (0.0, 1.0, 0.5):
+            vals, zhat = grid.step(vals, zhat, np.full(1, 0.01), weight)
+            out += [grid.field(vals).values.tobytes(), grid.action(vals, zhat, weight).tobytes()]
+        return out
+
+    fast = run()
+    _full_grid_only(monkeypatch)
+    assert fast == run()
+
+
+@pytest.mark.parametrize(
     "rho, p, r, snapshot_every",
     [
         (4.0, [0.0, 0.0], 0.5, 50),
@@ -339,6 +370,20 @@ def test_constant_homotopy_steps_on_the_gradient_alone(monkeypatch, n_grid):
         assert len(calls) <= -(-samples // floer.HOMOTOPY_BLOCK) + 2
     else:
         assert len(calls) >= samples
+
+
+@pytest.mark.parametrize("n_grid", [32, 24])
+def test_constant_homotopy_steps_without_a_propagator_product(monkeypatch, n_grid):
+    """A constant start's step scales its value row: no np.einsum, where a full grid (N = 24) takes one a step."""
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
+    steps = len(run_homotopy(z0, trig_spec(), r=1.0 if n_grid == 32 else 0.2, ds=5e-3 if n_grid == 32 else 0.01).vsq)
+    if _takes_constant_path(trig_spec(), z0):
+        assert steps == 1400 and calls == []
+    else:
+        assert len(calls) == steps
 
 
 def test_constant_grid_action_after_a_step_evaluates_h():

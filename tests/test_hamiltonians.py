@@ -267,6 +267,21 @@ def test_hofer_time_dependent_vs_quadrature():
     assert est.time_dependent
 
 
+def _hofer_samples(spec, est):
+    """The q lattice of an estimate, and its samples: the repeated q lattice beside the tiled p samples."""
+    dim_q = 2 * spec.n_pairs
+    axes = [2 * np.pi * np.arange(est.q_points_per_dim) / est.q_points_per_dim] * dim_q
+    qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
+    ps = hamiltonians._p_samples(spec, 5)
+    return qs, np.concatenate([np.repeat(qs, len(ps), axis=0), np.tile(ps, (len(qs), 1))], axis=1)
+
+
+def _flat_hofer(spec, est):
+    """The autonomous estimate from h_tilde at every (q, p) sample."""
+    vals = hamiltonians.h_tilde(spec, 0.0, 0.0, _hofer_samples(spec, est)[1])
+    return float(np.max(vals) - np.min(vals))
+
+
 @pytest.mark.parametrize(
     "potential, kwargs",
     [
@@ -275,25 +290,67 @@ def test_hofer_time_dependent_vs_quadrature():
     ],
 )
 def test_hofer_samples_every_q_with_every_p(monkeypatch, potential, kwargs):
-    """The sample array is the repeated q lattice beside the tiled p samples, and so is the estimate's."""
+    """The estimate has the bits of h_tilde at every q with every p.
+
+    A time-dependent h is evaluated on the sample array, the repeated q
+    lattice beside the tiled p samples; an autonomous built-in h sees the q
+    lattice alone.
+    """
     spec = hamiltonian_from_config(potential, rho=4.0)
-    seen = []
+    seen, seen_by_h = [], []
     h_tilde = hamiltonians.h_tilde
     monkeypatch.setattr(hamiltonians, "h_tilde", lambda spec, t1, t2, z: seen.append(z) or h_tilde(spec, t1, t2, z))
+    kind = type(spec.built_in)
+    evaluate = kind.evaluate
+    monkeypatch.setattr(kind, "evaluate", lambda pot, t1, t2, z, *a: seen_by_h.append(z) or evaluate(pot, t1, t2, z, *a))
     est = hofer_norm(spec, **kwargs)
     monkeypatch.undo()
-    axes = [2 * np.pi * np.arange(est.q_points_per_dim) / est.q_points_per_dim] * 2
-    qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    ps = hamiltonians._p_samples(spec, 5)
-    zs = np.concatenate([np.repeat(qs, len(ps), axis=0), np.tile(ps, (len(qs), 1))], axis=1)
-    assert np.concatenate([z.reshape(-1, 4) for z in seen]).tobytes() == zs.tobytes()
+    qs, zs = _hofer_samples(spec, est)
     if spec.time_dependent:
+        assert np.concatenate([z.reshape(-1, 4) for z in seen]).tobytes() == zs.tobytes()
         t1, t2 = grid_points(kwargs["t_points"])
         vals = hamiltonians.h_tilde(spec, t1.reshape(-1, 1), t2.reshape(-1, 1), zs[None])
         assert est.value == float(np.mean(vals.max(axis=1) - vals.min(axis=1)))
     else:
-        vals = hamiltonians.h_tilde(spec, 0.0, 0.0, zs)
-        assert est.value == float(np.max(vals) - np.min(vals))
+        assert seen == [] and [z.tobytes() for z in seen_by_h] == [qs.tobytes()]
+        assert est.value == _flat_hofer(spec, est)
+
+
+@pytest.mark.parametrize("modes", [[[1, 0], [0, 1]], [[1, 2], [3, -1], [0, 5]], [[1, 0, 0, 1], [0, 1, -1, 0]]])
+@pytest.mark.parametrize("rho", [np.inf, 4.0, 1.0, 0.7, 0.2])
+@pytest.mark.parametrize("epsilon", [0.1, -2.5, 1e-300])
+def test_hofer_on_the_q_lattice_has_the_bits_of_every_sample(modes, rho, epsilon):
+    """chi(|p|^2) times h on the q lattice, against h_tilde at every (q, p).
+
+    rho <= 1 puts p = 0 on the cut-off ramp, where h_tilde of a q-lattice
+    point is not h.
+    """
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": epsilon, "modes": modes}, rho=rho)
+    est = hofer_norm(spec)
+    assert est.value == _flat_hofer(spec, est)
+    assert est.value > 0.0 and est.p_sample_count == len(hamiltonians._p_samples(spec, 5))
+
+
+def test_hofer_samples_a_custom_h_at_every_p(monkeypatch):
+    """A custom h may depend on p: here h = p1 cos q1, which vanishes on the q lattice at p = 0."""
+
+    def h(t1, t2, z):
+        return z[..., 2] * np.cos(z[..., 0])
+
+    def grad_h(t1, t2, z):
+        grad = np.zeros_like(np.asarray(z, dtype=float))
+        grad[..., 0] = -z[..., 2] * np.sin(z[..., 0])
+        grad[..., 2] = np.cos(z[..., 0])
+        return grad
+
+    spec = HamiltonianSpec(1, h, grad_h, rho=4.0)
+    seen = []
+    h_tilde = hamiltonians.h_tilde
+    monkeypatch.setattr(hamiltonians, "h_tilde", lambda spec, t1, t2, z: seen.append(z) or h_tilde(spec, t1, t2, z))
+    est = hofer_norm(spec)
+    monkeypatch.undo()
+    assert sum(len(z) for z in seen) == est.q_points_per_dim**2 * est.p_sample_count
+    assert est.value == _flat_hofer(spec, est) > 1.0
 
 
 # ---------------------------------------------------------------------------

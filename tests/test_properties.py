@@ -142,7 +142,9 @@ def test_constant_critical_point_is_fixed_point_of_full_grid_step(n, spec, q, fr
 def test_exact_constants_have_the_transform_they_claim(log_n, point):
     """rfft2 of an exact constant is its value at (0, 0), bytes and signed zeros included, and 0 elsewhere.
 
-    constant_start takes the value as the (0, 0) mode without a transform.
+    constant_start takes the value as the (0, 0) mode without a transform,
+    and the constant grid holds it as a real number: cast to complex, it has
+    the transform's bytes, imaginary part +0.0 included.
     """
     n = 1 << log_n
     values = np.broadcast_to(np.asarray(point), (n, n, 4)).copy()
@@ -153,7 +155,7 @@ def test_exact_constants_have_the_transform_they_claim(log_n, point):
         assert not np.any(zhat[1:]) and not np.any(zhat[0, 1:])
         z = TorusField(values, "z")
         row, coefficient = floer.constant_start(ZERO, z), _FlowGrid(ZERO, None, z).start[1]
-        assert coefficient.tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
+        assert coefficient.astype(complex).tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
         assert row.tobytes() == values[:1].tobytes()
 
 
@@ -552,6 +554,35 @@ def _constant_grid(spec, n, z):
     return _FlowGrid.constants(spec, standard_structures(spec.n_pairs), n, z)
 
 
+@settings(PROPERTY, max_examples=100)
+@given(
+    n=st.sampled_from([8, 16, 32, 64]),
+    n_pairs=st.sampled_from([1, 2]),
+    general=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_zero_mode_propagator_is_exactly_diagonal(n, n_pairs, general, seed, data):
+    """At (0, 0), (Id + ds L(0))^(-1) = diag(1, 1/(1 - ds)) to the last bit, zeros and imaginary parts included.
+
+    The constant grid's step rests on it: it scales each value row by that
+    diagonal, which the grid holds per seed.
+    """
+    mu = mu_max(n)
+    step = st.floats(0.0, 1.0 / mu, exclude_min=True, exclude_max=True).filter(lambda ds: ds * mu < 1.0)
+    ds = np.array(data.draw(st.lists(step, min_size=1, max_size=3)))
+    rng = np.random.default_rng(seed)
+    triple = compatible_triple(*random_regularized_pair(rng, n_pairs)) if general else standard_structures(n_pairs)
+    half = 2 * n_pairs
+    grid = _constant_grid(hamiltonian_from_config({"kind": "zero", "n_pairs": n_pairs}), n, np.zeros((len(ds), 2 * half)))
+    factors = grid._propagators(ds)
+    for d, row in zip(ds.tolist(), factors):
+        prop = _propagator(n, d, triple, np.s_[:1, :1])
+        diagonal = np.concatenate([np.ones(half), np.full(half, 1.0 / (1.0 - d))])
+        assert prop.tobytes() == np.diag(diagonal).astype(complex)[None, None].tobytes()
+        assert row.tobytes() == np.broadcast_to(diagonal, row.shape).tobytes()
+
+
 grid_means = st.one_of(
     st.floats(1e-300, 1e300),
     st.floats(-1e300, -1e-300),
@@ -604,6 +635,7 @@ def test_two_point_rows_evaluate_like_the_full_grid(k, rho, n, seeds, seed):
 
 def _pairing_action(grid, vals, zhat, weight):
     """The action with the Parseval pairing formed, as every grid took it before the constant shortcut."""
+    zhat = zhat.astype(complex)  # a constant grid's real (0, 0) modes, as the full grid holds them
     n = grid.spec.n_pairs
     qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
     pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
