@@ -4,7 +4,7 @@ Hamiltonian PDEs on the 2-torus.
 Submodules
 ----------
 structures    structure matrices, compatible triples, holomorphy checks
-spectral      grids, transforms, derivatives, the first-order operator
+spectral      grids, derivatives, the first-order operator
 hamiltonians  Hamiltonians with cut-off, residuals, Legendre transform
 floer         the action, the gradient flow, switching profiles, energy diagnostics
 symbol        per-frequency symbol of the linearized flow operator
@@ -16,7 +16,6 @@ cli           command-line interface
 __version__ = "0.1.0"
 
 from .spectral import (
-    ModeField,
     TorusField,
     constant_field,
     derivative,
@@ -25,8 +24,6 @@ from .spectral import (
     l2_inner,
     l2_norm,
     laplacian,
-    mode_transform,
-    inverse_mode_transform,
     random_band_limited,
     sobolev_norm,
 )
@@ -57,7 +54,6 @@ from .floer import (
     BetaProfile,
     action,
     energy,
-    energy_density,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,

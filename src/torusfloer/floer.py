@@ -47,13 +47,7 @@ from .hamiltonians import (
 
 # perfbench/tracing.py wraps these names on this module
 from .hamiltonians import grad_h_tilde, h_tilde, hamiltonian_residual, hamiltonian_value  # noqa: F401
-from .spectral import (
-    FieldError,
-    TorusField,
-    derivative,
-    derivative_numbers,
-    grid_points,
-)
+from .spectral import TorusField, derivative_numbers, grid_points
 from .structures import StructureTriple, standard_structures
 
 DEFAULT_DS = 1e-2
@@ -232,6 +226,11 @@ def _constant_state(z):
     return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None]
 
 
+def _take(keep, vals, zhat, terms):
+    """The seeds `keep` (a mask) of a constant-grid state and of its evaluation."""
+    return vals[keep], zhat[keep], terms._replace(p_sq=terms.p_sq[keep], h=terms.h[keep], grad=terms.grad[keep])
+
+
 def _planes(x):
     """The (k, N, N') component planes of an (N, N', k) grid array, as a view."""
     return x.transpose(2, 0, 1)
@@ -296,12 +295,12 @@ class _FlowGrid:
     the other seeds of its grid, so a grid of B seeds also evaluates B
     states of one seed at once (`stack`).
 
-    The nonlinearity of a state is evaluated once (`cutoff_terms`) and
-    kept for the last state seen, keyed by the identity of its vals: the
-    step, the action, max|p|^2, h_int and the residual all read it.  The
-    step of a constant grid reads only the gradient, so an evaluation it
-    makes skips h; a kept evaluation without h is taken again for a reader
-    of h.
+    The grid keeps nothing from one call to the next but the propagator of
+    the last step sizes.  A caller evaluates the nonlinearity of a state
+    once (`evaluate`) and hands that evaluation to the step, the action,
+    max|p|^2 and the residual of the state; none of them evaluates it.  The
+    step reads only the gradient, so an evaluation for a step alone may
+    skip h.
     """
 
     def __init__(self, spec, triple, Z: TorusField):
@@ -333,34 +332,20 @@ class _FlowGrid:
         self.start = start
         self.n_seeds = len(start[0]) if constant else 1
         self._prop = self._prop_key = None
-        self._vals = self._terms_of_vals = None
 
-    def terms(self, vals, with_h: bool = True) -> CutoffTerms:
-        """The pointwise evaluation of the nonlinearity at vals, reused while vals is the last state.
+    def evaluate(self, vals, with_h: bool = True) -> CutoffTerms:
+        """The pointwise evaluation of the nonlinearity at vals (`cutoff_terms`).
 
-        with_h=False serves a reader of |p|^2 and the gradient alone: a new
-        evaluation then skips h (`cutoff_terms`), and a kept one serves too.
+        with_h=False serves a step alone, which reads only the gradient: h is
+        then None, and a built-in h is not evaluated.
         """
-        if vals is not self._vals or (with_h and self._terms_of_vals.h is None):
-            self._terms_of_vals = cutoff_terms(self.spec, self.t1, self.t2, vals, with_h=with_h)
-            self._vals = vals
-        return self._terms_of_vals
-
-    def take(self, keep, vals, zhat):
-        """The seeds `keep` (a mask) of a constant-grid state; the kept evaluation follows them."""
-        kept = vals[keep], zhat[keep]
-        if vals is self._vals:
-            t = self._terms_of_vals
-            self._terms_of_vals = CutoffTerms(t.p_sq[keep], t.h[keep], t.grad[keep], t.p_grad_zero)
-            self._vals = kept[0]
-        return kept
+        return cutoff_terms(self.spec, self.t1, self.t2, vals, with_h=with_h)
 
     def stack(self, states):
         """One state of the grid holding a list of states (tuples of arrays), one seed each.
 
         A constant grid concatenates them along its seed axis; a full grid
-        holds one state, which is returned as it is, so its kept evaluation
-        still applies.
+        holds one state, which is returned as it is.
         """
         if not self.constant:
             (state,) = states
@@ -383,16 +368,8 @@ class _FlowGrid:
             self._prop_key = key
         return self._prop
 
-    def _nonlinear_modes(self, vals, weight):
-        """The held modes of weight * grad h_tilde at vals.
-
-        A full grid's step keeps h: `run_homotopy` takes the action of the
-        same state next.  A constant grid's step asks for the gradient
-        alone: `run_homotopy` takes its diagnostics on a stack of states
-        instead, and `_flow`'s step finds the evaluation that its action
-        took, h included.
-        """
-        terms = self.terms(vals, with_h=not self.constant)
+    def _nonlinear_modes(self, terms, weight):
+        """The held modes of weight * grad h_tilde, from the gradient of the evaluation terms."""
         nl = terms.grad if weight == 1.0 else weight * terms.grad
         if self.constant:  # the (0, 0) coefficient of a constant field is its value
             return nl[:, :1]
@@ -405,14 +382,15 @@ class _FlowGrid:
         nhat[q:] = self._zero_hat
         return _grid(nhat)
 
-    def step(self, vals, zhat, ds, weight):
-        """One implicit-explicit Euler update, seed i by ds[i].
+    def step(self, zhat, terms, ds, weight):
+        """One implicit-explicit Euler update of the state with modes zhat and evaluation terms, seed i by ds[i].
 
-        Returns C-contiguous vals and their first point as the modes on a
-        constant grid, component-major ones on a full grid.
+        A weight of 0 reads no evaluation: terms may be None.  Returns
+        C-contiguous vals and their first point as the modes on a constant
+        grid, component-major ones on a full grid.
         """
         prop = self._propagators(ds)
-        rhs = zhat + ds[:, None, None] * self._nonlinear_modes(vals, weight) if weight != 0.0 else zhat
+        rhs = zhat + ds[:, None, None] * self._nonlinear_modes(terms, weight) if weight != 0.0 else zhat
         if self.constant:  # the diagonal propagator scales each value row onto every point
             new_vals = prop * rhs
             new_vals += 0.0  # -0.0 to +0.0, as the full grid's inverse transform sums it
@@ -447,15 +425,14 @@ class _FlowGrid:
             return np.array([np.isfinite(_planes(vals)).all()])
         return np.logical_and.reduce(np.isfinite(self._by_seed(vals)), axis=1)
 
-    def action(self, vals, zhat, weight):
-        """Action via Parseval for the kinetic pairing, grid values for H.
+    def action(self, zhat, terms, weight):
+        """Action of the state with modes zhat and evaluation terms: Parseval for the pairing, grid values for H.
 
         On a constant grid the pairing is exactly +-0 for a finite state, so
         the action is -mean(H) wherever that mean is nonzero and finite; the
         pairing is formed only when some seed's mean is 0 or not finite,
         where +-0 - mean keeps a sign or NaN bits that -mean would not.
         """
-        terms = self.terms(vals)
         mean = self.mean(0.5 * terms.p_sq + weight * terms.h)
         if self.constant and np.all(np.isfinite(mean) & (mean != 0.0)):
             return -mean
@@ -469,16 +446,12 @@ class _FlowGrid:
         pairing = np.add.reduce(self._by_seed(pairing), axis=1)
         return pairing - mean
 
-    def max_p_sq(self, vals):
-        return np.maximum.reduce(self._by_seed(self.terms(vals).p_sq), axis=1)
+    def max_p_sq(self, terms):
+        return np.maximum.reduce(self._by_seed(terms.p_sq), axis=1)
 
-    def h_int(self, vals):
-        """Grid mean of the cut-off nonlinearity h_tilde."""
-        return self.mean(self.terms(vals).h)
-
-    def residual_map(self, vals, zhat, h_weight: float = 1.0):
+    def residual_map(self, vals, zhat, terms, h_weight: float = 1.0):
         """F(Z) = dirac(Z) - grad H(Z) on the grid, dirac from the modes; -grad H, negated, on a constant grid."""
-        grad = grad_H_values(self.spec, self.terms(vals).grad, vals, h_weight)
+        grad = grad_H_values(self.spec, terms.grad, vals, h_weight)
         if self.constant:
             return np.negative(grad, out=grad)
         # C-ordered modes: a matrix product rounds by layout (_BuiltIn._q)
@@ -486,9 +459,9 @@ class _FlowGrid:
         dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
         return _irfft2(dhat, self.n) - grad
 
-    def residual(self, vals, zhat, h_weight: float = 1.0):
+    def residual(self, vals, zhat, terms, h_weight: float = 1.0):
         """L2 norm of the system residual F(Z) (`residual_map`)."""
-        return np.sqrt(np.maximum(self.mean_sq(self.residual_map(vals, zhat, h_weight)), 0.0))
+        return np.sqrt(np.maximum(self.mean_sq(self.residual_map(vals, zhat, terms, h_weight)), 0.0))
 
     def field(self, vals, seed: int = 0) -> TorusField:
         """The field of one seed in state vals; a constant seed's holds its value on every point."""
@@ -500,7 +473,9 @@ class _FlowGrid:
 def action(spec: HamiltonianSpec, Z: TorusField, h_weight: float = 1.0) -> float:
     """Action integral of Z, unit-mass normalized: mean(<p, 2 d_t q> - H_tilde), as the flow takes it."""
     grid = _FlowGrid(spec, None, Z)
-    return float(grid.action(*grid.start, h_weight)[0])
+    vals, zhat = grid.start
+    return float(grid.action(zhat, grid.evaluate(vals), h_weight)[0])
+
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +587,22 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
     grid = _FlowGrid.constants(spec, None, results[0].Z.grid_size, np.stack([r.Z.values[0, 0] for r in results]))
     vals, zhat = grid.start
     z = vals[:, 0]
-    residual = grid.residual(vals, zhat)
+    terms = grid.evaluate(vals)  # one evaluation per state, read by its residual and its F
+    residual = grid.residual(vals, zhat, terms)
     probes = NEWTON_FD_STEP * np.stack([np.eye(dim), -np.eye(dim)])  # (2, k, dim)
     for n_newton in range(NEWTON_STEPS + 1):
         falls = np.zeros(len(z), dtype=bool)
         if n_newton < NEWTON_STEPS:
-            f = grid.residual_map(vals, zhat)[:, 0]
-            fp = grid.residual_map(*_constant_state((z[:, None, None] + probes).reshape(-1, dim)))
+            f = grid.residual_map(vals, zhat, terms)[:, 0]
+            probe_vals, probe_hat = _constant_state((z[:, None, None] + probes).reshape(-1, dim))
+            fp = grid.residual_map(probe_vals, probe_hat, grid.evaluate(probe_vals))
             fp = fp[:, 0].reshape(len(z), 2, dim, dim)
             # F(z - step) - F(z + step) has the bits of grad H(z + step) - grad H(z - step)
             jac = np.swapaxes(fp[:, 1] - fp[:, 0], 1, 2) / (2.0 * NEWTON_FD_STEP)
             new_z = z + _solve_each(jac, f)
             new_vals, new_hat = _constant_state(new_z)
-            new_residual = grid.residual(new_vals, new_hat)
+            new_terms = grid.evaluate(new_vals)
+            new_residual = grid.residual(new_vals, new_hat, new_terms)
             # a step counts if it lowers the residual and moves the state by more than round-off
             round_off = np.finfo(float).eps * np.fmax(1.0, np.max(np.abs(z), axis=1))
             falls = (new_residual < residual) & (np.max(np.abs(new_z - z), axis=1) > round_off)  # False for NaN
@@ -636,7 +614,7 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
         if not falls.any():
             break
         seeds, z, residual = seeds[falls], new_z[falls], new_residual[falls]
-        vals, zhat = grid.take(falls, new_vals, new_hat)
+        vals, zhat, terms = _take(falls, new_vals, new_hat, new_terms)
     return polished
 
 
@@ -677,11 +655,13 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
     n_halvings = np.zeros(grid.n_seeds, dtype=int)
     n_steps = 0
     vals, zhat = grid.start
+    # one evaluation per state, with h, read by its step, action, max|p|^2 and residual
+    terms = grid.evaluate(vals)
     # diagnostics rows carry the latest residual, refreshed every check_every steps
-    residual = grid.residual(vals, zhat)
+    residual = grid.residual(vals, zhat, terms)
     residual_scale = np.fmax(1.0, residual)
-    act = grid.action(vals, zhat, 1.0)
-    max_p_sq = grid.max_p_sq(vals)
+    act = grid.action(zhat, terms, 1.0)
+    max_p_sq = grid.max_p_sq(terms)
     rows = [[row] for row in zip(*(x.tolist() for x in (s, act, residual, max_p_sq, energy_cum)))]
     # the rows between two checks share one float object for the residual
     listed, residual_values = residual, [seed_rows[0][2] for seed_rows in rows]
@@ -710,42 +690,43 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
             seeds, ds, s, act, residual, residual_scale, energy_cum, n_halvings = (
                 x[keep] for x in (seeds, ds, s, act, residual, residual_scale, energy_cum, n_halvings)
             )
-            vals, zhat = grid.take(keep, vals, zhat)
+            vals, zhat, terms = _take(keep, vals, zhat, terms)
         finished = None
         if stop is not None and stop():
             break
 
-        new_vals, new_hat = grid.step(vals, zhat, ds, 1.0)
+        new_vals, new_hat = grid.step(zhat, terms, ds, 1.0)
         finite = grid.finite(new_vals)
         if not finite.all():
             finished = ~finite
             for i in np.flatnonzero(finished):
                 finish(i, grid.field(vals, i), False, True, "non-finite state")
             continue
-        new_act = grid.action(new_vals, new_hat, 1.0)
+        new_terms = grid.evaluate(new_vals)
+        new_act = grid.action(new_hat, new_terms, 1.0)
         rises = new_act > act + MONOTONE_SLACK * np.fmax(1.0, np.abs(act))
         if rises.any():
             halve = rises & (ds > DS_MIN)
-            if halve.any():
+            if halve.any():  # the halved step starts from the same state and evaluation
                 ds = np.where(halve, 0.5 * ds, ds)
                 n_halvings = n_halvings + halve
                 continue
         dz = new_vals - vals
         energy_cum = energy_cum + grid.mean_sq(dz) / ds
-        vals, zhat, act = new_vals, new_hat, new_act
+        vals, zhat, terms, act = new_vals, new_hat, new_terms, new_act
         s = s + ds
         n_steps += 1
-        max_p_sq = grid.max_p_sq(vals)
+        max_p_sq = grid.max_p_sq(terms)
         escaped = max_p_sq > grid.spec.escape_p_sq
         exits = escaped | ~(s < s_max)
         if n_steps % check_every == 0:
-            residual = grid.residual(vals, zhat)
+            residual = grid.residual(vals, zhat, terms)
             exits |= ~(residual <= RESIDUAL_BLOWUP * residual_scale) | (residual < tol)  # NaN too
             any_exit = exits.any()
         else:  # the residual of a seed changes only at checks, or when it escapes
             any_exit = exits.any()
             if any_exit and escaped.any():
-                residual = np.where(escaped, grid.residual(vals, zhat), residual)
+                residual = np.where(escaped, grid.residual(vals, zhat, terms), residual)
         if residual is not listed:
             listed, residual_values = residual, residual.tolist()
         new_rows = zip(s.tolist(), act.tolist(), residual_values, max_p_sq.tolist(), energy_cum.tolist())
@@ -756,7 +737,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
             converged = residual < tol
             at_s_max = exits & ~(escaped | blowup | converged)
             if at_s_max.any():
-                residual = np.where(at_s_max, grid.residual(vals, zhat), residual)
+                residual = np.where(at_s_max, grid.residual(vals, zhat, terms), residual)
                 blowup |= at_s_max & ~np.isfinite(residual)
             for i in np.flatnonzero(exits):
                 field = grid.field(vals, i)
@@ -782,7 +763,8 @@ class FlowTrajectory:
 
     Arrays are indexed by sample; vsq holds the squared L2 velocity of each
     step (length len(s) - 1).  action is evaluated with the instantaneous
-    profile weight, h_int is the torus mean of the cut-off nonlinearity.
+    profile weight, h_int is the torus mean of the cut-off nonlinearity.  A
+    trajectory that escapes ends at its first escaped sample (`run_homotopy`).
     """
 
     s: np.ndarray
@@ -822,18 +804,22 @@ def run_homotopy(
     Integrates from s = -(1 + HOMOTOPY_PAD) to (k+1)r + 1 + HOMOTOPY_PAD so
     the profile is identically zero at both ends; end residuals are taken
     against the plain quadratic Hamiltonian there and count as converged
-    below DEFAULT_TOL.
+    below DEFAULT_TOL.  A sample whose max|p|^2 is past `spec.escape_p_sq`
+    has diverged: the trajectory ends there, that sample kept.
 
     The loop steps and checks each new state for finiteness.  The
     diagnostics of a sample (action at the sample's profile weight, h_int,
     max|p|^2, and |d_s Z|^2 of its step) are taken for a block of samples
     at once: HOMOTOPY_BLOCK samples of a constant start, evaluated as one
-    constant grid with a seed per sample, and one sample of a full grid,
-    right after its step, from the evaluation the step kept.  A seed's
-    results do not depend on the other seeds of its grid, so every output
-    is the one a sample-by-sample evaluation gives, bit for bit.  So a
-    constant start's step evaluates the gradient alone (`cutoff_terms`),
-    and h is evaluated once a block.
+    constant grid with a seed per sample, and one sample of a full grid.
+    A seed's results do not depend on the other seeds of its grid, so every
+    output is the one a sample-by-sample evaluation gives, bit for bit.  A
+    full grid evaluates each sample once, h included, for its step and its
+    diagnostics; a constant start's step evaluates the gradient alone
+    (`cutoff_terms`), and h is evaluated once a block.  So a constant start
+    finds an escape at the end of its block and truncates there; a step of
+    the block that lost finiteness after an escaped sample ends the
+    trajectory at that sample instead of raising.
     """
     profile, n_steps = switching_window(spec.n_pairs, r, ds)
     s_start = profile.s_on - HOMOTOPY_PAD
@@ -850,35 +836,55 @@ def run_homotopy(
     step = np.full(1, ds)
     weights = profile.value(svals)  # elementwise: each weight has the bits of a call at its s
     states, moves = [], []  # the samples since the last diagnostics, and their steps
+    end = n_steps  # the last sample of the trajectory
     for i, (s, w) in enumerate(zip(svals.tolist(), weights.tolist())):
         if snapshot_every is not None and i % snapshot_every == 0:
             snapshots.append((s, grid.field(vals)))
         states.append((vals, zhat))
+        # a full grid evaluates each sample once, h included, for its step and its diagnostics;
+        # a constant grid evaluates the gradient alone for a step of nonzero weight
+        if not grid.constant:
+            terms = grid.evaluate(vals)
+        else:
+            terms = grid.evaluate(vals, with_h=False) if w != 0.0 else None
+        finite = True
         if i < n_steps:
-            new_vals, new_hat = grid.step(vals, zhat, step, w)
-            if not np.isfinite(new_vals).all():
-                raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
-            moves.append((vals, new_vals))
-            vals, zhat = new_vals, new_hat
-        if len(states) == block or i == n_steps:
+            new_vals, new_hat = grid.step(zhat, terms, step, w)
+            finite = np.isfinite(new_vals).all()
+            if finite:
+                moves.append((vals, new_vals))
+                vals, zhat = new_vals, new_hat
+        if len(states) == block or i == n_steps or not finite:
             first = i + 1 - len(states)
             block_vals, block_hat = grid.stack(states)
-            act[first : i + 1] = grid.action(block_vals, block_hat, weights[first : i + 1, None])
-            h_int[first : i + 1] = grid.h_int(block_vals)
-            max_p_sq[first : i + 1] = grid.max_p_sq(block_vals)
+            if grid.constant:
+                terms = grid.evaluate(block_vals)
+            act[first : i + 1] = grid.action(block_hat, terms, weights[first : i + 1, None])
+            h_int[first : i + 1] = grid.mean(terms.h)
+            max_p_sq[first : i + 1] = grid.max_p_sq(terms)
             if moves:
                 old, new = grid.stack(moves)
                 vsq[first : first + len(moves)] = grid.mean_sq(new - old) / ds**2
+            escaped = np.flatnonzero(max_p_sq[first : i + 1] > spec.escape_p_sq)
+            if escaped.size:
+                end = first + int(escaped[0])
+                vals, zhat = states[escaped[0]]
+                break
+            if not finite:
+                raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
             states, moves = [], []
 
-    res_start = grid.residual(*grid.start, h_weight=0.0).item()
-    res_end = grid.residual(vals, zhat, h_weight=0.0).item()
+    res_start, res_end = (
+        grid.residual(v, z, grid.evaluate(v), h_weight=0.0).item() for v, z in (grid.start, (vals, zhat))
+    )
+    if snapshot_every is not None:
+        del snapshots[end // snapshot_every + 1 :]
     return FlowTrajectory(
-        s=svals,
-        action=act,
-        h_int=h_int,
-        max_p_sq=max_p_sq,
-        vsq=vsq,
+        s=svals[: end + 1],
+        action=act[: end + 1],
+        h_int=h_int[: end + 1],
+        max_p_sq=max_p_sq[: end + 1],
+        vsq=vsq[:end],
         ds=ds,
         profile=profile,
         end_residuals=(res_start, res_end),
@@ -943,13 +949,3 @@ def max_principle_check(traj: FlowTrajectory, rho: float, grid_tol: float = 1e-8
     worst = float(np.max(traj.max_p_sq))
     return MaxPrincipleReport(worst, rho, worst <= rho + grid_tol, traj.ends_converged, grid_tol)
 
-
-def energy_density(Z: TorusField, dZds: TorusField) -> np.ndarray:
-    """Pointwise density (|d_s Z|^2 + |d1 Z|^2 + |d2 Z|^2) / 2 on the grid."""
-    if Z.values.shape != dZds.values.shape:
-        raise FieldError("field and velocity shapes differ")
-    d1 = derivative(Z, "d1").values
-    d2 = derivative(Z, "d2").values
-    return 0.5 * (
-        np.sum(dZds.values**2, axis=2) + np.sum(d1**2, axis=2) + np.sum(d2**2, axis=2)
-    )

@@ -120,7 +120,7 @@ def _finite_c3(c3_norm: float) -> float:
 
 
 class _BuiltIn:
-    """value, grad and value_and_grad from the one evaluate(t1, t2, z, with_grad, with_h).
+    """value and grad from the one evaluate(t1, t2, z, with_grad, with_h).
 
     evaluate returns (h, grad h), each None where its flag is False.
     """
@@ -135,9 +135,6 @@ class _BuiltIn:
 
     def grad(self, t1, t2, z):
         return self.evaluate(t1, t2, z, True, False)[1]
-
-    def value_and_grad(self, t1, t2, z):
-        return self.evaluate(t1, t2, z, True, True)
 
 
 class ZeroNonlinearity(_BuiltIn):
@@ -362,8 +359,9 @@ def cutoff_terms(
     """Evaluate |p|^2, chi, h, grad h and chi' once and combine them.
 
     h_tilde, grad_h_tilde and hamiltonian_value are views of this one
-    evaluation; the flow reuses it for the step, the action, max|p|^2,
-    h_int and the residual of a state.
+    evaluation.  The flow evaluates each state once (`_FlowGrid.evaluate`)
+    and hands the result to the step, the action, max|p|^2 and the residual
+    of the state.
 
     A spec of one built-in potential gets h and grad h from one `evaluate`
     call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
@@ -372,13 +370,14 @@ def cutoff_terms(
 
     What a caller may skip: with_grad=False skips the gradient (h_tilde,
     hamiltonian_value, the Hofer norm).  with_h=False is for a caller that
-    reads only |p|^2 and the gradient, such as the constant grid's step,
-    and gives h None.  For a built-in potential where the cut-off is
-    skipped, h is then not evaluated (no cosine, no sum) nor checked for
-    being finite; a custom h is evaluated all the same, and on the cut-off
-    ramp the gradient needs h.  The gradient has the bits of the evaluation
-    with h wherever h is finite.  A built-in h is bounded by its finite
-    C3-norm estimate, so it is not finite only where a phase a . q is not;
+    reads only |p|^2 and the gradient, such as a step of a switching run
+    from a constant start (`run_homotopy`), and gives h None.  For a
+    built-in potential where the cut-off is skipped, h is then not
+    evaluated (no cosine, no sum) nor checked for being finite; a custom h
+    is evaluated all the same, and on the cut-off ramp the gradient needs h.
+    The gradient has the bits of the evaluation with h wherever h is
+    finite.  A built-in h is bounded by its finite C3-norm estimate, so it
+    is not finite only where a phase a . q is not;
     sin is NaN there, and the matrix product spreads it to the q gradient.
     So where the evaluation with h turns the p gradient NaN, the q gradient
     is not finite either: a step from it is not finite either way, and the
@@ -498,18 +497,17 @@ class HoferEstimate:
 
 
 def _p_samples(spec: HamiltonianSpec, shells: int) -> np.ndarray:
+    """The p samples of `hofer_norm`: the zero row, then each nonzero radius times each direction.
+
+    The radii split [0, sqrt(rho)] (4 without a cut-off) into shells; the
+    directions are +-e_a and the diagonal, so no two rows are equal.
+    """
     dim_p = 2 * spec.n_pairs
     pmax = np.sqrt(spec.rho) if np.isfinite(spec.rho) else 4.0
-    radii = np.linspace(0.0, pmax, shells)
-    dirs = [np.zeros(dim_p)]
-    for a in range(dim_p):
-        e = np.zeros(dim_p)
-        e[a] = 1.0
-        dirs.append(e)
-        dirs.append(-e)
-    dirs.append(np.ones(dim_p) / np.sqrt(dim_p))
-    samples = [r * d for r in radii for d in dirs]
-    return np.unique(np.array(samples), axis=0)
+    radii = np.linspace(0.0, pmax, shells)[1:]
+    eye = np.eye(dim_p)
+    dirs = np.concatenate([eye, -eye, [np.ones(dim_p) / np.sqrt(dim_p)]])
+    return np.concatenate([np.zeros((1, dim_p)), (radii[:, None, None] * dirs).reshape(-1, dim_p)])
 
 
 def hofer_norm(

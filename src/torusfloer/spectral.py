@@ -109,29 +109,6 @@ class TorusField:
         return self.values[:, :, 2 * self.n_pairs :]
 
 
-@dataclass(frozen=True)
-class ModeField:
-    """Complex mode coefficients of a TorusField, numpy FFT ordering."""
-
-    coeffs: np.ndarray
-    layout: str = "generic"
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
-        _check_grid(coeffs)
-        _check_layout(self.layout, coeffs.shape[2])
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def grid_size(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[2]
-
-
 def grid_points(n: int, index=np.s_[:, :]):
     """Return T1, T2 meshgrids of shape (n, n), 'ij' indexing; index (two slices) builds that block alone."""
     t = PERIOD * np.arange(n) / n
@@ -149,16 +126,6 @@ def derivative_numbers(n: int, index=np.s_[:, :]):
     m = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
     m[n // 2] = 0
     return np.meshgrid(m[index[0]], m[index[1]], indexing="ij")
-
-
-def mode_transform(field: TorusField) -> ModeField:
-    coeffs = np.fft.fft2(field.values, axes=(0, 1), norm="forward")
-    return ModeField(coeffs, field.layout)
-
-
-def inverse_mode_transform(modes: ModeField) -> TorusField:
-    values = np.fft.ifft2(modes.coeffs, axes=(0, 1), norm="forward").real
-    return TorusField(values, modes.layout)
 
 
 def _pair_indices(layout: str, components: int):

@@ -136,7 +136,7 @@ def test_energy_command(tmp_path):
 
 
 def test_energy_reports_blown_up_trajectories_as_diverged(tmp_path, capsys):
-    """Under this time_trig potential both flows grow along unstable modes to max|p|^2 ~ 1e25: exit 3, not a failed bound."""
+    """Under this time_trig potential both flows grow along unstable modes past 2 rho = 8: exit 3, not a failed bound."""
     config = tmp_path / "time_trig.json"
     config.write_text(json.dumps({"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]}}))
     out = tmp_path / "energy"
@@ -149,6 +149,29 @@ def test_energy_reports_blown_up_trajectories_as_diverged(tmp_path, capsys):
     assert not report["passed"]
     for row in report["trajectories"]:
         assert row["diverged"] and not row["passed"] and row["max_p_sq"] > 8.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_ends_an_escaping_trajectory_at_its_escape(tmp_path, capsys):
+    """A window of 4,000 steps ends where max|p|^2 passes 8: one line, no warning, and a report in strict JSON."""
+    config = tmp_path / "time_trig.json"
+    config.write_text(json.dumps({"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]}}))
+    out = tmp_path / "energy"
+    argv = ["--grid", "16", "--trajectories", "1", "--ds", "0.01", "--r", "12", "--save-trajectories"]
+    capsys.readouterr()
+    assert run_cli("energy", "--config", str(config), *argv, "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split(",")[0] for line in captured.out.splitlines()] == ["energy[0]: diverged"]
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["trajectories"][0]["diverged"] and report["trajectories"][0]["max_p_sq"] > 8.0
+    with (out / "trajectory_000" / "diagnostics.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) < 4001 // 4 and float(rows[-1]["max_p_sq"]) > 8.0 >= max(float(r["max_p_sq"]) for r in rows[:-1])
 
 
 @pytest.fixture(scope="module")

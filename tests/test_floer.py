@@ -9,7 +9,6 @@ from torusfloer.floer import (
     _propagator,
     action,
     energy,
-    energy_density,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,
@@ -26,7 +25,6 @@ from torusfloer.spectral import (
     constant_field,
     field_from_modes,
     l2_norm,
-    mode_transform,
     random_band_limited,
     sobolev_seminorm,
 )
@@ -88,7 +86,7 @@ def imex_steps(spec, z, ds, n_steps=1, weight=1.0):
     grid = _FlowGrid(spec, standard_structures(spec.n_pairs), z)
     vals, zhat = grid.start
     for _ in range(n_steps):
-        vals, zhat = grid.step(vals, zhat, np.full(1, ds), weight)
+        vals, zhat = grid.step(zhat, grid.evaluate(vals), np.full(1, ds), weight)
     return grid.field(vals)
 
 
@@ -100,7 +98,8 @@ def test_residual_zero_at_solution():
     spec = trig_spec()
     z = constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z")
     grid = _FlowGrid(spec, standard_structures(1), z)
-    assert grid.residual(*grid.start)[0] < 1e-15
+    vals, zhat = grid.start
+    assert grid.residual(vals, zhat, grid.evaluate(vals))[0] < 1e-15
     assert l2_norm(hamiltonian_residual(spec, z, standard_structures(1))) < 1e-15
 
 
@@ -125,7 +124,7 @@ def test_step_single_mode_matches_symbol_block():
     v[0] = 0.3
     z = field_from_modes(16, 4, {m: v}, "z")
     ds = 0.01
-    out = mode_transform(imex_steps(spec, z, ds)).coeffs[m[0] % 16, m[1] % 16]
+    out = np.fft.fft2(imex_steps(spec, z, ds).values, axes=(0, 1), norm="forward")[m[0] % 16, m[1] % 16]
     expected = np.linalg.solve(np.eye(4) + ds * mode_block(*m), v)
     assert np.max(np.abs(out - expected)) < 1e-13
 
@@ -156,7 +155,7 @@ def test_imex_rejects_large_step():
 def test_constant_grid_rejects_any_seeds_step_outside_the_regime(ds):
     grid = _FlowGrid.constants(free_spec(), None, 16, np.zeros((3, 4)))
     with pytest.raises(FlowError, match=r"step size must lie in \(0, 1\)|leaves the step regime"):
-        grid.step(*grid.start, np.array(ds), 1.0)
+        grid.step(grid.start[1], grid.evaluate(grid.start[0]), np.array(ds), 1.0)
 
 
 def test_propagator_matches_exponential_to_first_order():
@@ -294,10 +293,12 @@ def test_constant_path_keeps_the_full_grid_signed_zeros(monkeypatch, point):
     def run():
         grid = _FlowGrid(trig_spec(), None, z0)
         vals, zhat = grid.start
-        out = [grid.action(vals, zhat, 1.0).tobytes()]
+        terms = grid.evaluate(vals)
+        out = [grid.action(zhat, terms, 1.0).tobytes()]
         for weight in (0.0, 1.0, 0.5):
-            vals, zhat = grid.step(vals, zhat, np.full(1, 0.01), weight)
-            out += [grid.field(vals).values.tobytes(), grid.action(vals, zhat, weight).tobytes()]
+            vals, zhat = grid.step(zhat, terms, np.full(1, 0.01), weight)
+            terms = grid.evaluate(vals)
+            out += [grid.field(vals).values.tobytes(), grid.action(zhat, terms, weight).tobytes()]
         return out
 
     fast = run()
@@ -305,14 +306,20 @@ def test_constant_path_keeps_the_full_grid_signed_zeros(monkeypatch, point):
     assert fast == run()
 
 
+def _trajectory_bytes(traj):
+    arrays = (traj.s, traj.action, traj.h_int, traj.max_p_sq, traj.vsq)
+    return [a.tobytes() for a in arrays], traj.end_residuals, [(s, z.values.tobytes()) for s, z in traj.snapshots]
+
+
 @pytest.mark.parametrize(
     "rho, p, r, snapshot_every",
     [
         (4.0, [0.0, 0.0], 0.5, 50),
-        # |p|^2 = 1.93 starts past rho - 1: the samples of one block lie on and beyond the cut-off ramp
-        (2.5, [1.2, -0.7], 0.5, 50),
-        # |p|^2 crosses rho - 1 and rho within the first block
-        (4.0, [1.2, -0.7], 0.5, 50),
+        # |p|^2 = 1.93 starts past rho - 1: the samples of one block lie on and beyond the cut-off ramp,
+        # and the trajectory ends at the escape, sample 48
+        (2.5, [1.2, -0.7], 0.5, 10),
+        # |p|^2 crosses rho - 1 and rho within the first block and escapes at sample 71
+        (4.0, [1.2, -0.7], 0.5, 10),
         # 3,101 samples: three full blocks and a part, with velocities across their boundaries
         (4.0, [0.0, 0.0], 9.0, 500),
     ],
@@ -325,9 +332,7 @@ def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, rho, p, r, sn
 
     def run():
         traj = run_homotopy(z0, spec, r=r, ds=0.01, snapshot_every=snapshot_every)
-        arrays = (traj.s, traj.action, traj.h_int, traj.max_p_sq, traj.vsq)
-        snaps = [(s, z.values.tobytes()) for s, z in traj.snapshots]
-        return traj, ([a.tobytes() for a in arrays], traj.end_residuals, snaps)
+        return traj, _trajectory_bytes(traj)
 
     traj, fast = run()
     _full_grid_only(monkeypatch)
@@ -335,8 +340,9 @@ def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, rho, p, r, sn
     assert fast == run()[1]
     if r > 1.0:
         assert len(traj.s) > 3 * floer.HOMOTOPY_BLOCK and len(traj.s) % floer.HOMOTOPY_BLOCK != 0
-    if p[0] != 0.0:  # |p|^2 leaves the cut-off ramp [rho - 1, rho] upwards
+    if p[0] != 0.0:  # |p|^2 leaves the cut-off ramp [rho - 1, rho] upwards, and escapes at the last sample
         assert traj.max_p_sq[0] < rho < np.max(traj.max_p_sq)
+        assert np.flatnonzero(traj.max_p_sq > spec.escape_p_sq).tolist() == [len(traj.s) - 1]
 
 
 @pytest.mark.parametrize("n_grid", [16, 24])
@@ -386,26 +392,22 @@ def test_constant_homotopy_steps_without_a_propagator_product(monkeypatch, n_gri
         assert len(calls) == steps
 
 
-def test_constant_grid_action_after_a_step_evaluates_h():
-    """A step keeps an evaluation without h; the action of the state it stepped from takes h again."""
+def test_constant_grid_action_after_a_step_is_a_fresh_grids():
+    """A step leaves nothing behind: the actions of the state before it and after it are a fresh grid's."""
     spec = trig_spec()
     z = np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]])  # |p|^2 inside and on the cut-off ramp
     grid = _FlowGrid.constants(spec, None, 16, z)
     vals, zhat = grid.start
-    grid.step(vals, zhat, np.full(2, 0.01), 0.7)
-    assert grid.terms(vals).h is not None
-    fresh = _FlowGrid.constants(spec, None, 16, z)
-    assert grid.action(vals, zhat, 0.7).tobytes() == fresh.action(*fresh.start, 0.7).tobytes()
-    assert grid.h_int(vals).tobytes() == fresh.h_int(fresh.start[0]).tobytes()
+    new_vals, new_hat = grid.step(zhat, grid.evaluate(vals, with_h=False), np.full(2, 0.01), 0.7)
+    for state, (v, zh) in ((z, (vals, zhat)), (new_vals[:, 0], (new_vals, new_hat))):
+        fresh = _FlowGrid.constants(spec, None, 16, state)
+        terms, fresh_terms = grid.evaluate(v), fresh.evaluate(fresh.start[0])
+        assert grid.action(zh, terms, 0.7).tobytes() == fresh.action(fresh.start[1], fresh_terms, 0.7).tobytes()
+        assert grid.mean(terms.h).tobytes() == fresh.mean(fresh_terms.h).tobytes()
 
 
-def test_homotopy_overflow_of_unbounded_h(monkeypatch):
-    """h = 500 q1^2 outgrows every float: the flow raises where a state stops being finite.
-
-    The full grid's rfft2 of the huge gradient overflows two steps before
-    the constant path's (0, 0) value does, so in this regime alone (an
-    unbounded custom h) the full grid stops earlier.
-    """
+def _unbounded_spec():
+    """h = 500 q1^2, a custom h that outgrows every float along the flow; no cut-off, so escape at max|p|^2 1e6."""
 
     def h(t1, t2, z):
         return 500.0 * z[..., 0] ** 2
@@ -415,7 +417,17 @@ def test_homotopy_overflow_of_unbounded_h(monkeypatch):
         grad[..., 0] = 1000.0 * z[..., 0]
         return grad
 
-    spec = HamiltonianSpec(1, h, grad_h)
+    return HamiltonianSpec(1, h, grad_h)
+
+
+def test_homotopy_overflow_of_unbounded_h(monkeypatch):
+    """h = 500 q1^2 outgrows every float: the flow raises where a state stops being finite.
+
+    The full grid's rfft2 of the huge gradient overflows two steps before
+    the constant path's (0, 0) value does, so in this regime alone (an
+    unbounded custom h) the full grid stops earlier.
+    """
+    spec = _unbounded_spec()
     z0 = constant_field(16, [1.0, 0.5, 0.0, 0.0], "z")
     assert _takes_constant_path(spec, z0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -424,6 +436,38 @@ def test_homotopy_overflow_of_unbounded_h(monkeypatch):
         _full_grid_only(monkeypatch)
         with pytest.raises(FlowError, match=r"^homotopy flow lost finiteness at s=2\.280$"):
             run_homotopy(z0, spec, r=1.0, ds=0.01)
+
+
+def test_homotopy_ends_at_an_escape_before_a_later_overflow(monkeypatch):
+    """p = 20 grows past |p|^2 = 1e6 at sample 390, before q overflows at s = 2.3 (sample 430).
+
+    The constant path steps the whole block and loses finiteness in it: it
+    ends at the escaped sample instead of raising, as the full grid does,
+    which checks every sample.
+    """
+    spec = _unbounded_spec()
+    z0 = constant_field(16, [1.0, 0.5, 20.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run_homotopy(z0, spec, r=1.0, ds=0.01, snapshot_every=100)
+        _full_grid_only(monkeypatch)
+        full = run_homotopy(z0, spec, r=1.0, ds=0.01, snapshot_every=100)
+    assert len(traj.s) == 391 and len(traj.vsq) == 390 and traj.s[-1] == pytest.approx(1.9)
+    assert np.flatnonzero(traj.max_p_sq > spec.escape_p_sq).tolist() == [390]
+    assert [s for s, _ in traj.snapshots] == traj.s[::100].tolist()
+    assert _trajectory_bytes(traj) == _trajectory_bytes(full)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_homotopy_of_a_time_dependent_h_ends_at_its_escape():
+    """This time_trig potential drives a constant start past max|p|^2 = 2 rho: the trajectory ends there, finite."""
+    spec = hamiltonian_from_config({"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]}, rho=4.0)
+    traj = run_homotopy(constant_field(16, [1.0, 2.0, 0.0, 0.0], "z"), spec, r=12.0, ds=0.01)
+    n = len(traj.s)
+    assert n < 4001 // 4  # the window has 4,001 samples
+    assert np.flatnonzero(traj.max_p_sq > spec.escape_p_sq).tolist() == [n - 1]
+    assert len(traj.action) == len(traj.h_int) == n and len(traj.vsq) == n - 1
+    assert all(np.isfinite(x).all() for x in (traj.action, traj.h_int, traj.vsq, traj.end_residuals))
 
 
 def _constant_batch_fields(rng):
@@ -662,26 +706,70 @@ def test_max_principle_on_homotopy():
     assert rep.passed and rep.max_p_sq <= spec.rho + 1e-8
 
 
-def test_energy_density_stationary_is_zero():
-    z = constant_field(16, [1.0, 2.0, 0.0, 0.0], "z")
-    zero = TorusField(np.zeros_like(z.values), "z")
-    assert np.max(np.abs(energy_density(z, zero))) == 0.0
+
+# ---------------------------------------------------------------------------
+# evaluations of the nonlinearity
 
 
-def test_energy_density_decays_along_stable_mode():
-    # free flow seeded on the decaying eigendirection of one mode: the
-    # closed form is exponential decay, so the density must shrink in s.
-    # (A bare momentum mode would not do: it overlaps the growing
-    # directions, so the decaying eigenvector is used instead.)
-    spec = free_spec()
-    triple = standard_structures(1)
-    block = mode_block(1, 0)
-    lam, vec = np.linalg.eig(block)
-    stable = vec[:, np.argmax(lam.real)]  # flow factor exp(-lam s)
-    z = field_from_modes(16, 4, {(1, 0): 0.1 * stable}, "z")
-    densities = []
-    for _ in range(3):
-        velocity = TorusField(-hamiltonian_residual(spec, z, triple).values, "z")
-        densities.append(float(np.max(energy_density(z, velocity))))
-        z = imex_steps(spec, z, 0.01, 20)
-    assert densities[0] > densities[1] > densities[2]
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = floer.cutoff_terms
+    monkeypatch.setattr(floer, "cutoff_terms", lambda *args, **kwargs: calls.append(1) or evaluate(*args, **kwargs))
+    return calls
+
+
+def test_each_run_evaluates_the_nonlinearity_once_a_state(monkeypatch):
+    """A flow evaluates its start and each accepted state once; a switching run, as its docstring says."""
+    calls = _count_evaluations(monkeypatch)
+    spec = trig_spec()
+    z = random_band_limited(np.random.default_rng(1), 32, 4, 2, 0.01, "z")
+    result = flow_to_solution(TorusField(z.values + np.array([1.0, 2.0, 0.0, 0.0]), "z"), spec, ds=0.01)
+    assert result.diverged and result.n_steps == 104
+    assert len(calls) == 1 + result.n_steps == 105
+    lattice = 2.0 * np.pi * np.stack(np.meshgrid(np.arange(6), np.arange(6), indexing="ij"), axis=-1).reshape(-1, 2) / 6
+    starts = [floer.constant_start(spec, constant_field(32, [*q, 0.0, 0.0], "z")) for q in lattice]
+    calls.clear()
+    results = floer.flow_constants(starts, spec, ds=0.02, tol=1e-8)
+    assert len(calls) == 1 + max(r.n_steps for r in results) == 8851  # one batch evaluation an iteration
+    for n_grid, samples in ((32, 999 + 2), (24, 1401)):
+        calls.clear()
+        traj = run_homotopy(constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z"), spec, r=1.0, ds=5e-3)
+        assert len(traj.s) == 1401
+        # N = 32: the 999 steps of nonzero weight and 2 blocks; N = 24: every sample; then the two end residuals
+        assert len(calls) == samples + 2
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "full"])
+def test_a_halved_step_reuses_the_evaluation_of_its_state(monkeypatch, constant):
+    """Each attempt evaluates the state it stepped to; a halved step starts from the evaluation in hand."""
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]}, rho=np.inf)
+    z0 = constant_field(16, [np.pi / 3, 0.0, 0.0, 0.0], "z")
+    if not constant:
+        _full_grid_only(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
+    result = flow_to_solution(z0, spec, ds=0.09, s_max=40.0)
+    assert result.converged and result.n_halvings == 1
+    assert len(calls) == 1 + result.n_steps + result.n_halvings == 22
+
+
+@pytest.mark.parametrize("weight", [0.7, 0.0])
+@pytest.mark.parametrize("constant", [False, True], ids=["full", "constant"])
+def test_step_evaluates_nothing(monkeypatch, constant, weight):
+    """The step reads the evaluation it is handed, and a second step from it gives the same bytes."""
+    spec = trig_spec()
+    if constant:
+        grid = _FlowGrid.constants(spec, None, 16, np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]]))
+    else:
+        grid = _FlowGrid(spec, None, random_band_limited(np.random.default_rng(3), 16, 4, 2, 0.1, "z"))
+    assert grid.constant == constant
+    vals, zhat = grid.start
+    terms = grid.evaluate(vals)
+    ds = np.full(grid.n_seeds, 0.01)
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("the step evaluated the nonlinearity")
+
+    first = grid.step(zhat, terms, ds, weight)
+    monkeypatch.setattr(floer, "cutoff_terms", evaluate)
+    second = grid.step(zhat, terms, ds, weight)
+    assert [x.tobytes() for x in first] == [x.tobytes() for x in second]

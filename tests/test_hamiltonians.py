@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,43 @@ def test_hofer_on_the_q_lattice_has_the_bits_of_every_sample(modes, rho, epsilon
     est = hofer_norm(spec)
     assert est.value == _flat_hofer(spec, est)
     assert est.value > 0.0 and est.p_sample_count == len(hamiltonians._p_samples(spec, 5))
+
+
+def _unique_p_samples(spec, shells):
+    """np.unique of every radius times each of the zero, +-e_a and diagonal directions."""
+    dim_p = 2 * spec.n_pairs
+    radii = np.linspace(0.0, np.sqrt(spec.rho) if np.isfinite(spec.rho) else 4.0, shells)
+    dirs = [np.zeros(dim_p)]
+    for a in range(dim_p):
+        e = np.zeros(dim_p)
+        e[a] = 1.0
+        dirs += [e, -e]
+    dirs.append(np.ones(dim_p) / np.sqrt(dim_p))
+    return np.unique(np.array([r * d for r in radii for d in dirs]), axis=0)
+
+
+@pytest.mark.parametrize("modes", [[[1, 0], [0, 1]], [[1, 0, 0, 1], [0, 1, -1, 0]]])
+@pytest.mark.parametrize("rho", [4.0, np.inf])
+def test_hofer_p_samples_are_the_distinct_products(modes, rho):
+    """The zero row, then each nonzero radius times each of the 2 (2n) + 1 directions: no row twice."""
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": 0.1, "modes": modes}, rho=rho)
+    ps = hamiltonians._p_samples(spec, 5)
+    assert len(ps) == 1 + 4 * (2 * 2 * spec.n_pairs + 1)
+    assert np.unique(ps, axis=0).tobytes() == _unique_p_samples(spec, 5).tobytes()
+
+
+def test_hofer_norm_imports_no_masked_arrays():
+    """A fresh process estimates the Hofer norm of the energy run without importing numpy.ma."""
+    code = (
+        "import sys\n"
+        "from torusfloer.cli import hofer_norm\n"
+        "from torusfloer.hamiltonians import hamiltonian_from_config\n"
+        f"hofer_norm(hamiltonian_from_config({TRIG!r}, rho=4.0))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(hamiltonians.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_hofer_samples_a_custom_h_at_every_p(monkeypatch):

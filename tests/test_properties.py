@@ -117,12 +117,13 @@ def test_constant_critical_point_is_fixed_point_of_full_grid_step(n, spec, q, fr
             assert not grid.constant
             ds = np.full(1, frac / mu_max(n_grid))
             vals, zhat = grid.start
-            vals1, zhat1 = grid.step(vals, zhat, ds, weight)
-            vals2, _ = grid.step(vals1, zhat1, ds, weight)
+            vals1, zhat1 = grid.step(zhat, grid.evaluate(vals), ds, weight)
+            terms1 = grid.evaluate(vals1)
+            vals2, _ = grid.step(zhat1, terms1, ds, weight)
             if n_grid & (n_grid - 1) == 0:
                 assert np.array_equal(zhat1, zhat) and np.array_equal(vals1, vals)
                 assert np.array_equal(vals2, vals)
-                assert grid.residual(vals1, zhat1)[0] == 0.0
+                assert grid.residual(vals1, zhat1, terms1)[0] == 0.0
             scale = max(1.0, np.max(np.abs(vals)))
             assert max(np.max(np.abs(vals1 - vals)), np.max(np.abs(vals2 - vals))) <= 1e-13 * scale
 
@@ -170,7 +171,8 @@ def test_half_spectrum_step_matches_full_fft_step(z, spec, frac, weight):
     ds = frac / mu_max(n)
     grid = _FlowGrid(spec, TRIPLE, z)
     assert not grid.constant
-    new_vals, new_hat = grid.step(*grid.start, np.full(1, ds), weight)
+    vals, zhat = grid.start
+    new_vals, new_hat = grid.step(zhat, grid.evaluate(vals), np.full(1, ds), weight)
 
     t1, t2 = grid_points(n)
     zhat = np.fft.fft2(z.values, axes=(0, 1), norm="forward")
@@ -217,7 +219,8 @@ def test_action_of_lattice_critical_points_has_the_density_bits(q):
 def test_residual_from_modes_matches_grid_residual(z, spec, h_weight):
     grid = _FlowGrid(spec, TRIPLE, z)
     ref = l2_norm(hamiltonian_residual(spec, z, TRIPLE, h_weight))
-    assert _close(grid.residual(*grid.start, h_weight), ref)
+    vals, zhat = grid.start
+    assert _close(grid.residual(vals, zhat, grid.evaluate(vals), h_weight), ref)
 
 
 def _reference_potential(pot, t1, t2, z):
@@ -415,16 +418,17 @@ def test_component_major_grid_is_bit_identical_to_trailing_layout(pot, rho, n, g
     vals, zhat = grid.start
     ref_vals, ref_hat = z.values, np.fft.rfft2(z.values, axes=(0, 1), norm="forward")
     for weight in (1.0, 0.37, 0.0):
-        vals, zhat = grid.step(vals, zhat, np.full(1, ds), weight)
+        vals, zhat = grid.step(zhat, grid.evaluate(vals), np.full(1, ds), weight)
         ref_vals, ref_hat = ref.step(ref_vals, ref_hat, ds, weight)
         assert vals.transpose(2, 0, 1).flags.c_contiguous
         assert vals.tobytes(order="C") == ref_vals.tobytes()
         assert zhat.tobytes(order="C") == ref_hat.tobytes()
+        terms = grid.evaluate(vals)
         ref_action = np.float64(ref.action(ref_vals, ref_hat, weight))
-        assert grid.action(vals, zhat, weight).tobytes() == ref_action.tobytes()
+        assert grid.action(zhat, terms, weight).tobytes() == ref_action.tobytes()
         ref_residual = np.float64(ref.residual(ref_vals, ref_hat))
-        assert grid.residual(vals, zhat).tobytes() == ref_residual.tobytes()
-        assert grid.max_p_sq(vals)[0] == np.max(ref.terms(ref_vals)[0])
+        assert grid.residual(vals, zhat, terms).tobytes() == ref_residual.tobytes()
+        assert grid.max_p_sq(terms)[0] == np.max(ref.terms(ref_vals)[0])
         field = grid.field(vals).values
         assert field.flags.c_contiguous and field.tobytes() == ref_vals.tobytes()
 
@@ -445,13 +449,13 @@ def _bits(x):
     side=st.integers(1, 8),
     scale=st.sampled_from([0.1, 3.0, 1e3]),
 )
-def test_value_and_grad_has_the_bits_of_value_and_grad(k, seed, side, scale):
+def test_joint_evaluation_has_the_bits_of_value_and_grad(k, seed, side, scale):
     pot = nonlinearity_from_config(BUILT_IN_POTENTIALS[k])
     rng = np.random.default_rng(seed)
     z = rng.uniform(-scale, scale, size=(side, side, 4 * pot.n_pairs))
     t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, side, side))
     for zz in (z, _component_major(z)):
-        h, grad = pot.value_and_grad(t1, t2, zz)
+        h, grad = pot.evaluate(t1, t2, zz, True, True)
         assert _bits(h) == _bits(pot.value(t1, t2, zz))
         assert _bits(grad) == _bits(pot.grad(t1, t2, zz))
 
@@ -535,12 +539,13 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
     grid = _FlowGrid(spec, _structures(spec.n_pairs, False), TorusField(z, "z"))
     ds = np.full(1, 0.5 / mu_max(n))
     vals, zhat = ref_vals, ref_hat = grid.start
-    assert grid.terms(vals).p_grad_zero  # the first step takes the q-plane path; later ones may leave it
+    assert grid.evaluate(vals).p_grad_zero  # the first step takes the q-plane path; later ones may leave it
     for weight in (1.0, 0.37, 1.0):
         ref_grad = _separate_evaluations(pot, spec, grid.t1, grid.t2, vals)[2]
-        nhat = grid._nonlinear_modes(vals, weight)
+        terms = grid.evaluate(vals)
+        nhat = grid._nonlinear_modes(terms, weight)
         assert _bits(nhat) == _bits(floer._rfft2(weight * ref_grad))
-        vals, zhat = grid.step(vals, zhat, ds, weight)
+        vals, zhat = grid.step(zhat, terms, ds, weight)
         ref_vals, ref_hat = _parent_step(grid, pot, ref_vals, ref_hat, ds, weight)
         assert _bits(vals) == _bits(ref_vals)
         assert _bits(zhat) == _bits(ref_hat)
@@ -621,7 +626,7 @@ def test_two_point_rows_evaluate_like_the_full_grid(k, rho, n, seeds, seed):
     p = z[:, spec.dim // 2 :]
     p *= np.sqrt(rng.uniform(0.0, 5.0, size=(seeds, 1)) / np.sum(p * p, axis=1, keepdims=True))
     grid = _constant_grid(spec, n, z)
-    row = grid.terms(grid.start[0])
+    row = grid.evaluate(grid.start[0])
     t1, t2 = grid_points(n)
     for b, v in enumerate(z):
         full = np.broadcast_to(v, (n, n, spec.dim)).copy()
@@ -643,7 +648,7 @@ def _pairing_action(grid, vals, zhat, weight):
     vb = grid.im1 * qb - grid.im2 * qa
     pairing = grid.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real
     pairing = np.add.reduce(pairing.reshape(len(pairing), -1), axis=1)
-    terms = grid.terms(vals)
+    terms = grid.evaluate(vals)
     return pairing - grid.mean(0.5 * terms.p_sq + weight * terms.h)
 
 
@@ -673,4 +678,4 @@ def test_constant_grid_action_has_the_bits_of_the_pairing_formula(seeds, weight,
     grid = _constant_grid(spec, n, z)
     vals, zhat = grid.start
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _bits(grid.action(vals, zhat, weight)) == _bits(_pairing_action(grid, vals, zhat, weight))
+        assert _bits(grid.action(zhat, grid.evaluate(vals), weight)) == _bits(_pairing_action(grid, vals, zhat, weight))

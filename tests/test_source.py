@@ -6,8 +6,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torusfloer"
 
-# module.name -> why it stays without a caller in src/
-UNCALLED_ALLOWED = {"runner.solve_seed": "wrapped by perfbench/tracing.py"}
+# module.name or module.class.method -> why it stays without a caller in src/
+UNCALLED_ALLOWED = {
+    "runner.solve_seed": "wrapped by perfbench/tracing.py",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
 
 # module.name -> why a module imports the name without using it
 UNUSED_IMPORTS_ALLOWED = {
@@ -16,11 +19,19 @@ UNUSED_IMPORTS_ALLOWED = {
 }
 
 
-def test_no_uncalled_helpers():
-    """Every top-level def and class of src/torusfloer has a reference in src/ outside its own body.
+def _attribute_loads(tree) -> Counter:
+    attributes = (node for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return Counter(node.attr for node in attributes if isinstance(node.ctx, ast.Load))
 
-    A reference is a name load in its own module or a `from .module import
-    name` in another one, the package's exports in __init__ included.
+
+def test_no_uncalled_helpers():
+    """Every top-level def and class of src/torusfloer, and every method of its classes, has a reference in src/.
+
+    A reference to a top-level name is a name load in its own module or a
+    `from .module import name` in another one, the package's exports in
+    __init__ included.  A reference to a method or property is a load of its
+    name as an attribute.  Either counts only outside the definition's own
+    body.  Dunder methods are left out: Python calls them.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     imported = {
@@ -39,6 +50,14 @@ def test_no_uncalled_helpers():
             own = Counter(node.id for node in ast.walk(top) if isinstance(node, ast.Name))
             if loads[top.name] == own[top.name] and (module, top.name) not in imported:
                 uncalled.append(f"{module}.{top.name}")
+    attributes = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    for module, tree in trees.items():
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            for method in (node for node in cls.body if isinstance(node, ast.FunctionDef)):
+                if method.name.startswith("__") and method.name.endswith("__"):
+                    continue
+                if attributes[method.name] == _attribute_loads(method)[method.name]:
+                    uncalled.append(f"{module}.{cls.name}.{method.name}")
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
 
 
