@@ -69,7 +69,7 @@ from .structures import (
     compatible_triple,
     standard_structures,
 )
-from .symbol import SymbolError, minimal_N_search, sweep_rows
+from .symbol import SymbolError, check_search, check_sweep, minimal_N_search, sweep_rows
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -209,8 +209,6 @@ def run_structures(args, outdir: Path, checked) -> int:
 
 
 def check_symbol(args, data):
-    if args.m_bound < 1 or args.nmin_m_bound < 1 or not 0.0 < args.xi_bound < np.inf:
-        raise InputError("bounds must be finite and positive")
     try:
         xi_values = [float(x) for x in args.xi.split(",") if x.strip() != ""]
     except ValueError:
@@ -219,6 +217,8 @@ def check_symbol(args, data):
         raise InputError(f"--xi needs at least one value, got {args.xi!r}")
     if not np.all(np.isfinite(xi_values)):
         raise InputError(f"--xi values must be finite, got {args.xi!r}")
+    check_sweep(xi_values, args.m_bound)
+    check_search(args.xi_bound, args.nmin_m_bound)
     return xi_values
 
 

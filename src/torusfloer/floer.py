@@ -189,6 +189,24 @@ def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.nd
     return np.linalg.inv(np.eye(dim) + ds * lin)
 
 
+# the half-spectrum propagator last built, as ((N, ds, J bytes, K bytes), array): every
+# full-grid flow of a run at one step size shares it, and one entry keeps one in memory
+_half_spectrum = (None, None)
+
+
+def _half_spectrum_propagator(n_grid: int, ds: float, triple: StructureTriple) -> np.ndarray:
+    """`_propagator` of the rfft2 half spectrum as read-only (4n, 4n, N, N/2 + 1), memoised for the last (N, ds, triple)."""
+    global _half_spectrum
+    key = (n_grid, ds, triple.J.tobytes(), triple.K.tobytes())
+    if _half_spectrum[0] != key:
+        _half_spectrum = (None, None)  # the old propagator goes before the new one is built
+        prop = _propagator(n_grid, ds, triple, np.s_[:, : n_grid // 2 + 1])
+        prop = np.ascontiguousarray(prop.transpose(2, 3, 0, 1))
+        prop.flags.writeable = False
+        _half_spectrum = (key, prop)
+    return _half_spectrum[1]
+
+
 def exact_constant(values: np.ndarray) -> bool:
     """True when the grid transforms of the (N, N, k) values are exact, without taking one.
 
@@ -254,6 +272,12 @@ def _irfft2(zhat, n_grid: int):
     return _grid(np.fft.irfft2(_planes(zhat), s=(n_grid, n_grid), norm="forward"))
 
 
+def _times_planes(im, rows):
+    """im * rows as contiguous (k, N, N') component planes, for (N, N', 1) im and rows one (k,) row per point."""
+    planes = np.ascontiguousarray(rows.T).reshape(-1, *im.shape[:2])
+    return np.multiply(_planes(im), planes, out=planes)
+
+
 class _FlowGrid:
     """The grid side of IMEX flow runs: the step, the action, grid means and the residual.
 
@@ -296,11 +320,13 @@ class _FlowGrid:
     states of one seed at once (`stack`).
 
     The grid keeps nothing from one call to the next but the propagator of
-    the last step sizes.  A caller evaluates the nonlinearity of a state
-    once (`evaluate`) and hands that evaluation to the step, the action,
-    max|p|^2 and the residual of the state; none of them evaluates it.  The
-    step reads only the gradient, so an evaluation for a step alone may
-    skip h.
+    the last step sizes; a full grid's is the read-only half-spectrum
+    propagator that every full-grid flow of the same N, step size and
+    structures shares (`_half_spectrum_propagator`).  A caller evaluates
+    the nonlinearity of a state once (`evaluate`) and hands that evaluation
+    to the step, the action, max|p|^2 and the residual of the state; none
+    of them evaluates it.  The step reads only the gradient, so an
+    evaluation for a step alone may skip h.
     """
 
     def __init__(self, spec, triple, Z: TorusField):
@@ -353,13 +379,13 @@ class _FlowGrid:
         return tuple(np.concatenate(x) for x in zip(*states))
 
     def _propagators(self, ds):
-        """The propagator of the step sizes ds last seen, (4n, 4n, N, N/2 + 1); on a constant grid, per seed,
-        diag(1, 1/(1 - ds)), the exact inverse of Id + ds L(0) (`_propagator`), as (B, CONSTANT_ROW, 4n)."""
+        """The propagator of the step sizes ds last seen, the shared (4n, 4n, N, N/2 + 1) `_half_spectrum_propagator`;
+        on a constant grid, per seed, diag(1, 1/(1 - ds)), the exact inverse of Id + ds L(0) (`_propagator`),
+        as (B, CONSTANT_ROW, 4n)."""
         key = ds.tobytes()
         if key != self._prop_key:
             if not self.constant:
-                prop = _propagator(self.n, ds[0], self.triple, self.modes)
-                self._prop = np.ascontiguousarray(prop.transpose(2, 3, 0, 1))
+                self._prop = _half_spectrum_propagator(self.n, float(ds[0]), self.triple)
             else:
                 for d in (ds.min(), ds.max()):  # the step regime is an interval
                     check_step(self.n, float(d))
@@ -454,10 +480,12 @@ class _FlowGrid:
         grad = grad_H_values(self.spec, terms.grad, vals, h_weight)
         if self.constant:
             return np.negative(grad, out=grad)
-        # C-ordered modes: a matrix product rounds by layout (_BuiltIn._q)
-        zhat = np.ascontiguousarray(zhat)
-        dhat = self.im1 * (zhat @ self.triple.J.T) + self.im2 * (zhat @ self.triple.K.T)
-        return _irfft2(dhat, self.n) - grad
+        # one 2-D product per matrix on the C-ordered modes, as a matrix product rounds by
+        # layout (_BuiltIn._q); the sum and the transform run on contiguous component planes
+        rows = np.ascontiguousarray(zhat).reshape(-1, self.spec.dim)
+        dhat = _times_planes(self.im1, rows @ self.triple.J.T)
+        dhat += _times_planes(self.im2, rows @ self.triple.K.T)
+        return _irfft2(_grid(dhat), self.n) - grad
 
     def residual(self, vals, zhat, terms, h_weight: float = 1.0):
         """L2 norm of the system residual F(Z) (`residual_map`)."""

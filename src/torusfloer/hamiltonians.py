@@ -128,13 +128,29 @@ class _BuiltIn:
     def _q(self, z):
         # A matrix product rounds by the memory order of its operands (BLAS
         # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
-        return np.ascontiguousarray(np.asarray(z, dtype=float)[..., : 2 * self.n_pairs])
+        return np.ascontiguousarray(z[..., : 2 * self.n_pairs])
 
     def value(self, t1, t2, z):
         return self.evaluate(t1, t2, z, False, True)[0]
 
     def grad(self, t1, t2, z):
         return self.evaluate(t1, t2, z, True, False)[1]
+
+
+def _component_planes(z):
+    """The C-contiguous (k, N, N') planes under z when z is their (N, N', k) grid view, else None."""
+    if z.ndim != 3:
+        return None
+    planes = z.transpose(2, 0, 1)
+    return planes if planes.flags.c_contiguous else None
+
+
+def _from_planes(planes):
+    """The C-ordered (N, N', k) grid of (k, N, N') planes, copied plane by plane (a strided copy is slower)."""
+    out = np.empty(planes.shape[1:] + planes.shape[:1])
+    for k in range(len(planes)):
+        out[..., k] = planes[k]
+    return out
 
 
 class ZeroNonlinearity(_BuiltIn):
@@ -165,6 +181,8 @@ class TrigPotential(_BuiltIn):
             raise HamiltonianError("trig modes must have 2n components")
         self.epsilon = float(epsilon)
         self.modes = modes
+        # against the transposed view numpy runs one small gemm per grid row
+        self._modes_t = np.ascontiguousarray(modes.T)
         self.n_pairs = modes.shape[1] // 2
         norms = np.linalg.norm(modes, axis=1)
         self.sup_h = abs(self.epsilon) * modes.shape[0]
@@ -173,11 +191,23 @@ class TrigPotential(_BuiltIn):
         self.time_dependent = False
 
     def evaluate(self, t1, t2, z, with_grad, with_h):
-        phases = self._q(z) @ self.modes.T
+        z = np.asarray(z, dtype=float)
+        planes = None if z.flags.c_contiguous else _component_planes(z)
+        q = self._q(z) if planes is None else _from_planes(planes[: 2 * self.n_pairs])
+        # a one-row product is a matrix-vector product, which rounds by the layout of
+        # the matrix: it keeps the transposed view; the rows of a matrix product do not
+        phases = q @ (self._modes_t if q.ndim > 1 and q.shape[-2] > 1 else self.modes.T)
         grad = None
         if with_grad:
-            grad = np.zeros_like(np.asarray(z, dtype=float))
-            grad[..., : 2 * self.n_pairs] = -self.epsilon * (np.sin(phases) @ self.modes)
+            grad_q = -self.epsilon * (np.sin(phases) @ self.modes)
+            if planes is None:
+                grad = np.zeros_like(z)
+                grad[..., : 2 * self.n_pairs] = grad_q
+            else:  # component-major, as z is
+                grad = np.zeros(planes.shape)
+                for k in range(2 * self.n_pairs):
+                    grad[k] = grad_q[..., k]
+                grad = grad.transpose(1, 2, 0)
         if not with_h:
             return None, grad
         cos_phases = np.cos(phases)
@@ -204,11 +234,11 @@ class TimeTrigPotential(_BuiltIn):
         self.time_dependent = True
 
     def evaluate(self, t1, t2, z, with_grad, with_h):
+        z = np.asarray(z, dtype=float)
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
         phase = self._q(z) @ self.q_mode
         grad = None
         if with_grad:
-            z = np.asarray(z, dtype=float)
             shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
             grad = np.zeros_like(z, shape=shape)
             grad[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode

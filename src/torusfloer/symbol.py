@@ -30,12 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import MAX_GRID
 from .structures import standard_structures
 
 #: smallest N such that |lam(xi, m)|^2 >= xi^2 + (m1^2+m2^2)/2 whenever
 #: m1^2 + m2^2 > N.  Derived by minimal_N_search; the bound fails at
 #: m1^2 + m2^2 = 1 and holds from 2 on (with equality at 2).
 MIN_MODE_SQ_THRESHOLD = 1
+
+#: The symbol's size is |det D| ~ xi^4: below |xi| = 2^256 it stays below the largest
+#: float, 2^1024 (at 2^256 numpy's product of the eigenvalues overflows).  The margin
+#: search squares its xi bound, which so stays below 2^512.
+XI_LIMIT = 2.0**256
+XI_BOUND_LIMIT = 2.0**512
+#: a sweep row takes about 130 us (one 4 x 4 det and eigvals): some 13 s at this cap
+MAX_SWEEP_ROWS = 100_000
+#: modes past N/2 of the largest grid (MAX_GRID) lie on no grid; the search takes about 5 s at 512
+MAX_SEARCH_M = MAX_GRID // 2
 
 P_MATRIX = np.diag([0.0, 0.0, 1.0, 1.0])
 _STANDARD = standard_structures(1)
@@ -192,6 +203,21 @@ class MinimalNResult:
     certificates: list
 
 
+def check_search(xi_bound: float, m_bound: int) -> None:
+    """Raise SymbolError unless minimal_N_search(xi_bound, m_bound) runs in its regime."""
+    if not 0.0 < xi_bound < np.inf or m_bound < 1:
+        raise SymbolError("bounds must be finite and positive")
+    if not xi_bound < XI_BOUND_LIMIT:
+        raise SymbolError(
+            f"xi bound {xi_bound:.4g} is not below 2^512 = {XI_BOUND_LIMIT:.4g}: the margin search squares it"
+        )
+    if m_bound > MAX_SEARCH_M:
+        raise SymbolError(
+            f"search mode bound {m_bound} exceeds the cap of {MAX_SEARCH_M}: "
+            f"modes past N/2 of the largest grid ({MAX_GRID}) lie on no grid"
+        )
+
+
 def minimal_N_search(xi_bound: float = 100.0, m_bound: int = 12) -> MinimalNResult:
     """Smallest N with min|lam|^2 >= xi^2 + (m1^2+m2^2)/2 for all m1^2+m2^2 > N.
 
@@ -199,8 +225,7 @@ def minimal_N_search(xi_bound: float = 100.0, m_bound: int = 12) -> MinimalNResu
     worst xi per pair by grid refinement.  Margins within round-off of zero
     count as holding (the bound is non-strict).
     """
-    if not 0.0 < xi_bound < np.inf or m_bound < 1:
-        raise SymbolError("bounds must be finite and positive")
+    check_search(xi_bound, m_bound)
     margin_floor = -1e-12
     by_msq: dict = {}
     certified_all = True
@@ -225,8 +250,27 @@ def minimal_N_search(xi_bound: float = 100.0, m_bound: int = 12) -> MinimalNResu
     )
 
 
+def check_sweep(xi_values, m_bound: int) -> None:
+    """Raise SymbolError unless sweep_rows(xi_values, m_bound) runs in its regime."""
+    if m_bound < 1:
+        raise SymbolError("bounds must be finite and positive")
+    for xi in xi_values:
+        if not abs(xi) < XI_LIMIT:
+            raise SymbolError(
+                f"|xi| = {abs(xi):.4g} is not below 2^256 = {XI_LIMIT:.4g}: "
+                "beyond it the symbol (m^2 + xi^2 + i xi)^2 overflows"
+            )
+    rows = len(xi_values) * (2 * m_bound + 1) ** 2
+    if rows > MAX_SWEEP_ROWS:
+        raise SymbolError(
+            f"the sweep has {len(xi_values)} x (2*{m_bound} + 1)^2 = {rows} rows, "
+            f"more than the cap of {MAX_SWEEP_ROWS}"
+        )
+
+
 def sweep_rows(xi_values, m_bound: int):
     """Rows for the CSV sweep: one entry per (xi, m1, m2) on the full square."""
+    check_sweep(xi_values, m_bound)
     rows = []
     for xi in xi_values:
         for m1 in range(-m_bound, m_bound + 1):

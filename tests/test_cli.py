@@ -513,6 +513,18 @@ def test_cuplength_invalid_config(tmp_path):
         (["flow", "--grid", "16", *argv, *dry], None, "--epsilon acts only with --h trig")
         for argv in (["--epsilon", "5"], ["--h", "zero", "--epsilon", "5"])
         for dry in ([], ["--dry-run"])
+    ]
+    # a symbol past the float range, a margin search that squares its bound past it, and sweeps past their caps
+    + [
+        (["symbol", *argv, *dry], None, message)
+        for argv, message in [
+            (["--xi", "1e80"], "beyond it the symbol (m^2 + xi^2 + i xi)^2 overflows"),
+            (["--xi", "0,-1.2e77"], "beyond it the symbol (m^2 + xi^2 + i xi)^2 overflows"),
+            (["--xi-bound", "1e200"], "is not below 2^512 = 1.341e+154: the margin search squares it"),
+            (["--m-bound", "100000"], "rows, more than the cap of 100000"),
+            (["--nmin-m-bound", "100000"], "exceeds the cap of 512"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):

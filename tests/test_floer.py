@@ -28,6 +28,7 @@ from torusfloer.spectral import (
     random_band_limited,
     sobolev_seminorm,
 )
+from torusfloer.runner import ExperimentConfig, multistart_solve
 from torusfloer.structures import standard_structures
 
 from conftest import flow_bytes, linear_flow_exact, mode_block, project_flow_stable, rk4_reference
@@ -773,3 +774,39 @@ def test_step_evaluates_nothing(monkeypatch, constant, weight):
     monkeypatch.setattr(floer, "cutoff_terms", evaluate)
     second = grid.step(zhat, terms, ds, weight)
     assert [x.tobytes() for x in first] == [x.tobytes() for x in second]
+
+
+def _count_propagator_builds(monkeypatch):
+    """The (N, ds) of each `_propagator` build, from an empty half-spectrum memo."""
+    builds, build = [], floer._propagator
+
+    def counted(n, ds, triple, modes):
+        builds.append((n, ds))
+        return build(n, ds, triple, modes)
+
+    monkeypatch.setattr(floer, "_propagator", counted)
+    monkeypatch.setattr(floer, "_half_spectrum", (None, None))
+    return builds
+
+
+def test_full_grid_flows_of_a_run_share_one_propagator(monkeypatch):
+    """Every perturbed seed of a run flows with the one memoised, read-only half-spectrum propagator."""
+    builds = _count_propagator_builds(monkeypatch)
+    config = ExperimentConfig(grid_size=16, lattice_per_dim=1, random_starts=4, perturbation_amplitude=0.01, s_max=20.0)
+    result = multistart_solve(config)
+    assert len(result.records) + len(result.divergent) + len(result.unfinished) == 5
+    assert builds == [(16, 0.02)]
+    spec = trig_spec()
+    grids = [_FlowGrid(spec, None, random_band_limited(np.random.default_rng(k), 16, 4, 2, 0.1, "z")) for k in range(2)]
+    first, second = (grid._propagators(np.full(1, 0.02)) for grid in grids)
+    assert first is second and not first.flags.writeable
+    assert len(builds) == 1
+
+
+def test_a_halved_step_builds_one_more_propagator(monkeypatch):
+    builds = _count_propagator_builds(monkeypatch)
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]}, rho=np.inf)
+    _full_grid_only(monkeypatch)
+    result = flow_to_solution(constant_field(16, [np.pi / 3, 0.0, 0.0, 0.0], "z"), spec, ds=0.09, s_max=40.0)
+    assert result.n_halvings == 1
+    assert builds == [(16, 0.09), (16, 0.045)]

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from torusfloer import floer
 from torusfloer.floer import _FlowGrid, _propagator, action, mu_max
 from torusfloer.hamiltonians import (
+    TrigPotential,
     component_sum,
     cutoff_terms,
+    grad_H_values,
     grad_h_tilde,
     h_tilde,
     hamiltonian_from_config,
@@ -679,3 +681,60 @@ def test_constant_grid_action_has_the_bits_of_the_pairing_formula(seeds, weight,
     vals, zhat = grid.start
     with np.errstate(over="ignore", invalid="ignore"):
         assert _bits(grid.action(zhat, grid.evaluate(vals), weight)) == _bits(_pairing_action(grid, vals, zhat, weight))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    n_pairs=st.sampled_from([1, 2]),
+    data=st.data(),
+    n=st.sampled_from([8, 16, 32, 64]),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trig_evaluate_has_the_bits_of_the_transposed_modes_formula(n_pairs, data, n, rows, seed):
+    """Every caller layout against the formula on a C-ordered q and the transposed view of the modes.
+
+    The evaluation copies a component-major q plane by plane and multiplies
+    a contiguous copy of modes.T; a matrix-vector product (one row) keeps the view.
+    """
+    row = st.lists(st.integers(-3, 3), min_size=2 * n_pairs, max_size=2 * n_pairs)
+    modes = np.array(data.draw(st.lists(row, min_size=1, max_size=4)), dtype=float)
+    epsilon = data.draw(st.floats(0.01, 3.0))
+    pot = TrigPotential(epsilon, modes)
+    rng = np.random.default_rng(seed)
+    dim = 4 * n_pairs
+    grid = rng.uniform(-7.0, 7.0, size=(n, n, dim))
+    layouts = {
+        "component-major grid": _component_major(grid),
+        "C-ordered grid": grid,
+        "constant rows": rng.uniform(-7.0, 7.0, size=(rows, floer.CONSTANT_ROW, dim)),
+        "samples": rng.uniform(-7.0, 7.0, size=(rows, dim)),
+        "one row": rng.uniform(-7.0, 7.0, size=(1, dim)),
+        "one-row seeds": rng.uniform(-7.0, 7.0, size=(rows, 1, dim)),
+        "point": rng.uniform(-7.0, 7.0, size=dim),
+    }
+    for name, z in layouts.items():
+        phases = np.ascontiguousarray(z[..., : 2 * n_pairs]) @ modes.T
+        grad = np.zeros_like(z)
+        grad[..., : 2 * n_pairs] = -epsilon * (np.sin(phases) @ modes)
+        h, got = pot.evaluate(0.0, 0.0, z, True, True)
+        assert _bits(h) == _bits(epsilon * component_sum(np.cos(phases))), name
+        assert _bits(got) == _bits(grad) and got.strides == grad.strides, name
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+@pytest.mark.parametrize("n", [16, 24, 64])
+def test_residual_map_has_the_bits_of_the_trailing_layout_dirac(n, general):
+    """dirac on contiguous planes against the products on the C-ordered (N, N/2 + 1, 4n) modes."""
+    spec = hamiltonian_from_config(LAYOUT_POTENTIALS[3], rho=4.0)
+    grid = _FlowGrid(spec, _structures(spec.n_pairs, general), random_band_limited(
+        np.random.default_rng(n), n, spec.dim, 3, 0.15, "z", include_mean=True
+    ))
+    vals, zhat = grid.start
+    vals, zhat = grid.step(zhat, grid.evaluate(vals), np.full(1, 0.5 / mu_max(n)), 1.0)
+    terms = grid.evaluate(vals)
+    modes = np.ascontiguousarray(zhat)
+    dhat = grid.im1 * (modes @ grid.triple.J.T) + grid.im2 * (modes @ grid.triple.K.T)
+    dirac_values = np.fft.irfft2(dhat, s=(n, n), axes=(0, 1), norm="forward")
+    ref = dirac_values - grad_H_values(spec, terms.grad, vals)
+    assert _bits(grid.residual_map(vals, zhat, terms)) == _bits(ref)
