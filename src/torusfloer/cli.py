@@ -54,7 +54,7 @@ from .hamiltonians import (
     ddw_kernel_witness,
     ddw_residual,
 )
-from .runner import ConfigError, ExperimentConfig, check_keys, seed_kind, verify_count
+from .runner import MAX_SEED_VALUES, ConfigError, ExperimentConfig, check_keys, seed_kind, verify_count
 from .spectral import (
     FieldError,
     check_grid_size,
@@ -75,6 +75,10 @@ EXIT_PASS = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+
+#: `cuplength --jobs` starts up to this many fork workers at once; each holds about
+#: 45 MB (perfbench peak_rss_mb), so about 3 GB at the cap
+MAX_JOBS = 64
 
 # one row per finished seed; columns after "cluster" say how its flow ended
 # and, last, what kind of seed it was (lattice or perturbed)
@@ -321,14 +325,15 @@ def check_energy(args, data):
             raise InputError(f"cannot load stored trajectory: {exc}") from None
     _at_least("--trajectories", args.trajectories, 1)
     check_grid_size(args.grid)
-    rng = np.random.default_rng(args.rng_seed)
-    starts = []
-    for _ in range(args.trajectories):
-        q = rng.uniform(0.0, 2.0 * np.pi, size=2 * spec.n_pairs)
-        starts.append(constant_field(args.grid, np.concatenate([q, np.zeros(2 * spec.n_pairs)]), "z"))
+    cap = MAX_SEED_VALUES // (args.grid**2 * spec.dim)
+    if args.trajectories > cap:
+        raise InputError(f"--trajectories must be at most {cap} at grid size {args.grid} (2 GiB of fields)")
     args.step_regime = check_step(args.grid, args.ds)
     switching_window(spec.n_pairs, args.r, args.ds)  # rejects the r and window run_homotopy rejects
-    return spec, starts
+    # the run builds each start field as it flows it; a dry run builds none
+    rng = np.random.default_rng(args.rng_seed)
+    q = rng.uniform(0.0, 2.0 * np.pi, size=(args.trajectories, 2 * spec.n_pairs))
+    return spec, (constant_field(args.grid, np.concatenate([row, np.zeros_like(row)]), "z") for row in q)
 
 
 def run_energy(args, outdir: Path, checked) -> int:
@@ -380,6 +385,8 @@ def run_energy(args, outdir: Path, checked) -> int:
 
 def check_cuplength(args, data):
     _at_least("--jobs", args.jobs, 1)
+    if args.jobs > MAX_JOBS:
+        raise InputError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     config = ExperimentConfig.from_dict(data)
     args.step_regime = check_step(config.grid_size, config.ds)
     return config
@@ -599,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--save-fields", action="store_true")
     p.add_argument("--plots", action="store_true", help="write static images; never affects the exit code")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
+    p.add_argument("--jobs", type=int, default=1, help=f"worker processes (1 to {MAX_JOBS})")
     p.set_defaults(check=check_cuplength, func=run_cuplength)
 
     p = sub.add_parser("legendre-check", help="verify the Legendre bridge")

@@ -109,6 +109,15 @@ def standard_structures(n: int) -> StructureTriple:
     )
 
 
+def mode_operator(triple: StructureTriple, m1, m2) -> np.ndarray:
+    """L(m) = i(m1 J + m2 K) - P of the torus modes (m1, m2), P the p-block projector, as broadcast (..., 4n, 4n) blocks.
+
+    The one place the system's linear part on a mode is formed: `floer._propagator` inverts Id + ds L(m) and
+    `symbol.symbol_matrix` adds i xi."""
+    m1, m2 = (np.asarray(m)[..., None, None] for m in (m1, m2))
+    return 1j * m1 * triple.J + 1j * m2 * triple.K - np.diag(np.repeat([0.0, 1.0], triple.dim // 2))
+
+
 @dataclass(frozen=True)
 class RegularizedPairReport:
     """Per-invariant validation of an (omega1, omega2, I) triple."""

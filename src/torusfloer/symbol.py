@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import MAX_GRID
-from .structures import standard_structures
+from .structures import mode_operator, standard_structures
 
 #: smallest N such that |lam(xi, m)|^2 >= xi^2 + (m1^2+m2^2)/2 whenever
 #: m1^2 + m2^2 > N.  Derived by minimal_N_search; the bound fails at
@@ -56,24 +56,10 @@ class SymbolError(ValueError):
     pass
 
 
-def mode_matrix(m1, m2) -> np.ndarray:
-    """The antisymmetric mode block m1*J + m2*K of the standard structures, broadcasting over inputs."""
-    m1 = np.asarray(m1, dtype=float)[..., None, None]
-    m2 = np.asarray(m2, dtype=float)[..., None, None]
-    return m1 * _STANDARD.J + m2 * _STANDARD.K
-
-
 def symbol_matrix(xi, m1, m2) -> np.ndarray:
-    """D(xi, m1, m2), broadcasting to shape (..., 4, 4) complex."""
-    xi = np.asarray(xi, dtype=float)
-    mm = mode_matrix(m1, m2)
-    shape = np.broadcast_shapes(xi.shape, mm.shape[:-2])
-    out = np.zeros(shape + (4, 4), dtype=complex)
-    out += 1j * mm
-    out -= P_MATRIX
-    idx = np.arange(4)
-    out[..., idx, idx] += (1j * xi)[..., None] if xi.ndim else 1j * xi
-    return out
+    """D(xi, m1, m2) = L(m) + i xi Id (`structures.mode_operator`), broadcasting to shape (..., 4, 4) complex."""
+    xi = np.asarray(xi, dtype=float)[..., None, None]
+    return mode_operator(_STANDARD, m1, m2) + 1j * xi * np.eye(4) + 0.0  # + 0.0: no entry is -0.0
 
 
 def det_formula(xi, m1, m2):

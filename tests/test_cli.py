@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torusfloer import cli
 from torusfloer.cli import build_parser, main
 from torusfloer.floer import action, flow_constants, flow_to_solution, mu_max, run_homotopy
 from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec, cutoff_terms
@@ -525,6 +526,22 @@ def test_cuplength_invalid_config(tmp_path):
             (["--nmin-m-bound", "100000"], "exceeds the cap of 512"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a worker count past MAX_JOBS and a trajectory count past 2 GiB of fields, rejected before a pool or a field exists
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (["cuplength", "--jobs", "65"], {"n_pairs": 1, "grid_size": 16}, "--jobs must be at most 64, got 65"),
+            (["cuplength", "--jobs", "1048576"], {"n_pairs": 1, "grid_size": 8}, "--jobs must be at most 64, got 1048576"),
+            (["energy", "--trajectories", "65537"], None, "--trajectories must be at most 65536 at grid size 32"),
+            (["energy", "--trajectories", "1000000000000"], None, "--trajectories must be at most 65536 at grid size 32"),
+            (
+                ["energy", "--grid", "1024", "--ds", "0.001", "--trajectories", "65"],
+                None,
+                "--trajectories must be at most 64 at grid size 1024",
+            ),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -542,6 +559,14 @@ def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, mes
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+def test_energy_dry_run_at_the_trajectory_cap_builds_no_field(tmp_path, monkeypatch):
+    """65,536 start fields of a 32 grid are 2 GiB: the dry run checks their count and builds none."""
+    built = []
+    monkeypatch.setattr(cli, "constant_field", lambda *a: built.append(a))
+    assert run_cli("energy", "--trajectories", "65536", "--dry-run", "--out", str(tmp_path / "out")) == 0
+    assert built == []
 
 
 def test_flags_fill_in_what_the_config_leaves_out(tmp_path):

@@ -8,10 +8,12 @@ from torusfloer.floer import (
     _FlowGrid,
     _propagator,
     action,
+    check_step,
     energy,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,
+    mu_max,
     run_homotopy,
 )
 from torusfloer.hamiltonians import (
@@ -23,13 +25,14 @@ from torusfloer.hamiltonians import (
 from torusfloer.spectral import (
     TorusField,
     constant_field,
+    derivative_numbers,
     field_from_modes,
     l2_norm,
     random_band_limited,
     sobolev_seminorm,
 )
 from torusfloer.runner import ExperimentConfig, multistart_solve
-from torusfloer.structures import standard_structures
+from torusfloer.structures import mode_operator, standard_structures
 
 from conftest import flow_bytes, linear_flow_exact, mode_block, project_flow_stable, rk4_reference
 
@@ -150,6 +153,17 @@ def test_imex_fixed_point_exact():
 def test_imex_rejects_large_step():
     with pytest.raises(FlowError):
         imex_steps(free_spec(), constant_field(16, [0.0] * 4, "z"), 1.0)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+@pytest.mark.parametrize("n_grid", [16, 32, 64])
+@pytest.mark.parametrize("ds_mu", [0.5, 0.9, 0.99])
+def test_step_regime_is_the_spectrum_of_the_standard_mode_operator(n_pairs, n_grid, ds_mu):
+    """check_step's largest step factor is max 1/|1 + ds lam| over the eigenvalues of L(m) on the grid modes."""
+    ds = ds_mu / mu_max(n_grid)
+    lam = np.linalg.eigvals(mode_operator(standard_structures(n_pairs), *derivative_numbers(n_grid)))
+    largest = np.max(1.0 / np.abs(1.0 + ds * lam))
+    assert largest == pytest.approx(check_step(n_grid, ds)["max_step_amplification"], rel=1e-9)
 
 
 @pytest.mark.parametrize("ds", [[0.01, 0.0, 0.02], [0.01, -0.01, 0.02], [0.01, 0.5, 0.02]])

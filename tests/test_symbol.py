@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusfloer.structures import mode_operator, standard_structures
 from torusfloer.symbol import (
     MIN_MODE_SQ_THRESHOLD,
     P_MATRIX,
@@ -9,7 +10,6 @@ from torusfloer.symbol import (
     eig_bound_margin,
     eigenvalue_formula,
     minimal_N_search,
-    mode_matrix,
     symbol_matrix,
     symbol_report,
     sweep_rows,
@@ -163,5 +163,6 @@ def test_sweep_row_count():
 
 
 def test_mode_matrix_is_antisymmetric(rng):
-    m = mode_matrix(rng.integers(-20, 20), rng.integers(-20, 20))
+    """The mode block m1*J + m2*K of the standard structures, the imaginary part of L(m) + P."""
+    m = (mode_operator(standard_structures(1), rng.integers(-20, 20), rng.integers(-20, 20)) + P_MATRIX).imag
     assert np.array_equal(m, -m.T)
