@@ -35,7 +35,9 @@ from .fields_io import (
 from .floer import (
     DIAGNOSTIC_COLUMNS,
     FlowError,
+    check_flow_steps,
     check_step,
+    constant_step,
     energy_identity_check,
     flow_to_solution,
     max_principle_check,
@@ -133,6 +135,7 @@ def _write_manifest(outdir: Path, args, argv: list, started: float, exit_status:
             "output_dir": str(outdir),
             "exit_status": exit_status,
             "step_regime": args.step_regime,
+            "constant_step_regime": args.constant_step_regime,
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -159,7 +162,8 @@ def _beside_config(args, flags) -> None:
 # run needs, and a run, which computes, writes its outputs and returns the
 # exit status.  A dry run stops after the check.  A check of a subcommand
 # that takes flow steps keeps the step regime for the manifest in
-# args.step_regime.
+# args.step_regime; cuplength's also keeps its constant seeds' step, from
+# `constant_step`, in args.constant_step_regime.
 
 
 def check_structures(args, data):
@@ -289,6 +293,7 @@ def check_flow(args, data):
         rng = np.random.default_rng(args.rng_seed)
         z0 = random_band_limited(rng, n_grid, spec.dim, 2, args.amplitude, "z")
     args.step_regime = check_step(n_grid, args.ds)
+    check_flow_steps(args.s_max, args.ds)
     return spec, z0
 
 
@@ -388,12 +393,16 @@ def check_cuplength(args, data):
     if args.jobs > MAX_JOBS:
         raise InputError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     config = ExperimentConfig.from_dict(data)
+    spec = config.build_spec()
     args.step_regime = check_step(config.grid_size, config.ds)
-    return config
+    ds = constant_step(spec, config.ds)
+    args.constant_step_regime = {"ds": ds, "ds_c3_norm": ds * spec.c3_norm}
+    return config, spec
 
 
-def run_cuplength(args, outdir: Path, config) -> int:
-    report = verify_count(config, jobs=args.jobs)
+def run_cuplength(args, outdir: Path, checked) -> int:
+    config, spec = checked
+    report = verify_count(config, jobs=args.jobs, spec=spec)
     write_json(outdir / "report.json", report.to_report_dict())
     cluster_of = {}
     for ci, members in enumerate(report.dedup_result.clusters):
@@ -553,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--dry-run", action="store_true")
-        p.set_defaults(step_regime=None)
+        p.set_defaults(step_regime=None, constant_step_regime=None)
 
     p = sub.add_parser("structures", help="validate structure matrices")
     common(p)

@@ -21,6 +21,11 @@ grid mode; the derivatives annihilate the Nyquist band, so the largest M is
 growing direction a step multiplies mode m by 1/(1 - ds*mu(M)), which blows
 up as ds*mu(M) nears 1; the propagator raises FlowError for a step size
 outside the regime (`mu_max`).
+An exact constant has no grid mode but (0, 0), where Id + ds*L(0) is the
+diagonal diag(1, 1 - ds): a constant grid's regime is 0 < ds < 1 alone.  Its
+step is then limited by the explicit term, whose Lipschitz constant on
+constants is bounded by the Hessian of h; `constant_step` takes the step of
+constant seeds from that bound.
 States solving the system are exact fixed points of the step because the
 implicit solve uses the same discrete derivative convention as the
 residual.
@@ -83,6 +88,13 @@ MAX_HOMOTOPY_STEPS = 10**6
 # call overhead on one-row arrays; a block costs 1.6-1.9 us a sample from 256 samples
 # on, 2.6 us at 64 (N = 32, trig potential, one BLAS thread)
 HOMOTOPY_BLOCK = 1024
+# The largest step `constant_step` gives: it caps the p solve's factor 1/(1 - ds) at 2.
+DS_CONSTANT_MAX = 0.5
+# _flow keeps one diagnostics row per step and seed, a tuple of five floats: about 200
+# bytes, 20 MB a seed at this cap.  A flow is checked to need at most this many steps
+# (`check_flow_steps`); it may take one more where its summed steps round below s_max
+# (400 / 0.02 steps sum to 399.99999999993), and one that halves past that ends unfinished.
+MAX_FLOW_STEPS = 10**5
 NEWTON_STEPS = 8  # a polish that is not below tol after this many steps has failed
 NEWTON_FD_STEP = 2.0**-17  # central-difference step of the Jacobian
 # A constant grid holds each seed on this many grid points (see _FlowGrid): with one,
@@ -166,8 +178,7 @@ def check_step(n_grid: int, ds: float) -> dict:
     `random_regularized_pair(default_rng(s), 1)`, s = 0, 1, 12.1-12.2 against 10 at ds * mu_max = 0.9,
     and 923 and 193 against 100 at 0.99.
     """
-    if not 0.0 < ds < 1.0:
-        raise FlowError(f"step size must lie in (0, 1), got {ds}")
+    _check_unit_step(ds)
     mu = mu_max(n_grid)
     if ds * mu >= 1.0:
         raise FlowError(
@@ -176,6 +187,37 @@ def check_step(n_grid: int, ds: float) -> dict:
             "(at ds*mu = 1 a grid mode has a singular implicit solve)"
         )
     return {"ds_mu_max": float(ds * mu), "max_step_amplification": float(1.0 / (1.0 - ds * mu))}
+
+
+def _check_unit_step(ds: float) -> None:
+    """Raise FlowError unless 0 < ds < 1, the regime of the (0, 0) mode's implicit solve diag(1, 1/(1 - ds))."""
+    if not 0.0 < ds < 1.0:
+        raise FlowError(f"step size must lie in (0, 1), got {ds}")
+
+
+def constant_step(spec: HamiltonianSpec, ds: float) -> float:
+    """The step of exact constant seeds of spec: max(ds, min(DS_CONSTANT_MAX, 1 / spec.c3_norm)).
+
+    A constant has no grid mode that check_step guards, so its step is
+    limited by the explicit gradient term alone, whose Lipschitz constant on
+    constants is the Hessian bound of h.  The c3_norm of a built-in
+    potential bounds it: |eps| sum |a|^2 <= |eps| sum max(1, |a|)^3, so the
+    step keeps ds * Lip(grad h) <= 1.  A spec without a finite bound (a
+    custom h) keeps ds.
+    """
+    c3 = spec.c3_norm
+    if c3 is None or not 0.0 <= c3 < np.inf:
+        return ds
+    return max(ds, DS_CONSTANT_MAX if DS_CONSTANT_MAX * c3 <= 1.0 else 1.0 / c3)
+
+
+def check_flow_steps(s_max: float, ds: float) -> None:
+    """Raise FlowError when a flow to s_max needs more than MAX_FLOW_STEPS steps of ds."""
+    if not s_max / ds <= MAX_FLOW_STEPS:
+        raise FlowError(
+            f"a flow to s_max={s_max} needs {s_max / ds:.3g} steps of ds={ds}, "
+            f"more than the cap of {MAX_FLOW_STEPS:.0e}"
+        )
 
 
 def _propagator(n_grid: int, ds: float, triple: StructureTriple, modes) -> np.ndarray:
@@ -310,8 +352,12 @@ class _FlowGrid:
     alike at every row count (their memory layout does not matter, see
     above).  Each grid mean is taken in closed form: numpy's pairwise sum of
     the N^2 equal values of a power-of-two grid is the sum of 128 of them
-    doubled exactly (`mean`).  Every seed's results are bit-identical to its
-    full-grid flow, step halving and termination included, as long as the
+    doubled exactly (`mean`).  The diagonal solve is exact for any step
+    size, so a constant grid checks its own regime, 0 < ds < 1, not the full
+    grid's ds * mu_max < 1: constant seeds can take the larger
+    `constant_step`.  At a step size both grids accept, every seed's results
+    are bit-identical to its full-grid flow, step halving and termination
+    included, as long as the
     full grid's transforms stay finite: for an unbounded custom h, the full
     grid's rfft2 of a huge gradient can overflow a step before the (0, 0)
     value itself does, so there the full grid loses finiteness earlier
@@ -380,14 +426,15 @@ class _FlowGrid:
     def _propagators(self, ds):
         """The propagator of the step sizes ds last seen, the shared (4n, 4n, N, N/2 + 1) `_half_spectrum_propagator`;
         on a constant grid, per seed, diag(1, 1/(1 - ds)) as (B, CONSTANT_ROW, 4n): the closed form of the
-        exact inverse of Id + ds L(0), L(0) = -P (`structures.mode_operator`), which needs no matrix inverse."""
+        exact inverse of Id + ds L(0), L(0) = -P (`structures.mode_operator`), which needs no matrix inverse.
+        A full grid's step sizes are checked by `check_step`, a constant grid's by their own regime, 0 < ds < 1."""
         key = ds.tobytes()
         if key != self._prop_key:
             if not self.constant:
                 self._prop = _half_spectrum_propagator(self.n, float(ds[0]), self.triple)
             else:
                 for d in (ds.min(), ds.max()):  # the step regime is an interval
-                    check_step(self.n, float(d))
+                    _check_unit_step(float(d))
                 self._prop = np.ones((len(ds), CONSTANT_ROW, self.spec.dim))
                 self._prop[:, :, 2 * self.spec.n_pairs :] = (1.0 / (1.0 - ds))[:, None, None]
             self._prop_key = key
@@ -545,7 +592,10 @@ def flow_to_solution(
     increase means the step is too long).  Divergence - max|p|^2 past 2 rho
     (1e6 without a cut-off), a residual that is RESIDUAL_BLOWUP times its
     start scale or not finite (at the start and at s_max too), or non-finite
-    values - is reported in the result, not raised.
+    values - is reported in the result, not raised.  A flow still running
+    after MAX_FLOW_STEPS + 1 steps, which only a halved step can make of a
+    checked s_max / ds (`check_flow_steps`), ends unfinished with the
+    reason "step cap reached".
 
     The flow amplifies content at spatial mode m roughly like
     exp(|m| s), so transform round-off seeds the fastest grid modes and
@@ -671,11 +721,14 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
     advances every running seed or none: when a seed's step is halved or a
     seed turns non-finite, the others take the same step again in the next
     iteration.  So the running seeds share one step count, and with it the
-    residual check cadence.
+    residual check cadence, and all end together past MAX_FLOW_STEPS steps.
     """
     if check_every < 1:
         raise FlowError(f"check_every must be >= 1, got {check_every}")
-    check_step(grid.n, ds)  # rejects a ds outside the step regime even if no step is taken
+    if grid.constant:  # rejects a ds outside the grid's step regime even if no step is taken
+        _check_unit_step(ds)
+    else:
+        check_step(grid.n, ds)
 
     results = [None] * grid.n_seeds
     seeds = np.arange(grid.n_seeds)
@@ -748,7 +801,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
         n_steps += 1
         max_p_sq = grid.max_p_sq(terms)
         escaped = max_p_sq > grid.spec.escape_p_sq
-        exits = escaped | ~(s < s_max)
+        exits = escaped | ~(s < s_max) | (n_steps > MAX_FLOW_STEPS)
         if n_steps % check_every == 0:
             residual = grid.residual(vals, zhat, terms)
             exits |= ~(residual <= RESIDUAL_BLOWUP * residual_scale) | (residual < tol)  # NaN too
@@ -765,10 +818,10 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
         if any_exit:
             blowup = ~(residual <= RESIDUAL_BLOWUP * residual_scale)
             converged = residual < tol
-            at_s_max = exits & ~(escaped | blowup | converged)
-            if at_s_max.any():
-                residual = np.where(at_s_max, grid.residual(vals, zhat, terms), residual)
-                blowup |= at_s_max & ~np.isfinite(residual)
+            unfinished = exits & ~(escaped | blowup | converged)  # at s_max or at the step cap
+            if unfinished.any():
+                residual = np.where(unfinished, grid.residual(vals, zhat, terms), residual)
+                blowup |= unfinished & ~np.isfinite(residual)
             for i in np.flatnonzero(exits):
                 field = grid.field(vals, i)
                 if escaped[i]:
@@ -778,7 +831,7 @@ def _flow(grid, tol, s_max, ds, check_every, stop=None):
                 elif converged[i]:
                     finish(i, field, True, False, "residual below tol")
                 else:
-                    finish(i, field, False, False, "s_max reached")
+                    finish(i, field, False, False, "s_max reached" if not s[i] < s_max else "step cap reached")
             finished = exits
     return results
 

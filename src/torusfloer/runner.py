@@ -20,8 +20,10 @@ from .floer import (
     FlowError,
     FlowResult,
     action,
+    check_flow_steps,
     check_step,
     constant_start,
+    constant_step,
     exact_constant,
     flow_constants,
     flow_to_solution,
@@ -118,6 +120,10 @@ class ExperimentConfig:
         cap = MAX_SEED_VALUES // (self.grid_size**2 * 4 * self.n_pairs)
         if self.n_seeds > cap:
             raise ConfigError(f"n_seeds must be at most {cap} at grid size {self.grid_size} (2 GiB of fields)")
+        try:
+            check_flow_steps(self.s_max, self.ds)  # per seed: a constant seed's `constant_step` takes fewer
+        except FlowError as exc:
+            raise ConfigError(str(exc)) from None
         pot = nonlinearity_from_config(self.potential)
         if pot.n_pairs != self.n_pairs:
             raise ConfigError(
@@ -278,10 +284,11 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
 
     A seed that `constant_start` accepts keeps only its first row; every
     other seed flows at once.  The constant seeds then flow as one batch
-    (`flow_constants`), each bit-identical to its own flow, but only down to
-    the residual `polish_level`; `polish_constants` takes each seed that got
-    there on to residual_tol.  A seed whose polish fails flows again from its
-    start to residual_tol, so its result is the plain flow's.  Seeds that
+    (`flow_constants`), each bit-identical to its own flow, at the step
+    `constant_step` of config.ds, but only down to the residual
+    `polish_level`; `polish_constants` takes each seed that got there on to
+    residual_tol.  A seed whose polish fails flows again from its start, at
+    the same step, to residual_tol, so its result is the plain flow's.  Seeds that
     start below residual_tol, and seeds that diverge or stop before
     `polish_level`, get the plain flow's result as well.  stop() is asked
     before each seed and between batch steps; once it returns True, the
@@ -304,6 +311,7 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
         return results, True
     starts = list(constants.values())
     tol = options["tol"]
+    options["ds"] = constant_step(spec, config.ds)
     batch = flow_constants(starts, spec, stop=stop, **{**options, "tol": max(tol, polish_level(spec))})
     handed = [i for i, r in enumerate(batch) if r is not None and r.converged and not r.residual_norm < tol]
     for i, result in zip(handed, polish_constants([batch[i] for i in handed], spec, tol)):
@@ -534,9 +542,9 @@ class CountReport:
         }
 
 
-def verify_count(config: ExperimentConfig, jobs: int = 1) -> CountReport:
-    """Full experiment: multistart, dedup, count against the 2n+1 bound."""
-    spec = config.build_spec()
+def verify_count(config: ExperimentConfig, jobs: int = 1, spec: HamiltonianSpec | None = None) -> CountReport:
+    """Full experiment: multistart, dedup, count against the 2n+1 bound; spec defaults to config.build_spec()."""
+    spec = config.build_spec() if spec is None else spec
     multi = multistart_solve(config, jobs=jobs, spec=spec)
     dd = dedup(multi.records, config.dedup_delta)
     continuum = detect_continuum(multi.records, dd, config) if multi.records else False

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfloer import cli
+from torusfloer import cli, floer
 from torusfloer.cli import build_parser, main
-from torusfloer.floer import action, flow_constants, flow_to_solution, mu_max, run_homotopy
+from torusfloer.floer import action, check_step, flow_constants, flow_to_solution, mu_max, run_homotopy
 from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec, cutoff_terms
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
@@ -542,6 +542,17 @@ def test_cuplength_invalid_config(tmp_path):
             ),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a flow of more steps than MAX_FLOW_STEPS, from the flags or per seed of a cuplength config
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (["flow", "--grid", "16", "--ds", "1e-300", "--s-max", "1"], None, "needs 1e+300 steps of ds=1e-300"),
+            (["flow", "--grid", "16", "--s-max", "1e300"], None, "needs 1e+302 steps of ds=0.01"),
+            (["cuplength"], {"n_pairs": 1, "grid_size": 16, "s_max": 1e300}, "needs 5e+301 steps of ds=0.02"),
+            (["cuplength"], {"n_pairs": 1, "grid_size": 16, "s_max": 4000.0}, "needs 2e+05 steps of ds=0.02"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -559,6 +570,36 @@ def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, mes
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+def test_flow_halved_past_the_step_cap_is_inconclusive(tmp_path, capsys, monkeypatch):
+    """A flow within the step cap that halves its step and reaches the cap exits 3, unfinished."""
+    monkeypatch.setattr(floer, "MAX_FLOW_STEPS", 5)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"potential": {**TRIG_16["potential"], "epsilon": 30.0}, "grid_size": 16}))
+    out = tmp_path / "out"
+    argv = ["--seed-mode", "0,0", "--amplitude", repr(np.pi / 3), "--ds", "0.09", "--config", str(cfg), "--out", str(out)]
+    assert run_cli("flow", "--s-max", "0.46", *argv) == 1
+    assert run_cli("flow", "--s-max", "0.45", *argv) == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith("flow: step cap reached at s=0.270, residual ")
+    result = read_json(out / "result.json")
+    assert (result["reason"], result["n_steps"], result["n_halvings"]) == ("step cap reached", 6, 1)
+
+
+def test_manifest_records_the_constant_step(tmp_path):
+    """cuplength's manifest keeps its constant seeds' step and ds * c3_norm beside step_regime; report.json does not."""
+    cfg = tmp_path / "config.json"
+    for epsilon, ds, ds_c3_norm in ((0.1, 0.5, 0.1), (2.5, 0.2, 1.0), (0.001, 0.5, 0.001)):
+        potential = {**FLAGSHIP["potential"], "epsilon": epsilon}
+        cfg.write_text(json.dumps({**FLAGSHIP, "potential": potential, "lattice_per_dim": 2, "random_starts": 0}))
+        out = tmp_path / f"eps{epsilon}"
+        assert run_cli("cuplength", "--config", str(cfg), "--out", str(out)) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["constant_step_regime"] == pytest.approx({"ds": ds, "ds_c3_norm": ds_c3_norm}, rel=1e-12)
+        assert manifest["step_regime"] == pytest.approx(check_step(32, 0.02))
+        assert "constant_step_regime" not in (out / "report.json").read_text()
+    assert run_cli("flow", "--grid", "16", "--dry-run", "--out", str(tmp_path / "flow")) == 0
+    assert read_json(tmp_path / "flow" / "manifest.json")["constant_step_regime"] is None
 
 
 def test_energy_dry_run_at_the_trajectory_cap_builds_no_field(tmp_path, monkeypatch):

@@ -4,11 +4,14 @@ import pytest
 from torusfloer import floer
 from torusfloer.floer import (
     BetaProfile,
+    DS_CONSTANT_MAX,
     FlowError,
     _FlowGrid,
     _propagator,
     action,
+    check_flow_steps,
     check_step,
+    constant_step,
     energy,
     energy_identity_check,
     flow_to_solution,
@@ -166,11 +169,48 @@ def test_step_regime_is_the_spectrum_of_the_standard_mode_operator(n_pairs, n_gr
     assert largest == pytest.approx(check_step(n_grid, ds)["max_step_amplification"], rel=1e-9)
 
 
-@pytest.mark.parametrize("ds", [[0.01, 0.0, 0.02], [0.01, -0.01, 0.02], [0.01, 0.5, 0.02]])
+@pytest.mark.parametrize("ds", [[0.01, 0.0, 0.02], [0.01, -0.01, 0.02], [0.01, 1.0, 0.02]])
 def test_constant_grid_rejects_any_seeds_step_outside_the_regime(ds):
     grid = _FlowGrid.constants(free_spec(), None, 16, np.zeros((3, 4)))
     with pytest.raises(FlowError, match=r"step size must lie in \(0, 1\)|leaves the step regime"):
         grid.step(grid.start[1], grid.evaluate(grid.start[0]), np.array(ds), 1.0)
+
+
+# the constant step of each c3_norm bound before it is raised to ds: DS_CONSTANT_MAX, else 1 / c3_norm
+CONSTANT_STEP_OF_C3 = {0.0: 0.5, 0.2: 0.5, 2.0: 0.5, 5.0: 0.2, 1e3: 1e-3}
+
+
+@pytest.mark.parametrize("c3_norm", [None, np.inf, np.nan, -1.0, *CONSTANT_STEP_OF_C3])
+@pytest.mark.parametrize("ds", [1e-4, 0.02, 0.3, 0.9])
+def test_constant_step_never_shortens_the_step(c3_norm, ds):
+    """min(DS_CONSTANT_MAX, 1 / c3_norm), never below ds; a custom h without a finite bound keeps ds."""
+    spec = HamiltonianSpec(
+        1, lambda t1, t2, z: 0.0 * z[..., 0], lambda t1, t2, z: 0.0 * z, c3_norm=c3_norm, check_gradient=False
+    )
+    assert DS_CONSTANT_MAX == 0.5
+    step = constant_step(spec, ds)
+    assert step >= ds
+    assert step == max(ds, CONSTANT_STEP_OF_C3.get(c3_norm, ds))
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "full"])
+def test_a_flow_halved_past_the_step_cap_ends_unfinished(monkeypatch, constant):
+    """s_max / ds is within MAX_FLOW_STEPS, but the halved step needs more: the flow ends one step past the cap."""
+    monkeypatch.setattr(floer, "MAX_FLOW_STEPS", 5)
+    spec = hamiltonian_from_config({"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]})
+    if not constant:
+        _full_grid_only(monkeypatch)
+    check_flow_steps(0.45, 0.09)
+    with pytest.raises(FlowError, match="needs 5.11 steps of ds=0.09, more than the cap"):
+        check_flow_steps(0.46, 0.09)
+    z0 = constant_field(16, [np.pi / 3, 0.0, 0.0, 0.0], "z")
+    result = flow_to_solution(z0, spec, ds=0.09, s_max=0.45)
+    assert (result.converged, result.diverged, result.reason) == (False, False, "step cap reached")
+    assert result.n_halvings == 1 and result.n_steps == 6 and len(result.rows) == 7
+    assert result.s_reached == pytest.approx(0.27)
+    # five steps of 0.09 sum to 0.44999999999999996: a flow that keeps its step takes one more to s_max
+    result = flow_to_solution(z0, trig_spec(), ds=0.09, s_max=0.45)
+    assert (result.reason, result.n_halvings, result.n_steps) == ("s_max reached", 0, 6)
 
 
 def test_propagator_matches_exponential_to_first_order():

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from torusfloer import runner
 from torusfloer.floer import (
     FlowResult,
     constant_start,
+    constant_step,
     exact_constant,
     flow_constants,
     POLISH_FRACTION,
@@ -307,7 +309,7 @@ def test_failed_polish_falls_back_to_the_plain_flow():
     config = ExperimentConfig(**{**FAST_TRIG, "potential": potential, "lattice_per_dim": 4, "random_starts": 0})
     spec = config.build_spec()
     starts = [constant_start(spec, seed_field(config, i)) for i in range(config.n_seeds)]
-    options = dict(s_max=config.s_max, ds=config.ds, check_every=config.check_every)
+    options = dict(s_max=config.s_max, ds=constant_step(spec, config.ds), check_every=config.check_every)
     handed = flow_constants(starts, spec, tol=polish_level(spec), **options)
     polish = [r for r in handed if not r.residual_norm < config.residual_tol]
     assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8
@@ -487,6 +489,49 @@ def test_verify_count_n2_product_potential():
     # all 16 lattice seeds sit at stationary states of the product potential
     assert report.distinct >= 2 * 2 + 1
     assert report.passed
+
+
+FLAGSHIP = json.loads((Path(__file__).resolve().parents[1] / "configs" / "trig_n1.json").read_text())
+N2_PRODUCT = dict(  # the config of test_verify_count_n2_product_potential
+    n_pairs=2,
+    grid_size=16,
+    potential={"kind": "trig_potential", "epsilon": 0.2, "modes": np.eye(4, dtype=int).tolist()},
+    lattice_per_dim=2,
+    random_starts=0,
+    s_max=10.0,
+    ds=0.02,
+)
+# Where the flagship's lattice seeds land at epsilon 0.01 and ds 0.02, a flow of about 4 s:
+# each q_i starting at 2 pi k / 6 flows to 0 but for k = 3, which starts on pi.  Read off
+# the records of `verify_count` (random_starts 0) with `constant_step` returning ds, where
+# each limit lies within 1e-13 of these points modulo 2 pi; distinct is 4.
+FLAGSHIP_LIMIT_OF_DIGIT = [0.0, 0.0, 0.0, np.pi, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("case", [0.01, 0.1, 1.0, 2.5, "n2_product"])
+def test_constant_seeds_land_where_they_land_at_the_config_step(monkeypatch, case):
+    """Every lattice seed, flowed at `constant_step`, lands within dedup_delta of its limit at config.ds."""
+    if case == "n2_product":
+        config = ExperimentConfig(**N2_PRODUCT)
+    else:
+        potential = {**FLAGSHIP["potential"], "epsilon": case}
+        config = ExperimentConfig(**{**FLAGSHIP, "random_starts": 0, "potential": potential})
+    assert constant_step(config.build_spec(), config.ds) > config.ds
+    report = verify_count(config)
+    if case == 0.01:
+        digit = FLAGSHIP_LIMIT_OF_DIGIT
+        expected = {i: np.array([digit[i % 6], digit[i // 6]]) for i in range(config.n_seeds)}
+        distinct = 4
+    else:
+        monkeypatch.setattr(runner, "constant_step", lambda spec, ds: ds)
+        at_ds = verify_count(config)
+        expected = {r.seed_index: r.q_mean for r in at_ds.records}
+        distinct = at_ds.distinct
+    assert report.distinct == distinct
+    assert sorted(r.seed_index for r in report.records) == sorted(expected) == list(range(config.n_seeds))
+    for r in report.records:
+        gap = np.angle(np.exp(1j * (r.q_mean - expected[r.seed_index])))  # modulo 2 pi
+        assert np.sqrt(np.sum(gap**2)) < config.dedup_delta
 
 
 def test_report_dict_is_json_clean():
