@@ -81,6 +81,11 @@ EXIT_INCONCLUSIVE = 3
 #: `cuplength --jobs` starts up to this many fork workers at once; each holds about
 #: 45 MB (perfbench peak_rss_mb), so about 3 GB at the cap
 MAX_JOBS = 64
+#: a legendre-check sample takes about 130 us (two Legendre transforms, one BLAS thread): some 13 s at this cap
+MAX_LEGENDRE_SAMPLES = 100_000
+#: a ddw-demo sample takes about 1.3 us a grid point, and no less than at 1,024 points (1.3 ms at N <= 32,
+#: 1.1 s at N = 1024, one BLAS thread): --samples times max(N^2, 1024) is capped here, some 20 s
+MAX_DDW_POINTS = 2**24
 
 # one row per finished seed; columns after "cluster" say how its flow ended
 # and, last, what kind of seed it was (lattice or perturbed)
@@ -277,21 +282,23 @@ def check_flow(args, data):
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
     check_grid_size(n_grid)
-    if args.seed_mode:
-        try:
-            m1, m2 = (int(x) for x in args.seed_mode.split(","))
-        except ValueError:
-            raise InputError(f"bad --seed-mode {args.seed_mode!r}") from None
-        if max(abs(m1), abs(m2)) >= n_grid // 2:  # the Nyquist band and beyond alias
-            raise InputError(
-                f"--seed-mode must satisfy |m1|, |m2| < N/2 = {n_grid // 2}, got {args.seed_mode}"
-            )
-        vec = np.zeros(spec.dim, dtype=complex)
-        vec[0] = args.amplitude
-        z0 = field_from_modes(n_grid, spec.dim, {(m1, m2): vec}, "z")
-    else:
-        rng = np.random.default_rng(args.rng_seed)
-        z0 = random_band_limited(rng, n_grid, spec.dim, 2, args.amplitude, "z")
+    # a start field that an amplitude overflows is refused as not finite (FieldError), without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.seed_mode:
+            try:
+                m1, m2 = (int(x) for x in args.seed_mode.split(","))
+            except ValueError:
+                raise InputError(f"bad --seed-mode {args.seed_mode!r}") from None
+            if max(abs(m1), abs(m2)) >= n_grid // 2:  # the Nyquist band and beyond alias
+                raise InputError(
+                    f"--seed-mode must satisfy |m1|, |m2| < N/2 = {n_grid // 2}, got {args.seed_mode}"
+                )
+            vec = np.zeros(spec.dim, dtype=complex)
+            vec[0] = args.amplitude
+            z0 = field_from_modes(n_grid, spec.dim, {(m1, m2): vec}, "z")
+        else:
+            rng = np.random.default_rng(args.rng_seed)
+            z0 = random_band_limited(rng, n_grid, spec.dim, 2, args.amplitude, "z")
     args.step_regime = check_step(n_grid, args.ds)
     check_flow_steps(args.s_max, args.ds)
     return spec, z0
@@ -299,9 +306,11 @@ def check_flow(args, data):
 
 def run_flow(args, outdir: Path, checked) -> int:
     spec, z0 = checked
-    result = flow_to_solution(
-        z0, spec, tol=args.tol, s_max=args.s_max, ds=args.ds, check_every=args.check_every
-    )
+    # a start whose transform or squares overflow ends as a blow-up, reported in one line: numpy's warnings are not
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = flow_to_solution(
+            z0, spec, tol=args.tol, s_max=args.s_max, ds=args.ds, check_every=args.check_every
+        )
     write_csv(outdir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, result.rows)
     save_field(result.Z, outdir / "final_state")
     write_json(outdir / "result.json", {k: v for k, v in vars(result).items() if k not in ("Z", "rows")})
@@ -478,6 +487,8 @@ def _emit_cuplength_plots(outdir: Path, report) -> None:
 
 def check_legendre(args, data):
     _at_least("--samples", args.samples, 1)
+    if args.samples > MAX_LEGENDRE_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_LEGENDRE_SAMPLES}, got {args.samples}")
     _at_least("--rng-seed", args.rng_seed, 0)
     pot = TrigPotential(args.epsilon, [[1, 0], [0, 1]])
     return pot, quadratic_lagrangian(pot)
@@ -526,6 +537,9 @@ def check_ddw(args, data):
     _at_least("--samples", args.samples, 1)
     _at_least("--rng-seed", args.rng_seed, 0)
     check_grid_size(args.grid)
+    cap = MAX_DDW_POINTS // max(args.grid**2, 1024)
+    if args.samples > cap:
+        raise InputError(f"--samples must be at most {cap} at grid size {args.grid}, got {args.samples}")
 
 
 def run_ddw(args, outdir: Path, checked) -> int:

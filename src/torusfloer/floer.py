@@ -249,6 +249,19 @@ def _half_spectrum_propagator(n_grid: int, ds: float, triple: StructureTriple) -
     return _half_spectrum[1]
 
 
+def grid_mean(x, points: int):
+    """np.mean over the last axis of x, which holds a grid's points values or min(points, PAIRWISE_BLOCK) equal ones.
+
+    Equal values stand for the points equal values of an exact constant: numpy's
+    pairwise sum of those is the sum of the values held doubled exactly, so it is
+    that sum times points // width, the overflow to inf included (PAIRWISE_BLOCK).
+    """
+    total = np.add.reduce(x, axis=-1)
+    if x.shape[-1] < points:
+        total = total * (points // x.shape[-1])
+    return total / points
+
+
 def exact_constant(values: np.ndarray) -> bool:
     """True when the grid transforms of the (N, N, k) values are exact, without taking one.
 
@@ -257,8 +270,8 @@ def exact_constant(values: np.ndarray) -> bool:
     at (0, 0) and zero elsewhere, to the last bit and signed zeros included,
     and no sum of the transform, nor a square of a mode, overflows.  On
     other grids (N = 12, 24, 48, ...) the (0, 0) coefficient of a constant
-    is rounded.  `constant_start` and the classification of a record
-    (`runner`) rest on it.
+    is rounded.  `constant_start`, and the records of constant limits and
+    their deduplication (`runner`), rest on it.
     """
     n = values.shape[0]
     bits = values.view(np.uint64)
@@ -480,13 +493,12 @@ class _FlowGrid:
         """Grid mean of a pointwise array, per seed (np.mean's sum and division).
 
         On a constant grid the sum of a seed's N^2 equal values is taken in
-        closed form (PAIRWISE_BLOCK); a grid of at most 128 points sums them all.
+        closed form (`grid_mean`).
         """
         points = self.n * self.n
-        if not self.constant:
-            return np.add.reduce(self._by_seed(x), axis=1) / points
-        block = min(points, PAIRWISE_BLOCK)
-        return np.add.reduce(np.repeat(x[:, :1], block, axis=1), axis=1) * (points // block) / points
+        if self.constant:
+            x = np.repeat(x[:, :1], min(points, PAIRWISE_BLOCK), axis=1)
+        return grid_mean(self._by_seed(x), points)
 
     def mean_sq(self, x):
         """Grid mean of the pointwise |x|^2, per seed."""

@@ -19,6 +19,7 @@ import numpy as np
 from .floer import (
     FlowError,
     FlowResult,
+    PAIRWISE_BLOCK,
     action,
     check_flow_steps,
     check_step,
@@ -27,6 +28,7 @@ from .floer import (
     exact_constant,
     flow_constants,
     flow_to_solution,
+    grid_mean,
     polish_constants,
     polish_level,
 )
@@ -210,6 +212,7 @@ class SolutionRecord:
     reason: str
     n_halvings: int
     action_trace: np.ndarray | None = None  # (samples, 2): s, action
+    row: np.ndarray | None = None  # the (4n,) value of an `exact_constant` field, else None
 
     def to_row(self) -> dict:
         return {
@@ -234,26 +237,43 @@ class DivergenceRecord:
     n_halvings: int
 
 
+def _exact_row(z: TorusField):
+    """The (4n,) value of z when z is an `exact_constant`, else None."""
+    return z.values[0, 0] if exact_constant(z.values) else None
+
+
+def _field_stats(z: TorusField) -> tuple:
+    """(q_mean, max_p_sq, p_norm_sq) of a field: means and a max over its grid values."""
+    p_sq = np.sum(z.p_part() ** 2, axis=2)
+    return np.mean(z.q_part(), axis=(0, 1)), float(np.max(p_sq)), float(np.mean(p_sq))
+
+
 def _record_from_result(
-    config: ExperimentConfig, spec: HamiltonianSpec, index: int, result: FlowResult
+    config: ExperimentConfig, spec: HamiltonianSpec, index: int, result: FlowResult, stats=None
 ) -> SolutionRecord:
+    """The record of one converged flow result; its action is `action` of its field.
+
+    stats is (row, q_mean, max_p_sq, p_norm_sq) as `_records` takes them.
+    Without it they come from the field (`_exact_row`, `_field_stats`): the
+    reference whose bits the batch of `_records` has, which the tests
+    compare against.  A field that is not an exact constant classifies by
+    its seminorm.
+    """
     z = result.Z
+    row, q_mean, max_p_sq, p_norm_sq = (_exact_row(z), *_field_stats(z)) if stats is None else stats
     # the seminorm of an exact constant is exactly 0: its transform is zero off (0, 0)
-    flat = exact_constant(z.values) or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
-    classification = "constant" if flat else "nonconstant"
-    q_mean = np.mean(z.q_part(), axis=(0, 1))
-    p_norm_sq = float(np.mean(np.sum(z.p_part() ** 2, axis=2)))
+    flat = row is not None or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
     c0, c1 = action_bound_constants(spec)
     act = action(spec, z)
-    trace = np.array([(row[0], row[1]) for row in result.rows[::20]])
+    trace = np.array([(r[0], r[1]) for r in result.rows[::20]])
     return SolutionRecord(
         seed_index=index,
         field=z,
         action=act,
         residual=result.residual_norm,
-        classification=classification,
+        classification="constant" if flat else "nonconstant",
         q_mean=q_mean,
-        max_p_sq=float(np.max(np.sum(z.p_part() ** 2, axis=2))),
+        max_p_sq=max_p_sq,
         s_reached=result.s_reached,
         n_steps=result.n_steps,
         p_norm_sq=p_norm_sq,
@@ -261,7 +281,37 @@ def _record_from_result(
         reason=result.reason,
         n_halvings=result.n_halvings,
         action_trace=trace,
+        row=row,
     )
+
+
+def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -> list:
+    """The records of the converged (index, FlowResult) pairs, in their order.
+
+    Whether a result's field is an `exact_constant` is decided once, and its
+    (4n,) value kept on the record as `row` (`dedup` reads it).  The rows'
+    stats come in one batch, with the bits of `_field_stats` of their
+    fields: a row's |p|^2 (`component_sum`, as `cutoff_terms` takes it) is
+    its field's max, `grid_mean` of its copies the field's mean, and the q
+    means are numpy's mean over a broadcast (B, N, N, 2n) view.  Every other
+    result takes `_field_stats`.  Each record's action is `action` of its
+    field, which takes an exact constant of an autonomous h on a one-seed
+    constant grid.
+    """
+    rows = [_exact_row(result.Z) for _, result in converged]
+    stats = [None] * len(rows)
+    batch = [i for i, row in enumerate(rows) if row is not None]
+    if batch:
+        n, q, block = config.grid_size, 2 * spec.n_pairs, np.array([rows[i] for i in batch])
+        p_sq = component_sum(block[:, q:] ** 2)
+        p_norm_sq = grid_mean(np.repeat(p_sq[:, None], min(n * n, PAIRWISE_BLOCK), axis=1), n * n)
+        q_means = np.mean(np.broadcast_to(block[:, None, None, :q], (len(batch), n, n, q)), axis=(1, 2))
+        for i, m, x, p in zip(batch, q_means, p_sq, p_norm_sq):
+            stats[i] = (rows[i], m, float(x), float(p))
+    return [
+        _record_from_result(config, spec, idx, result, stats[i] or (rows[i], *_field_stats(result.Z)))
+        for i, (idx, result) in enumerate(converged)
+    ]
 
 
 def _flow_options(config: ExperimentConfig) -> dict:
@@ -343,6 +393,10 @@ def multistart_solve(
 ) -> MultistartResult:
     """Run every seed; converged limits become records, the rest are reported.
 
+    The records are made together once the seeds are done (`_records`):
+    those whose field is an exact constant take their statistics from
+    their rows in one batch, the others from their fields.
+
     spec defaults to config.build_spec().  With jobs > 1 the seed indices
     are dealt round-robin into min(jobs, n_seeds) pool tasks; each worker
     builds its own spec and its seeds, as the serial run does.  A seed's
@@ -351,7 +405,7 @@ def multistart_solve(
     seed, between batch steps and after each finished task.
     """
     spec = config.build_spec() if spec is None else spec
-    records, divergent, unfinished = [], [], []
+    divergent, unfinished = [], []
     start = time.monotonic()
     cap = config.wall_clock_cap
     indices = range(config.n_seeds)
@@ -377,17 +431,18 @@ def multistart_solve(
     else:
         results, budget_exhausted = _solve_seeds(config, spec, indices, over_budget)
 
+    converged = []
     for idx in sorted(results):
         result = results[idx]
         if result.converged:
-            records.append(_record_from_result(config, spec, idx, result))
+            converged.append((idx, result))
             continue
         record = DivergenceRecord(
             idx, result.reason, result.s_reached, result.residual_norm,
             result.n_steps, result.n_halvings,
         )
         (divergent if result.diverged else unfinished).append(record)
-    return MultistartResult(records, divergent, unfinished, budget_exhausted)
+    return MultistartResult(_records(config, spec, converged), divergent, unfinished, budget_exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +454,7 @@ def _component_planes(z: TorusField) -> np.ndarray:
     return np.ascontiguousarray(z.values.reshape(-1, z.components).T)
 
 
-def _plane_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _plane_distance(a: np.ndarray, b: np.ndarray, points: int | None = None) -> np.ndarray:
     """quotient_l2_distance of fields given as `_component_planes`, from a to each of b.
 
     a is one field's (4n, N^2) planes and b one field's or a stack (B, 4n, N^2)
@@ -407,16 +462,20 @@ def _plane_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     whole planes in numpy's order over a C-ordered component axis
     (`component_sum`), and each mean over points is numpy's pairwise mean
     along a contiguous axis, so every distance has the bits of the same
-    formula taken over the two fields' (N, N, 4n) values.
+    formula taken over the two fields' (N, N, 4n) values.  Planes of exact
+    constants may hold min(N^2, PAIRWISE_BLOCK) copies of each value instead,
+    with points = N^2: each mean then scales their sum as numpy's sum of the
+    N^2 values does (`grid_mean`), and the distances keep their bits.
     """
+    points = a.shape[-1] if points is None else points
     q = len(a) // 2
     dq = a[:q] - b[..., :q, :]
-    dq -= 2.0 * np.pi * np.round(np.mean(dq, axis=-1) / (2.0 * np.pi))[..., None]
+    dq -= 2.0 * np.pi * np.round(grid_mean(dq, points) / (2.0 * np.pi))[..., None]
     dq *= dq
     dp = a[q:] - b[..., q:, :]
     dp *= dp
     sq = component_sum(np.swapaxes(dq, -1, -2)) + component_sum(np.swapaxes(dp, -1, -2))
-    return np.sqrt(np.maximum(np.mean(sq, axis=-1), 0.0))
+    return np.sqrt(np.maximum(grid_mean(sq, points), 0.0))
 
 
 def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
@@ -448,18 +507,26 @@ def dedup(records: list, delta: float) -> DedupResult:
 
     Each record's distances to the records after it are taken in one
     broadcast over their stacked planes (a distance is symmetric to the
-    bit), and the clustering and the diameters read them.
+    bit), and the clustering and the diameters read them.  When every
+    record holds the row of an exact constant, the planes are
+    (B, 4n, min(N^2, PAIRWISE_BLOCK)) copies of the rows (`_plane_distance`);
+    otherwise each record's field is copied once into (B, 4n, N^2) planes.
     """
     if delta <= 0:
         raise ConfigError("dedup delta must be positive")
     dist = np.zeros((len(records), len(records)))
     if records:
         n, _, k = records[0].field.values.shape
-        planes = np.empty((len(records), k, n * n))  # `_component_planes` of each record
-        for plane, r in zip(planes, records):
-            plane[...] = r.field.values.reshape(-1, k).T
+        points = n * n
+        if all(r.row is not None for r in records):
+            rows = np.array([r.row for r in records])
+            planes = np.repeat(rows[:, :, None], min(points, PAIRWISE_BLOCK), axis=2)
+        else:
+            planes = np.empty((len(records), k, points))  # `_component_planes` of each record
+            for plane, r in zip(planes, records):
+                plane[...] = r.field.values.reshape(-1, k).T
         for i in range(len(records) - 1):
-            dist[i, i + 1 :] = dist[i + 1 :, i] = _plane_distance(planes[i], planes[i + 1 :])
+            dist[i, i + 1 :] = dist[i + 1 :, i] = _plane_distance(planes[i], planes[i + 1 :], points)
     order = sorted(range(len(records)), key=lambda i: records[i].residual)
     clusters: list[list[int]] = []
     for i in order:

@@ -5,6 +5,9 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +556,18 @@ def test_cuplength_invalid_config(tmp_path):
             (["cuplength"], {"n_pairs": 1, "grid_size": 16, "s_max": 4000.0}, "needs 2e+05 steps of ds=0.02"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # sample counts past the time caps MAX_LEGENDRE_SAMPLES and MAX_DDW_POINTS, rejected before any sample
+    + [
+        (argv + dry, None, message)
+        for argv, message in [
+            (["legendre-check", "--samples", "1000000000"], "--samples must be at most 100000, got 1000000000"),
+            (["legendre-check", "--samples", "100001"], "--samples must be at most 100000, got 100001"),
+            (["ddw-demo", "--samples", "1000000000"], "--samples must be at most 16384 at grid size 32"),
+            (["ddw-demo", "--grid", "8", "--samples", "16385"], "--samples must be at most 16384 at grid size 8"),
+            (["ddw-demo", "--grid", "1024", "--samples", "17"], "--samples must be at most 16 at grid size 1024"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -570,6 +585,28 @@ def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, mes
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, last",
+    [
+        (["--amplitude", "1e300"], 0, "flow: residual blow-up at s=0.000, residual inf"),
+        (["--amplitude", "1e152"], 0, "flow: residual blow-up at s=0.000, residual inf"),
+        (["--amplitude", "3e307", "--seed-mode", "1,0"], 0, "flow: residual blow-up at s=0.000, residual "),
+        (["--amplitude", "1e308"], 1, "flow: field values must be finite"),
+    ],
+)
+def test_overflowing_amplitude_prints_one_line_and_no_warning(tmp_path, argv, code, last):
+    """A start whose squares or transform overflow ends as a blow-up, or is refused, without numpy's warnings."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfloer.cli", "flow", "--grid", "16", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "RuntimeWarning" not in proc.stderr and proc.stderr.count("\n") <= 1
+    assert (proc.stdout + proc.stderr).splitlines()[-1].startswith(last)
 
 
 def test_flow_halved_past_the_step_cap_is_inconclusive(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import json
 from collections import Counter
 from concurrent.futures import Future
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import flow_bytes
 from torusfloer import runner
 from torusfloer.floer import (
+    PAIRWISE_BLOCK,
     FlowResult,
     constant_start,
     constant_step,
@@ -246,6 +248,82 @@ def test_flat_shortcut_leaves_other_fields_to_the_transform(monkeypatch):
         result = FlowResult(constant_field(n, point, "z"), 0.0, 0.0, True, False, "", 0, 0.02, [[0.0] * 5], 0)
         assert _record_from_result(config, config.build_spec(), 0, result).classification == expected
     assert seminorms == [24]  # the power-of-two constant took no transform
+
+
+# the potentials of the row-path property, a time-dependent one among them
+ROW_POTENTIALS = {
+    1: [
+        {"kind": "trig_potential", "epsilon": 0.3, "modes": [[1, 0], [0, 1]]},
+        {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]},
+    ],
+    2: [{"kind": "trig_potential", "epsilon": 0.2, "modes": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]}],
+}
+huge = st.floats(min_value=1e151, max_value=1.4e154).flatmap(lambda x: st.sampled_from([x, -x]))
+row_values = st.one_of(  # squares near overflow too: exact constants end at |x| = 1.34e154
+    st.floats(min_value=-10.0, max_value=10.0), st.sampled_from([0.0, -0.0, np.pi, -np.pi]), huge
+)
+
+
+def _record_bits(record):
+    stats = (record.action, record.max_p_sq, record.p_norm_sq, record.bound_margin)
+    return record.classification, np.array(stats).tobytes(), record.q_mean.tobytes()
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(n=st.sampled_from([8, 12, 16, 24, 32, 64]), n_pairs=st.sampled_from([1, 2]), data=st.data())
+def test_row_path_of_records_and_dedup_has_the_bits_of_the_field_path(n, n_pairs, data):
+    """Records and distances of exact constants, taken from their rows, have the bits of their fields'.
+
+    Rows are drawn with signed zeros, lifts by 2 pi k and squares near
+    overflow.  A grid that is not a power of two, a row whose square
+    overflows or a field made not constant at one point leaves its record,
+    and a mixed set all of dedup, to the field path, which must match too.
+    """
+    k, q = 4 * n_pairs, 2 * n_pairs
+    config = ExperimentConfig(
+        n_pairs=n_pairs, grid_size=n, potential=data.draw(st.sampled_from(ROW_POTENTIALS[n_pairs])), ds=0.01
+    )
+    spec = config.build_spec()
+    draw_row = st.lists(row_values, min_size=k, max_size=k).map(np.array)
+    base = data.draw(draw_row)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):  # a lift of the base point
+            row = base.copy()
+            row[:q] += 2.0 * np.pi * np.array(data.draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)))
+        else:
+            row = data.draw(draw_row)
+        rows.append(row)
+    fields = [np.broadcast_to(row, (n, n, k)).copy() for row in rows]
+    if data.draw(st.booleans()):  # one field not constant
+        field = fields[data.draw(st.integers(0, len(fields) - 1))]
+        field[1, 2, 0] = np.nextafter(field[1, 2, 0], np.inf)
+    results = [
+        (i, FlowResult(TorusField(v, "z"), 0.0, 0.0, True, False, "", 0, 0.01, [[0.0] * 5], 0))
+        for i, v in enumerate(fields)
+    ]
+    exact = [exact_constant(v) for v in fields]
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = runner._records(config, spec, results)
+        alone = [_record_from_result(config, spec, i, result) for i, result in results]
+        assert [r.row is not None for r in records] == exact
+        assert [_record_bits(r) for r in records] == [_record_bits(r) for r in alone]
+        fields_only = [replace(r, row=None) for r in records]
+        pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
+        for delta in (0.05, np.inf):
+            with mock.patch.object(runner, "_plane_distance", wraps=runner._plane_distance) as spy:
+                got = dedup(records, delta)
+            if pairs:
+                width = min(n * n, PAIRWISE_BLOCK) if all(exact) else n * n
+                assert {call.args[0].shape[-1] for call in spy.call_args_list} == {width}
+            want = dedup(fields_only, delta)
+            assert (got.clusters, got.representatives) == (want.clusters, want.representatives)
+            assert np.array(got.diameters).tobytes() == np.array(want.diameters).tobytes()
+        # every distance, as the diameter of a pair merged at delta = inf
+        for i, j in pairs:
+            got = dedup([records[i], records[j]], np.inf).diameters
+            want = dedup([fields_only[i], fields_only[j]], np.inf).diameters
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_dedup_merges_same_limit():
