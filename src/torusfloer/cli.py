@@ -48,7 +48,9 @@ from .hamiltonians import (
     HamiltonianError,
     LagrangianSpec,
     LegendreError,
+    MAX_C3_NORM,
     TrigPotential,
+    check_c3_norm,
     hamiltonian_from_config,
     hofer_norm,
     legendre_transform,
@@ -81,6 +83,9 @@ EXIT_INCONCLUSIVE = 3
 #: `cuplength --jobs` starts up to this many fork workers at once; each holds about
 #: 45 MB (perfbench peak_rss_mb), so about 3 GB at the cap
 MAX_JOBS = 64
+#: `structures --standard N` prints J and K and writes five (4N, 4N) matrices, all growing as (4N)^2:
+#: at this cap (4N = 256) 1.5 MB of JSON on stdout and a 3.7 MB report.json
+MAX_STANDARD_PAIRS = 64
 #: a legendre-check sample takes about 130 us (two Legendre transforms, one BLAS thread): some 13 s at this cap
 MAX_LEGENDRE_SAMPLES = 100_000
 #: a ddw-demo sample takes about 1.3 us a grid point, and no less than at 1,024 points (1.3 ms at N <= 32,
@@ -173,6 +178,8 @@ def _beside_config(args, flags) -> None:
 
 def check_structures(args, data):
     if args.standard is not None:
+        if args.standard > MAX_STANDARD_PAIRS:
+            raise InputError(f"--standard must be at most {MAX_STANDARD_PAIRS}, got {args.standard}")
         return standard_structures(args.standard)
     if data is None:
         raise InputError("need --standard N or --input FILE")
@@ -278,6 +285,7 @@ def check_flow(args, data):
     spec = hamiltonian_from_config(
         data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf)
     )
+    check_c3_norm(spec.c3_norm, MAX_C3_NORM)
     n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
@@ -331,6 +339,7 @@ def check_energy(args, data):
             _beside_config(args, [("--epsilon", "potential")])
             potential = data["potential"]
     spec = hamiltonian_from_config(potential, rho=args.rho)
+    check_c3_norm(spec.c3_norm, MAX_C3_NORM)
     if args.load is not None:
         base = Path(args.load)
         try:

@@ -542,7 +542,7 @@ class _FlowGrid:
         if self.constant:
             return np.negative(grad, out=grad)
         # one 2-D product per matrix on the C-ordered modes, as a matrix product rounds by
-        # layout (_BuiltIn._q); the sum and the transform run on contiguous component planes
+        # layout (_BuiltIn); the sum and the transform run on contiguous component planes
         rows = np.ascontiguousarray(zhat).reshape(-1, self.spec.dim)
         dhat = _times_planes(self.im1, rows @ self.triple.J.T)
         dhat += _times_planes(self.im2, rows @ self.triple.K.T)

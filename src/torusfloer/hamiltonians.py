@@ -14,6 +14,8 @@ n_pairs entries per slot; callables are vectorized with signature
 f(t1, t2, z) where t1, t2 broadcast against z[..., :].  z may be any
 strided view, such as the flow grid's component-major values; the
 pointwise functions here give the same bits for every memory layout.
+The built-in potentials hold only their formulas, on a C-ordered q; their
+one `_BuiltIn.evaluate` adapts z of any layout to them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .spectral import (
     derivative,
     dirac,
     grid_points,
+    partials,
 )
 from .structures import central_difference
 
@@ -113,44 +116,60 @@ def chi_cutoff_prime(x, rho: float):
 # built-in nonlinearities (classes so that worker processes can pickle them)
 
 
-def _finite_c3(c3_norm: float) -> float:
+# |grad h| <= c3_norm for every built-in, so up to this cap |grad h|^2, summed over the 4n
+# components and the MAX_GRID^2 = 2^20 points, stays below 2^20 * 1e300 ~ 1.05e306, finite.
+# A run's inputs are checked against it; the constructors take any finite estimate.
+MAX_C3_NORM = 1e150
+
+
+def check_c3_norm(c3_norm: float, cap: float = np.inf) -> float:
+    """c3_norm; HamiltonianError where it is not finite, or above cap (MAX_C3_NORM for a run's input)."""
     if not np.isfinite(c3_norm):
         raise HamiltonianError(f"potential C3-norm estimate must be finite, got {c3_norm}")
+    if c3_norm > cap:
+        raise HamiltonianError(
+            f"potential C3-norm estimate {c3_norm:.3g} exceeds the cap of {cap:.0e}, "
+            "past which |grad h|^2 summed over a grid can overflow"
+        )
     return c3_norm
 
 
 class _BuiltIn:
-    """value and grad from the one evaluate(t1, t2, z, with_grad, with_h).
+    """A built-in h(t, q): its formulas in `_kernel`, on a C-ordered q; this class adapts z to them.
 
-    evaluate returns (h, grad h), each None where its flag is False.
+    evaluate(t1, t2, z, with_grad, with_h) returns (h, grad h), each None
+    where its flag is False, for z of any memory layout.  A matrix product
+    rounds by the memory order of its operands (BLAS picks its kernel by
+    layout), so the kernel gets the C-ordered q of z, which rounds like the
+    trailing layout: copied plane by plane from the component-major grid
+    view of the flow (a strided copy is slower), else by np.ascontiguousarray.
+    The gradient is component-major where z is, else C-ordered, and its p
+    part is +0.0.  The potentials hold only their formulas on q.
     """
 
-    def _q(self, z):
-        # A matrix product rounds by the memory order of its operands (BLAS
-        # picks its kernel by layout): a C-ordered q rounds like the trailing layout.
-        return np.ascontiguousarray(z[..., : 2 * self.n_pairs])
+    def evaluate(self, t1, t2, z, with_grad, with_h):
+        z = np.asarray(z, dtype=float)
+        k = 2 * self.n_pairs
+        major = z.ndim == 3 and not z.flags.c_contiguous and z.transpose(2, 0, 1).flags.c_contiguous
+        if major:
+            q = np.empty(z.shape[:-1] + (k,))
+            for j in range(k):
+                q[..., j] = z[..., j]
+        else:
+            q = np.ascontiguousarray(z[..., :k])
+        h, grad_q = self._kernel(t1, t2, q, with_grad, with_h)
+        if grad_q is None:
+            return h, None
+        shape = grad_q.shape[:-1] + z.shape[-1:]
+        grad = np.zeros(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0) if major else np.zeros(shape)
+        grad[..., :k] = grad_q
+        return h, grad
 
     def value(self, t1, t2, z):
         return self.evaluate(t1, t2, z, False, True)[0]
 
     def grad(self, t1, t2, z):
         return self.evaluate(t1, t2, z, True, False)[1]
-
-
-def _component_planes(z):
-    """The C-contiguous (k, N, N') planes under z when z is their (N, N', k) grid view, else None."""
-    if z.ndim != 3:
-        return None
-    planes = z.transpose(2, 0, 1)
-    return planes if planes.flags.c_contiguous else None
-
-
-def _from_planes(planes):
-    """The C-ordered (N, N', k) grid of (k, N, N') planes, copied plane by plane (a strided copy is slower)."""
-    out = np.empty(planes.shape[1:] + planes.shape[:1])
-    for k in range(len(planes)):
-        out[..., k] = planes[k]
-    return out
 
 
 class ZeroNonlinearity(_BuiltIn):
@@ -163,13 +182,9 @@ class ZeroNonlinearity(_BuiltIn):
         self.c3_norm = 0.0
         self.time_dependent = False
 
-    def evaluate(self, t1, t2, z, with_grad, with_h):
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1])
-        return (
-            np.zeros(shape) if with_h else None,
-            np.zeros_like(z, shape=shape + (z.shape[-1],)) if with_grad else None,
-        )
+    def _kernel(self, t1, t2, q, with_grad, with_h):
+        shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), q.shape[:-1])
+        return (np.zeros(shape) if with_h else None), (np.zeros(shape + q.shape[-1:]) if with_grad else None)
 
 
 class TrigPotential(_BuiltIn):
@@ -182,37 +197,24 @@ class TrigPotential(_BuiltIn):
         self.epsilon = float(epsilon)
         self.modes = modes
         # against the transposed view numpy runs one small gemm per grid row
-        self._modes_t = np.ascontiguousarray(modes.T)
+        self._modes_t = modes.T.copy()
         self.n_pairs = modes.shape[1] // 2
         norms = np.linalg.norm(modes, axis=1)
         self.sup_h = abs(self.epsilon) * modes.shape[0]
         self.sup_grad_p = 0.0
-        self.c3_norm = _finite_c3(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
+        self.c3_norm = check_c3_norm(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
         self.time_dependent = False
 
-    def evaluate(self, t1, t2, z, with_grad, with_h):
-        z = np.asarray(z, dtype=float)
-        planes = None if z.flags.c_contiguous else _component_planes(z)
-        q = self._q(z) if planes is None else _from_planes(planes[: 2 * self.n_pairs])
+    def _kernel(self, t1, t2, q, with_grad, with_h):
         # a one-row product is a matrix-vector product, which rounds by the layout of
         # the matrix: it keeps the transposed view; the rows of a matrix product do not
         phases = q @ (self._modes_t if q.ndim > 1 and q.shape[-2] > 1 else self.modes.T)
-        grad = None
-        if with_grad:
-            grad_q = -self.epsilon * (np.sin(phases) @ self.modes)
-            if planes is None:
-                grad = np.zeros_like(z)
-                grad[..., : 2 * self.n_pairs] = grad_q
-            else:  # component-major, as z is
-                grad = np.zeros(planes.shape)
-                for k in range(2 * self.n_pairs):
-                    grad[k] = grad_q[..., k]
-                grad = grad.transpose(1, 2, 0)
+        grad_q = -self.epsilon * (np.sin(phases) @ self.modes) if with_grad else None
         if not with_h:
-            return None, grad
+            return None, grad_q
         cos_phases = np.cos(phases)
         del phases  # freed before the sum, which holds its partial sums
-        return self.epsilon * component_sum(cos_phases), grad
+        return self.epsilon * component_sum(cos_phases), grad_q
 
 
 class TimeTrigPotential(_BuiltIn):
@@ -230,19 +232,14 @@ class TimeTrigPotential(_BuiltIn):
         self.sup_h = abs(self.epsilon)
         self.sup_grad_p = 0.0
         qn = float(np.linalg.norm(self.q_mode))
-        self.c3_norm = _finite_c3(abs(self.epsilon) * max(1.0, qn) ** 3)
+        self.c3_norm = check_c3_norm(abs(self.epsilon) * max(1.0, qn) ** 3)
         self.time_dependent = True
 
-    def evaluate(self, t1, t2, z, with_grad, with_h):
-        z = np.asarray(z, dtype=float)
+    def _kernel(self, t1, t2, q, with_grad, with_h):
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
-        phase = self._q(z) @ self.q_mode
-        grad = None
-        if with_grad:
-            shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), z.shape[:-1]) + (z.shape[-1],)
-            grad = np.zeros_like(z, shape=shape)
-            grad[..., : 2 * self.n_pairs] = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode
-        return (self.epsilon * tfactor * np.cos(phase) if with_h else None), grad
+        phase = q @ self.q_mode
+        grad_q = (-self.epsilon * tfactor * np.sin(phase))[..., None] * self.q_mode if with_grad else None
+        return (self.epsilon * tfactor * np.cos(phase) if with_h else None), grad_q
 
 
 NONLINEARITY_KINDS = ("zero", "trig_potential", "time_trig")
@@ -393,10 +390,11 @@ def cutoff_terms(
     and hands the result to the step, the action, max|p|^2 and the residual
     of the state.
 
-    A spec of one built-in potential gets h and grad h from one `evaluate`
-    call; where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and
-    chi' +0.0, chi * x has the bits of x, and (+0.0) h p added to the +0.0 p
-    gradient leaves +0.0 while h is finite, so both are skipped.
+    A spec of one built-in potential gets h and grad h from one
+    `_BuiltIn.evaluate` call, whose p gradient is +0.0 (`p_grad_zero`);
+    where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and chi' +0.0,
+    chi * x has the bits of x, and (+0.0) h p added to that +0.0 p gradient
+    leaves +0.0 while h is finite, so both are skipped.
 
     What a caller may skip: with_grad=False skips the gradient (h_tilde,
     hamiltonian_value, the Hofer norm).  with_h=False is for a caller that
@@ -600,30 +598,21 @@ def ddw_residual(grad3, Z3: TorusField) -> TorusField:
     """
     if Z3.layout != "ddw":
         raise HamiltonianError("expected a 3-component field with layout 'ddw'")
-    d1 = derivative(Z3, "d1").values
-    d2 = derivative(Z3, "d2").values
+    d1, d2 = partials(Z3.values)
     if grad3 is None:
         gq = gp1 = gp2 = 0.0
     else:
         gq, gp1, gp2 = grad3(Z3.values[:, :, 0], Z3.values[:, :, 1], Z3.values[:, :, 2])
-    out = np.empty_like(Z3.values)
-    out[:, :, 0] = -d1[:, :, 1] - d2[:, :, 2] - gq
-    out[:, :, 1] = d1[:, :, 0] - gp1
-    out[:, :, 2] = d2[:, :, 0] - gp2
-    return TorusField(out, "ddw")
+    out = [-d1[:, :, 1] - d2[:, :, 2] - gq, d1[:, :, 0] - gp1, d2[:, :, 0] - gp2]
+    return TorusField(np.stack(out, axis=2), "ddw")
 
 
 def ddw_kernel_witness(psi: TorusField, q0: float = 0.0) -> TorusField:
     """Kernel family of the free system: constant q, p1 = d2 psi, p2 = -d1 psi."""
     if psi.layout != "scalar":
         raise HamiltonianError("psi must be a scalar field")
-    d1 = derivative(psi, "d1").values[:, :, 0]
-    d2 = derivative(psi, "d2").values[:, :, 0]
-    out = np.empty((psi.grid_size, psi.grid_size, 3))
-    out[:, :, 0] = q0
-    out[:, :, 1] = d2
-    out[:, :, 2] = -d1
-    return TorusField(out, "ddw")
+    d1, d2 = partials(psi.values)
+    return TorusField(np.concatenate([np.full_like(d1, q0), d2, -d1], axis=2), "ddw")
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +730,9 @@ def euler_lagrange_residual(L: LagrangianSpec, q_field: TorusField) -> TorusFiel
         lq = np.asarray(L.q_grad(t1, t2, q, v), dtype=float)
     else:
         lq = central_difference(lambda qq: L.lagrangian(t1, t2, qq, v), q, 1e-6)
-    lv = TorusField(np.asarray(L.v_grad(t1, t2, q, v), dtype=float), "q")
-    d1lv = derivative(lv, "d1").values
-    d2lv = derivative(lv, "d2").values
-    out = np.empty_like(q)
-    out[:, :, :n] = lq[:, :, :n] - d1lv[:, :, :n] + d2lv[:, :, n:]
-    out[:, :, n:] = lq[:, :, n:] - d1lv[:, :, n:] - d2lv[:, :, :n]
-    return TorusField(out, "q")
+    d1lv, d2lv = partials(TorusField(np.asarray(L.v_grad(t1, t2, q, v), dtype=float), "q").values)
+    out = [lq[:, :, :n] - d1lv[:, :, :n] + d2lv[:, :, n:], lq[:, :, n:] - d1lv[:, :, n:] - d2lv[:, :, :n]]
+    return TorusField(np.concatenate(out, axis=2), "q")
 
 
 class _QuadraticLagrangian:
@@ -757,27 +742,19 @@ class _QuadraticLagrangian:
         self.potential = potential
         self.n_pairs = potential.n_pairs
 
-    def _embed(self, q):
-        q = np.asarray(q, dtype=float)
-        z = np.zeros(q.shape[:-1] + (2 * q.shape[-1],))
-        z[..., : q.shape[-1]] = q
-        return z
-
     def value(self, t1, t2, q, v):
         v = np.asarray(v, dtype=float)
-        return 0.5 * np.sum(v * v, axis=-1) - self.potential.value(t1, t2, self._embed(q))
+        h = self.potential._kernel(t1, t2, np.ascontiguousarray(q, dtype=float), False, True)[0]
+        return 0.5 * np.sum(v * v, axis=-1) - h
 
     def v_grad(self, t1, t2, q, v):
         return np.asarray(v, dtype=float)
 
     def q_grad(self, t1, t2, q, v):
-        q = np.asarray(q, dtype=float)
-        g = self.potential.grad(t1, t2, self._embed(q))
-        return -g[..., : q.shape[-1]]
+        return -self.potential._kernel(t1, t2, np.ascontiguousarray(q, dtype=float), True, False)[1]
 
     def v_hess(self, t1, t2, q, v):
-        dim = np.asarray(v).shape[-1]
-        return np.eye(dim)
+        return np.eye(np.shape(v)[-1])
 
 
 def quadratic_lagrangian(potential) -> LagrangianSpec:

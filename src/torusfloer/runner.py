@@ -33,8 +33,10 @@ from .floer import (
     polish_level,
 )
 from .hamiltonians import (
+    MAX_C3_NORM,
     HamiltonianSpec,
     action_bound_constants,
+    check_c3_norm,
     component_sum,
     hamiltonian_from_config,
     nonlinearity_from_config,
@@ -131,6 +133,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"potential is for n_pairs={pot.n_pairs}, config says {self.n_pairs}"
             )
+        check_c3_norm(pot.c3_norm, MAX_C3_NORM)
 
     @property
     def n_lattice_seeds(self) -> int:

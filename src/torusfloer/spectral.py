@@ -143,6 +143,15 @@ def _pair_indices(layout: str, components: int):
     raise FieldError(f"Wirtinger derivatives undefined for layout {layout!r}")
 
 
+def partials(values: np.ndarray):
+    """The plain partials (d1, d2) of (N, N, k) grid values, both from one forward transform, C-ordered."""
+    coeffs = np.fft.fft2(values, axes=(0, 1), norm="forward")
+    return tuple(
+        np.fft.ifft2(coeffs * (1j * m)[:, :, None], axes=(0, 1), norm="forward").real.copy()
+        for m in derivative_numbers(values.shape[0])
+    )
+
+
 def derivative(field: TorusField, which: str) -> TorusField:
     """Spectral derivative: which in {'d1', 'd2', 'dt', 'dtbar'}.
 
@@ -150,23 +159,17 @@ def derivative(field: TorusField, which: str) -> TorusField:
     holomorphic/anti-holomorphic combinations (d1 -/+ i*d2)/2 acting on
     component pairs (a, b) identified with a + i*b.
     """
-    n = field.grid_size
-    m1, m2 = derivative_numbers(n)
-    coeffs = np.fft.fft2(field.values, axes=(0, 1), norm="forward")
+    if which not in ("d1", "d2", "dt", "dtbar"):
+        raise FieldError(f"unknown derivative {which!r}")
+    d1, d2 = partials(field.values)
     if which in ("d1", "d2"):
-        mult = 1j * (m1 if which == "d1" else m2)
-        out = np.fft.ifft2(coeffs * mult[:, :, None], axes=(0, 1), norm="forward").real
-        return TorusField(out, field.layout)
-    if which in ("dt", "dtbar"):
-        d1 = np.fft.ifft2(coeffs * (1j * m1)[:, :, None], axes=(0, 1), norm="forward").real
-        d2 = np.fft.ifft2(coeffs * (1j * m2)[:, :, None], axes=(0, 1), norm="forward").real
-        sign = 1.0 if which == "dt" else -1.0
-        out = np.empty_like(field.values)
-        for a, b in _pair_indices(field.layout, field.components):
-            out[:, :, a] = 0.5 * (d1[:, :, a] + sign * d2[:, :, b])
-            out[:, :, b] = 0.5 * (d1[:, :, b] - sign * d2[:, :, a])
-        return TorusField(out, field.layout)
-    raise FieldError(f"unknown derivative {which!r}")
+        return TorusField(d1 if which == "d1" else d2, field.layout)
+    sign = 1.0 if which == "dt" else -1.0
+    out = np.empty_like(field.values)
+    for a, b in _pair_indices(field.layout, field.components):
+        out[:, :, a] = 0.5 * (d1[:, :, a] + sign * d2[:, :, b])
+        out[:, :, b] = 0.5 * (d1[:, :, b] - sign * d2[:, :, a])
+    return TorusField(out, field.layout)
 
 
 def dirac(field: TorusField, triple) -> TorusField:
@@ -177,10 +180,8 @@ def dirac(field: TorusField, triple) -> TorusField:
         raise FieldError(
             f"component mismatch: field has {field.components}, triple dim {triple.dim}"
         )
-    d1 = derivative(field, "d1").values
-    d2 = derivative(field, "d2").values
-    out = d1 @ triple.J.T + d2 @ triple.K.T
-    return TorusField(out, field.layout)
+    d1, d2 = partials(field.values)
+    return TorusField(d1 @ triple.J.T + d2 @ triple.K.T, field.layout)
 
 
 def laplacian(field: TorusField) -> TorusField:

@@ -568,6 +568,38 @@ def test_cuplength_invalid_config(tmp_path):
             (["ddw-demo", "--grid", "1024", "--samples", "17"], "--samples must be at most 16 at grid size 1024"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a potential past MAX_C3_NORM, where |grad h|^2 summed over a grid can overflow, and a --standard past its cap
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (
+                ["energy", "--epsilon", "1e300", "--grid", "16", "--trajectories", "1"],
+                None,
+                "estimate 2e+300 exceeds the cap of 1e+150",
+            ),
+            (["energy", "--epsilon", "1e150"], None, "estimate 2e+150 exceeds the cap of 1e+150"),
+            (
+                ["energy"],
+                {"potential": {"kind": "time_trig", "epsilon": -2e150, "t_mode": [1, 2], "q_mode": [1, 0]}},
+                "estimate 2e+150 exceeds the cap of 1e+150",
+            ),
+            (["flow", "--h", "trig", "--epsilon", "1e300"], None, "estimate 2e+300 exceeds the cap of 1e+150"),
+            (
+                ["flow"],
+                {"potential": {"kind": "time_trig", "epsilon": 1e300, "t_mode": [1, 2], "q_mode": [1, 0]}},
+                "estimate 1e+300 exceeds the cap of 1e+150",
+            ),
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2, "random_starts": 1,
+                 "potential": {**FLAGSHIP["potential"], "epsilon": 1e300}},
+                "estimate 2e+300 exceeds the cap of 1e+150",
+            ),
+            (["structures", "--standard", "3000"], None, "--standard must be at most 64, got 3000"),
+            (["structures", "--standard", "65"], None, "--standard must be at most 64, got 65"),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):

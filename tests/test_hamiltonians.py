@@ -28,6 +28,7 @@ from torusfloer.hamiltonians import (
     hamiltonian_residual,
     hofer_norm,
     legendre_transform,
+    nonlinearity_from_config,
     quadratic_lagrangian,
 )
 from torusfloer.spectral import (
@@ -455,6 +456,31 @@ def test_legendre_quadratic_exact(rng):
         expected = 0.5 * float(p @ p) + 0.1 * (np.cos(q[0]) + np.cos(q[1]))
         assert res.value == pytest.approx(expected, abs=1e-12)
         assert np.allclose(res.v, p)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        TRIG,
+        {"kind": "trig_potential", "epsilon": 0.2, "modes": [[1, 0, 0, 1], [0, 1, -1, 0]]},
+        {"kind": "time_trig", "epsilon": 0.4, "t_mode": [1, 2], "q_mode": [1, -1]},
+    ],
+)
+def test_quadratic_lagrangian_has_the_bits_of_the_zero_padded_evaluation(potential):
+    """value and q_grad evaluate h on q itself, with the bits of h on q padded into a zero-p state."""
+    pot = nonlinearity_from_config(potential)
+    lag = quadratic_lagrangian(pot)
+    rng = np.random.default_rng(3)
+    dim_q = 2 * pot.n_pairs
+    t1, t2 = grid_points(8)
+    for s1, s2, shape in ((0.3, 1.1, (dim_q,)), (0.3, 1.1, (5, dim_q)), (t1, t2, (8, 8, dim_q))):
+        q, v = rng.uniform(-7.0, 7.0, size=(2, *shape))
+        z = np.zeros(shape[:-1] + (2 * dim_q,))  # the reference: q padded with p = 0
+        z[..., :dim_q] = q
+        value = 0.5 * np.sum(v * v, axis=-1) - pot.value(s1, s2, z)
+        q_grad = -pot.grad(s1, s2, z)[..., :dim_q]
+        got = (np.asarray(lag.lagrangian(s1, s2, q, v)), np.asarray(lag.q_grad(s1, s2, q, v)))
+        assert [(x.shape, x.tobytes()) for x in got] == [(x.shape, x.tobytes()) for x in (value, q_grad)]
 
 
 def test_legendre_double_transform_involution(rng):

@@ -462,6 +462,51 @@ def test_joint_evaluation_has_the_bits_of_value_and_grad(k, seed, side, scale):
         assert _bits(grad) == _bits(pot.grad(t1, t2, zz))
 
 
+def _major(x):
+    """Whether x is the (N, N', k) grid view of C-contiguous component planes, and not C-ordered itself."""
+    return x.ndim == 3 and not x.flags.c_contiguous and x.transpose(2, 0, 1).flags.c_contiguous
+
+
+@PROPERTY
+@given(
+    k=st.integers(0, len(BUILT_IN_POTENTIALS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    side=st.integers(1, 8),
+    with_h=st.booleans(),
+)
+def test_layout_adapter_has_the_bits_of_the_c_ordered_evaluation(k, seed, side, with_h):
+    """`_BuiltIn.evaluate` on z of each layout against the literal formulas on C-ordered z.
+
+    h and grad h have the reference's bits, the gradient is component-major
+    exactly when z is, and its p part is +0.0, byte for byte.  The inputs
+    are the flow grid's layouts, a q-only array and `hofer_norm`'s
+    time-dependent samples: times (T, 1) against states (1, Q, 4n).
+    """
+    cfg = BUILT_IN_POTENTIALS[k]
+    pot = nonlinearity_from_config(cfg)
+    dim_q = 2 * pot.n_pairs
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(-7.0, 7.0, size=(side, side, 2 * dim_q))
+    wide = rng.uniform(-7.0, 7.0, size=(side, 2 * side, 2 * dim_q))
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, side, side))
+    ts1, ts2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, side + 1, 1))
+    cases = {
+        "C-ordered grid": (t1, t2, grid),
+        "component-major grid": (t1, t2, _component_major(grid)),
+        "slice of a grid": (t1, t2, wide[:, ::2]),
+        "q-only grid": (t1, t2, np.ascontiguousarray(grid[..., :dim_q])),
+        "component-major q-only grid": (t1, t2, _component_major(grid[..., :dim_q])),
+        "broadcast times": (ts1, ts2, grid.reshape(1, side * side, 2 * dim_q)),
+    }
+    for name, (s1, s2, z) in cases.items():
+        h, grad = pot.evaluate(s1, s2, z, True, with_h)
+        ref_h, ref_grad = _reference_potential(cfg, s1, s2, z)
+        assert (h is not None) == with_h and (h is None or _bits(h) == _bits(ref_h)), name
+        assert _bits(grad) == _bits(ref_grad), name
+        assert _major(grad) == _major(z), name
+        assert not grad[..., dim_q:].view(np.uint64).any(), name
+
+
 @PROPERTY
 @given(
     key=spec_keys,
