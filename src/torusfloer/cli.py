@@ -35,6 +35,7 @@ from .fields_io import (
 from .floer import (
     DIAGNOSTIC_COLUMNS,
     FlowError,
+    check_explicit_step,
     check_flow_steps,
     check_step,
     constant_step,
@@ -88,8 +89,8 @@ MAX_JOBS = 64
 MAX_STANDARD_PAIRS = 64
 #: a legendre-check sample takes about 130 us (two Legendre transforms, one BLAS thread): some 13 s at this cap
 MAX_LEGENDRE_SAMPLES = 100_000
-#: a ddw-demo sample takes about 1.3 us a grid point, and no less than at 1,024 points (1.3 ms at N <= 32,
-#: 1.1 s at N = 1024, one BLAS thread): --samples times max(N^2, 1024) is capped here, some 20 s
+#: a ddw-demo sample takes about 0.8 us a grid point, and no less than about 0.5 ms (0.4-0.7 ms at N <= 32,
+#: 0.85 s at N = 1024, one BLAS thread): --samples times max(N^2, 1024) is capped here, some 8-14 s
 MAX_DDW_POINTS = 2**24
 
 # one row per finished seed; columns after "cluster" say how its flow ended
@@ -330,7 +331,10 @@ def run_flow(args, outdir: Path, checked) -> int:
 
 
 def check_energy(args, data):
-    """(spec, trajectories loaded by --load) or (spec, start fields of the trajectories to run)."""
+    """(spec, trajectories loaded by --load) or (spec, start fields of the trajectories to run).
+
+    A run's ds must pass `check_step` on its grid and `check_explicit_step`, ds * c3_norm <= 1, for its potential.
+    """
     _at_least("--rng-seed", args.rng_seed, 0)
     potential = _trig_potential(args.epsilon)
     if data is not None:
@@ -352,6 +356,7 @@ def check_energy(args, data):
     if args.trajectories > cap:
         raise InputError(f"--trajectories must be at most {cap} at grid size {args.grid} (2 GiB of fields)")
     args.step_regime = check_step(args.grid, args.ds)
+    check_explicit_step(spec, args.ds)
     switching_window(spec.n_pairs, args.r, args.ds)  # rejects the r and window run_homotopy rejects
     # the run builds each start field as it flows it; a dry run builds none
     rng = np.random.default_rng(args.rng_seed)
@@ -411,16 +416,15 @@ def check_cuplength(args, data):
     if args.jobs > MAX_JOBS:
         raise InputError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     config = ExperimentConfig.from_dict(data)
-    spec = config.build_spec()
+    spec = config.spec
     args.step_regime = check_step(config.grid_size, config.ds)
     ds = constant_step(spec, config.ds)
     args.constant_step_regime = {"ds": ds, "ds_c3_norm": ds * spec.c3_norm}
-    return config, spec
+    return config
 
 
-def run_cuplength(args, outdir: Path, checked) -> int:
-    config, spec = checked
-    report = verify_count(config, jobs=args.jobs, spec=spec)
+def run_cuplength(args, outdir: Path, config) -> int:
+    report = verify_count(config, jobs=args.jobs)
     write_json(outdir / "report.json", report.to_report_dict())
     cluster_of = {}
     for ci, members in enumerate(report.dedup_result.clusters):

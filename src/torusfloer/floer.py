@@ -105,6 +105,7 @@ CONSTANT_ROW = 2
 # longer one on a multiple of 8, so N^2 >= 256 equal values of a power-of-two grid sum
 # to the sum of 128 of them times N^2 / 128: exact doublings, overflow included.
 PAIRWISE_BLOCK = 128
+MAX_PRINCIPLE_TOL = 1e-8  # max|p|^2 may pass rho by this round-off; MaxPrincipleReport records it as grid_tol
 
 
 class FlowError(RuntimeError):
@@ -199,16 +200,25 @@ def constant_step(spec: HamiltonianSpec, ds: float) -> float:
     """The step of exact constant seeds of spec: max(ds, min(DS_CONSTANT_MAX, 1 / spec.c3_norm)).
 
     A constant has no grid mode that check_step guards, so its step is
-    limited by the explicit gradient term alone, whose Lipschitz constant on
-    constants is the Hessian bound of h.  The c3_norm of a built-in
-    potential bounds it: |eps| sum |a|^2 <= |eps| sum max(1, |a|)^3, so the
-    step keeps ds * Lip(grad h) <= 1.  A spec without a finite bound (a
-    custom h) keeps ds.
+    limited by the explicit gradient term alone: 1 / c3_norm is the edge of
+    `check_explicit_step`'s regime.  A spec without a finite bound (a custom h) keeps ds.
     """
     c3 = spec.c3_norm
     if c3 is None or not 0.0 <= c3 < np.inf:
         return ds
     return max(ds, DS_CONSTANT_MAX if DS_CONSTANT_MAX * c3 <= 1.0 else 1.0 / c3)
+
+
+def check_explicit_step(spec: HamiltonianSpec, ds: float) -> None:
+    """Raise FlowError unless ds * Lip(grad h) <= 1, the explicit gradient term's regime, by c3_norm.
+
+    c3_norm bounds the Hessian of a built-in h (|eps| sum |a|^2 <= |eps| sum max(1, |a|)^3); a custom h passes.
+    """
+    c3 = spec.c3_norm
+    if c3 is not None and ds * c3 > 1.0:
+        raise FlowError(
+            f"ds={ds} leaves the explicit term's regime: ds*c3_norm = {ds * c3:.3g} > 1, need ds <= {1.0 / c3:.4g}"
+        )
 
 
 def check_flow_steps(s_max: float, ds: float) -> None:
@@ -1012,21 +1022,16 @@ class EnergyIdentityReport:
     defect: float
 
 
-def energy_identity_check(
-    traj: FlowTrajectory, s0: float | None = None, s1: float | None = None
-) -> EnergyIdentityReport:
-    """Defect of E = A(s0) - A(s1) - integral of beta' * h over the window.
+def energy_identity_check(traj: FlowTrajectory) -> EnergyIdentityReport:
+    """Defect of E = A(s_first) - A(s_last) - integral of beta' * h over the whole trajectory.
 
     The actions carry the instantaneous profile weight; the switching
     integral is a trapezoid over the stored torus means of h.  Expected
     size O(ds^2) plus quadrature error on smooth runs.
     """
-    i0 = _sample_index(traj, s0, 0)
-    i1 = _sample_index(traj, s1, len(traj.s) - 1)
-    e = energy(traj, traj.s[i0], traj.s[i1])
-    drop = float(traj.action[i0] - traj.action[i1])
-    bprime = traj.profile.derivative(traj.s[i0 : i1 + 1])
-    switch = float(np.trapezoid(bprime * traj.h_int[i0 : i1 + 1], dx=traj.ds))
+    e = energy(traj)
+    drop = float(traj.action[0] - traj.action[-1])
+    switch = float(np.trapezoid(traj.profile.derivative(traj.s) * traj.h_int, dx=traj.ds))
     return EnergyIdentityReport(e, drop, switch, abs(e - (drop - switch)))
 
 
@@ -1036,11 +1041,11 @@ class MaxPrincipleReport:
     rho: float
     passed: bool
     ends_converged: tuple
-    grid_tol: float = 1e-8
+    grid_tol: float = MAX_PRINCIPLE_TOL
 
 
-def max_principle_check(traj: FlowTrajectory, rho: float, grid_tol: float = 1e-8) -> MaxPrincipleReport:
-    """Report whether |p|^2 stayed below rho along the whole trajectory."""
+def max_principle_check(traj: FlowTrajectory, rho: float) -> MaxPrincipleReport:
+    """Report whether |p|^2 stayed below rho + MAX_PRINCIPLE_TOL along the whole trajectory."""
     worst = float(np.max(traj.max_p_sq))
-    return MaxPrincipleReport(worst, rho, worst <= rho + grid_tol, traj.ends_converged, grid_tol)
+    return MaxPrincipleReport(worst, rho, worst <= rho + MAX_PRINCIPLE_TOL, traj.ends_converged)
 

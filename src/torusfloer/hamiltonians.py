@@ -36,8 +36,6 @@ from .spectral import (
 )
 from .structures import central_difference
 
-DEFAULT_GRAD_CHECK_TOL = 1e-6
-
 
 class HamiltonianError(ValueError):
     pass
@@ -329,7 +327,7 @@ class HamiltonianSpec:
         """Whether rho is finite, so that the cut-off acts somewhere."""
         return not np.isinf(self.rho)
 
-    def _validate_gradient(self, tol: float = DEFAULT_GRAD_CHECK_TOL, step: float = 1e-5):
+    def _validate_gradient(self):
         rng = np.random.default_rng(1234)
         other_times = np.random.default_rng(4321)
         for _ in range(5):
@@ -345,9 +343,9 @@ class HamiltonianSpec:
                     raise HamiltonianError(
                         "h depends on the torus time; declare time_dependent=True"
                     )
-            fd = central_difference(lambda zz: self.h(t1, t2, zz), z, step)
+            fd = central_difference(lambda zz: self.h(t1, t2, zz), z, 1e-5)
             err = np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(grad))))
-            if err > tol:
+            if err > 1e-6:
                 raise HamiltonianError(
                     f"gradient of h disagrees with finite differences (residual {err:.3e})"
                 )
@@ -538,17 +536,12 @@ def _p_samples(spec: HamiltonianSpec, shells: int) -> np.ndarray:
     return np.concatenate([np.zeros((1, dim_p)), (radii[:, None, None] * dirs).reshape(-1, dim_p)])
 
 
-def hofer_norm(
-    spec: HamiltonianSpec,
-    q_points_cap: int = 4096,
-    p_shells: int = 5,
-    t_points: int = 32,
-) -> HoferEstimate:
+def hofer_norm(spec: HamiltonianSpec, q_points_cap: int = 4096, t_points: int = 32) -> HoferEstimate:
     """Integrated oscillation of the cut-off nonlinearity over torus time.
 
     Estimates integral over t of (sup_Z h_tilde - inf_Z h_tilde) with the
     unit-mass time measure, sampling q on a lattice of the base torus and p
-    on radial shells within the cut-off support.  A sampling estimate, not
+    on 5 radial shells within the cut-off support (`_p_samples`).  A sampling estimate, not
     an exact value; the resolution is reported alongside.
     A built-in autonomous h depends on q alone: chi on the p samples times h on the q lattice
     has the bits of `h_tilde`.  A custom or time-dependent h sees every (q, p) sample.
@@ -559,7 +552,7 @@ def hofer_norm(
     per_dim = int(np.clip(per_dim, 4, 64))
     axes = [2 * np.pi * np.arange(per_dim) / per_dim] * dim_q
     qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
-    ps = _p_samples(spec, p_shells)
+    ps = _p_samples(spec, 5)
     if spec.built_in is not None and not spec.time_dependent:  # a built-in reads the q part of z alone
         vals = chi_cutoff(component_sum(ps**2), spec.rho) * spec.h(0.0, 0.0, qs)[:, None]
         return HoferEstimate(float(np.max(vals) - np.min(vals)), per_dim, ps.shape[0], 1, False)
@@ -672,10 +665,8 @@ class LegendreResult:
     iterations: int
 
 
-def legendre_transform(
-    L: LagrangianSpec, t1, t2, q, p, max_iter: int = 50, grad_tol: float = 1e-10
-) -> LegendreResult:
-    """H(t, q, p) = max_v (<p, v> - L(t, q, v)) by damped Newton from v = p."""
+def legendre_transform(L: LagrangianSpec, t1, t2, q, p, max_iter: int = 50) -> LegendreResult:
+    """H(t, q, p) = max_v (<p, v> - L(t, q, v)) by damped Newton from v = p, to max|p - dL/dv| < 1e-10."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     v = p.copy()
@@ -686,7 +677,7 @@ def legendre_transform(
     g = residual(v)
     for it in range(max_iter + 1):
         gn = float(np.max(np.abs(g)))
-        if gn < grad_tol:
+        if gn < 1e-10:
             value = float(np.dot(p, v) - float(L.lagrangian(t1, t2, q, v)))
             return LegendreResult(value, v, it)
         if it == max_iter:

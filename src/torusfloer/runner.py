@@ -13,6 +13,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,11 @@ class ExperimentConfig:
             c0, c1 = action_bound_constants(spec)
             rho = 4.0 + c1 / c0
         return replace(spec, rho=rho, check_gradient=False)
+
+    @cached_property
+    def spec(self) -> HamiltonianSpec:
+        """`build_spec()` once, kept beside the frozen fields: pickled with them, not copied by `replace`."""
+        return self.build_spec()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -326,10 +332,9 @@ def _flow_options(config: ExperimentConfig) -> dict:
     }
 
 
-def solve_seed(config: ExperimentConfig, index: int, spec: HamiltonianSpec | None = None):
-    """Flow one seed alone; returns (index, FlowResult).  spec defaults to config.build_spec()."""
-    spec = config.build_spec() if spec is None else spec
-    return index, flow_to_solution(seed_field(config, index), spec, **_flow_options(config))
+def solve_seed(config: ExperimentConfig, index: int):
+    """Flow one seed alone under config.spec; returns (index, FlowResult)."""
+    return index, flow_to_solution(seed_field(config, index), config.spec, **_flow_options(config))
 
 
 def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop):
@@ -377,10 +382,8 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
 
 
 def _solve_seeds_task(config: ExperimentConfig, indices, deadline: float | None):
-    """_solve_seeds in a worker process; deadline is a time.time() value or None."""
-    return _solve_seeds(
-        config, config.build_spec(), indices, lambda: deadline is not None and time.time() > deadline
-    )
+    """_solve_seeds in a worker process under the pickled config's spec; deadline is a time.time() value or None."""
+    return _solve_seeds(config, config.spec, indices, lambda: deadline is not None and time.time() > deadline)
 
 
 @dataclass
@@ -391,23 +394,21 @@ class MultistartResult:
     budget_exhausted: bool
 
 
-def multistart_solve(
-    config: ExperimentConfig, jobs: int = 1, spec: HamiltonianSpec | None = None
-) -> MultistartResult:
+def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResult:
     """Run every seed; converged limits become records, the rest are reported.
 
     The records are made together once the seeds are done (`_records`):
     those whose field is an exact constant take their statistics from
     their rows in one batch, the others from their fields.
 
-    spec defaults to config.build_spec().  With jobs > 1 the seed indices
-    are dealt round-robin into min(jobs, n_seeds) pool tasks; each worker
-    builds its own spec and its seeds, as the serial run does.  A seed's
-    result does not depend on the other seeds of its task, so every split
-    writes the serial run's records.  wall_clock_cap is checked before each
-    seed, between batch steps and after each finished task.
+    Every seed flows under config.spec.  With jobs > 1 the seed indices
+    are dealt round-robin into min(jobs, n_seeds) pool tasks; a worker
+    takes the config's spec and builds its seeds as the serial run does.
+    A seed's result does not depend on the other seeds of its task, so
+    every split writes the serial run's records.  wall_clock_cap is
+    checked before each seed, between batch steps and after each finished task.
     """
-    spec = config.build_spec() if spec is None else spec
+    spec = config.spec  # built before the pool pickles the config, so the workers receive it
     divergent, unfinished = [], []
     start = time.monotonic()
     cap = config.wall_clock_cap
@@ -612,10 +613,9 @@ class CountReport:
         }
 
 
-def verify_count(config: ExperimentConfig, jobs: int = 1, spec: HamiltonianSpec | None = None) -> CountReport:
-    """Full experiment: multistart, dedup, count against the 2n+1 bound; spec defaults to config.build_spec()."""
-    spec = config.build_spec() if spec is None else spec
-    multi = multistart_solve(config, jobs=jobs, spec=spec)
+def verify_count(config: ExperimentConfig, jobs: int = 1) -> CountReport:
+    """Full experiment under config.spec: multistart, dedup, count against the 2n+1 bound."""
+    multi = multistart_solve(config, jobs=jobs)
     dd = dedup(multi.records, config.dedup_delta)
     continuum = detect_continuum(multi.records, dd, config) if multi.records else False
     bound = 2 * config.n_pairs + 1
@@ -632,6 +632,6 @@ def verify_count(config: ExperimentConfig, jobs: int = 1, spec: HamiltonianSpec 
         dedup_result=dd,
         divergent=multi.divergent,
         unfinished=multi.unfinished,
-        rho=spec.rho,
-        bound_constants=action_bound_constants(spec),
+        rho=config.spec.rho,
+        bound_constants=action_bound_constants(config.spec),
     )

@@ -261,18 +261,20 @@ def random_band_limited(
     layout: str = "generic",
     include_mean: bool = False,
 ) -> TorusField:
-    """Random real field supported on modes with max(|m1|, |m2|) <= max_mode."""
+    """Random real field supported on modes with max(|m1|, |m2|) <= max_mode.
+
+    One draw gives the modes before (0, 0) in lexicographic order (m1 < 0, or m1 = 0 > m2), real parts
+    before imaginary; their conjugates fill -m.  Each is added to a zero array, as `field_from_modes`
+    adds it, so -0.0 becomes +0.0.
+    """
     if max_mode >= n // 2:
         raise FieldError("max_mode must stay below the Nyquist band")
-    modes = {}
-    for m1 in range(-max_mode, max_mode + 1):
-        for m2 in range(-max_mode, max_mode + 1):
-            if (m1, m2) == (0, 0):
-                continue
-            if (m1, m2) in modes or (-m1, -m2) in modes:
-                continue
-            c = rng.standard_normal(components) + 1j * rng.standard_normal(components)
-            modes[(m1, m2)] = amplitude * c
+    m1, m2 = np.array(np.divmod(np.arange(2 * max_mode * (max_mode + 1)), 2 * max_mode + 1)) - max_mode
+    draws = rng.standard_normal((len(m1), 2, components))
+    c = amplitude * (draws[:, 0] + 1j * draws[:, 1])
+    coeffs = np.zeros((n, n, components), dtype=complex)
+    coeffs[m1 % n, m2 % n] += c
+    coeffs[-m1 % n, -m2 % n] += np.conj(c)
     if include_mean:
-        modes[(0, 0)] = amplitude * rng.standard_normal(components)
-    return field_from_modes(n, components, modes, layout)
+        coeffs[0, 0] += amplitude * rng.standard_normal(components)
+    return TorusField(np.fft.ifft2(coeffs, axes=(0, 1), norm="forward").real, layout)

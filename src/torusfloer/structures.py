@@ -134,11 +134,11 @@ class RegularizedPairReport:
         return bad
 
 
-def check_regularized_pair(omega1, omega2, I, tol: float = ALGEBRA_TOL) -> RegularizedPairReport:
+def check_regularized_pair(omega1, omega2, I) -> RegularizedPairReport:
     """Validate antisymmetry, non-degeneracy, I^2 = -Id and omega2 = -omega1*I.
 
     Residuals are relative to the matrix scales; non-degeneracy is reported
-    as the smallest singular value relative to the largest.
+    as the smallest singular value relative to the largest; both against ALGEBRA_TOL.
     """
     w1 = _as_square("omega1", omega1)
     w2 = _as_square("omega2", omega2)
@@ -164,8 +164,8 @@ def check_regularized_pair(omega1, omega2, I, tol: float = ALGEBRA_TOL) -> Regul
         "omega1": float(s1[-1] / scale1),
         "omega2": float(s2[-1] / scale2),
     }
-    passed = all(v < tol for v in residuals.values()) and all(v > tol for v in min_sv.values())
-    return RegularizedPairReport(dim, tol, residuals, min_sv, passed)
+    passed = all(v < ALGEBRA_TOL for v in residuals.values()) and all(v > ALGEBRA_TOL for v in min_sv.values())
+    return RegularizedPairReport(dim, ALGEBRA_TOL, residuals, min_sv, passed)
 
 
 def _sym_sqrt(s: np.ndarray) -> np.ndarray:
@@ -267,7 +267,7 @@ def polysymplectic_pair(omega_c) -> tuple:
     return wc.real.copy(), wc.imag.copy()
 
 
-def random_regularized_pair(rng: np.random.Generator, n: int, cond: float = 2.0):
+def random_regularized_pair(rng: np.random.Generator, n: int):
     """Random (omega1, omega2, I) built from a random holomorphic symplectic form.
 
     A complex antisymmetric invertible 2n x 2n matrix is pushed through the
@@ -276,10 +276,10 @@ def random_regularized_pair(rng: np.random.Generator, n: int, cond: float = 2.0)
     """
     std = standard_structures(n)
     dim = 4 * n
-    # controlled conditioning: orthogonal x diagonal x orthogonal
+    # controlled conditioning, diagonal entries in [1/2, 2]: orthogonal x diagonal x orthogonal
     q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    d = np.exp(rng.uniform(-np.log(cond), np.log(cond), size=dim))
+    d = np.exp(rng.uniform(-np.log(2.0), np.log(2.0), size=dim))
     t = q1 @ np.diag(d) @ q2
     tinv = np.linalg.inv(t)
     ii = t @ std.I @ tinv

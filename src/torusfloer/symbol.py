@@ -104,7 +104,7 @@ class SymbolReport:
     residuals: dict
 
 
-def symbol_report(xi, m1, m2, tol: float = 1e-10) -> SymbolReport:
+def symbol_report(xi, m1, m2) -> SymbolReport:
     matrix = symbol_matrix(xi, m1, m2)
     det = complex(np.linalg.det(matrix))
     formula = complex(det_formula(xi, m1, m2))
@@ -115,7 +115,7 @@ def symbol_report(xi, m1, m2, tol: float = 1e-10) -> SymbolReport:
     scale = max(1.0, abs(formula))
     # the closed form vanishes only at the zero frequency, where the kernel
     # is the constant q direction
-    invertible = abs(formula) > tol * max(
+    invertible = abs(formula) > 1e-10 * max(
         1.0, (1.0 + float(xi) ** 2 + float(m1) ** 2 + float(m2) ** 2) ** 2
     )
     return SymbolReport(
@@ -147,16 +147,13 @@ def eig_bound_margin(m1: int, m2: int) -> float:
     return float((root - 1.0) ** 2 / 4.0 - 0.5 * msq)
 
 
-def certified_margin(
-    m1: int, m2: int, xi_bound: float, start_points: int = 9, max_refine: int = 20,
-    certify_tol: float = 1e-8,
-) -> tuple:
+def certified_margin(m1: int, m2: int, xi_bound: float) -> tuple:
     """Grid-refined inf over |xi| <= xi_bound of min|lam|^2 - xi^2 - M/2.
 
-    Returns (margin, certified, grid_points).  The grid is refined until
-    the observed variation between refinement levels drops below
-    certify_tol; the quantity is constant in xi, so this terminates on the
-    first refinement, but no closed form is assumed here.
+    Returns (margin, certified, grid_points).  The grid starts at 9 points
+    and is refined, up to 20 times, until the observed variation between
+    refinement levels drops below 1e-8; the quantity is constant in xi, so
+    this terminates on the first refinement, but no closed form is assumed here.
     """
     msq = float(m1) ** 2 + float(m2) ** 2
 
@@ -167,12 +164,12 @@ def certified_margin(
         best = np.minimum(lam_plus.real**2, lam_minus.real**2)
         return best + (lam_plus.imag**2 - xi**2) - 0.5 * msq
 
-    points = start_points
+    points = 9
     prev = None
-    for _ in range(max_refine):
+    for _ in range(20):
         xi = np.linspace(-xi_bound, xi_bound, points)
         margin = float(np.min(values(xi)))
-        if prev is not None and abs(margin - prev) < certify_tol:
+        if prev is not None and abs(margin - prev) < 1e-8:
             return margin, True, points
         prev = margin
         points = 2 * points - 1

@@ -600,6 +600,20 @@ def test_cuplength_invalid_config(tmp_path):
             (["structures", "--standard", "65"], None, "--standard must be at most 64, got 65"),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # an energy step past the explicit term's regime, ds * c3_norm > 1 (ds = 0.005)
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (["energy", "--epsilon", "1000"], None, "ds*c3_norm = 10 > 1, need ds <= 0.0005"),
+            (["energy", "--epsilon", "200"], None, "ds*c3_norm = 2 > 1, need ds <= 0.0025"),
+            (
+                ["energy"],
+                {"potential": {"kind": "time_trig", "epsilon": 300, "t_mode": [1, 2], "q_mode": [1, 0]}},
+                "ds*c3_norm = 1.5 > 1, need ds <= 0.003333",
+            ),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -677,6 +691,11 @@ def test_energy_dry_run_at_the_trajectory_cap_builds_no_field(tmp_path, monkeypa
     monkeypatch.setattr(cli, "constant_field", lambda *a: built.append(a))
     assert run_cli("energy", "--trajectories", "65536", "--dry-run", "--out", str(tmp_path / "out")) == 0
     assert built == []
+
+
+def test_energy_step_at_the_explicit_regime_edge_passes_its_dry_run(tmp_path):
+    """--epsilon 100 gives c3_norm 200, so ds * c3_norm = 0.005 * 200 rounds to exactly 1: inside the regime."""
+    assert run_cli("energy", "--epsilon", "100", "--dry-run", "--out", str(tmp_path / "out")) == 0
 
 
 def test_flags_fill_in_what_the_config_leaves_out(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import asdict, replace
@@ -111,6 +112,72 @@ def test_verify_count_checks_the_gradient_once(monkeypatch, rho):
     monkeypatch.setattr(HamiltonianSpec, "_validate_gradient", lambda spec: calls.append(spec) or check(spec))
     verify_count(ExperimentConfig(**{**FAST_TRIG, "rho": rho, "lattice_per_dim": 1, "random_starts": 1}))
     assert len(calls) == 1
+
+
+def _counting_build_spec(monkeypatch) -> list:
+    """Spy on ExperimentConfig.build_spec; returns the list of configs it built a spec for."""
+    built = []
+    build = ExperimentConfig.build_spec
+    monkeypatch.setattr(ExperimentConfig, "build_spec", lambda config: built.append(config) or build(config))
+    return built
+
+
+def test_config_keeps_its_spec(monkeypatch):
+    built = _counting_build_spec(monkeypatch)
+    config = ExperimentConfig(**FAST_TRIG)
+    assert config.spec is config.spec and built == [config]
+    assert "spec" not in asdict(config)
+
+
+def test_verify_count_builds_the_spec_once(monkeypatch):
+    built = _counting_build_spec(monkeypatch)
+    verify_count(ExperimentConfig(**{**FAST_TRIG, "lattice_per_dim": 1, "random_starts": 1}))
+    assert len(built) == 1
+
+
+def test_pickled_config_carries_its_spec(monkeypatch):
+    """A worker process receives the config pickled, spec included, and builds no spec of its own."""
+    built = _counting_build_spec(monkeypatch)
+    config = ExperimentConfig(**FAST_TRIG)
+    spec = config.spec
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and copy.spec is not spec and copy.spec.rho == spec.rho
+    assert built == [config]
+
+
+def test_worker_tasks_take_the_pickled_spec(monkeypatch):
+    """--jobs tasks get the config as a pool pickles it, and write the serial records without a second build."""
+    built = _counting_build_spec(monkeypatch)
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*pickle.loads(pickle.dumps(args))))
+            return future
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", PicklingPool)
+    config = ExperimentConfig(**FAST_TRIG)
+    pooled = multistart_solve(config, jobs=3)
+    assert len(built) == 1
+    serial = multistart_solve(config, jobs=1)
+    assert [(r.seed_index, r.action) for r in pooled.records] == [(r.seed_index, r.action) for r in serial.records]
+
+
+def test_replaced_config_builds_its_own_spec(monkeypatch):
+    built = _counting_build_spec(monkeypatch)
+    config = ExperimentConfig(**FAST_TRIG)
+    finer = replace(config, ds=config.ds / 2)
+    assert finer.spec is not config.spec
+    assert built == [finer, config]
 
 
 def test_seed_fields_deterministic():

@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torusfloer"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torusfloer"
 
 # module.name or module.class.method -> why it stays without a caller in src/
 UNCALLED_ALLOWED = {
@@ -16,6 +17,11 @@ UNCALLED_ALLOWED = {
 UNUSED_IMPORTS_ALLOWED = {
     f"floer.{name}": "re-imported for perfbench/tracing.py, which wraps it on floer"
     for name in ("grad_h_tilde", "h_tilde", "hamiltonian_residual", "hamiltonian_value")
+}
+
+# module.function.parameter or module.class.method.parameter -> why an optional parameter stays unset
+UNSET_ALLOWED = {
+    "floer.run_homotopy.triple": "pinned by test_knob_census; general compatible triples are an open ROADMAP item",
 }
 
 
@@ -78,3 +84,57 @@ def test_no_unused_imports():
                 bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unused += [f"{path.stem}.{name}" for name in bound if name not in loads]
     assert sorted(unused) == sorted(UNUSED_IMPORTS_ALLOWED)
+
+
+def _optional_parameters(fn: ast.FunctionDef, bound: bool) -> dict:
+    """{name: position in a call, or None for keyword-only} of fn's parameters with a default.
+
+    A method called on an instance or a class called for its __init__ has
+    its first parameter bound, so the positions of a call start after it.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    optional = {arg.arg: k - bound for k, arg in enumerate(positional) if k >= first}
+    optional.update((arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return optional
+
+
+def test_no_unset_parameters():
+    """Every optional parameter of a function or method of src/torusfloer is set by a call in src/, tests/ or perfbench.
+
+    A call sets a parameter by position or by keyword.  Calls match by the
+    called name alone: `f(...)` and `x.f(...)` both call every def named
+    f, and a call of a class calls its __init__.  A call with *args or
+    **kwargs sets every parameter.  A parameter that no call sets is a
+    fixed value and belongs in the body, or in a module constant.
+    """
+    defs = []  # (qualified name, called name, optional parameters)
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                defs.append((f"{path.stem}.{top.name}", top.name, _optional_parameters(top, False)))
+            elif isinstance(top, ast.ClassDef):
+                for method in (node for node in top.body if isinstance(node, ast.FunctionDef)):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list)
+                    called = top.name if method.name == "__init__" else method.name
+                    qualified = f"{path.stem}.{top.name}.{method.name}"
+                    defs.append((qualified, called, _optional_parameters(method, not static)))
+    calls = {}
+    for path in sorted(path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+
+    def sets(call: ast.Call, name: str, position) -> bool:
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+            return True
+        return any(k.arg == name for k in call.keywords) or (position is not None and len(call.args) > position)
+
+    unset = [
+        f"{qualified}.{name}"
+        for qualified, called, optional in defs
+        for name, position in optional.items()
+        if not any(sets(call, name, position) for call in calls.get(called, []))
+    ]
+    assert sorted(unset) == sorted(UNSET_ALLOWED)

@@ -178,6 +178,37 @@ def test_field_from_modes_rejects_complex_mean():
         field_from_modes(8, 1, {(0, 0): [1j]}, "scalar")
 
 
+def _band_limited_by_modes(rng, n, components, max_mode, amplitude, include_mean):
+    """random_band_limited as a dict of modes, one standard_normal pair each, built by field_from_modes."""
+    modes = {}
+    for m1 in range(-max_mode, max_mode + 1):
+        for m2 in range(-max_mode, max_mode + 1):
+            if (m1, m2) == (0, 0) or (m1, m2) in modes or (-m1, -m2) in modes:
+                continue
+            c = rng.standard_normal(components) + 1j * rng.standard_normal(components)
+            modes[(m1, m2)] = amplitude * c
+    if include_mean:
+        modes[(0, 0)] = amplitude * rng.standard_normal(components)
+    return field_from_modes(n, components, modes, "generic")
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
+@pytest.mark.parametrize("amplitude", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("include_mean", [False, True])
+def test_random_band_limited_has_the_bits_of_the_mode_dict(n, amplitude, include_mean):
+    """One draw for every coefficient takes the stream in the mode loop's order; amplitude 0 gives +0.0 everywhere."""
+    for seed, components, max_mode in [(0, 1, 3), (1, 4, 2), (2, 2, 0), (3, 3, n // 2 - 1)]:
+        expected = _band_limited_by_modes(np.random.default_rng(seed), n, components, max_mode, amplitude, include_mean)
+        rng = np.random.default_rng(seed)
+        field = random_band_limited(rng, n, components, max_mode, amplitude, include_mean=include_mean)
+        assert field.values.tobytes() == expected.values.tobytes()
+        assert rng.standard_normal() == np.random.default_rng(seed).standard_normal(
+            2 * max_mode * (max_mode + 1) * 2 * components + include_mean * components + 1
+        )[-1]
+        if amplitude == 0.0:
+            assert not np.signbit(field.values).any()
+
+
 def test_random_band_limited_is_band_limited(rng):
     f = random_band_limited(rng, 32, 2, max_mode=3, layout="q")
     coeffs = coefficients(f)
