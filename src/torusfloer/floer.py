@@ -38,6 +38,7 @@ is reported as divergence, not raised.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,13 +81,13 @@ POLISH_SAMPLES = 1024  # constant states sampled for the largest residual
 HOMOTOPY_PAD = 1.0  # run_homotopy flows this far beyond the profile's support on each side
 # run_homotopy keeps five float arrays of one entry per step (s, action, h_int,
 # max|p|^2, |d_s Z|^2): 40 bytes a step, 40 MB at this cap.  On a constant grid it
-# also holds up to HOMOTOPY_BLOCK states, HOMOTOPY_BLOCK * (CONSTANT_ROW*4n*8 + 4n*8)
-# bytes (96 KiB at n = 1), whatever the window's length.
+# also holds one buffer of HOMOTOPY_BLOCK + 1 states, (HOMOTOPY_BLOCK + 1) *
+# CONSTANT_ROW * 4n * 8 bytes (64 KiB at n = 1), whatever the window's length.
 MAX_HOMOTOPY_STEPS = 10**6
 # samples of a constant-grid homotopy whose diagnostics are taken as one grid of
-# seeds.  Taken one sample at a time they cost about 40 us a sample, nearly all numpy
-# call overhead on one-row arrays; a block costs 1.6-1.9 us a sample from 256 samples
-# on, 2.6 us at 64 (N = 32, trig potential, one BLAS thread)
+# seeds.  A whole switching run (N = 32, trig potential, one BLAS thread, the fastest
+# of 15) costs 82 us a sample with blocks of one sample, nearly all numpy call
+# overhead on one-row arrays, and 13-14 us with blocks of 64, 256 or 1024 samples
 HOMOTOPY_BLOCK = 1024
 # The largest step `constant_step` gives: it caps the p solve's factor 1/(1 - ds) at 2.
 DS_CONSTANT_MAX = 0.5
@@ -333,8 +334,13 @@ def _rfft2(values):
     return _grid(np.fft.rfft2(_planes(values), norm="forward"))
 
 
-def _irfft2(zhat, n_grid: int):
-    return _grid(np.fft.irfft2(_planes(zhat), s=(n_grid, n_grid), norm="forward"))
+def _irfft2(zhat, n_grid: int, out=None):
+    """The inverse of `_rfft2`; out, a grid view of C-contiguous planes, takes the values.
+
+    np.fft.irfft2 is irfftn over the last two axes, but drops its out.
+    """
+    planes = None if out is None else _planes(out)
+    return _grid(np.fft.irfftn(_planes(zhat), s=(n_grid, n_grid), axes=(-2, -1), norm="forward", out=planes))
 
 
 def _times_planes(im, rows):
@@ -386,7 +392,7 @@ class _FlowGrid:
     value itself does, so there the full grid loses finiteness earlier
     (built-in potentials are bounded).  A seed's results do not depend on
     the other seeds of its grid, so a grid of B seeds also evaluates B
-    states of one seed at once (`stack`).
+    states of one seed at once (a `buffer` of them).
 
     The grid keeps nothing from one call to the next but the propagator of
     the last step sizes; a full grid's is the read-only half-spectrum
@@ -435,16 +441,26 @@ class _FlowGrid:
         """
         return cutoff_terms(self.spec, self.t1, self.t2, vals, with_h=with_h)
 
-    def stack(self, states):
-        """One state of the grid holding a list of states (tuples of arrays), one seed each.
+    def buffer(self, size: int):
+        """Empty (vals, modes) buffers of size states, whose state j is `held` (buf, j).
 
-        A constant grid concatenates them along its seed axis; a full grid
-        holds one state, which is returned as it is.
+        A constant grid's states are rows of one (size, CONSTANT_ROW, 4n)
+        array, and each one's modes are a view of its first point.  A full
+        grid's are component-major grid views of (size, 4n, N, N) and
+        (size, 4n, N, N/2 + 1) planes, the layout its step gives.
         """
-        if not self.constant:
-            (state,) = states
-            return state
-        return tuple(np.concatenate(x) for x in zip(*states))
+        if self.constant:
+            vals = np.empty((size, CONSTANT_ROW, self.spec.dim))
+            return vals, vals[:, :1]
+        planes = (self.spec.dim, self.n, self.n)
+        hat_planes = (self.spec.dim, *self.im1.shape[:2])
+        vals = np.empty((size, *planes)).transpose(0, 2, 3, 1)
+        return vals, np.empty((size, *hat_planes), dtype=complex).transpose(0, 2, 3, 1)
+
+    def held(self, buf, j: int, count: int = 1):
+        """States j .. j + count - 1 of a `buffer` as one state of the grid: count seeds of a constant
+        grid, and the one state a full grid holds (count 1)."""
+        return buf[j : j + count] if self.constant else buf[j]
 
     def _propagators(self, ds):
         """The propagator of the step sizes ds last seen, the shared (4n, 4n, N, N/2 + 1) `_half_spectrum_propagator`;
@@ -477,23 +493,39 @@ class _FlowGrid:
         nhat[q:] = self._zero_hat
         return _grid(nhat)
 
-    def step(self, zhat, terms, ds, weight):
+    def step(self, zhat, terms, ds, weight, out=None):
         """One implicit-explicit Euler update of the state with modes zhat and evaluation terms, seed i by ds[i].
 
         A weight of 0 reads no evaluation: terms may be None.  Returns
         C-contiguous vals and their first point as the modes on a constant
-        grid, component-major ones on a full grid.
+        grid, component-major ones on a full grid.  out, a state of a
+        `buffer` as (vals, modes), takes the new state in place.
         """
         prop = self._propagators(ds)
         rhs = zhat + ds[:, None, None] * self._nonlinear_modes(terms, weight) if weight != 0.0 else zhat
+        vals_out, hat_out = (None, None) if out is None else out
         if self.constant:  # the diagonal propagator scales each value row onto every point
-            new_vals = prop * rhs
+            new_vals = np.multiply(prop, rhs, out=vals_out)
             new_vals += 0.0  # -0.0 to +0.0, as the full grid's inverse transform sums it
             return new_vals, new_vals[:, :1]
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # the C-ordered start state is component-major
-        new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs))))
-        return _irfft2(new_hat, self.n), new_hat
+        hat_planes = None if out is None else _planes(hat_out)
+        new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs)), out=hat_planes))
+        return _irfft2(new_hat, self.n, vals_out), new_hat
+
+    def coast(self, states, ds):
+        """Steps of weight 0 of a constant grid's seed from states[0] into states[1:], in place.
+
+        A step of weight 0 scales the state by the diagonal propagator and
+        adds +0.0.  Its entries are positive, so the running product of the
+        propagator rows is the state at every step but for the sign of a
+        zero, which +0.0 added once at the end gives: the bits of the steps
+        taken one at a time.
+        """
+        states[1:] = self._propagators(ds)
+        np.multiply.accumulate(states, axis=0, out=states)
+        states[1:] += 0.0
 
     def _by_seed(self, x):
         """x with one row per seed: the first axis of a constant grid; a full grid is one seed."""
@@ -912,19 +944,28 @@ def run_homotopy(
     below DEFAULT_TOL.  A sample whose max|p|^2 is past `spec.escape_p_sq`
     has diverged: the trajectory ends there, that sample kept.
 
-    The loop steps and checks each new state for finiteness.  The
-    diagnostics of a sample (action at the sample's profile weight, h_int,
-    max|p|^2, and |d_s Z|^2 of its step) are taken for a block of samples
-    at once: HOMOTOPY_BLOCK samples of a constant start, evaluated as one
-    constant grid with a seed per sample, and one sample of a full grid.
+    The samples are taken in blocks, HOMOTOPY_BLOCK of a constant start and
+    one of a full grid.  Each step writes the next sample in place into one
+    buffer of block + 1 states (`_FlowGrid.buffer`), whose last row, the
+    state the block's last step reaches, starts the next block.  At the
+    block's end its states are checked for finiteness and its diagnostics
+    taken: the action at each sample's profile weight, h_int, max|p|^2,
+    and |d_s Z|^2 of each step from the difference of two buffer rows, a
+    constant start's samples as one constant grid with a seed per sample.
     A seed's results do not depend on the other seeds of its grid, so every
-    output is the one a sample-by-sample evaluation gives, bit for bit.  A
-    full grid evaluates each sample once, h included, for its step and its
-    diagnostics; a constant start's step evaluates the gradient alone
-    (`cutoff_terms`), and h is evaluated once a block.  So a constant start
-    finds an escape at the end of its block and truncates there; a step of
-    the block that lost finiteness after an escaped sample ends the
-    trajectory at that sample instead of raising.
+    output is the one a sample-by-sample evaluation gives, bit for bit.
+
+    A full grid evaluates each sample once, h included, for its step and
+    its diagnostics.  A constant start's step evaluates the gradient alone
+    (`cutoff_terms`), h is evaluated once a block, and a stretch of zero
+    profile weight (the pads) takes no evaluation: it advances in one
+    running product (`_FlowGrid.coast`).  A built-in h is evaluated without
+    harm on a state that is not finite, so a constant start's steps run on
+    under np.errstate to the block's end; with a custom h each state is
+    checked before it is evaluated.  So a constant start finds an escape at
+    the end of its block and truncates there, and a step of the block that
+    lost finiteness after an escaped sample ends the trajectory at that
+    sample instead of raising.
     """
     profile, n_steps = switching_window(spec.n_pairs, r, ds)
     s_start = profile.s_on - HOMOTOPY_PAD
@@ -937,50 +978,75 @@ def run_homotopy(
 
     grid = _FlowGrid(spec, triple, Z0)
     block = HOMOTOPY_BLOCK if grid.constant else 1
+    buf, hats = grid.buffer(block + 1)
     vals, zhat = grid.start
+    grid.held(buf, 0)[...] = vals
+    grid.held(hats, 0)[...] = zhat
     step = np.full(1, ds)
     weights = profile.value(svals)  # elementwise: each weight has the bits of a call at its s
-    states, moves = [], []  # the samples since the last diagnostics, and their steps
-    end = n_steps  # the last sample of the trajectory
-    for i, (s, w) in enumerate(zip(svals.tolist(), weights.tolist())):
-        if snapshot_every is not None and i % snapshot_every == 0:
-            snapshots.append((s, grid.field(vals)))
-        states.append((vals, zhat))
-        # a full grid evaluates each sample once, h included, for its step and its diagnostics;
-        # a constant grid evaluates the gradient alone for a step of nonzero weight
-        if not grid.constant:
-            terms = grid.evaluate(vals)
+    s_list, weight_list = svals.tolist(), weights.tolist()
+    weighted = np.flatnonzero(weights)  # the samples whose step reads an evaluation
+    # a custom h sees finite states alone: a constant start checks each state it evaluates,
+    # and a full grid's block is one step; a built-in h leaves the checks to the block's end
+    defer = grid.constant and spec.built_in is not None
+    first = 0  # the sample in buf[0]
+    while True:
+        size = min(block, n_steps + 1 - first)  # the block's samples, buf[:size]
+        moves = min(size, n_steps - first)  # the trajectory's last sample takes no step
+        # a full grid evaluates its one sample once, h included, for its step and its diagnostics
+        terms = None if grid.constant else grid.evaluate(buf[0])
+        vals, zhat = grid.held(buf, 0), grid.held(hats, 0)
+        j = 0  # the steps of the block taken, then those to a finite state
+        with np.errstate(all="ignore") if defer else contextlib.nullcontext():
+            while j < moves:
+                i = first + j
+                if grid.constant and weight_list[i] == 0.0:  # to the next weighted sample
+                    nxt = np.searchsorted(weighted, i)
+                    stop = min(weighted[nxt] if nxt < weighted.size else n_steps, first + moves) - first
+                    grid.coast(buf[j : stop + 1], step)
+                    j = stop
+                    vals, zhat = grid.held(buf, j), grid.held(hats, j)
+                    continue
+                if grid.constant:
+                    if not (defer or np.isfinite(vals).all()):
+                        break
+                    terms = grid.evaluate(vals, with_h=False)
+                j += 1
+                vals, zhat = grid.step(zhat, terms, step, weight_list[i], out=(grid.held(buf, j), grid.held(hats, j)))
+        finite = np.isfinite(buf[1 : j + 1]).all(axis=tuple(range(1, buf.ndim)))
+        if not finite.all():  # the step from sample first + j lost finiteness
+            j = int(np.argmin(finite))
+        count = min(j + 1, size)  # the block's samples reached
+        rows = slice(first, first + count)
+        if grid.constant:
+            terms = grid.evaluate(buf[:count])
+        act[rows] = grid.action(grid.held(hats, 0, count), terms, weights[rows, None])
+        h_int[rows] = grid.mean(terms.h)
+        max_p_sq[rows] = grid.max_p_sq(terms)
+        if j:
+            vsq[first : first + j] = grid.mean_sq(buf[1 : j + 1] - buf[:j]) / ds**2
+        if snapshot_every is not None:
+            for i in range(-(-first // snapshot_every) * snapshot_every, first + count, snapshot_every):
+                snapshots.append((s_list[i], grid.field(grid.held(buf, i - first))))
+        escaped = np.flatnonzero(max_p_sq[rows] > spec.escape_p_sq)
+        if escaped.size:
+            last = int(escaped[0])
+            break
+        if j < moves:
+            raise FlowError(f"homotopy flow lost finiteness at s={s_list[first + j]:.3f}")
+        if moves < size:
+            last = size - 1
+            break
+        if block == 1:  # a full grid's two rows swap roles, where a copy would move a whole grid
+            buf, hats = buf[::-1], hats[::-1]
         else:
-            terms = grid.evaluate(vals, with_h=False) if w != 0.0 else None
-        finite = True
-        if i < n_steps:
-            new_vals, new_hat = grid.step(zhat, terms, step, w)
-            finite = np.isfinite(new_vals).all()
-            if finite:
-                moves.append((vals, new_vals))
-                vals, zhat = new_vals, new_hat
-        if len(states) == block or i == n_steps or not finite:
-            first = i + 1 - len(states)
-            block_vals, block_hat = grid.stack(states)
-            if grid.constant:
-                terms = grid.evaluate(block_vals)
-            act[first : i + 1] = grid.action(block_hat, terms, weights[first : i + 1, None])
-            h_int[first : i + 1] = grid.mean(terms.h)
-            max_p_sq[first : i + 1] = grid.max_p_sq(terms)
-            if moves:
-                old, new = grid.stack(moves)
-                vsq[first : first + len(moves)] = grid.mean_sq(new - old) / ds**2
-            escaped = np.flatnonzero(max_p_sq[first : i + 1] > spec.escape_p_sq)
-            if escaped.size:
-                end = first + int(escaped[0])
-                vals, zhat = states[escaped[0]]
-                break
-            if not finite:
-                raise FlowError(f"homotopy flow lost finiteness at s={s:.3f}")
-            states, moves = [], []
+            buf[0], hats[0] = buf[size], hats[size]
+        first += size
+    end = first + last
 
     res_start, res_end = (
-        grid.residual(v, z, grid.evaluate(v), h_weight=0.0).item() for v, z in (grid.start, (vals, zhat))
+        grid.residual(v, z, grid.evaluate(v), h_weight=0.0).item()
+        for v, z in (grid.start, (grid.held(buf, last), grid.held(hats, last)))
     )
     if snapshot_every is not None:
         del snapshots[end // snapshot_every + 1 :]

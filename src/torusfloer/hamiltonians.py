@@ -132,6 +132,15 @@ def check_c3_norm(c3_norm: float, cap: float = np.inf) -> float:
     return c3_norm
 
 
+def _frequencies(name: str, values) -> np.ndarray:
+    """values as a float array; HamiltonianError unless each is a finite integer, a frequency on the torus."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~(np.isfinite(values) & (values == np.round(values)))]
+    if bad.size:
+        raise HamiltonianError(f"{name} must be integer frequencies, got {bad[0]:g}")
+    return values
+
+
 class _BuiltIn:
     """A built-in h(t, q): its formulas in `_kernel`, on a C-ordered q; this class adapts z to them.
 
@@ -189,7 +198,7 @@ class TrigPotential(_BuiltIn):
     """h(q) = epsilon * sum_a cos(a . q) over integer frequency vectors a."""
 
     def __init__(self, epsilon: float, modes):
-        modes = np.atleast_2d(np.asarray(modes, dtype=float))
+        modes = np.atleast_2d(_frequencies("trig modes", modes))
         if modes.shape[1] % 2 != 0:
             raise HamiltonianError("trig modes must have 2n components")
         self.epsilon = float(epsilon)
@@ -197,10 +206,11 @@ class TrigPotential(_BuiltIn):
         # against the transposed view numpy runs one small gemm per grid row
         self._modes_t = modes.T.copy()
         self.n_pairs = modes.shape[1] // 2
-        norms = np.linalg.norm(modes, axis=1)
         self.sup_h = abs(self.epsilon) * modes.shape[0]
         self.sup_grad_p = 0.0
-        self.c3_norm = check_c3_norm(abs(self.epsilon) * float(np.sum(np.maximum(1.0, norms) ** 3)))
+        with np.errstate(over="ignore"):  # a huge mode's norm is inf, which check_c3_norm rejects
+            c3 = abs(self.epsilon) * float(np.sum(np.maximum(1.0, np.linalg.norm(modes, axis=1)) ** 3))
+        self.c3_norm = check_c3_norm(c3)
         self.time_dependent = False
 
     def _kernel(self, t1, t2, q, with_grad, with_h):
@@ -220,8 +230,8 @@ class TimeTrigPotential(_BuiltIn):
 
     def __init__(self, epsilon: float, t_mode, q_mode):
         self.epsilon = float(epsilon)
-        self.t_mode = np.asarray(t_mode, dtype=float)
-        self.q_mode = np.asarray(q_mode, dtype=float)
+        self.t_mode = _frequencies("t_mode", t_mode)
+        self.q_mode = _frequencies("q_mode", q_mode)
         if self.t_mode.shape != (2,):
             raise HamiltonianError("t_mode must have 2 components")
         if self.q_mode.shape[0] % 2 != 0:
@@ -229,8 +239,9 @@ class TimeTrigPotential(_BuiltIn):
         self.n_pairs = self.q_mode.shape[0] // 2
         self.sup_h = abs(self.epsilon)
         self.sup_grad_p = 0.0
-        qn = float(np.linalg.norm(self.q_mode))
-        self.c3_norm = check_c3_norm(abs(self.epsilon) * max(1.0, qn) ** 3)
+        with np.errstate(over="ignore"):  # as TrigPotential's: a float64 power overflows to inf, a float's raises
+            c3 = abs(self.epsilon) * float(np.maximum(1.0, np.linalg.norm(self.q_mode)) ** 3)
+        self.c3_norm = check_c3_norm(c3)
         self.time_dependent = True
 
     def _kernel(self, t1, t2, q, with_grad, with_h):

@@ -614,6 +614,55 @@ def test_cuplength_invalid_config(tmp_path):
             ),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a frequency that is not an integer, and a mode whose norm overflows, without numpy's warning
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2,
+                 "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[0.5, 0], [0, 1]]}},
+                "trig modes must be integer frequencies, got 0.5",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [0.5, 0], "q_mode": [1, -1]}},
+                "t_mode must be integer frequencies, got 0.5",
+            ),
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1.5]}},
+                "q_mode must be integer frequencies, got -1.5",
+            ),
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e300, 0], [0, 1]]}},
+                "potential C3-norm estimate must be finite, got inf",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e300, 0], [0, 1]]}},
+                "potential C3-norm estimate must be finite, got inf",
+            ),
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2,
+                 "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e300, 0], [0, 1]]}},
+                "potential C3-norm estimate must be finite, got inf",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1e150, 0]}},
+                "potential C3-norm estimate must be finite, got inf",
+            ),
+            (
+                ["flow"],
+                {"potential": {"kind": "time_trig", "epsilon": 0.0, "t_mode": [1, 2], "q_mode": [1e300, 0]}},
+                "potential C3-norm estimate must be finite, got nan",
+            ),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -696,6 +745,15 @@ def test_energy_dry_run_at_the_trajectory_cap_builds_no_field(tmp_path, monkeypa
 def test_energy_step_at_the_explicit_regime_edge_passes_its_dry_run(tmp_path):
     """--epsilon 100 gives c3_norm 200, so ds * c3_norm = 0.005 * 200 rounds to exactly 1: inside the regime."""
     assert run_cli("energy", "--epsilon", "100", "--dry-run", "--out", str(tmp_path / "out")) == 0
+
+
+def test_energy_identity_tolerance_is_relative_above_energy_1(tmp_path):
+    """--epsilon 50 gives E up to 30, whose defects pass 1e-3 but stay below 3e-4 of E: every trajectory passes."""
+    out = tmp_path / "out"
+    assert run_cli("energy", "--epsilon", "50", "--out", str(out)) == 0
+    rows = read_json(out / "report.json")["trajectories"]
+    assert max(row["defect"] for row in rows) > 1e-3
+    assert all(row["passed"] and row["defect"] < 3e-4 * max(1.0, row["energy"]) for row in rows)
 
 
 def test_flags_fill_in_what_the_config_leaves_out(tmp_path):

@@ -400,6 +400,98 @@ def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, rho, p, r, sn
         assert np.flatnonzero(traj.max_p_sq > spec.escape_p_sq).tolist() == [len(traj.s) - 1]
 
 
+@pytest.mark.parametrize(
+    "rho, point, r, ds, snapshot_every",
+    [
+        # p != 0 without a cut-off: |p| grows by 1/(1 - ds) a step through both pads
+        (np.inf, [1.0, 2.0, 0.3, -0.2], 1.0, 0.01, 50),
+        # -0.0 components: the first pad's states hold +0.0, as the full grid's do
+        (4.0, [-0.0, 2.0, -0.0, -0.0], 0.5, 0.01, 25),
+        # 1,085 samples: the last pad, from sample 1,000 on, crosses the block boundary at 1,024
+        (np.inf, [1.0, 2.0, 1e-4, -2e-4], 3.0, 0.012, 100),
+        # an escape inside the first pad, at sample 45
+        (2.0, [1.0, 0.5, 0.9, 0.9], 3.0, 0.01, 10),
+        # an escape inside the weighted stretch, at sample 151
+        (4.0, [1.0, 2.0, 0.45, -0.43], 1.0, 0.01, 10),
+    ],
+    ids=["pads_with_p", "signed_zero_pad", "pad_across_blocks", "escape_in_pad", "escape_weighted"],
+)
+def test_constant_homotopy_pads_are_bit_identical(monkeypatch, rho, point, r, ds, snapshot_every):
+    """A stretch of zero profile weight advances in one running product: the full grid's bits, sample by sample."""
+    spec = trig_spec(rho)
+    z0 = constant_field(16, point, "z")
+    assert _takes_constant_path(spec, z0)
+    traj = run_homotopy(z0, spec, r=r, ds=ds, snapshot_every=snapshot_every)
+    _full_grid_only(monkeypatch)
+    full = run_homotopy(z0, spec, r=r, ds=ds, snapshot_every=snapshot_every)
+    assert _trajectory_bytes(traj) == _trajectory_bytes(full)
+    weights = traj.profile.value(traj.s)
+    escaped = np.flatnonzero(traj.max_p_sq > spec.escape_p_sq).tolist()
+    if np.signbit(point[0]):  # the start keeps its -0.0, every later state of the pad holds +0.0
+        first, second = (np.signbit(z.values[0, 0]).tolist() for _, z in traj.snapshots[:2])
+        assert weights[25] == 0.0 and first == [True, False, True, True] and second == [False] * 4
+    elif r == 3.0 and not escaped:
+        assert len(traj.s) == 1085 and not weights[1000 : floer.HOMOTOPY_BLOCK + 60].any()
+    elif escaped:
+        assert escaped == [len(traj.s) - 1] and (weights[-1] == 0.0) == (len(traj.s) == 46)
+    else:
+        assert not escaped and traj.max_p_sq[-1] > traj.max_p_sq[0] > 0.0
+
+
+def _homotopy_sample_by_sample(z0, spec, r, ds):
+    """run_homotopy's action, h_int, max|p|^2 and |d_s Z|^2, a sample at a time, each from its own state."""
+    profile, n_steps = floer.switching_window(spec.n_pairs, r, ds)
+    weights = profile.value(profile.s_on - floer.HOMOTOPY_PAD + np.arange(n_steps + 1) * ds)
+    grid = _FlowGrid(spec, None, z0)
+    vals, zhat = grid.start
+    columns = [[], [], [], []]
+    for i in range(n_steps + 1):
+        terms = grid.evaluate(vals)
+        columns[0].append(grid.action(zhat, terms, weights[i : i + 1, None]))
+        columns[1].append(grid.mean(terms.h))
+        columns[2].append(grid.max_p_sq(terms))
+        if i < n_steps:
+            new_vals, zhat = grid.step(zhat, terms, np.full(1, ds), weights[i])
+            columns[3].append(grid.mean_sq(new_vals - vals) / ds**2)
+            vals = new_vals
+    return [np.concatenate(column) for column in columns]
+
+
+@pytest.mark.parametrize("n_grid", [16, 12])
+def test_full_grid_homotopy_is_its_sample_by_sample_flow(rng, n_grid):
+    """A non-constant start, whose action pairs nonzero modes: each sample's diagnostics read its own state."""
+    spec = trig_spec()
+    start = constant_field(n_grid, [1.0, 2.0, 0.1, 0.0], "z").values
+    z0 = TorusField(start + random_band_limited(rng, n_grid, 4, 2, 0.05, "z").values, "z")
+    assert not _takes_constant_path(spec, z0)
+    traj = run_homotopy(z0, spec, r=0.2, ds=0.01)
+    columns = _homotopy_sample_by_sample(z0, spec, r=0.2, ds=0.01)
+    n = len(traj.s)  # its growing modes escape at sample 46 or 48
+    assert np.flatnonzero(columns[2] > spec.escape_p_sq)[0] == n - 1 and 40 < n < len(columns[0])
+    arrays = (traj.action, traj.h_int, traj.max_p_sq, traj.vsq)
+    assert [a.tobytes() for a in arrays] == [c[: len(a)].tobytes() for c, a in zip(columns, arrays)]
+
+
+def test_homotopy_never_evaluates_a_custom_h_on_a_non_finite_state():
+    """The unbounded custom h still raises at s = 2.300, and sees finite states alone on the way."""
+    spec = _unbounded_spec()
+    h, grad_h = spec.h, spec.grad_h
+
+    def finite_only(f):
+        def checked(t1, t2, z):
+            assert np.isfinite(z).all()
+            return f(t1, t2, z)
+
+        return checked
+
+    spec = HamiltonianSpec(1, finite_only(h), finite_only(grad_h))
+    z0 = constant_field(16, [1.0, 0.5, 0.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FlowError, match=r"^homotopy flow lost finiteness at s=2\.300$"):
+            run_homotopy(z0, spec, r=1.0, ds=0.01)
+
+
 @pytest.mark.parametrize("n_grid", [16, 24])
 def test_constant_homotopy_takes_diagnostics_in_blocks(monkeypatch, n_grid):
     """A constant start evaluates the action once a block; a full grid (N = 24), once a sample."""
