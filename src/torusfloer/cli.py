@@ -49,9 +49,7 @@ from .hamiltonians import (
     HamiltonianError,
     LagrangianSpec,
     LegendreError,
-    MAX_C3_NORM,
     TrigPotential,
-    check_c3_norm,
     hamiltonian_from_config,
     hofer_norm,
     legendre_transform,
@@ -284,9 +282,8 @@ def check_flow(args, data):
         if "grid_size" in data:
             _beside_config(args, [("--grid", "grid_size")])
     spec = hamiltonian_from_config(
-        data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf)
+        data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf), run_input=True
     )
-    check_c3_norm(spec.c3_norm, MAX_C3_NORM)
     n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
@@ -342,8 +339,7 @@ def check_energy(args, data):
         if "potential" in data:  # --epsilon fills in a missing potential
             _beside_config(args, [("--epsilon", "potential")])
             potential = data["potential"]
-    spec = hamiltonian_from_config(potential, rho=args.rho)
-    check_c3_norm(spec.c3_norm, MAX_C3_NORM)
+    spec = hamiltonian_from_config(potential, rho=args.rho, run_input=True)
     if args.load is not None:
         base = Path(args.load)
         try:

@@ -260,6 +260,28 @@ def _half_spectrum_propagator(n_grid: int, ds: float, triple: StructureTriple) -
     return _half_spectrum[1]
 
 
+def _apply_propagator(prop, rhs_planes, out=None):
+    """The (k, N, N') planes sum_b prop[a, b] * rhs_planes[b] of a (k, k, N, N') propagator, row by row.
+
+    Each output row a is numpy's complex product prop[a] * rhs_planes into
+    one scratch array, then its sum over b, which adds whole planes in the
+    order b = 0, 1, ..., k - 1.  out, C-contiguous (k, N, N') complex, takes
+    the result.  For the standard structures every entry of the propagator
+    is purely real or purely imaginary, so one cross term of each product is
+    an exact zero and the products round as np.einsum("abxy,bxy->axy")
+    rounds them: the result has its bits, signed zeros, inf and NaN
+    included.  For a general compatible triple both cross terms are nonzero
+    and the product's fused multiply-add rounds them otherwise, within a few
+    units in the last place (4e-16 of the largest entry).
+    """
+    out = np.empty(rhs_planes.shape, dtype=complex) if out is None else out
+    scratch = np.empty(rhs_planes.shape, dtype=complex)
+    for a, row in enumerate(prop):
+        np.multiply(row, rhs_planes, out=scratch)
+        np.add.reduce(scratch, axis=0, out=out[a])
+    return out
+
+
 def grid_mean(x, points: int):
     """np.mean over the last axis of x, which holds a grid's points values or min(points, PAIRWISE_BLOCK) equal ones.
 
@@ -499,7 +521,10 @@ class _FlowGrid:
         A weight of 0 reads no evaluation: terms may be None.  Returns
         C-contiguous vals and their first point as the modes on a constant
         grid, component-major ones on a full grid.  out, a state of a
-        `buffer` as (vals, modes), takes the new state in place.
+        `buffer` as (vals, modes), takes the new state in place.  A constant
+        grid scales its value rows by the diagonal propagator; a full grid
+        applies its propagator to the component planes of the right-hand
+        side row by row (`_apply_propagator`) and transforms back.
         """
         prop = self._propagators(ds)
         rhs = zhat + ds[:, None, None] * self._nonlinear_modes(terms, weight) if weight != 0.0 else zhat
@@ -511,7 +536,7 @@ class _FlowGrid:
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # the C-ordered start state is component-major
         hat_planes = None if out is None else _planes(hat_out)
-        new_hat = _grid(np.einsum("abxy,bxy->axy", prop, np.ascontiguousarray(_planes(rhs)), out=hat_planes))
+        new_hat = _grid(_apply_propagator(prop, np.ascontiguousarray(_planes(rhs)), hat_planes))
         return _irfft2(new_hat, self.n, vals_out), new_hat
 
     def coast(self, states, ds):

@@ -663,6 +663,60 @@ def test_cuplength_invalid_config(tmp_path):
             ),
         ]
         for dry in ([], ["--dry-run"])
+    ]
+    # a huge finite mode: past the C3-norm cap before the gradient check, else past every grid's N/2
+    + [
+        (argv + dry, config, message)
+        for argv, config, message in [
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e100, 0], [0, 1]]}},
+                "estimate 1e+299 exceeds the cap of 1e+150",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e100, 0], [0, 1]]}},
+                "estimate 1e+299 exceeds the cap of 1e+150",
+            ),
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2,
+                 "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1e100, 0], [0, 1]]}},
+                "estimate 1e+299 exceeds the cap of 1e+150",
+            ),
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[2**63, 0], [0, 1]]}},
+                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got 9.22337e+18",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, -2**63]]}},
+                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got -9.22337e+18",
+            ),
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2,
+                 "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[2**63, 0], [0, 1]]}},
+                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got 9.22337e+18",
+            ),
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1e308, 0], "q_mode": [1, -1]}},
+                "t_mode must be below 512 in magnitude, N/2 of the largest grid (1024), got 1e+308",
+            ),
+            (
+                ["energy"],
+                {"potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1e308, 0], "q_mode": [1, -1]}},
+                "t_mode must be below 512 in magnitude, N/2 of the largest grid (1024), got 1e+308",
+            ),
+            (
+                ["flow"],
+                {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [512, 0]}},
+                "q_mode must be below 512 in magnitude, N/2 of the largest grid (1024), got 512",
+            ),
+        ]
+        for dry in ([], ["--dry-run"])
     ],
 )
 def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, message):
@@ -779,12 +833,17 @@ def test_input_error_writes_exit_1_manifest(tmp_path, argv):
     assert manifest["exit_status"] == 1
 
 
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file: perfbench is no package, and nothing in it is written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _perfbench_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _perfbench_module("tracing")
 
 
 def test_perfbench_tracing_restores_every_wrapped_name():
@@ -820,6 +879,34 @@ def test_perfbench_tracing_times_a_cuplength_run(tmp_path):
     assert tracer.names.count("hamiltonians.action") == len(records) > 0
     for name in ("report.json", "summary.csv"):
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# sha256 of the outputs of one perfbench workload run at seed 1; energy writes no summary.csv
+GOLDEN_OUTPUTS = {
+    "perturbed_n64": {
+        "report.json": "97d69685c78f5af3108d946a4a0da36a22cab4f2438c2960fc1c55cd7fd617e6",
+        "summary.csv": "4916db4582fb767df2a0ae6c4faac146cac01294aa470e6048ff17692633f11d",
+    },
+    "flagship_mini": {
+        "report.json": "1aef8a7a03041a34a2d06bc835835395e10d3d35feb6781520601fece0abfc59",
+        "summary.csv": "cf58fd29d1a504239da89b440da1f015186404dabfe3f61bf3e83cd2729fdf84",
+    },
+    "switching_energy": {"report.json": "3032343bf18e5a7b351c47a63bbc49bf8ae55e6228c39927799ef03ac8402f24"},
+}
+
+
+@pytest.mark.parametrize("workload", list(GOLDEN_OUTPUTS))
+def test_workload_outputs_keep_their_bytes(tmp_path, workload):
+    """Three runs keep their output bytes: perturbed_n64 (full-grid flows at N = 64), flagship_mini (constant
+    flows at N = 32) and switching_energy (one `energy` trajectory), each at seed 1, with the inputs that
+    perfbench/workloads.py writes, run in process.  The hashes are the ones perfbench/reference.json holds
+    for report.json.  A change that moves these bytes on purpose updates the hashes here and gives the
+    reason in CHANGES.md."""
+    argv = _perfbench_module("workloads").write_inputs(workload, 1, tmp_path)
+    assert run_cli(*argv) == 0
+    out = tmp_path / "out"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_OUTPUTS[workload]}
+    assert digests == GOLDEN_OUTPUTS[workload]
 
 
 def test_legendre_check(tmp_path):

@@ -35,7 +35,7 @@ from torusfloer.spectral import (
     sobolev_seminorm,
 )
 from torusfloer.runner import ExperimentConfig, multistart_solve
-from torusfloer.structures import mode_operator, standard_structures
+from torusfloer.structures import compatible_triple, mode_operator, random_regularized_pair, standard_structures
 
 from conftest import flow_bytes, linear_flow_exact, mode_block, project_flow_stable, rk4_reference
 
@@ -527,16 +527,62 @@ def test_constant_homotopy_steps_on_the_gradient_alone(monkeypatch, n_grid):
 
 @pytest.mark.parametrize("n_grid", [32, 24])
 def test_constant_homotopy_steps_without_a_propagator_product(monkeypatch, n_grid):
-    """A constant start's step scales its value row: no np.einsum, where a full grid (N = 24) takes one a step."""
+    """A constant start's step scales its value row: no propagator product, where a full grid (N = 24) applies
+    its propagator once a step (`floer._apply_propagator`)."""
     calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    apply = floer._apply_propagator
+    monkeypatch.setattr(floer, "_apply_propagator", lambda *args, **kwargs: calls.append(1) or apply(*args, **kwargs))
     z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
     steps = len(run_homotopy(z0, trig_spec(), r=1.0 if n_grid == 32 else 0.2, ds=5e-3 if n_grid == 32 else 0.01).vsq)
     if _takes_constant_path(trig_spec(), z0):
         assert steps == 1400 and calls == []
     else:
         assert len(calls) == steps
+
+
+def _propagator_inputs(n_pairs, n_grid, triple):
+    """The half-spectrum propagator of a step of 0.5 / mu_max(N), and right-hand-side planes holding an exact-zero
+    mode, a -0.0 mode, mixed signed zeros, inf and NaN among random modes."""
+    prop = floer._half_spectrum_propagator(n_grid, 0.5 / mu_max(n_grid), triple)
+    rng = np.random.default_rng(100 * n_pairs + n_grid)
+    shape = (4 * n_pairs, n_grid, n_grid // 2 + 1)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rhs[:, 0, 0] = 0.0
+    rhs[:, 1, 1] = complex(-0.0, -0.0)
+    rhs[0, 2, 1], rhs[-1, 2, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    rhs[1, 3, 2], rhs[0, 4, 3] = complex(np.inf, 0.0), complex(-np.inf, 1.0)
+    rhs[-1, 5, 1], rhs[1, 1, 4] = complex(np.nan, 0.0), complex(2.0, np.nan)
+    return prop, rhs
+
+
+@pytest.mark.parametrize("n_grid", [8, 12, 16, 24, 32, 64])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_apply_propagator_has_the_bits_of_einsum_for_standard_structures(n_pairs, n_grid):
+    """Row by row, numpy's complex product and the ordered plane sum round as einsum does where every propagator
+    entry is real or imaginary: the same bits, signed zeros, inf and NaN included, also into a buffer slot."""
+    prop, rhs = _propagator_inputs(n_pairs, n_grid, standard_structures(n_pairs))
+    with np.errstate(invalid="ignore"):  # inf times a zero part is NaN, in both
+        ref = np.einsum("abxy,bxy->axy", prop, rhs)
+        buf = np.full((2, *rhs.shape), complex(7.0, 7.0))
+        got = floer._apply_propagator(prop, rhs, out=buf[1])
+        fresh = floer._apply_propagator(prop, rhs)
+    assert np.shares_memory(got, buf[1])
+    assert buf[1].tobytes() == ref.tobytes() and fresh.tobytes() == ref.tobytes()
+    assert np.all(buf[0] == complex(7.0, 7.0))
+    assert np.isnan(ref).any() and np.isinf(ref).any() and np.signbit(ref.real).any()
+
+
+@pytest.mark.parametrize("n_grid", [8, 12, 16, 24, 32, 64])
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_apply_propagator_is_einsum_to_rounding_for_a_compatible_triple(n_pairs, n_grid):
+    """For a general compatible triple both cross terms of each product are nonzero: the result is einsum's to
+    within 4e-16 of its largest entry."""
+    triple = compatible_triple(*random_regularized_pair(np.random.default_rng(n_pairs), n_pairs))
+    prop, rhs = _propagator_inputs(n_pairs, n_grid, triple)
+    rhs = np.where(np.isfinite(rhs), rhs, 1.0)
+    ref = np.einsum("abxy,bxy->axy", prop, rhs)
+    got = floer._apply_propagator(prop, rhs)
+    assert np.max(np.abs(got - ref)) <= 4e-16 * np.max(np.abs(ref))
 
 
 def test_constant_grid_action_after_a_step_is_a_fresh_grids():

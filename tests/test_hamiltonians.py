@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -121,6 +122,29 @@ def test_gradient_validation_catches_mismatch():
 
     with pytest.raises(HamiltonianError, match="finite differences"):
         HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=broken_grad)
+
+
+@pytest.mark.parametrize(
+    "cfg, name",
+    [
+        ({"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, "F"]]}, "trig modes"),
+        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": ["F", 1], "q_mode": [1, 0]}, "t_mode"),
+        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": [1, 1], "q_mode": [0, "F"]}, "q_mode"),
+    ],
+)
+def test_a_runs_frequencies_lie_below_n_over_2_of_the_largest_grid(cfg, name):
+    """The largest grid resolves |frequency| < MAX_GRID // 2 = 512: a run takes 511 and rejects 512 and -512,
+    which the constructors take, like any finite integer."""
+
+    def build(frequency):
+        return nonlinearity_from_config(json.loads(json.dumps(cfg).replace('"F"', str(frequency))))
+
+    hamiltonians.check_run_potential(build(511))
+    hamiltonians.check_run_potential(build(-511))
+    for frequency in (512, -512):
+        with pytest.raises(HamiltonianError, match=f"^{name} must be below 512 in magnitude, .* got {frequency}$"):
+            hamiltonians.check_run_potential(build(frequency))
+    hamiltonians.check_run_potential(nonlinearity_from_config({"kind": "zero", "n_pairs": 2}))
 
 
 def test_only_the_callables_of_one_built_in_take_its_fused_shortcut():

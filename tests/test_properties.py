@@ -359,7 +359,8 @@ def _structures(n_pairs, general):
 
 class _TrailingGrid:
     """The full flow grid on the trailing-component layout: C-ordered (N, N, 4n) values,
-    modes by rfft2 over axes (0, 1), the propagator applied by einsum("xyab,xyb->xya")."""
+    modes by rfft2 over axes (0, 1), the propagator applied as the products prop[..., b] * rhs[..., b] added
+    in the order b = 0, 1, ..., on this layout the arithmetic of the flow grid's `_apply_propagator`."""
 
     def __init__(self, pot, spec, triple, n):
         self.pot, self.spec, self.triple, self.n = pot, spec, triple, n
@@ -380,7 +381,9 @@ class _TrailingGrid:
             rhs = zhat + ds * np.fft.rfft2(weight * self.terms(vals)[2], axes=(0, 1), norm="forward")
         # the full grid's inverses, sliced: the flow grid inverts only the half spectrum
         prop = np.ascontiguousarray(_propagator(n, ds, self.triple, np.s_[:, :])[:, : n // 2 + 1])
-        new_hat = np.einsum("xyab,xyb->xya", prop, rhs)
+        new_hat = prop[..., 0] * rhs[..., None, 0]
+        for b in range(1, rhs.shape[-1]):
+            new_hat += prop[..., b] * rhs[..., None, b]
         new_vals = np.fft.irfft2(new_hat, s=(n, n), axes=(0, 1), norm="forward")
         return np.ascontiguousarray(new_vals), new_hat
 
