@@ -50,9 +50,11 @@ from .hamiltonians import (
     LagrangianSpec,
     LegendreError,
     TrigPotential,
+    check_run_potential,
     hamiltonian_from_config,
     hofer_norm,
     legendre_transform,
+    nonlinearity_from_config,
     quadratic_lagrangian,
     ddw_kernel_witness,
     ddw_residual,
@@ -281,9 +283,9 @@ def check_flow(args, data):
         _beside_config(args, [("--h", "potential"), ("--epsilon", "potential"), ("--rho", "rho")])
         if "grid_size" in data:
             _beside_config(args, [("--grid", "grid_size")])
-    spec = hamiltonian_from_config(
-        data.get("potential", {"kind": "zero", "n_pairs": 1}), rho=data.get("rho", np.inf), run_input=True
-    )
+    potential = data.get("potential", {"kind": "zero", "n_pairs": 1})
+    check_run_potential(nonlinearity_from_config(potential))  # before the spec's gradient check
+    spec = hamiltonian_from_config(potential, rho=data.get("rho", np.inf))
     n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
@@ -339,7 +341,8 @@ def check_energy(args, data):
         if "potential" in data:  # --epsilon fills in a missing potential
             _beside_config(args, [("--epsilon", "potential")])
             potential = data["potential"]
-    spec = hamiltonian_from_config(potential, rho=args.rho, run_input=True)
+    check_run_potential(nonlinearity_from_config(potential))  # before the spec's gradient check
+    spec = hamiltonian_from_config(potential, rho=args.rho)
     if args.load is not None:
         base = Path(args.load)
         try:

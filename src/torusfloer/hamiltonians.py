@@ -133,7 +133,10 @@ def check_c3_norm(c3_norm: float, cap: float = np.inf) -> float:
     return c3_norm
 
 
-# a frequency at or past N/2 of the largest grid is resolved by no grid that a run accepts
+# A run's bound on |frequency|.  A frequency in t at or past N/2 of the largest grid is resolved by no
+# grid that a run accepts.  A frequency a in q is exact at a constant start, where cos(a . q) is evaluated
+# pointwise, but on a varying field h(q(t)) gains t frequencies about |a| times those of q, which alias on
+# the grid; the same value bounds it.
 MAX_FREQUENCY = MAX_GRID // 2
 
 
@@ -141,13 +144,14 @@ def check_run_potential(pot) -> None:
     """A run's built-in potential: HamiltonianError unless its C3-norm estimate is within MAX_C3_NORM
     (`check_c3_norm`), then unless each of its frequencies is below MAX_FREQUENCY in magnitude."""
     check_c3_norm(pot.c3_norm, MAX_C3_NORM)
-    for name, values in pot.frequencies:
-        big = values[np.abs(values) >= MAX_FREQUENCY]
-        if big.size:
-            raise HamiltonianError(
-                f"{name} must be below {MAX_FREQUENCY} in magnitude, N/2 of the largest grid ({MAX_GRID}), "
-                f"got {big[0]:g}"
-            )
+    for pairs, bound in (
+        (pot.t_frequencies, f"N/2 of the largest grid ({MAX_GRID})"),
+        (pot.q_frequencies, "a run's frequency bound in q"),
+    ):
+        for name, values in pairs:
+            big = values[np.abs(values) >= MAX_FREQUENCY]
+            if big.size:
+                raise HamiltonianError(f"{name} must be below {MAX_FREQUENCY} in magnitude, {bound}, got {big[0]:g}")
 
 
 def _frequencies(name: str, values) -> np.ndarray:
@@ -170,10 +174,10 @@ class _BuiltIn:
     view of the flow (a strided copy is slower), else by np.ascontiguousarray.
     The gradient is component-major where z is, else C-ordered, and its p
     part is +0.0.  The potentials hold only their formulas on q, and their
-    frequencies as (name, values) pairs for `check_run_potential`.
+    frequencies in t and in q as (name, values) pairs for `check_run_potential`.
     """
 
-    frequencies = ()
+    t_frequencies = q_frequencies = ()
 
     def evaluate(self, t1, t2, z, with_grad, with_h):
         z = np.asarray(z, dtype=float)
@@ -233,7 +237,7 @@ class TrigPotential(_BuiltIn):
             c3 = abs(self.epsilon) * float(np.sum(np.maximum(1.0, np.linalg.norm(modes, axis=1)) ** 3))
         self.c3_norm = check_c3_norm(c3)
         self.time_dependent = False
-        self.frequencies = (("trig modes", modes),)
+        self.q_frequencies = (("trig modes", modes),)
 
     def _kernel(self, t1, t2, q, with_grad, with_h):
         # a one-row product is a matrix-vector product, which rounds by the layout of
@@ -265,7 +269,8 @@ class TimeTrigPotential(_BuiltIn):
             c3 = abs(self.epsilon) * float(np.maximum(1.0, np.linalg.norm(self.q_mode)) ** 3)
         self.c3_norm = check_c3_norm(c3)
         self.time_dependent = True
-        self.frequencies = (("t_mode", self.t_mode), ("q_mode", self.q_mode))
+        self.t_frequencies = (("t_mode", self.t_mode),)
+        self.q_frequencies = (("q_mode", self.q_mode),)
 
     def _kernel(self, t1, t2, q, with_grad, with_h):
         tfactor = np.cos(self.t_mode[0] * np.asarray(t1) + self.t_mode[1] * np.asarray(t2))
@@ -385,12 +390,8 @@ class HamiltonianSpec:
                 )
 
 
-def hamiltonian_from_config(cfg: dict, rho: float = np.inf, run_input: bool = False) -> HamiltonianSpec:
-    """The spec of the built-in potential cfg; run_input checks it as a run's input (`check_run_potential`)
-    before the spec checks its gradient, so that a frequency no grid resolves fails as such."""
+def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
     pot = nonlinearity_from_config(cfg)
-    if run_input:
-        check_run_potential(pot)
     return HamiltonianSpec(
         n_pairs=pot.n_pairs,
         h=pot.value,

@@ -664,7 +664,7 @@ def test_cuplength_invalid_config(tmp_path):
         ]
         for dry in ([], ["--dry-run"])
     ]
-    # a huge finite mode: past the C3-norm cap before the gradient check, else past every grid's N/2
+    # a huge finite mode: past the C3-norm cap before the gradient check, else past a run's frequency bound
     + [
         (argv + dry, config, message)
         for argv, config, message in [
@@ -687,18 +687,18 @@ def test_cuplength_invalid_config(tmp_path):
             (
                 ["flow"],
                 {"grid_size": 16, "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[2**63, 0], [0, 1]]}},
-                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got 9.22337e+18",
+                "trig modes must be below 512 in magnitude, a run's frequency bound in q, got 9.22337e+18",
             ),
             (
                 ["energy"],
                 {"potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, -2**63]]}},
-                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got -9.22337e+18",
+                "trig modes must be below 512 in magnitude, a run's frequency bound in q, got -9.22337e+18",
             ),
             (
                 ["cuplength"],
                 {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2,
                  "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[2**63, 0], [0, 1]]}},
-                "trig modes must be below 512 in magnitude, N/2 of the largest grid (1024), got 9.22337e+18",
+                "trig modes must be below 512 in magnitude, a run's frequency bound in q, got 9.22337e+18",
             ),
             (
                 ["flow"],
@@ -713,7 +713,7 @@ def test_cuplength_invalid_config(tmp_path):
             (
                 ["flow"],
                 {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [512, 0]}},
-                "q_mode must be below 512 in magnitude, N/2 of the largest grid (1024), got 512",
+                "q_mode must be below 512 in magnitude, a run's frequency bound in q, got 512",
             ),
         ]
         for dry in ([], ["--dry-run"])

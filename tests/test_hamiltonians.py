@@ -125,16 +125,16 @@ def test_gradient_validation_catches_mismatch():
 
 
 @pytest.mark.parametrize(
-    "cfg, name",
+    "cfg, name, bound",
     [
-        ({"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, "F"]]}, "trig modes"),
-        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": ["F", 1], "q_mode": [1, 0]}, "t_mode"),
-        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": [1, 1], "q_mode": [0, "F"]}, "q_mode"),
+        ({"kind": "trig_potential", "epsilon": 0.1, "modes": [[1, 0], [0, "F"]]}, "trig modes", "a run's frequency bound in q"),
+        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": ["F", 1], "q_mode": [1, 0]}, "t_mode", r"N/2 of the largest grid \(1024\)"),
+        ({"kind": "time_trig", "epsilon": 0.1, "t_mode": [1, 1], "q_mode": [0, "F"]}, "q_mode", "a run's frequency bound in q"),
     ],
 )
-def test_a_runs_frequencies_lie_below_n_over_2_of_the_largest_grid(cfg, name):
-    """The largest grid resolves |frequency| < MAX_GRID // 2 = 512: a run takes 511 and rejects 512 and -512,
-    which the constructors take, like any finite integer."""
+def test_a_run_bounds_each_frequency_below_max_frequency(cfg, name, bound):
+    """A run takes |frequency| < MAX_FREQUENCY = MAX_GRID // 2 = 512 and rejects 512 and -512, which the
+    constructors take, like any finite integer.  In t that is N/2 of the largest grid; in q it is a run's bound."""
 
     def build(frequency):
         return nonlinearity_from_config(json.loads(json.dumps(cfg).replace('"F"', str(frequency))))
@@ -142,7 +142,7 @@ def test_a_runs_frequencies_lie_below_n_over_2_of_the_largest_grid(cfg, name):
     hamiltonians.check_run_potential(build(511))
     hamiltonians.check_run_potential(build(-511))
     for frequency in (512, -512):
-        with pytest.raises(HamiltonianError, match=f"^{name} must be below 512 in magnitude, .* got {frequency}$"):
+        with pytest.raises(HamiltonianError, match=f"^{name} must be below 512 in magnitude, {bound}, got {frequency}$"):
             hamiltonians.check_run_potential(build(frequency))
     hamiltonians.check_run_potential(nonlinearity_from_config({"kind": "zero", "n_pairs": 2}))
 
