@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import locale  # argparse's first gettext lookup imports it: a start-up cost, kept out of main()
 import os
 import platform
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +210,7 @@ def run_structures(args, outdir: Path, checked) -> int:
         return EXIT_PASS
     omega1, omega2, big_i, aux = checked
     pair = check_regularized_pair(omega1, omega2, big_i)
-    report = {"pair_check": asdict(pair), "failed_checks": pair.failed_checks()}
+    report = {"pair_check": pair._asdict(), "failed_checks": pair.failed_checks()}
     status = EXIT_PASS if pair.passed else EXIT_FAIL
     if pair.passed:
         try:
@@ -248,7 +248,7 @@ def run_symbol(args, outdir: Path, xi_values) -> int:
     columns = list(rows[0].keys())
     write_csv(outdir / "sweep.csv", columns, rows)
     nmin = minimal_N_search(xi_bound=args.xi_bound, m_bound=args.nmin_m_bound)
-    write_json(outdir / "nmin_certificate.json", asdict(nmin))
+    write_json(outdir / "nmin_certificate.json", nmin._asdict())
     worst_det = max(r["det_residual"] for r in rows)
     worst_eig = max(r["eig_residual"] for r in rows)
     passed = worst_det < 1e-10 and worst_eig < 1e-10 and nmin.certified
@@ -409,7 +409,7 @@ def run_energy(args, outdir: Path, checked) -> int:
             )
     write_json(
         outdir / "report.json",
-        {"hofer_norm": asdict(hofer), "bound": bound, "trajectories": rows, "passed": not (failed or diverged)},
+        {"hofer_norm": hofer._asdict(), "bound": bound, "trajectories": rows, "passed": not (failed or diverged)},
     )
     return EXIT_FAIL if failed else EXIT_INCONCLUSIVE if diverged else EXIT_PASS
 

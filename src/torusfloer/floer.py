@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -1105,8 +1106,7 @@ def energy(traj: FlowTrajectory, s0: float | None = None, s1: float | None = Non
     return float(np.sum(traj.vsq[i0:i1]) * traj.ds)
 
 
-@dataclass(frozen=True)
-class EnergyIdentityReport:
+class EnergyIdentityReport(NamedTuple):
     energy: float
     action_drop: float
     switch_integral: float
@@ -1126,8 +1126,7 @@ def energy_identity_check(traj: FlowTrajectory) -> EnergyIdentityReport:
     return EnergyIdentityReport(e, drop, switch, abs(e - (drop - switch)))
 
 
-@dataclass(frozen=True)
-class MaxPrincipleReport:
+class MaxPrincipleReport(NamedTuple):
     max_p_sq: float
     rho: float
     passed: bool

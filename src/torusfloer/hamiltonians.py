@@ -552,8 +552,7 @@ def action_bound_constants(spec: HamiltonianSpec) -> tuple:
     return 0.25, sup_gp**2 + sup_h
 
 
-@dataclass(frozen=True)
-class HoferEstimate:
+class HoferEstimate(NamedTuple):
     value: float
     q_points_per_dim: int
     p_sample_count: int
@@ -697,8 +696,7 @@ class LagrangianSpec:
                 )
 
 
-@dataclass(frozen=True)
-class LegendreResult:
+class LegendreResult(NamedTuple):
     value: float
     v: np.ndarray
     iterations: int

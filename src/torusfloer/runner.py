@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -406,6 +405,9 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
     A seed's result does not depend on the other seeds of its task, so
     every split writes the serial run's records.  wall_clock_cap is
     checked before each seed, between batch steps and after each finished task.
+    The process pool is imported in the jobs > 1 branch only, so that a
+    serial run, and `import torusfloer.cli`, never load `concurrent.futures`
+    or `multiprocessing`.
     """
     spec = config.spec  # built before the pool pickles the config, so the workers receive it
     divergent, unfinished = [], []
@@ -417,6 +419,8 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
         return cap is not None and time.monotonic() - start > cap
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         results, budget_exhausted = {}, False
         deadline = None if cap is None else time.time() + cap
         tasks = [indices[k::jobs] for k in range(min(jobs, config.n_seeds))]

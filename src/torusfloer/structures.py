@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,7 @@ def mode_operator(triple: StructureTriple, m1, m2) -> np.ndarray:
     return 1j * m1 * triple.J + 1j * m2 * triple.K - np.diag(np.repeat([0.0, 1.0], triple.dim // 2))
 
 
-@dataclass(frozen=True)
-class RegularizedPairReport:
+class RegularizedPairReport(NamedTuple):
     """Per-invariant validation of an (omega1, omega2, I) triple."""
 
     dim: int
@@ -341,8 +341,7 @@ class CurrentSample:
         object.__setattr__(self, "jacobian", jac)
 
 
-@dataclass(frozen=True)
-class CurrentReport:
+class CurrentReport(NamedTuple):
     is_current: bool
     max_cr_residual: float
     samples: list

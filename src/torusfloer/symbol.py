@@ -26,7 +26,7 @@ MIN_MODE_SQ_THRESHOLD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-@dataclass(frozen=True)
-class SymbolReport:
+class SymbolReport(NamedTuple):
     """Everything about one frequency: matrix, determinant, spectrum, each taken once.
 
     det and numeric_eigenvalues are numpy's, det_formula and eigenvalues
@@ -176,8 +175,7 @@ def certified_margin(m1: int, m2: int, xi_bound: float) -> tuple:
     return prev, False, points
 
 
-@dataclass(frozen=True)
-class MinimalNResult:
+class MinimalNResult(NamedTuple):
     n_min: int
     m_bound: int
     xi_bound: float

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import pickle
 from collections import Counter
@@ -164,7 +165,7 @@ def test_worker_tasks_take_the_pickled_spec(monkeypatch):
             future.set_result(fn(*pickle.loads(pickle.dumps(args))))
             return future
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)  # the name runner imports for jobs > 1
     config = ExperimentConfig(**FAST_TRIG)
     pooled = multistart_solve(config, jobs=3)
     assert len(built) == 1
@@ -603,7 +604,7 @@ def test_worker_pool_is_no_larger_than_the_task_list(monkeypatch):
 
     built = Counter()
     seed_field = runner.seed_field
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # the name runner imports for jobs > 1
     monkeypatch.setattr(runner, "seed_field", lambda config, i: built.update([i]) or seed_field(config, i))
     config = ExperimentConfig(**FAST_TRIG)  # 6 seeds: one task each at jobs=8
     pooled = multistart_solve(config, jobs=8)

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -87,7 +85,7 @@ def test_random_pair_generator_passes_checker(rng):
         for _ in range(10):
             w1, w2, big_i = random_regularized_pair(rng, n)
             report = check_regularized_pair(w1, w2, big_i)
-            assert report.passed, asdict(report)
+            assert report.passed, report._asdict()
 
 
 def test_compatible_triple_standard_exact():
