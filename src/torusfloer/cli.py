@@ -266,7 +266,6 @@ def _trig_potential(epsilon):
 
 def check_flow(args, data):
     _at_least("--rng-seed", args.rng_seed, 0)
-    _at_least("--check-every", args.check_every, 1)
     for option, value in (("--tol", args.tol), ("--s-max", args.s_max)):
         if not 0.0 < value < np.inf:
             raise InputError(f"{option} must be a positive finite number, got {value}")
@@ -316,12 +315,10 @@ def run_flow(args, outdir: Path, checked) -> int:
     spec, z0 = checked
     # a start whose transform or squares overflow ends as a blow-up, reported in one line: numpy's warnings are not
     with np.errstate(over="ignore", invalid="ignore"):
-        result = flow_to_solution(
-            z0, spec, tol=args.tol, s_max=args.s_max, ds=args.ds, check_every=args.check_every
-        )
+        result = flow_to_solution(z0, spec, tol=args.tol, s_max=args.s_max, ds=args.ds)
     write_csv(outdir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, result.rows)
     save_field(result.Z, outdir / "final_state")
-    write_json(outdir / "result.json", {k: v for k, v in vars(result).items() if k not in ("Z", "rows")})
+    write_json(outdir / "result.json", {k: v for k, v in result._asdict().items() if k not in ("Z", "rows")})
     print(
         f"flow: {'converged' if result.converged else result.reason} at s={result.s_reached:.3f}, "
         f"residual {result.residual_norm:.3e}"
@@ -623,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--s-max", type=float, default=50.0)
     p.add_argument("--ds", type=float, default=1e-2)
-    p.add_argument("--check-every", type=int, default=10)
     p.set_defaults(check=check_flow, func=run_flow)
 
     p = sub.add_parser("energy", help="switching trajectories: energy bound and identity")

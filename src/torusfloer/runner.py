@@ -13,6 +13,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,6 @@ class ExperimentConfig:
     dedup_delta: float = 0.05
     s_max: float = 400.0
     ds: float = 0.02
-    check_every: int = 10
     seed: int = 0
     wall_clock_cap: float | None = None
 
@@ -86,7 +86,6 @@ class ExperimentConfig:
             ("lattice_per_dim", 1),
             ("random_starts", 0),
             ("perturbation_band", 0),
-            ("check_every", 1),
             ("seed", 0),
         ):
             value = getattr(self, name)
@@ -203,8 +202,7 @@ def seed_kind(config: ExperimentConfig, index: int) -> str:
     return "lattice" if index < config.n_lattice_seeds else "perturbed"
 
 
-@dataclass
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     seed_index: int
     field: TorusField
     action: float
@@ -234,8 +232,7 @@ class SolutionRecord:
         }
 
 
-@dataclass
-class DivergenceRecord:
+class DivergenceRecord(NamedTuple):
     seed_index: int
     reason: str
     s_reached: float
@@ -326,7 +323,6 @@ def _flow_options(config: ExperimentConfig) -> dict:
         "tol": config.residual_tol,
         "s_max": config.s_max,
         "ds": config.ds,
-        "check_every": config.check_every,
     }
 
 
@@ -384,8 +380,7 @@ def _solve_seeds_task(config: ExperimentConfig, indices, deadline: float | None)
     return _solve_seeds(config, config.spec, indices, lambda: deadline is not None and time.time() > deadline)
 
 
-@dataclass
-class MultistartResult:
+class MultistartResult(NamedTuple):
     records: list
     divergent: list
     unfinished: list
@@ -497,8 +492,7 @@ def quotient_l2_distance(a: TorusField, b: TorusField) -> float:
     return float(_plane_distance(_component_planes(a), _component_planes(b)))
 
 
-@dataclass
-class DedupResult:
+class DedupResult(NamedTuple):
     clusters: list
     representatives: list
     diameters: list
@@ -570,8 +564,7 @@ def detect_continuum(records: list, dedup_result: DedupResult, config: Experimen
     return False
 
 
-@dataclass
-class CountReport:
+class CountReport(NamedTuple):
     config: ExperimentConfig
     bound: int
     distinct: int

@@ -256,9 +256,7 @@ def test_plane_distance_has_the_bits_of_the_grid_formula(rng, n_pairs, n):
     count = len(planes)
     mirrored = [_plane_distance(planes[j], planes[:j])[i] for i in range(count) for j in range(i + 1, count)]
     assert [float(d) for d in mirrored] == expected
-    records = [_constant_record([0.0, 0.0], index=i) for i in range(len(fields))]
-    for record, z in zip(records, fields):
-        record.field = z
+    records = [_constant_record([0.0, 0.0], index=i)._replace(field=z) for i, z in enumerate(fields)]
     assert dedup(records, delta=1e3).diameters == [max(expected)]
 
 
@@ -376,7 +374,7 @@ def test_row_path_of_records_and_dedup_has_the_bits_of_the_field_path(n, n_pairs
         alone = [_record_from_result(config, spec, i, result) for i, result in results]
         assert [r.row is not None for r in records] == exact
         assert [_record_bits(r) for r in records] == [_record_bits(r) for r in alone]
-        fields_only = [replace(r, row=None) for r in records]
+        fields_only = [r._replace(row=None) for r in records]
         pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
         for delta in (0.05, np.inf):
             with mock.patch.object(runner, "_plane_distance", wraps=runner._plane_distance) as spy:
@@ -455,7 +453,7 @@ def test_failed_polish_falls_back_to_the_plain_flow():
     config = ExperimentConfig(**{**FAST_TRIG, "potential": potential, "lattice_per_dim": 4, "random_starts": 0})
     spec = config.build_spec()
     starts = [constant_start(spec, seed_field(config, i)) for i in range(config.n_seeds)]
-    options = dict(s_max=config.s_max, ds=constant_step(spec, config.ds), check_every=config.check_every)
+    options = dict(s_max=config.s_max, ds=constant_step(spec, config.ds))
     handed = flow_constants(starts, spec, tol=polish_level(spec), **options)
     polish = [r for r in handed if not r.residual_norm < config.residual_tol]
     assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8

@@ -24,7 +24,7 @@ UNSET_ALLOWED = {
     "floer.run_homotopy.triple": "pinned by test_knob_census; general compatible triples are an open ROADMAP item",
 }
 
-# module.class -> why the class stays a dataclass; a record with none of these reasons is a typing.NamedTuple
+# module.class -> why the class stays a dataclass (each validates in __post_init__); a plain record is a NamedTuple
 DATACLASS_ALLOWED = {
     "spectral.TorusField": "validates and freezes its values in __post_init__",
     "structures.StructureTriple": "validates and freezes its matrices in __post_init__",
@@ -35,14 +35,6 @@ DATACLASS_ALLOWED = {
     "hamiltonians.LagrangianSpec": "takes the InitVar check_convexity and validates in __post_init__",
     "runner.ExperimentConfig": "validates in __post_init__, holds the cached_property spec and has its fields "
     "pinned by test_knob_census",
-    "runner.SolutionRecord": "tests assign to its field and rebuild it with dataclasses.replace",
-    "runner.CountReport": "test_acceptance.py assigns report.elapsed",
-    "floer.FlowResult": "cli.run_flow writes result.json from vars(result); polish_constants rebuilds it "
-    "with dataclasses.replace",
-    "floer.FlowTrajectory": "a mutable record, left as it was; nothing assigns to it, so it could be a NamedTuple",
-    "runner.DivergenceRecord": "a mutable record, left as it was; nothing assigns to it, so it could be a NamedTuple",
-    "runner.MultistartResult": "a mutable record, left as it was; nothing assigns to it, so it could be a NamedTuple",
-    "runner.DedupResult": "a mutable record, left as it was; nothing assigns to it, so it could be a NamedTuple",
 }
 
 
@@ -162,18 +154,22 @@ def test_no_unset_parameters():
 
 
 def test_dataclasses_are_the_allowed_ones():
-    """Every @dataclass of src/torusfloer is in DATACLASS_ALLOWED, with the reason it stays one.
+    """Every @dataclass of src/torusfloer is in DATACLASS_ALLOWED and defines __post_init__.
 
     A frozen dataclass compiles its generated methods at import, about 1 ms
     a class; a typing.NamedTuple with the same fields and methods is
-    defined in about 0.1 ms.  So a new record is a NamedTuple unless it
-    validates or caches, or something assigns to it.
+    defined in about 0.1 ms.  So a class stays a dataclass only when it
+    validates in __post_init__, and a plain record is a NamedTuple, rebuilt
+    with `_replace`.
     """
-    dataclasses = [
-        f"{path.stem}.{top.name}"
+    dataclasses = {
+        f"{path.stem}.{top.name}": top
         for path in sorted(SRC.glob("*.py"))
         for top in ast.parse(path.read_text()).body
         if isinstance(top, ast.ClassDef)
         and any(ast.unparse(d).split("(")[0] == "dataclass" for d in top.decorator_list)
-    ]
+    }
     assert sorted(dataclasses) == sorted(DATACLASS_ALLOWED)
+    for name, top in dataclasses.items():
+        methods = {node.name for node in top.body if isinstance(node, ast.FunctionDef)}
+        assert "__post_init__" in methods, name
