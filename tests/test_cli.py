@@ -290,8 +290,16 @@ def test_jobs_and_plots_belong_to_cuplength_only(tmp_path, option):
 
 @pytest.mark.parametrize(
     "argv",
-    [["flow", "--grid", "abc"], ["flow", "--bogus"], [], ["flow", "--check-every", "10"]],
-    ids=["type", "unknown", "none", "retired-check-every"],
+    [
+        ["flow", "--grid", "abc"],
+        ["flow", "--bogus"],
+        [],
+        ["flow", "--check-every", "10"],
+        # the argv that once failed the flag's own >= 1 check now fails as an unknown flag, run and dry run
+        ["flow", "--grid", "16", "--check-every", "0"],
+        ["flow", "--grid", "16", "--check-every", "0", "--dry-run"],
+    ],
+    ids=["type", "unknown", "none", "retired-check-every", "retired-check-every-0", "retired-check-every-0-dry-run"],
 )
 def test_usage_errors_exit_1_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
