@@ -581,33 +581,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="torusfloer", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--dry-run", action="store_true")
-        p.set_defaults(step_regime=None, constant_step_regime=None)
-
-    p = sub.add_parser("structures", help="validate structure matrices")
-    common(p)
+def _structures_arguments(p):
     p.add_argument("--standard", type=int, default=None, metavar="N")
     # the input file is the run's config: the manifest records its path and hash
     p.add_argument("--input", dest="config", metavar="INPUT", help="JSON with omega1, omega2, I")
     p.set_defaults(check=check_structures, func=run_structures)
 
-    p = sub.add_parser("symbol", help="sweep the per-frequency symbol")
-    common(p)
+
+def _symbol_arguments(p):
     p.add_argument("--m-bound", type=int, default=5)
     p.add_argument("--xi", default="0,0.5,-0.5,1,-1,2,-2")
     p.add_argument("--xi-bound", type=float, default=100.0)
     p.add_argument("--nmin-m-bound", type=int, default=12)
     p.set_defaults(check=check_symbol, func=run_symbol, config=None)
 
-    p = sub.add_parser("flow", help="single gradient flow with diagnostics")
-    common(p)
+
+def _flow_arguments(p):
     p.add_argument("--config", default=None)
     # None marks a flag not given: --config sets potential, rho and grid_size (see check_flow)
     p.add_argument("--h", choices=("zero", "trig"), default=None, help="default zero")
@@ -622,8 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ds", type=float, default=1e-2)
     p.set_defaults(check=check_flow, func=run_flow)
 
-    p = sub.add_parser("energy", help="switching trajectories: energy bound and identity")
-    common(p)
+
+def _energy_arguments(p):
     p.add_argument("--config", default=None)
     p.add_argument("--epsilon", type=float, default=None, help="default 0.1")
     p.add_argument("--rho", type=float, default=4.0)
@@ -636,28 +625,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", default=None, help="check a stored trajectory directory")
     p.set_defaults(check=check_energy, func=run_energy)
 
-    p = sub.add_parser("cuplength", help="multistart solution count experiment")
-    common(p)
+
+def _cuplength_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--save-fields", action="store_true")
     p.add_argument("--plots", action="store_true", help="write static images; never affects the exit code")
     p.add_argument("--jobs", type=int, default=1, help=f"worker processes (1 to {MAX_JOBS})")
     p.set_defaults(check=check_cuplength, func=run_cuplength)
 
-    p = sub.add_parser("legendre-check", help="verify the Legendre bridge")
-    common(p)
+
+def _legendre_arguments(p):
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--rng-seed", type=int, default=0)
     p.set_defaults(check=check_legendre, func=run_legendre, config=None)
 
-    p = sub.add_parser("ddw-demo", help="kernel witness of the three-equation system")
-    common(p)
+
+def _ddw_arguments(p):
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--rng-seed", type=int, default=0)
     p.set_defaults(check=check_ddw, func=run_ddw, config=None)
 
+
+# name -> (help, the function that adds its arguments)
+SUBCOMMANDS = {
+    "structures": ("validate structure matrices", _structures_arguments),
+    "symbol": ("sweep the per-frequency symbol", _symbol_arguments),
+    "flow": ("single gradient flow with diagnostics", _flow_arguments),
+    "energy": ("switching trajectories: energy bound and identity", _energy_arguments),
+    "cuplength": ("multistart solution count experiment", _cuplength_arguments),
+    "legendre-check": ("verify the Legendre bridge", _legendre_arguments),
+    "ddw-demo": ("kernel witness of the three-equation system", _ddw_arguments),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand name, only that subcommand gets its arguments.
+
+    Every subcommand is registered by name and help either way, so the
+    parser reads that subcommand's command lines as the full parser does.
+    """
+    parser = _Parser(prog="torusfloer", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if subcommand in (None, name):
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--dry-run", action="store_true")
+            p.set_defaults(step_regime=None, constant_step_regime=None)
+            add_arguments(p)
     return parser
 
 
@@ -668,7 +686,8 @@ def main(argv=None) -> int:
     output directory exists, every exit writes the manifest.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    # the arguments of the subcommand that argv names; any other argv gets the full parser
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     started = time.time()
     outdir = None
     sha = None

@@ -21,6 +21,7 @@ from .floer import (
     FlowError,
     FlowResult,
     PAIRWISE_BLOCK,
+    _FlowGrid,
     action,
     check_flow_steps,
     check_step,
@@ -255,20 +256,21 @@ def _field_stats(z: TorusField) -> tuple:
 def _record_from_result(
     config: ExperimentConfig, spec: HamiltonianSpec, index: int, result: FlowResult, stats=None
 ) -> SolutionRecord:
-    """The record of one converged flow result; its action is `action` of its field.
+    """The record of one converged flow result.
 
-    stats is (row, q_mean, max_p_sq, p_norm_sq) as `_records` takes them.
-    Without it they come from the field (`_exact_row`, `_field_stats`): the
-    reference whose bits the batch of `_records` has, which the tests
-    compare against.  A field that is not an exact constant classifies by
-    its seminorm.
+    stats is (row, q_mean, max_p_sq, p_norm_sq, action) as `_records` takes
+    them.  Without it they come from the field (`_exact_row`, `_field_stats`
+    and `action`): the reference whose bits the batch of `_records` has,
+    which the tests compare against.  A field that is not an exact constant
+    classifies by its seminorm.
     """
     z = result.Z
-    row, q_mean, max_p_sq, p_norm_sq = (_exact_row(z), *_field_stats(z)) if stats is None else stats
+    if stats is None:
+        stats = (_exact_row(z), *_field_stats(z), action(spec, z))
+    row, q_mean, max_p_sq, p_norm_sq, act = stats
     # the seminorm of an exact constant is exactly 0: its transform is zero off (0, 0)
     flat = row is not None or sobolev_seminorm(z, 1) < 10.0 * config.residual_tol
     c0, c1 = action_bound_constants(spec)
-    act = action(spec, z)
     trace = np.array([(r[0], r[1]) for r in result.rows[::20]])
     return SolutionRecord(
         seed_index=index,
@@ -294,13 +296,15 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
 
     Whether a result's field is an `exact_constant` is decided once, and its
     (4n,) value kept on the record as `row` (`dedup` reads it).  The rows'
-    stats come in one batch, with the bits of `_field_stats` of their
-    fields: a row's |p|^2 (`component_sum`, as `cutoff_terms` takes it) is
-    its field's max, `grid_mean` of its copies the field's mean, and the q
-    means are numpy's mean over a broadcast (B, N, N, 2n) view.  Every other
-    result takes `_field_stats`.  Each record's action is `action` of its
-    field, which takes an exact constant of an autonomous h on a one-seed
-    constant grid.
+    stats come in one batch, with the bits of `_field_stats` and `action` of
+    their fields: a row's |p|^2 (`component_sum`, as `cutoff_terms` takes it)
+    is its field's max, `grid_mean` of its copies the field's mean, and the
+    q means are numpy's mean over a broadcast (B, N, N, 2n) view.  Under an
+    autonomous h the rows' actions come from one constant grid of them,
+    evaluated once: `action` takes each such field on a one-seed constant
+    grid, and a seed's results do not depend on the other seeds of its grid.
+    Every other result, and every record of a time-dependent h, takes
+    `action` of its field, and every result without a row `_field_stats`.
     """
     rows = [_exact_row(result.Z) for _, result in converged]
     stats = [None] * len(rows)
@@ -310,10 +314,18 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
         p_sq = component_sum(block[:, q:] ** 2)
         p_norm_sq = grid_mean(np.repeat(p_sq[:, None], min(n * n, PAIRWISE_BLOCK), axis=1), n * n)
         q_means = np.mean(np.broadcast_to(block[:, None, None, :q], (len(batch), n, n, q)), axis=(1, 2))
-        for i, m, x, p in zip(batch, q_means, p_sq, p_norm_sq):
-            stats[i] = (rows[i], m, float(x), float(p))
+        if spec.time_dependent:
+            actions = [action(spec, converged[i][1].Z) for i in batch]
+        else:
+            grid = _FlowGrid.constants(spec, None, n, block)
+            vals, zhat = grid.start
+            actions = [float(a) for a in grid.action(zhat, grid.evaluate(vals), 1.0)]
+        for i, m, x, p, a in zip(batch, q_means, p_sq, p_norm_sq, actions):
+            stats[i] = (rows[i], m, float(x), float(p), a)
     return [
-        _record_from_result(config, spec, idx, result, stats[i] or (rows[i], *_field_stats(result.Z)))
+        _record_from_result(
+            config, spec, idx, result, stats[i] or (rows[i], *_field_stats(result.Z), action(spec, result.Z))
+        )
         for i, (idx, result) in enumerate(converged)
     ]
 

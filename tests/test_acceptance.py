@@ -5,6 +5,7 @@ The multistart experiment (criteria 10/11) and the switching trajectories
 (criteria 8/9) are computed once in module-scoped fixtures and shared.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torusfloer.fields_io import write_json
 from torusfloer.floer import (
     action,
     constant_start,
@@ -330,6 +332,17 @@ def test_criterion_10_solution_count(flagship_run):
         f"{len(report.divergent)} divergent), residuals < {config.residual_tol}, "
         f"constant limits match gradient roots, in {elapsed:.1f}s",
     )
+
+
+# sha256 of the flagship report.json that `cuplength --config configs/trig_n1.json` writes, serial or --jobs 2
+FLAGSHIP_REPORT_SHA256 = "740c8d08255df28fb04d5f54b2969e1d4741efb5cbdd3defd2fa1608c6a0138e"
+
+
+def test_flagship_report_keeps_its_bytes(flagship_report, tmp_path):
+    """A speed-up meant to be exact leaves the flagship report.json byte-identical; one that moves it on purpose
+    updates the hash here and gives the reason in CHANGES.md."""
+    write_json(tmp_path / "report.json", flagship_report.to_report_dict())
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == FLAGSHIP_REPORT_SHA256
 
 
 def test_criterion_11_action_lower_bound(flagship_report):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torusfloer.cli import build_parser, main
+from torusfloer.cli import SUBCOMMANDS, build_parser, main
 
 BOUNDARY = ["0", "-1", "inf", "-inf", "nan", "1e-300", "1e300", str(2**63), "", "garbage"]
 # values a run accepts, so that the other options of an argv get checked too
@@ -105,6 +105,26 @@ def test_generated_dry_runs_exit_0_or_1_with_one_line(tmp_path, monkeypatch, lin
     assert err.getvalue().count("\n") <= 1, (argv, config, err.getvalue())
     if config is not None and argv[0] != "structures" and _fractional(config["potential"]):
         assert code == 1, (argv, config, err.getvalue())
+
+
+def parse_outcome(parser, argv):
+    """The namespace a parser reads from argv, as its repr (a NaN equals itself there), or the exit code and the
+    output of a usage error or --help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(line=command_lines())
+def test_one_subcommand_parser_reads_the_generated_argv_as_the_full_parser(line):
+    """`main` builds the arguments of the subcommand that argv names alone; it reads argv as the full parser does."""
+    argv = [*line[0], "--out", "out", "--dry-run"]
+    assert argv[0] in SUBCOMMANDS
+    assert parse_outcome(build_parser(argv[0]), argv) == parse_outcome(build_parser(), argv)
 
 
 @pytest.mark.parametrize(

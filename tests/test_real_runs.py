@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_generated_dry_runs import parse_outcome
 
 from torusfloer import cli
 
@@ -48,6 +49,13 @@ RUNS = {
     "missing_config": (["cuplength", "--config", "missing.json"], 1),
     "malformed_input": (["structures", "--input", "bad.json"], 1),
 }
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_one_subcommand_parser_reads_each_run_as_the_full_parser(name):
+    """`main` adds the arguments of the subcommand that argv names alone; each run parses as with the full parser."""
+    argv = [*RUNS[name][0], "--out", name]
+    assert parse_outcome(cli.build_parser(argv[0]), argv) == parse_outcome(cli.build_parser(), argv)
 
 
 def _python(args, cwd=None) -> subprocess.CompletedProcess:

@@ -321,6 +321,7 @@ ROW_POTENTIALS = {
     1: [
         {"kind": "trig_potential", "epsilon": 0.3, "modes": [[1, 0], [0, 1]]},
         {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [1, -1]},
+        {"kind": "zero", "n_pairs": 1},  # a mean H of +-0: the constant grid forms the action's pairing
     ],
     2: [{"kind": "trig_potential", "epsilon": 0.2, "modes": [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]}],
 }
@@ -344,6 +345,8 @@ def test_row_path_of_records_and_dedup_has_the_bits_of_the_field_path(n, n_pairs
     overflow.  A grid that is not a power of two, a row whose square
     overflows or a field made not constant at one point leaves its record,
     and a mixed set all of dedup, to the field path, which must match too.
+    Under an autonomous h the rows' actions come from one constant grid, and
+    `action` is called for the other records alone.
     """
     k, q = 4 * n_pairs, 2 * n_pairs
     config = ExperimentConfig(
@@ -370,9 +373,14 @@ def test_row_path_of_records_and_dedup_has_the_bits_of_the_field_path(n, n_pairs
     ]
     exact = [exact_constant(v) for v in fields]
     with np.errstate(over="ignore", invalid="ignore"):
-        records = runner._records(config, spec, results)
+        with mock.patch.object(runner, "action", wraps=runner.action) as spy:
+            records = runner._records(config, spec, results)
         alone = [_record_from_result(config, spec, i, result) for i, result in results]
         assert [r.row is not None for r in records] == exact
+        # the field path's action is taken for the records without a row, and for every one of a time-dependent h
+        index_of = {id(result.Z): i for i, result in results}
+        called = sorted(index_of[id(call.args[1])] for call in spy.call_args_list)
+        assert called == [i for i, e in enumerate(exact) if not e or spec.time_dependent]
         assert [_record_bits(r) for r in records] == [_record_bits(r) for r in alone]
         fields_only = [r._replace(row=None) for r in records]
         pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]
