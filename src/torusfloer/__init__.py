@@ -38,6 +38,7 @@ from .structures import (
     standard_structures,
 )
 from .hamiltonians import (
+    CustomPotential,
     HamiltonianSpec,
     LagrangianSpec,
     ddw_kernel_witness,

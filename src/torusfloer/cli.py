@@ -47,11 +47,11 @@ from .floer import (
 )
 from .hamiltonians import (
     HamiltonianError,
+    HamiltonianSpec,
     LagrangianSpec,
     LegendreError,
     TrigPotential,
     check_run_potential,
-    hamiltonian_from_config,
     hofer_norm,
     legendre_transform,
     nonlinearity_from_config,
@@ -282,9 +282,9 @@ def check_flow(args, data):
         _beside_config(args, [("--h", "potential"), ("--epsilon", "potential"), ("--rho", "rho")])
         if "grid_size" in data:
             _beside_config(args, [("--grid", "grid_size")])
-    potential = data.get("potential", {"kind": "zero", "n_pairs": 1})
-    check_run_potential(nonlinearity_from_config(potential))  # before the spec's gradient check
-    spec = hamiltonian_from_config(potential, rho=data.get("rho", np.inf))
+    pot = nonlinearity_from_config(data.get("potential", {"kind": "zero", "n_pairs": 1}))
+    check_run_potential(pot)
+    spec = HamiltonianSpec(pot, rho=data.get("rho", np.inf))
     n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
@@ -338,8 +338,9 @@ def check_energy(args, data):
         if "potential" in data:  # --epsilon fills in a missing potential
             _beside_config(args, [("--epsilon", "potential")])
             potential = data["potential"]
-    check_run_potential(nonlinearity_from_config(potential))  # before the spec's gradient check
-    spec = hamiltonian_from_config(potential, rho=args.rho)
+    pot = nonlinearity_from_config(potential)
+    check_run_potential(pot)
+    spec = HamiltonianSpec(pot, rho=args.rho)
     if args.load is not None:
         base = Path(args.load)
         try:
@@ -419,7 +420,7 @@ def check_cuplength(args, data):
     spec = config.spec
     args.step_regime = check_step(config.grid_size, config.ds)
     ds = constant_step(spec, config.ds)
-    args.constant_step_regime = {"ds": ds, "ds_c3_norm": ds * spec.c3_norm}
+    args.constant_step_regime = {"ds": ds, "ds_c3_norm": ds * spec.potential.c3_norm}
     return config
 
 

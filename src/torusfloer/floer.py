@@ -200,13 +200,13 @@ def _check_unit_step(ds: float) -> None:
 
 
 def constant_step(spec: HamiltonianSpec, ds: float) -> float:
-    """The step of exact constant seeds of spec: max(ds, min(DS_CONSTANT_MAX, 1 / spec.c3_norm)).
+    """The step of exact constant seeds of spec: max(ds, min(DS_CONSTANT_MAX, 1 / c3_norm)), by its potential's bound.
 
     A constant has no grid mode that check_step guards, so its step is
     limited by the explicit gradient term alone: 1 / c3_norm is the edge of
     `check_explicit_step`'s regime.  A spec without a finite bound (a custom h) keeps ds.
     """
-    c3 = spec.c3_norm
+    c3 = spec.potential.c3_norm
     if c3 is None or not 0.0 <= c3 < np.inf:
         return ds
     return max(ds, DS_CONSTANT_MAX if DS_CONSTANT_MAX * c3 <= 1.0 else 1.0 / c3)
@@ -217,7 +217,7 @@ def check_explicit_step(spec: HamiltonianSpec, ds: float) -> None:
 
     c3_norm bounds the Hessian of a built-in h (|eps| sum |a|^2 <= |eps| sum max(1, |a|)^3); a custom h passes.
     """
-    c3 = spec.c3_norm
+    c3 = spec.potential.c3_norm
     if c3 is not None and ds * c3 > 1.0:
         raise FlowError(
             f"ds={ds} leaves the explicit term's regime: ds*c3_norm = {ds * c3:.3g} > 1, need ds <= {1.0 / c3:.4g}"
@@ -325,7 +325,7 @@ def constant_start(spec: HamiltonianSpec, Z: TorusField):
     `flow_constants` flows a list of such rows.
     """
     _check_z_field(spec, Z)
-    if spec.time_dependent or not exact_constant(Z.values):
+    if spec.potential.time_dependent or not exact_constant(Z.values):
         return None
     return Z.values[:1].copy()
 
@@ -1013,7 +1013,7 @@ def run_homotopy(
     weighted = np.flatnonzero(weights)  # the samples whose step reads an evaluation
     # a custom h sees finite states alone: a constant start checks each state it evaluates,
     # and a full grid's block is one step; a built-in h leaves the checks to the block's end
-    defer = grid.constant and spec.built_in is not None
+    defer = grid.constant and spec.potential.built_in
     first = 0  # the sample in buf[0]
     while True:
         size = min(block, n_steps + 1 - first)  # the block's samples, buf[:size]

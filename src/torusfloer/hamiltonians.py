@@ -173,10 +173,17 @@ class _BuiltIn:
     trailing layout: copied plane by plane from the component-major grid
     view of the flow (a strided copy is slower), else by np.ascontiguousarray.
     The gradient is component-major where z is, else C-ordered, and its p
-    part is +0.0.  The potentials hold only their formulas on q, and their
-    frequencies in t and in q as (name, values) pairs for `check_run_potential`.
+    part is +0.0.  The potentials hold only their formulas on q, their
+    bounds sup_h and c3_norm, and their frequencies in t and in q as (name,
+    values) pairs for `check_run_potential`.  built_in promises what
+    `cutoff_terms`, `hofer_norm` and `run_homotopy` rely on: h reads q
+    alone, and a state that is not finite gives values that are not finite,
+    never an exception.  Runs take the formulas as they are; the tests check
+    them against finite differences.
     """
 
+    built_in = True
+    time_dependent = False
     t_frequencies = q_frequencies = ()
 
     def evaluate(self, t1, t2, z, with_grad, with_h):
@@ -207,12 +214,10 @@ class _BuiltIn:
 class ZeroNonlinearity(_BuiltIn):
     """h identically zero."""
 
+    sup_h = c3_norm = 0.0
+
     def __init__(self, n_pairs: int):
         self.n_pairs = n_pairs
-        self.sup_h = 0.0
-        self.sup_grad_p = 0.0
-        self.c3_norm = 0.0
-        self.time_dependent = False
 
     def _kernel(self, t1, t2, q, with_grad, with_h):
         shape = np.broadcast_shapes(np.shape(t1), np.shape(t2), q.shape[:-1])
@@ -232,11 +237,9 @@ class TrigPotential(_BuiltIn):
         self._modes_t = modes.T.copy()
         self.n_pairs = modes.shape[1] // 2
         self.sup_h = abs(self.epsilon) * modes.shape[0]
-        self.sup_grad_p = 0.0
         with np.errstate(over="ignore"):  # a huge mode's norm is inf, which check_c3_norm rejects
             c3 = abs(self.epsilon) * float(np.sum(np.maximum(1.0, np.linalg.norm(modes, axis=1)) ** 3))
         self.c3_norm = check_c3_norm(c3)
-        self.time_dependent = False
         self.q_frequencies = (("trig modes", modes),)
 
     def _kernel(self, t1, t2, q, with_grad, with_h):
@@ -254,6 +257,8 @@ class TrigPotential(_BuiltIn):
 class TimeTrigPotential(_BuiltIn):
     """h(t, q) = epsilon * cos(w . t) * cos(a . q); oscillates in torus time."""
 
+    time_dependent = True
+
     def __init__(self, epsilon: float, t_mode, q_mode):
         self.epsilon = float(epsilon)
         self.t_mode = _frequencies("t_mode", t_mode)
@@ -264,11 +269,9 @@ class TimeTrigPotential(_BuiltIn):
             raise HamiltonianError("q_mode must have 2n components")
         self.n_pairs = self.q_mode.shape[0] // 2
         self.sup_h = abs(self.epsilon)
-        self.sup_grad_p = 0.0
         with np.errstate(over="ignore"):  # as TrigPotential's: a float64 power overflows to inf, a float's raises
             c3 = abs(self.epsilon) * float(np.maximum(1.0, np.linalg.norm(self.q_mode)) ** 3)
         self.c3_norm = check_c3_norm(c3)
-        self.time_dependent = True
         self.t_frequencies = (("t_mode", self.t_mode),)
         self.q_frequencies = (("q_mode", self.q_mode),)
 
@@ -303,6 +306,57 @@ def nonlinearity_from_config(cfg: dict):
     raise HamiltonianError(f"unknown nonlinearity kind {kind!r}; have {NONLINEARITY_KINDS}")
 
 
+class CustomPotential:
+    """h(t, q, p) given by vectorized callables h and grad_h, (t1, t2, z) -> values / vectors; no global bounds.
+
+    The full flow grid passes z as a strided (N, N, 4n) view of component
+    planes: a callable that needs C order must copy z.
+    time_dependent=False is a promise that h and grad_h do not depend on the
+    torus time: the Hofer norm then samples one time only, and the flow
+    advances constant states on their (0, 0) mode alone.  The constructor
+    compares grad_h with central differences of h, and both callables at two
+    times where the promise is made, and raises HamiltonianError on a
+    mismatch or a broken promise.
+    """
+
+    built_in = False
+    sup_h = c3_norm = None
+
+    def __init__(self, n_pairs: int, h, grad_h, time_dependent: bool = False):
+        if n_pairs < 1:
+            raise HamiltonianError("n_pairs must be positive")
+        self.n_pairs = n_pairs
+        self.h = h
+        self.grad_h = grad_h
+        self.time_dependent = time_dependent
+        rng = np.random.default_rng(1234)
+        other_times = np.random.default_rng(4321)
+        for _ in range(5):
+            t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
+            z = rng.uniform(-1.0, 1.0, size=4 * n_pairs)
+            grad = np.asarray(grad_h(t1, t2, z), dtype=float)
+            if not time_dependent:
+                s1, s2 = other_times.uniform(0, 2 * np.pi, size=2)
+                if not (
+                    np.array_equal(h(t1, t2, z), h(s1, s2, z))
+                    and np.array_equal(grad, np.asarray(grad_h(s1, s2, z), dtype=float))
+                ):
+                    raise HamiltonianError(
+                        "h depends on the torus time; declare time_dependent=True"
+                    )
+            fd = central_difference(lambda zz: h(t1, t2, zz), z, 1e-5)
+            err = np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(grad))))
+            if err > 1e-6:
+                raise HamiltonianError(
+                    f"gradient of h disagrees with finite differences (residual {err:.3e})"
+                )
+
+    def evaluate(self, t1, t2, z, with_grad, with_h):
+        """(h, grad h) at z, each None where its flag is False; h is called first."""
+        hval = np.asarray(self.h(t1, t2, z), dtype=float) if with_h else None
+        return hval, (self.grad_h(t1, t2, z) if with_grad else None)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian specification
 
@@ -311,37 +365,25 @@ def nonlinearity_from_config(cfg: dict):
 class HamiltonianSpec:
     """H(t, q, p) = |p|^2/2 + h(t, q, p) with cut-off radius rho.
 
-    h and grad_h are vectorized callables (t1, t2, z) -> values / vectors.
-    The full flow grid passes z as a strided (N, N, 4n) view of component
-    planes: a callable that needs C order must copy z, and only the
-    built-in nonlinearities are bit-identical to a C-ordered z.
-    sup_h / sup_grad_p / c3_norm are optional global bounds on h used for
-    a-priori constants.
-
-    time_dependent=False is a promise that h and grad_h do not depend on the
-    torus time: the Hofer norm then samples one time only, and the flow
-    advances constant states on their (0, 0) mode alone.  The gradient check
-    also compares both callables at two times and rejects a broken promise.
+    The potential h is a built-in (`nonlinearity_from_config`) or a
+    `CustomPotential`.  Each gives h and grad h from one
+    `evaluate(t1, t2, z, with_grad, with_h)` call and holds n_pairs,
+    time_dependent, the bounds sup_h and c3_norm (None where unknown) and
+    built_in (see `_BuiltIn`).
     """
 
-    n_pairs: int
-    h: object
-    grad_h: object
+    potential: object
     rho: float = np.inf
-    time_dependent: bool = False
-    name: str = "custom"
-    sup_h: float | None = None
-    sup_grad_p: float | None = None
-    c3_norm: float | None = None
-    check_gradient: InitVar[bool] = True
 
-    def __post_init__(self, check_gradient):
+    def __post_init__(self):
         if self.n_pairs < 1:
             raise HamiltonianError("n_pairs must be positive")
         if not (isinstance(self.rho, numbers.Real) and not isinstance(self.rho, bool) and self.rho > 0):
             raise HamiltonianError(f"cut-off radius must be a positive number, got {self.rho!r}")
-        if check_gradient:
-            self._validate_gradient()
+
+    @property
+    def n_pairs(self) -> int:
+        return self.potential.n_pairs
 
     @property
     def dim(self) -> int:
@@ -352,57 +394,17 @@ class HamiltonianSpec:
         """The max|p|^2 past which a flow has diverged: 2 rho, or 1e6 without a cut-off."""
         return 2.0 * self.rho if self.has_cutoff else 1e6
 
-    # Facts that `cutoff_terms` reads on every call, decided on the first.  They are
-    # kept in the instance dict, beside the frozen fields, and are pickled with it.
-
-    @cached_property
-    def built_in(self):
-        """The built-in potential whose `value` and `grad` are h and grad_h, else None."""
-        pot = getattr(self.h, "__self__", None)
-        return pot if isinstance(pot, _BuiltIn) and (self.h, self.grad_h) == (pot.value, pot.grad) else None
+    # A fact that `cutoff_terms` reads on every call, decided on the first.  It is
+    # kept in the instance dict, beside the frozen fields, and is pickled with it.
 
     @cached_property
     def has_cutoff(self) -> bool:
         """Whether rho is finite, so that the cut-off acts somewhere."""
         return not np.isinf(self.rho)
 
-    def _validate_gradient(self):
-        rng = np.random.default_rng(1234)
-        other_times = np.random.default_rng(4321)
-        for _ in range(5):
-            t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
-            z = rng.uniform(-1.0, 1.0, size=self.dim)
-            grad = np.asarray(self.grad_h(t1, t2, z), dtype=float)
-            if not self.time_dependent:
-                s1, s2 = other_times.uniform(0, 2 * np.pi, size=2)
-                if not (
-                    np.array_equal(self.h(t1, t2, z), self.h(s1, s2, z))
-                    and np.array_equal(grad, np.asarray(self.grad_h(s1, s2, z), dtype=float))
-                ):
-                    raise HamiltonianError(
-                        "h depends on the torus time; declare time_dependent=True"
-                    )
-            fd = central_difference(lambda zz: self.h(t1, t2, zz), z, 1e-5)
-            err = np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(grad))))
-            if err > 1e-6:
-                raise HamiltonianError(
-                    f"gradient of h disagrees with finite differences (residual {err:.3e})"
-                )
-
 
 def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
-    pot = nonlinearity_from_config(cfg)
-    return HamiltonianSpec(
-        n_pairs=pot.n_pairs,
-        h=pot.value,
-        grad_h=pot.grad,
-        rho=rho,
-        time_dependent=pot.time_dependent,
-        name=cfg.get("kind", "custom"),
-        sup_h=pot.sup_h,
-        sup_grad_p=pot.sup_grad_p,
-        c3_norm=pot.c3_norm,
-    )
+    return HamiltonianSpec(nonlinearity_from_config(cfg), rho)
 
 
 # pointwise cut-off evaluations ------------------------------------------------
@@ -427,8 +429,8 @@ def cutoff_terms(
     and hands the result to the step, the action, max|p|^2 and the residual
     of the state.
 
-    A spec of one built-in potential gets h and grad h from one
-    `_BuiltIn.evaluate` call, whose p gradient is +0.0 (`p_grad_zero`);
+    h and grad h come from one `evaluate` call of the spec's potential.  A
+    built-in's p gradient is +0.0 (`p_grad_zero`);
     where every |p|^2 <= rho - 1 (not NaN), chi is 1.0 and chi' +0.0,
     chi * x has the bits of x, and (+0.0) h p added to that +0.0 p gradient
     leaves +0.0 while h is finite, so both are skipped.
@@ -448,21 +450,16 @@ def cutoff_terms(
     is not finite either: a step from it is not finite either way, and the
     flow stops at the same s.
 
-    Whether h and grad_h are one built-in's and whether rho is finite are
-    decided once per spec (`HamiltonianSpec.built_in`, `has_cutoff`).
+    Whether rho is finite is decided once per spec (`has_cutoff`).
     """
     z = np.asarray(z, dtype=float)
     psq = component_sum(z[..., 2 * spec.n_pairs :] ** 2)
-    pot, cut = spec.built_in, spec.has_cutoff
-    identity = pot is not None and (
+    pot, cut = spec.potential, spec.has_cutoff
+    identity = pot.built_in and (
         not cut or np.maximum.reduce(psq, axis=None, initial=-np.inf) <= spec.rho - 1.0
     )
     chi = None if identity else chi_cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
-    if pot is not None:
-        hval, grad = pot.evaluate(t1, t2, z, with_grad, with_h or not identity)
-    else:
-        hval = np.asarray(spec.h(t1, t2, z), dtype=float)
-        grad = spec.grad_h(t1, t2, z) if with_grad else None
+    hval, grad = pot.evaluate(t1, t2, z, with_grad, with_h or not identity)
     if identity:
         if grad is None or not (with_h and cut) or np.isfinite(hval).all():
             return CutoffTerms(psq, hval, grad, grad is not None)
@@ -532,24 +529,21 @@ def action_bound_constants(spec: HamiltonianSpec) -> tuple:
     """(c0, c1) with action >= c0 |p|_L2^2 - c1 pointwise under the integral.
 
     From |p|^2/2 + <p, dh/dp> - h >= |p|^2/4 - (sup|dh/dp|^2 + sup|h|).
-    Uses the declared bounds when available, otherwise a coarse sampling
-    estimate over the cut-off support.
+    A built-in's bound sup_h is c1, its dh/dp being 0; a custom h takes a
+    coarse sampling estimate of both sups over the cut-off support.
     """
-    sup_h = spec.sup_h
-    sup_gp = spec.sup_grad_p
-    if sup_h is None or sup_gp is None:
-        rng = np.random.default_rng(99)
-        pmax = np.sqrt(spec.rho) if np.isfinite(spec.rho) else 4.0
-        z = rng.uniform(-np.pi, np.pi, size=(4096, spec.dim))
-        z[:, 2 * spec.n_pairs :] *= pmax / np.pi
-        t1 = rng.uniform(0, 2 * np.pi, size=4096)
-        t2 = rng.uniform(0, 2 * np.pi, size=4096)
-        terms = cutoff_terms(spec, t1, t2, z)
-        hv = np.abs(terms.h)
-        gp = np.abs(terms.grad[:, 2 * spec.n_pairs :])
-        sup_h = float(np.max(hv)) if sup_h is None else sup_h
-        sup_gp = float(np.max(gp)) if sup_gp is None else sup_gp
-    return 0.25, sup_gp**2 + sup_h
+    if spec.potential.sup_h is not None:
+        return 0.25, spec.potential.sup_h
+    rng = np.random.default_rng(99)
+    pmax = np.sqrt(spec.rho) if np.isfinite(spec.rho) else 4.0
+    z = rng.uniform(-np.pi, np.pi, size=(4096, spec.dim))
+    z[:, 2 * spec.n_pairs :] *= pmax / np.pi
+    t1 = rng.uniform(0, 2 * np.pi, size=4096)
+    t2 = rng.uniform(0, 2 * np.pi, size=4096)
+    terms = cutoff_terms(spec, t1, t2, z)
+    hv = np.abs(terms.h)
+    gp = np.abs(terms.grad[:, 2 * spec.n_pairs :])
+    return 0.25, float(np.max(gp)) ** 2 + float(np.max(hv))
 
 
 class HoferEstimate(NamedTuple):
@@ -585,21 +579,22 @@ def hofer_norm(spec: HamiltonianSpec, q_points_cap: int = 4096, t_points: int = 
     has the bits of `h_tilde`.  A custom or time-dependent h sees every (q, p) sample.
     """
     dim_q = 2 * spec.n_pairs
-    cap = min(q_points_cap, 1024) if spec.time_dependent else q_points_cap
+    pot = spec.potential
+    cap = min(q_points_cap, 1024) if pot.time_dependent else q_points_cap
     per_dim = int(round(cap ** (1.0 / dim_q)))
     per_dim = int(np.clip(per_dim, 4, 64))
     axes = [2 * np.pi * np.arange(per_dim) / per_dim] * dim_q
     qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
     ps = _p_samples(spec, 5)
-    if spec.built_in is not None and not spec.time_dependent:  # a built-in reads the q part of z alone
-        vals = chi_cutoff(component_sum(ps**2), spec.rho) * spec.h(0.0, 0.0, qs)[:, None]
+    if pot.built_in and not pot.time_dependent:  # a built-in reads the q part of z alone
+        vals = chi_cutoff(component_sum(ps**2), spec.rho) * pot.value(0.0, 0.0, qs)[:, None]
         return HoferEstimate(float(np.max(vals) - np.min(vals)), per_dim, ps.shape[0], 1, False)
     # every q with every p, q-major: one array filled by broadcasting
     zs = np.empty((qs.shape[0], ps.shape[0], spec.dim))
     zs[:, :, :dim_q] = qs[:, None]
     zs[:, :, dim_q:] = ps
     zs = zs.reshape(-1, spec.dim)
-    if not spec.time_dependent:
+    if not pot.time_dependent:
         vals = h_tilde(spec, 0.0, 0.0, zs)
         value = float(np.max(vals) - np.min(vals))
         return HoferEstimate(value, per_dim, ps.shape[0], 1, False)
@@ -664,7 +659,6 @@ class LagrangianSpec:
     v_grad: object
     q_grad: object = None
     v_hess: object = None
-    name: str = "custom"
     check_convexity: InitVar[bool] = True
 
     def __post_init__(self, check_convexity):
@@ -768,7 +762,6 @@ class _QuadraticLagrangian:
 
     def __init__(self, potential):
         self.potential = potential
-        self.n_pairs = potential.n_pairs
 
     def value(self, t1, t2, q, v):
         v = np.asarray(v, dtype=float)
@@ -793,5 +786,4 @@ def quadratic_lagrangian(potential) -> LagrangianSpec:
         v_grad=impl.v_grad,
         q_grad=impl.q_grad,
         v_hess=impl.v_hess,
-        name="quadratic",
     )

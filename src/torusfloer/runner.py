@@ -143,14 +143,14 @@ class ExperimentConfig:
         return self.n_lattice_seeds + self.random_starts
 
     def build_spec(self) -> HamiltonianSpec:
-        """The run's spec, its gradient checked once; rho defaults to 4 plus the action bound's |p|^2 level."""
+        """The run's spec; rho defaults to 4 plus the action bound's |p|^2 level."""
         spec = hamiltonian_from_config(self.potential)
         if self.rho is not None:
             rho = float(self.rho)
         else:
             c0, c1 = action_bound_constants(spec)
             rho = 4.0 + c1 / c0
-        return replace(spec, rho=rho, check_gradient=False)
+        return replace(spec, rho=rho)
 
     @cached_property
     def spec(self) -> HamiltonianSpec:
@@ -314,7 +314,7 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
         p_sq = component_sum(block[:, q:] ** 2)
         p_norm_sq = grid_mean(np.repeat(p_sq[:, None], min(n * n, PAIRWISE_BLOCK), axis=1), n * n)
         q_means = np.mean(np.broadcast_to(block[:, None, None, :q], (len(batch), n, n, q)), axis=(1, 2))
-        if spec.time_dependent:
+        if spec.potential.time_dependent:
             actions = [action(spec, converged[i][1].Z) for i in batch]
         else:
             grid = _FlowGrid.constants(spec, None, n, block)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torusfloer.cli import main
 from torusfloer.fields_io import write_json
 from torusfloer.floer import (
     action,
@@ -332,6 +333,25 @@ def test_criterion_10_solution_count(flagship_run):
         f"{len(report.divergent)} divergent), residuals < {config.residual_tol}, "
         f"constant limits match gradient roots, in {elapsed:.1f}s",
     )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+@pytest.mark.parametrize("lattice_per_dim", [5, 7])
+def test_flagship_passes_with_a_lattice_off_the_critical_points(tmp_path, lattice_per_dim):
+    """The flagship config with an odd lattice, which misses q = pi.
+
+    On an exact constant the flow is the gradient flow of h, ascending it,
+    so a constant seed keeps each coordinate already at 0 or pi and
+    otherwise climbs to the maximum.  The 6 x 6 lattice holds all four
+    critical points {0, pi}^2; of those, these lattices hold only (0, 0),
+    and the run gives distinct=1 (bound 3), fail.  A search that converges to critical
+    points of every index passes here.
+    """
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**json.loads(CONFIG_PATH.read_text()), "lattice_per_dim": lattice_per_dim}))
+    code = main(["cuplength", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert code == 0 and report["distinct"] >= 3
 
 
 # sha256 of the flagship report.json that `cuplength --config configs/trig_n1.json` writes, serial or --jobs 2

@@ -17,7 +17,8 @@ from test_generated_dry_runs import parse_outcome
 from torusfloer import cli, floer
 from torusfloer.cli import SUBCOMMANDS, build_parser, main
 from torusfloer.floer import action, check_step, flow_constants, flow_to_solution, mu_max, run_homotopy
-from torusfloer.hamiltonians import CutoffTerms, HamiltonianSpec, cutoff_terms
+from torusfloer import hamiltonians, structures
+from torusfloer.hamiltonians import CustomPotential, CutoffTerms, HamiltonianSpec, LagrangianSpec, cutoff_terms
 from torusfloer.runner import ExperimentConfig
 from torusfloer.structures import standard_structures
 
@@ -730,6 +731,12 @@ def test_cuplength_invalid_config(tmp_path):
                 {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.2, "t_mode": [1, 2], "q_mode": [512, 0]}},
                 "q_mode must be below 512 in magnitude, a run's frequency bound in q, got 512",
             ),
+            (
+                ["cuplength"],
+                {"n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2, "random_starts": 0,
+                 "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": [[512, 0], [0, 1]]}},
+                "trig modes must be below 512 in magnitude, a run's frequency bound in q, got 512",
+            ),
         ]
         for dry in ([], ["--dry-run"])
     ],
@@ -749,6 +756,66 @@ def test_library_errors_exit_1_with_one_line(tmp_path, capsys, argv, config, mes
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert err.startswith(f"{argv[0]}: ")
+
+
+def _trig_n16(modes):
+    """A cuplength config at N = 16 with the 2 x 2 lattice alone, the critical points of the potential's modes."""
+    return {
+        "n_pairs": 1, "grid_size": 16, "lattice_per_dim": 2, "random_starts": 0,
+        "potential": {"kind": "trig_potential", "epsilon": 0.1, "modes": modes},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, config, last",
+    [
+        (["cuplength"], _trig_n16([[300, 0], [0, 1]]), "cuplength: distinct=4 (bound 3), pass"),
+        (["cuplength"], _trig_n16([[511, 0], [0, 1]]), "cuplength: distinct=4 (bound 3), pass"),
+        (
+            ["flow"],
+            {"grid_size": 16, "potential": {"kind": "time_trig", "epsilon": 0.1, "t_mode": [1, 0], "q_mode": [300, 0]}},
+            "flow: max|p|^2 ",
+        ),
+    ],
+    ids=["trig_300", "trig_511", "time_trig_300"],
+)
+def test_every_frequency_below_max_frequency_runs(tmp_path, capsys, argv, config, last):
+    """A frequency below MAX_FREQUENCY = 512 runs.  Runs take no finite-difference test of a built-in gradient:
+    its truncation error, about (a * 1e-5)^2 / 6 of the gradient at frequency a, passes a 1e-6 tolerance near a = 245."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith(last) and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cuplength", "--config", "<config>"],
+        ["flow", "--h", "trig", "--grid", "16", "--s-max", "5"],
+        ["energy", "--grid", "16", "--trajectories", "1"],
+    ],
+    ids=["cuplength", "flow", "energy"],
+)
+def test_runs_of_a_built_in_potential_take_no_finite_differences(tmp_path, monkeypatch, argv):
+    """A built-in potential's formulas are tested in the test suite (test_built_in_gradients_match_central_differences),
+    not on every run; a custom potential is checked when it is built."""
+    calls, central_difference = [], structures.central_difference
+
+    def spy(f, x, step):
+        calls.append(step)
+        return central_difference(f, x, step)
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_trig_n16([[1, 0], [0, 1]])))
+    for module in (hamiltonians, structures):  # every name it is bound to in src/
+        monkeypatch.setattr(module, "central_difference", spy)
+    assert run_cli(*[str(cfg) if arg == "<config>" else arg for arg in argv], "--out", str(tmp_path / "out")) == 0
+    assert calls == []
+    pot = hamiltonians.TrigPotential(0.1, [[1, 0], [0, 1]])
+    CustomPotential(1, pot.value, pot.grad)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
@@ -990,10 +1057,9 @@ def test_knob_census():
         "perturbation_amplitude", "perturbation_band", "residual_tol", "dedup_delta", "s_max",
         "ds", "seed", "wall_clock_cap",
     ]
-    assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == [
-        "n_pairs", "h", "grad_h", "rho", "time_dependent", "name", "sup_h", "sup_grad_p",
-        "c3_norm",
-    ]
+    assert [f.name for f in dataclasses.fields(HamiltonianSpec)] == ["potential", "rho"]
+    assert list(inspect.signature(CustomPotential).parameters) == ["n_pairs", "h", "grad_h", "time_dependent"]
+    assert [f.name for f in dataclasses.fields(LagrangianSpec)] == ["n_pairs", "lagrangian", "v_grad", "q_grad", "v_hess"]
     assert list(CutoffTerms._fields) == ["p_sq", "h", "grad", "p_grad_zero"]
     flows = (flow_to_solution, flow_constants, run_homotopy, action, cutoff_terms)
     assert {f.__name__: list(inspect.signature(f).parameters) for f in flows} == {

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from torusfloer.floer import (
     run_homotopy,
 )
 from torusfloer.hamiltonians import (
+    CustomPotential,
     HamiltonianSpec,
     hamiltonian_from_config,
     hamiltonian_residual,
@@ -183,10 +186,11 @@ CONSTANT_STEP_OF_C3 = {0.0: 0.5, 0.2: 0.5, 2.0: 0.5, 5.0: 0.2, 1e3: 1e-3}
 @pytest.mark.parametrize("c3_norm", [None, np.inf, np.nan, -1.0, *CONSTANT_STEP_OF_C3])
 @pytest.mark.parametrize("ds", [1e-4, 0.02, 0.3, 0.9])
 def test_constant_step_never_shortens_the_step(c3_norm, ds):
-    """min(DS_CONSTANT_MAX, 1 / c3_norm), never below ds; a custom h without a finite bound keeps ds."""
-    spec = HamiltonianSpec(
-        1, lambda t1, t2, z: 0.0 * z[..., 0], lambda t1, t2, z: 0.0 * z, c3_norm=c3_norm, check_gradient=False
-    )
+    """min(DS_CONSTANT_MAX, 1 / c3_norm), never below ds; a custom h without a finite bound keeps ds.
+
+    The spec reads c3_norm from its potential, so a namespace with the bound stands in for one of any value.
+    """
+    spec = HamiltonianSpec(types.SimpleNamespace(n_pairs=1, c3_norm=c3_norm))
     assert DS_CONSTANT_MAX == 0.5
     step = constant_step(spec, ds)
     assert step >= ds
@@ -475,7 +479,7 @@ def test_full_grid_homotopy_is_its_sample_by_sample_flow(rng, n_grid):
 def test_homotopy_never_evaluates_a_custom_h_on_a_non_finite_state():
     """The unbounded custom h still raises at s = 2.300, and sees finite states alone on the way."""
     spec = _unbounded_spec()
-    h, grad_h = spec.h, spec.grad_h
+    h, grad_h = spec.potential.h, spec.potential.grad_h
 
     def finite_only(f):
         def checked(t1, t2, z):
@@ -484,7 +488,7 @@ def test_homotopy_never_evaluates_a_custom_h_on_a_non_finite_state():
 
         return checked
 
-    spec = HamiltonianSpec(1, finite_only(h), finite_only(grad_h))
+    spec = HamiltonianSpec(CustomPotential(1, finite_only(h), finite_only(grad_h)))
     z0 = constant_field(16, [1.0, 0.5, 0.0, 0.0], "z")
     assert _takes_constant_path(spec, z0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -610,7 +614,7 @@ def _unbounded_spec():
         grad[..., 0] = 1000.0 * z[..., 0]
         return grad
 
-    return HamiltonianSpec(1, h, grad_h)
+    return HamiltonianSpec(CustomPotential(1, h, grad_h))
 
 
 def test_homotopy_overflow_of_unbounded_h(monkeypatch):
@@ -733,7 +737,7 @@ def test_newton_polish_takes_the_jacobian_from_a_custom_gradient():
             axis=-1,
         )
 
-    spec = HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, rho=4.0)
+    spec = HamiltonianSpec(CustomPotential(n_pairs=1, h=h, grad_h=grad_h), rho=4.0)
     roots = [[np.pi, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]  # grad H = 0
     starts = [[np.pi + 0.02, -0.01, 0.005, -0.003], [0.01, 0.02, -0.004, 0.002]]
     handed = [
@@ -835,7 +839,7 @@ def test_constant_path_needs_autonomous_h_on_power_of_two_grid(n_grid, potential
     spec = hamiltonian_from_config(potential)
     z0 = constant_field(n_grid, [1.0, 2.0, 0.0, 0.0], "z")
     assert not _takes_constant_path(spec, z0)
-    if spec.time_dependent:
+    if spec.potential.time_dependent:
         # the full-grid flow leaves the constants at once
         result = flow_to_solution(z0, spec, s_max=0.1)
         assert sobolev_seminorm(result.Z, 1) > 1e-6

@@ -2,7 +2,8 @@
 
 Hypothesis draws a subcommand, options from its parser's own actions with
 boundary values, and small JSON configs whose potentials hold fractional,
-huge and empty frequency arrays.  Each run is `cli.main(argv + ["--dry-run"])`
+huge and empty frequency arrays, and integers on both sides of the run's
+bound of 512.  Each run is `cli.main(argv + ["--dry-run"])`
 in process with every warning an error.  Each `--jobs` value drawn is
 either within its cap or one the dry run rejects, and a dry run starts no
 worker either way.
@@ -32,7 +33,7 @@ SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._
 
 frequency = st.one_of(
     st.integers(-3, 3),
-    st.sampled_from([0.5, -1.25, 2.5e-8, 1e150, 1e300, float(2**63), -1e300]),
+    st.sampled_from([300, 511, -511, 512, 0.5, -1.25, 2.5e-8, 1e150, 1e300, float(2**63), -1e300]),
 )
 pair = st.lists(frequency, min_size=2, max_size=2)  # the shape of a frequency at n = 1
 frequencies = st.one_of(

@@ -12,6 +12,7 @@ import pytest
 from torusfloer import hamiltonians
 from torusfloer.floer import action
 from torusfloer.hamiltonians import (
+    CustomPotential,
     HamiltonianError,
     HamiltonianSpec,
     LagrangianSpec,
@@ -121,7 +122,7 @@ def test_gradient_validation_catches_mismatch():
         return 2.0 * pot.grad(t1, t2, z)
 
     with pytest.raises(HamiltonianError, match="finite differences"):
-        HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=broken_grad)
+        CustomPotential(n_pairs=1, h=pot.value, grad_h=broken_grad)
 
 
 @pytest.mark.parametrize(
@@ -147,31 +148,25 @@ def test_a_run_bounds_each_frequency_below_max_frequency(cfg, name, bound):
     hamiltonians.check_run_potential(nonlinearity_from_config({"kind": "zero", "n_pairs": 2}))
 
 
-def test_only_the_callables_of_one_built_in_take_its_fused_shortcut():
-    pot, twin = TrigPotential(0.1, [[1, 0], [0, 1]]), TrigPotential(0.1, [[1, 0], [0, 1]])
+def test_only_a_built_in_potential_takes_the_fused_shortcut():
+    pot = TrigPotential(0.1, [[1, 0], [0, 1]])
     z = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4, 4))  # |p|^2 <= 2 < rho - 1
-    fused = cutoff_terms(HamiltonianSpec(n_pairs=1, h=pot.value, grad_h=pot.grad, rho=4.0), 0.0, 0.0, z)
+    fused = cutoff_terms(HamiltonianSpec(pot, rho=4.0), 0.0, 0.0, z)
     assert fused.p_grad_zero
-    mixed = (
-        (pot.value, twin.grad),
-        (pot.value, lambda t1, t2, z: pot.grad(t1, t2, z)),
-        (lambda t1, t2, z: pot.value(t1, t2, z), pot.grad),
-    )
-    for h, grad_h in mixed:  # the full evaluation, which rounds to the same bits here
-        terms = cutoff_terms(HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, rho=4.0), 0.0, 0.0, z)
-        assert not terms.p_grad_zero
-        assert terms.h.tobytes() == fused.h.tobytes() and terms.grad.tobytes() == fused.grad.tobytes()
+    # the same formula as a custom potential takes the full evaluation, which rounds to the same bits here
+    terms = cutoff_terms(HamiltonianSpec(CustomPotential(1, pot.value, pot.grad), rho=4.0), 0.0, 0.0, z)
+    assert not terms.p_grad_zero
+    assert terms.h.tobytes() == fused.h.tobytes() and terms.grad.tobytes() == fused.grad.tobytes()
 
 
 def test_per_spec_facts_are_decided_once_and_pickle():
-    """built_in and has_cutoff are kept beside the frozen fields, and a pickled spec (--jobs N) keeps them right."""
+    """has_cutoff is kept beside the frozen fields, and a pickled spec (--jobs N) keeps it and its potential."""
     spec = trig_spec(rho=4.0)
-    assert spec.built_in is spec.h.__self__ and spec.has_cutoff and not trig_spec().has_cutoff
-    assert {"built_in", "has_cutoff"} <= set(vars(spec))
+    assert spec.potential.built_in and spec.has_cutoff and not trig_spec().has_cutoff
+    assert "has_cutoff" in vars(spec)
     copy = pickle.loads(pickle.dumps(spec))
-    assert copy.built_in is copy.h.__self__ and copy.has_cutoff
-    custom = HamiltonianSpec(n_pairs=1, h=lambda t1, t2, z: spec.h(t1, t2, z), grad_h=spec.grad_h)
-    assert custom.built_in is None
+    assert copy.has_cutoff and type(copy.potential) is TrigPotential
+    assert copy.potential.modes.tobytes() == spec.potential.modes.tobytes()
 
 
 def test_time_dependence_must_be_declared():
@@ -184,8 +179,8 @@ def test_time_dependence_must_be_declared():
         return out
 
     with pytest.raises(HamiltonianError, match="time_dependent"):
-        HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h)
-    assert HamiltonianSpec(n_pairs=1, h=h, grad_h=grad_h, time_dependent=True).time_dependent
+        CustomPotential(n_pairs=1, h=h, grad_h=grad_h)
+    assert CustomPotential(n_pairs=1, h=h, grad_h=grad_h, time_dependent=True).time_dependent
 
 
 def test_cutoff_consistency_inside_support(rng):
@@ -329,13 +324,13 @@ def test_hofer_samples_every_q_with_every_p(monkeypatch, potential, kwargs):
     seen, seen_by_h = [], []
     h_tilde = hamiltonians.h_tilde
     monkeypatch.setattr(hamiltonians, "h_tilde", lambda spec, t1, t2, z: seen.append(z) or h_tilde(spec, t1, t2, z))
-    kind = type(spec.built_in)
+    kind = type(spec.potential)
     evaluate = kind.evaluate
     monkeypatch.setattr(kind, "evaluate", lambda pot, t1, t2, z, *a: seen_by_h.append(z) or evaluate(pot, t1, t2, z, *a))
     est = hofer_norm(spec, **kwargs)
     monkeypatch.undo()
     qs, zs = _hofer_samples(spec, est)
-    if spec.time_dependent:
+    if spec.potential.time_dependent:
         assert np.concatenate([z.reshape(-1, 4) for z in seen]).tobytes() == zs.tobytes()
         t1, t2 = grid_points(kwargs["t_points"])
         vals = hamiltonians.h_tilde(spec, t1.reshape(-1, 1), t2.reshape(-1, 1), zs[None])
@@ -409,7 +404,7 @@ def test_hofer_samples_a_custom_h_at_every_p(monkeypatch):
         grad[..., 2] = np.cos(z[..., 0])
         return grad
 
-    spec = HamiltonianSpec(1, h, grad_h, rho=4.0)
+    spec = HamiltonianSpec(CustomPotential(1, h, grad_h), rho=4.0)
     seen = []
     h_tilde = hamiltonians.h_tilde
     monkeypatch.setattr(hamiltonians, "h_tilde", lambda spec, t1, t2, z: seen.append(z) or h_tilde(spec, t1, t2, z))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from torusfloer import floer
 from torusfloer.floer import _FlowGrid, _propagator, action, mu_max
 from torusfloer.hamiltonians import (
+    NONLINEARITY_KINDS,
     TrigPotential,
     component_sum,
     cutoff_terms,
@@ -41,7 +42,7 @@ from torusfloer.spectral import (
     random_band_limited,
     sobolev_norm,
 )
-from torusfloer.structures import compatible_triple, random_regularized_pair, standard_structures
+from torusfloer.structures import central_difference, compatible_triple, random_regularized_pair, standard_structures
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 TRIPLE = standard_structures(1)
@@ -465,6 +466,43 @@ def test_joint_evaluation_has_the_bits_of_value_and_grad(k, seed, side, scale):
         assert _bits(grad) == _bits(pot.grad(t1, t2, zz))
 
 
+@st.composite
+def built_in_configs(draw):
+    """A config of each built-in kind at n = 1 or 2, with a drawn epsilon and integer frequencies of magnitude up to 511."""
+    n = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(NONLINEARITY_KINDS))
+    if kind == "zero":
+        return {"kind": kind, "n_pairs": n}
+    frequency = st.integers(-511, 511)
+    q_mode = st.lists(frequency, min_size=2 * n, max_size=2 * n)
+    cfg = {"kind": kind, "epsilon": draw(st.floats(-10.0, 10.0, allow_subnormal=False))}
+    if kind == "trig_potential":
+        return {**cfg, "modes": draw(st.lists(q_mode, min_size=1, max_size=3))}
+    return {**cfg, "t_mode": draw(st.lists(frequency, min_size=2, max_size=2)), "q_mode": draw(q_mode)}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(cfg=built_in_configs(), seed=st.integers(0, 2**32 - 1))
+def test_built_in_gradients_match_central_differences(cfg, seed):
+    """Each built-in kind's gradient against central differences of its value, at every run-accepted frequency.
+
+    Runs take no finite-difference test of a built-in; this is its test.  The step is 1e-5 / max(1, max|a|),
+    a phase step of at most 1e-5, so the truncation error stays near (1e-5)^2 / 6 of |grad h|'s bound
+    |epsilon| sum max(1, |a|); the tolerance is 1e-6 of that bound, and the p gradient is 0.
+    """
+    pot = nonlinearity_from_config(cfg)
+    modes = np.atleast_2d(np.asarray(cfg.get("modes", cfg.get("q_mode", [0.0])), dtype=float))
+    step = 1e-5 / max(1.0, float(np.max(np.abs(modes))))
+    bound = abs(cfg.get("epsilon", 0.0)) * float(np.sum(np.maximum(1.0, np.linalg.norm(modes, axis=1))))
+    rng = np.random.default_rng(seed)
+    t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    for z in rng.uniform(-np.pi, np.pi, size=(4, 4 * pot.n_pairs)):
+        fd = central_difference(lambda zz: pot.value(t1, t2, zz), z, step)
+        grad = pot.grad(t1, t2, z)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * bound, (cfg, z)
+        assert not grad[2 * pot.n_pairs :].any()
+
+
 def _major(x):
     """Whether x is the (N, N', k) grid view of C-contiguous component planes, and not C-ordered itself."""
     return x.ndim == 3 and not x.flags.c_contiguous and x.transpose(2, 0, 1).flags.c_contiguous
@@ -687,7 +725,7 @@ def test_two_point_rows_evaluate_like_the_full_grid(k, rho, n, seeds, seed):
             ref = cutoff_terms(spec, t1, t2, zz)
             for got, want in zip(row[:3], ref[:3]):
                 assert _bits(got[b]) == _bits(want[0, : floer.CONSTANT_ROW])
-                if not spec.time_dependent:  # a constant state of an autonomous h: one value everywhere
+                if not spec.potential.time_dependent:  # a constant state of an autonomous h: one value everywhere
                     assert _bits(want) == _bits(np.broadcast_to(want[:1, :1], want.shape))
 
 

@@ -25,7 +25,7 @@ from torusfloer.floer import (
     polish_constants,
     polish_level,
 )
-from torusfloer.hamiltonians import HamiltonianSpec, hamiltonian_from_config
+from torusfloer.hamiltonians import hamiltonian_from_config
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
@@ -104,15 +104,6 @@ def test_config_default_rho():
     assert config.build_spec().rho == pytest.approx(4.0 + 4.0 * 0.6)
     explicit = ExperimentConfig(**{**FAST_TRIG, "rho": 5.0})
     assert explicit.build_spec().rho == 5.0
-
-
-@pytest.mark.parametrize("rho", [None, 5.0])
-def test_verify_count_checks_the_gradient_once(monkeypatch, rho):
-    calls = []
-    check = HamiltonianSpec._validate_gradient
-    monkeypatch.setattr(HamiltonianSpec, "_validate_gradient", lambda spec: calls.append(spec) or check(spec))
-    verify_count(ExperimentConfig(**{**FAST_TRIG, "rho": rho, "lattice_per_dim": 1, "random_starts": 1}))
-    assert len(calls) == 1
 
 
 def _counting_build_spec(monkeypatch) -> list:
@@ -380,7 +371,7 @@ def test_row_path_of_records_and_dedup_has_the_bits_of_the_field_path(n, n_pairs
         # the field path's action is taken for the records without a row, and for every one of a time-dependent h
         index_of = {id(result.Z): i for i, result in results}
         called = sorted(index_of[id(call.args[1])] for call in spy.call_args_list)
-        assert called == [i for i, e in enumerate(exact) if not e or spec.time_dependent]
+        assert called == [i for i, e in enumerate(exact) if not e or spec.potential.time_dependent]
         assert [_record_bits(r) for r in records] == [_record_bits(r) for r in alone]
         fields_only = [r._replace(row=None) for r in records]
         pairs = [(i, j) for i in range(len(records)) for j in range(i + 1, len(records))]

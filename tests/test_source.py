@@ -30,8 +30,8 @@ DATACLASS_ALLOWED = {
     "structures.StructureTriple": "validates and freezes its matrices in __post_init__",
     "structures.CurrentSample": "validates its shapes in __post_init__",
     "floer.BetaProfile": "validates r and k in __post_init__",
-    "hamiltonians.HamiltonianSpec": "takes the InitVar check_gradient, validates in __post_init__, holds "
-    "cached_properties and has its fields pinned by test_knob_census",
+    "hamiltonians.HamiltonianSpec": "validates n_pairs and rho in __post_init__, holds the cached_property "
+    "has_cutoff and has its fields pinned by test_knob_census",
     "hamiltonians.LagrangianSpec": "takes the InitVar check_convexity and validates in __post_init__",
     "runner.ExperimentConfig": "validates in __post_init__, holds the cached_property spec and has its fields "
     "pinned by test_knob_census",
