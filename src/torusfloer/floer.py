@@ -66,7 +66,9 @@ DEFAULT_S_MAX = 1e3
 MONOTONE_SLACK = 1e-12
 DS_MIN = 1e-6  # floor of the step halving on a rising action
 RESIDUAL_BLOWUP = 1e6  # a residual this many times its start scale is a blow-up
-CHECK_EVERY = 10  # _flow's residual cadence: at N = 64 a residual costs about a step (242 vs 261 us), so +10 %
+# _flow's residual cadence: at N = 64, on one thread of a 2-vCPU Xeon host, a residual costs about a grid
+# step (232 vs 187 us) and a whole flow step about 650 us, so the checks add about 4 %
+CHECK_EVERY = 10
 # Constant seeds flow down to the residual `polish_level`, POLISH_FRACTION of the
 # largest residual of a constant state, then Newton takes over (`polish_constants`).
 # The residual of a constant (q, 0) is |grad h(q)|, so for every multiple epsilon h
@@ -350,22 +352,26 @@ def _grid(planes):
     return planes.transpose(1, 2, 0)
 
 
-def _rfft2(values):
-    """rfft2 over the grid axes of (N, N, k) values, transformed plane by plane.
+def _rfft2(values, out=None):
+    """np.fft.rfft2 over the grid axes of (N, N, k) values, transformed plane by plane, as its two 1-D transforms.
 
     The result follows the layout of values: for component-major values it
-    is the grid view of C-contiguous (k, N, N/2 + 1) planes.
+    is the grid view of C-contiguous (k, N, N/2 + 1) planes.  out, C-contiguous
+    (k, N, N/2 + 1) complex planes, takes them.  np.fft.rfft2 is rfft over
+    the last axis, then fft over the one before, each a 1-D call that takes
+    the out; calling them directly skips only its argument handling.
     """
-    return _grid(np.fft.rfft2(_planes(values), norm="forward"))
+    half = np.fft.rfft(_planes(values), axis=-1, norm="forward", out=out)
+    return _grid(np.fft.fft(half, axis=-2, norm="forward", out=out))
 
 
 def _irfft2(zhat, n_grid: int, out=None):
-    """The inverse of `_rfft2`; out, a grid view of C-contiguous planes, takes the values.
+    """The inverse of `_rfft2`: np.fft.irfftn over the grid axes, as its ifft over the first and irfft over the second.
 
-    np.fft.irfft2 is irfftn over the last two axes, but drops its out.
+    out, a grid view of C-contiguous planes, takes the values.
     """
-    planes = None if out is None else _planes(out)
-    return _grid(np.fft.irfftn(_planes(zhat), s=(n_grid, n_grid), axes=(-2, -1), norm="forward", out=planes))
+    planes = np.fft.ifft(_planes(zhat), axis=-2, norm="forward")
+    return _grid(np.fft.irfft(planes, n_grid, axis=-1, norm="forward", out=None if out is None else _planes(out)))
 
 
 def _times_planes(im, rows):
@@ -452,8 +458,9 @@ class _FlowGrid:
         # Parseval: each interior column of the half spectrum stands for m and -m
         cols = np.arange(self.im1.shape[1])
         self.parseval = np.where((cols == 0) | (cols == n // 2), 1.0, 2.0)[None, :, None]
-        # the transform of a +0.0 plane, signed zeros and all, for the p planes of a q-only gradient
-        self._zero_hat = None if constant else np.fft.rfft2(np.zeros((n, n)), norm="forward")
+        # ds times the transform of a +0.0 plane, for the p planes of a q-only gradient (`_rhs`): a
+        # complex product of signed zeros, whose signs are those of every step size in (0, 1)
+        self._zero_rhs = None if constant else np.full((1, 1, 1), 0.5) * _planes(_rfft2(np.zeros((n, n, 1))))
         self.start = start
         self.n_seeds = len(start[0]) if constant else 1
         self._prop = self._prop_key = None
@@ -504,19 +511,33 @@ class _FlowGrid:
             self._prop_key = key
         return self._prop
 
-    def _nonlinear_modes(self, terms, weight):
-        """The held modes of weight * grad h_tilde, from the gradient of the evaluation terms."""
+    def _rhs(self, zhat, terms, ds, weight):
+        """The right-hand side zhat + ds * (modes of weight * grad h_tilde) of a step, from the evaluation terms.
+
+        A weight of 0 gives zhat itself; a full grid's is otherwise a new array,
+        which takes the products and sums in place.  When the p planes of the
+        gradient are +0.0, only its q planes are transformed, and the p planes
+        of ds times their modes are the signed zeros `_zero_rhs`.
+        """
+        if weight == 0.0:
+            return zhat
         nl = terms.grad if weight == 1.0 else weight * terms.grad
+        step = ds[:, None, None]
         if self.constant:  # the (0, 0) coefficient of a constant field is its value
-            return nl[:, :1]
+            return zhat + step * nl[:, :1]
         if not (terms.p_grad_zero and 0.0 < weight < np.inf):
-            return _rfft2(nl)
+            rhs = _rfft2(nl)
+            np.multiply(step, rhs, out=rhs)
+            return np.add(zhat, rhs, out=rhs)
         # the p planes of nl are +0.0: only the q planes are transformed
         q = 2 * self.spec.n_pairs
-        nhat = np.empty((self.spec.dim, *self._zero_hat.shape), dtype=complex)
-        np.fft.rfft2(_planes(nl)[:q], norm="forward", out=nhat[:q])
-        nhat[q:] = self._zero_hat
-        return _grid(nhat)
+        rhs = np.empty((self.spec.dim, *self._zero_rhs.shape[1:]), dtype=complex)
+        hat, nhat = _planes(zhat), rhs[:q]
+        _rfft2(nl[..., :q], out=nhat)
+        np.multiply(step, nhat, out=nhat)
+        np.add(hat[:q], nhat, out=nhat)
+        np.add(hat[q:], self._zero_rhs, out=rhs[q:])
+        return _grid(rhs)
 
     def step(self, zhat, terms, ds, weight, out=None):
         """One implicit-explicit Euler update of the state with modes zhat and evaluation terms, seed i by ds[i].
@@ -530,7 +551,7 @@ class _FlowGrid:
         side row by row (`_apply_propagator`) and transforms back.
         """
         prop = self._propagators(ds)
-        rhs = zhat + ds[:, None, None] * self._nonlinear_modes(terms, weight) if weight != 0.0 else zhat
+        rhs = self._rhs(zhat, terms, ds, weight)
         vals_out, hat_out = (None, None) if out is None else out
         if self.constant:  # the diagonal propagator scales each value row onto every point
             new_vals = np.multiply(prop, rhs, out=vals_out)
@@ -571,8 +592,8 @@ class _FlowGrid:
         return grid_mean(self._by_seed(x), points)
 
     def mean_sq(self, x):
-        """Grid mean of the pointwise |x|^2, per seed."""
-        return self.mean(component_sum(x * x))
+        """Grid mean of the pointwise |x|^2, per seed; x, a temporary of the caller, is squared in place."""
+        return self.mean(component_sum(np.multiply(x, x, out=x)))
 
     def finite(self, vals):
         if not self.constant:  # over the component planes: a reshape of their grid view copies it
@@ -587,7 +608,9 @@ class _FlowGrid:
         pairing is formed only when some seed's mean is 0 or not finite,
         where +-0 - mean keeps a sign or NaN bits that -mean would not.
         """
-        mean = self.mean(0.5 * terms.p_sq + weight * terms.h)
+        density = 0.5 * terms.p_sq
+        density += terms.h if isinstance(weight, float) and weight == 1.0 else weight * terms.h  # 1.0 * h is h
+        mean = self.mean(density)
         if self.constant and np.all(np.isfinite(mean) & (mean != 0.0)):
             return -mean
         zhat = np.asarray(zhat, dtype=complex)  # a constant grid's real modes, as the full grid holds them
@@ -597,8 +620,7 @@ class _FlowGrid:
         va = self.im1 * qa + self.im2 * qb
         vb = self.im1 * qb - self.im2 * qa
         pairing = self.parseval * (np.conj(pa) * va + np.conj(pb) * vb).real
-        pairing = np.add.reduce(self._by_seed(pairing), axis=1)
-        return pairing - mean
+        return np.add.reduce(self._by_seed(pairing), axis=1) - mean
 
     def max_p_sq(self, terms):
         return np.maximum.reduce(self._by_seed(terms.p_sq), axis=1)
@@ -817,6 +839,7 @@ def _flow(grid, tol, s_max, ds, stop=None):
     energy_cum = np.zeros(grid.n_seeds)
     n_halvings = np.zeros(grid.n_seeds, dtype=int)
     n_steps = 0
+    escape_p_sq = grid.spec.escape_p_sq
     vals, zhat = grid.start
     # one evaluation per state, with h, read by its step, action, max|p|^2 and residual
     terms = grid.evaluate(vals)
@@ -859,12 +882,16 @@ def _flow(grid, tol, s_max, ds, stop=None):
             break
 
         new_vals, new_hat = grid.step(zhat, terms, ds, 1.0)
-        finite = grid.finite(new_vals)
+        # |d_s Z|^2 ds of the step: not finite where the new state is not, so a finite one needs no other check
+        increment = grid.mean_sq(new_vals - vals) / ds
+        finite = np.isfinite(increment)
         if not finite.all():
-            finished = ~finite
-            for i in np.flatnonzero(finished):
-                finish(i, grid.field(vals, i), False, True, "non-finite state")
-            continue
+            finite = grid.finite(new_vals)
+            if not finite.all():
+                finished = ~finite
+                for i in np.flatnonzero(finished):
+                    finish(i, grid.field(vals, i), False, True, "non-finite state")
+                continue
         new_terms = grid.evaluate(new_vals)
         new_act = grid.action(new_hat, new_terms, 1.0)
         rises = new_act > act + MONOTONE_SLACK * np.fmax(1.0, np.abs(act))
@@ -874,14 +901,15 @@ def _flow(grid, tol, s_max, ds, stop=None):
                 ds = np.where(halve, 0.5 * ds, ds)
                 n_halvings = n_halvings + halve
                 continue
-        dz = new_vals - vals
-        energy_cum = energy_cum + grid.mean_sq(dz) / ds
+        energy_cum = energy_cum + increment
         vals, zhat, terms, act = new_vals, new_hat, new_terms, new_act
         s = s + ds
         n_steps += 1
         max_p_sq = grid.max_p_sq(terms)
-        escaped = max_p_sq > grid.spec.escape_p_sq
-        exits = escaped | ~(s < s_max) | (n_steps > MAX_FLOW_STEPS)
+        escaped = max_p_sq > escape_p_sq
+        exits = escaped | (s >= s_max)  # s is a finite sum of steps, s_max a number > 0
+        if n_steps > MAX_FLOW_STEPS:
+            exits[:] = True
         if n_steps % CHECK_EVERY == 0:
             residual = grid.residual(vals, zhat, terms)
             exits |= ~(residual <= RESIDUAL_BLOWUP * residual_scale) | (residual < tol)  # NaN too

@@ -207,9 +207,6 @@ class _BuiltIn:
     def value(self, t1, t2, z):
         return self.evaluate(t1, t2, z, False, True)[0]
 
-    def grad(self, t1, t2, z):
-        return self.evaluate(t1, t2, z, True, False)[1]
-
 
 class ZeroNonlinearity(_BuiltIn):
     """h identically zero."""
@@ -249,9 +246,7 @@ class TrigPotential(_BuiltIn):
         grad_q = -self.epsilon * (np.sin(phases) @ self.modes) if with_grad else None
         if not with_h:
             return None, grad_q
-        cos_phases = np.cos(phases)
-        del phases  # freed before the sum, which holds its partial sums
-        return self.epsilon * component_sum(cos_phases), grad_q
+        return self.epsilon * component_sum(np.cos(phases, out=phases)), grad_q
 
 
 class TimeTrigPotential(_BuiltIn):

@@ -814,7 +814,11 @@ def test_runs_of_a_built_in_potential_take_no_finite_differences(tmp_path, monke
     assert run_cli(*[str(cfg) if arg == "<config>" else arg for arg in argv], "--out", str(tmp_path / "out")) == 0
     assert calls == []
     pot = hamiltonians.TrigPotential(0.1, [[1, 0], [0, 1]])
-    CustomPotential(1, pot.value, pot.grad)
+
+    def grad(t1, t2, z):
+        return pot.evaluate(t1, t2, z, True, False)[1]
+
+    CustomPotential(1, pot.value, grad)
     assert len(calls) == 5
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1006,3 +1008,101 @@ def test_a_halved_step_builds_one_more_propagator(monkeypatch):
     result = flow_to_solution(constant_field(16, [np.pi / 3, 0.0, 0.0, 0.0], "z"), spec, ds=0.09, s_max=40.0)
     assert result.n_halvings == 1
     assert builds == [(16, 0.09), (16, 0.045)]
+
+
+# ---------------------------------------------------------------------------
+# full-grid flow bytes
+
+
+def _perturbed(seed, n_grid, base, amplitude=0.01):
+    """A non-constant field: base plus a band-limited perturbation, which no constant grid takes."""
+    z = random_band_limited(np.random.default_rng(seed), n_grid, len(base), 2, amplitude, "z")
+    return TorusField(z.values + np.asarray(base, dtype=float), "z")
+
+
+def _trig(epsilon, modes, rho=4.0):
+    return hamiltonian_from_config({"kind": "trig_potential", "epsilon": epsilon, "modes": modes}, rho=rho)
+
+
+# case -> (spec, start field, flow keywords); each flow runs on the full grid
+FULL_GRID_FLOWS = {
+    "halved_n16": (
+        _trig(30.0, [[1, 0], [0, 1]], rho=np.inf), _perturbed(5, 16, [np.pi / 3, 0.0, 0.0, 0.0], 1e-3),
+        {"ds": 0.09, "s_max": 40.0},
+    ),
+    "cutoff_ramp_n32": (_trig(0.1, [[1, 0], [0, 1]]), _perturbed(7, 32, [1.0, 2.0, 1.0, 0.5]), {"ds": 0.02}),
+    "time_trig_n16": (
+        hamiltonian_from_config({"kind": "time_trig", "epsilon": 0.3, "t_mode": [1, 0], "q_mode": [1, 1]}, rho=4.0),
+        _perturbed(9, 16, [1.0, 2.0, 0.0, 0.0]), {"ds": 0.02},
+    ),
+    "n_pairs_2_n16": (
+        _trig(0.2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]), _perturbed(11, 16, [1.0, 2.0, 0.5, 3.0, 0, 0, 0, 0]),
+        {"ds": 0.02},
+    ),
+    # N = 12 is no power of two, so even a constant flows on the full grid
+    "converges_n12": (_trig(2.5, [[1, 0], [0, 1]]), constant_field(12, [2.5, 1.0, 0.0, 0.0], "z"), {"ds": 0.02}),
+}
+
+# sha256 of each flow's `flow_bytes` and `n_halvings`: its rows, field, residual, reason and counters
+FULL_GRID_FLOW_SHA256 = {
+    "converges_n12": "b43bd24cf0fe7c6e582c725f8f7d6e5de96d1a795c7719a3bbb619970591fb1c",
+    "cutoff_ramp_n32": "93ce89c8b48df4c9593b29cc9d86137075fb0849bc7818c15f35930afa869569",
+    "halved_n16": "9f790e8e11795b3535392d768411d48bb264734c6571921492e3871a681cf48c",
+    "n_pairs_2_n16": "fa3c4677b5a7e1b81854ae9343784f603db969827a7388a9a3204b3c798392a0",
+    "time_trig_n16": "9976bf964bfb81952b995b12f7f042beb41a4aa05f114cdde3cccbe060058dba",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_GRID_FLOWS))
+def test_full_grid_flows_keep_their_bytes(case):
+    """Small full-grid flows keep their bytes: a halved step, the cut-off ramp, a time-dependent h, n = 2, a converged one."""
+    spec, z0, kwargs = FULL_GRID_FLOWS[case]
+    assert floer.constant_start(spec, z0) is None
+    result = flow_to_solution(z0, spec, **kwargs)
+    rows = np.array(result.rows)
+    regime = {
+        "halved_n16": result.n_halvings == 1 and result.diverged,
+        "cutoff_ramp_n32": np.any((rows[:, 3] > spec.rho - 1.0) & (rows[:, 3] < spec.rho)) and result.diverged,
+        "time_trig_n16": result.diverged,
+        "n_pairs_2_n16": result.diverged,
+        "converges_n12": result.converged and result.n_steps % floer.CHECK_EVERY == 0,
+    }
+    assert regime[case], (result.reason, result.n_steps, result.n_halvings)
+    digest = hashlib.sha256()
+    for part in flow_bytes(result) + (result.n_halvings,):
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    assert digest.hexdigest() == FULL_GRID_FLOW_SHA256[case]
+
+
+def _count_transforms(monkeypatch):
+    """Calls of numpy's FFT functions by name, as floer makes them."""
+    counts = Counter()
+    names = ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "rfftn", "irfftn", "fft2", "ifft2", "fftn", "ifftn")
+    for name in names:
+
+        def counted(*args, _f=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "case, attempts, checks",
+    # 136 steps and one halving, residuals at the start, every CHECK_EVERY steps and at the escape;
+    # 32 steps, in the q-plane path and then on the cut-off ramp, which transforms every plane
+    [("halved_n16", 137, 15), ("cutoff_ramp_n32", 32, 5)],
+)
+def test_a_full_grid_step_transforms_once_each_way(monkeypatch, case, attempts, checks):
+    """A step attempt transforms the gradient forward once and the new state back once; a residual check
+    transforms back once more.  Each transform is two 1-D numpy calls, and setting up the grid transforms
+    the start field and a zero plane forward."""
+    spec, z0, kwargs = FULL_GRID_FLOWS[case]
+    residuals, residual_map = [], _FlowGrid.residual_map
+    monkeypatch.setattr(_FlowGrid, "residual_map", lambda *a, **k: residuals.append(1) or residual_map(*a, **k))
+    counts = _count_transforms(monkeypatch)
+    result = flow_to_solution(z0, spec, **kwargs)
+    assert (result.n_steps + result.n_halvings, len(residuals)) == (attempts, checks)
+    forward, inverse = 2 + attempts, attempts + checks
+    assert counts == {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}

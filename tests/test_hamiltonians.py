@@ -119,7 +119,7 @@ def test_gradient_validation_catches_mismatch():
     pot = TrigPotential(0.1, [[1, 0], [0, 1]])
 
     def broken_grad(t1, t2, z):
-        return 2.0 * pot.grad(t1, t2, z)
+        return 2.0 * pot.evaluate(t1, t2, z, True, False)[1]
 
     with pytest.raises(HamiltonianError, match="finite differences"):
         CustomPotential(n_pairs=1, h=pot.value, grad_h=broken_grad)
@@ -153,8 +153,12 @@ def test_only_a_built_in_potential_takes_the_fused_shortcut():
     z = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4, 4))  # |p|^2 <= 2 < rho - 1
     fused = cutoff_terms(HamiltonianSpec(pot, rho=4.0), 0.0, 0.0, z)
     assert fused.p_grad_zero
+
+    def grad(t1, t2, zz):
+        return pot.evaluate(t1, t2, zz, True, False)[1]
+
     # the same formula as a custom potential takes the full evaluation, which rounds to the same bits here
-    terms = cutoff_terms(HamiltonianSpec(CustomPotential(1, pot.value, pot.grad), rho=4.0), 0.0, 0.0, z)
+    terms = cutoff_terms(HamiltonianSpec(CustomPotential(1, pot.value, grad), rho=4.0), 0.0, 0.0, z)
     assert not terms.p_grad_zero
     assert terms.h.tobytes() == fused.h.tobytes() and terms.grad.tobytes() == fused.grad.tobytes()
 
@@ -497,7 +501,7 @@ def test_quadratic_lagrangian_has_the_bits_of_the_zero_padded_evaluation(potenti
         z = np.zeros(shape[:-1] + (2 * dim_q,))  # the reference: q padded with p = 0
         z[..., :dim_q] = q
         value = 0.5 * np.sum(v * v, axis=-1) - pot.value(s1, s2, z)
-        q_grad = -pot.grad(s1, s2, z)[..., :dim_q]
+        q_grad = -pot.evaluate(s1, s2, z, True, False)[1][..., :dim_q]
         got = (np.asarray(lag.lagrangian(s1, s2, q, v)), np.asarray(lag.q_grad(s1, s2, q, v)))
         assert [(x.shape, x.tobytes()) for x in got] == [(x.shape, x.tobytes()) for x in (value, q_grad)]
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusfloer import floer
@@ -285,6 +285,61 @@ def _component_major(z):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
 
 
+# values that a transform carries through to its output bytes: signed zeros, subnormals, huge values, inf and NaN
+TRANSFORM_SPECIALS = (0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e308, -1e300, np.inf, -np.inf, np.nan)
+
+
+def _with_specials(rng, shape, count):
+    """Normal values of many scales with count entries set to TRANSFORM_SPECIALS."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    x.reshape(-1)[rng.integers(0, x.size, count)] = rng.choice(TRANSFORM_SPECIALS, count)
+    return x
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    n=st.integers(8, 128),
+    k=st.integers(1, 4),
+    major=st.booleans(),
+    count=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=57, k=4, major=False, count=3, seed=27405348)  # NaN output whose sign depends on the layout
+def test_grid_transforms_have_the_bytes_of_numpy_2d_transforms(n, k, major, count, seed):
+    """_rfft2 and _irfft2, two 1-D numpy calls each, give the raw bytes of np.fft.rfft2 and np.fft.irfftn.
+
+    Over the grid axes of C-ordered or component-major (N, N, k) values, N odd
+    and even, and into an out of C-contiguous planes, which numpy takes as
+    well.  With NaN among the values the bytes of numpy's transforms depend on
+    the layout of their input and output, so each call is compared with
+    numpy's on the same arrays.
+    """
+    rng = np.random.default_rng(seed)
+    values = _with_specials(rng, (n, n, k), count)
+    zhat = np.empty((n, n // 2 + 1, k), dtype=complex)
+    zhat.real, zhat.imag = (_with_specials(rng, zhat.shape, count) for _ in range(2))
+    if major:
+        values, zhat = _component_major(values), _component_major(zhat)
+    hat_planes, val_planes = (k, n, n // 2 + 1), (k, n, n)
+    with np.errstate(all="ignore"):
+        pairs = {
+            "rfft2": (floer._rfft2(values), np.fft.rfft2(values, axes=(0, 1), norm="forward")),
+            "irfftn": (floer._irfft2(zhat, n), np.fft.irfftn(zhat, s=(n, n), axes=(0, 1), norm="forward")),
+            "rfft2 out": (
+                floer._rfft2(values, out=np.empty(hat_planes, dtype=complex)),
+                np.fft.rfft2(values.transpose(2, 0, 1), norm="forward", out=np.empty(hat_planes, dtype=complex))
+                .transpose(1, 2, 0),
+            ),
+            "irfftn out": (
+                floer._irfft2(zhat, n, out=np.empty(val_planes).transpose(1, 2, 0)),
+                np.fft.irfftn(zhat.transpose(2, 0, 1), s=(n, n), axes=(-2, -1), norm="forward",
+                              out=np.empty(val_planes)).transpose(1, 2, 0),
+            ),
+        }
+    for name, (got, ref) in pairs.items():
+        assert _bits(got) == _bits(ref), name
+
+
 def _fused_inputs(rng, spec, points):
     """points random states and torus times; with finite rho the first point inside the cut-off shell."""
     z = rng.uniform(-np.pi, np.pi, size=(points, 4))
@@ -463,7 +518,7 @@ def test_joint_evaluation_has_the_bits_of_value_and_grad(k, seed, side, scale):
     for zz in (z, _component_major(z)):
         h, grad = pot.evaluate(t1, t2, zz, True, True)
         assert _bits(h) == _bits(pot.value(t1, t2, zz))
-        assert _bits(grad) == _bits(pot.grad(t1, t2, zz))
+        assert _bits(grad) == _bits(pot.evaluate(t1, t2, zz, True, False)[1])
 
 
 @st.composite
@@ -498,7 +553,7 @@ def test_built_in_gradients_match_central_differences(cfg, seed):
     t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     for z in rng.uniform(-np.pi, np.pi, size=(4, 4 * pot.n_pairs)):
         fd = central_difference(lambda zz: pot.value(t1, t2, zz), z, step)
-        grad = pot.grad(t1, t2, z)
+        grad = pot.evaluate(t1, t2, z, True, False)[1]
         assert np.max(np.abs(grad - fd)) <= 1e-6 * bound, (cfg, z)
         assert not grad[2 * pot.n_pairs :].any()
 
@@ -619,8 +674,9 @@ def _parent_step(grid, pot, vals, zhat, ds, weight):
     rho=st.sampled_from([4.0, np.inf]),
     half=st.integers(4, 40),
     seed=st.integers(0, 2**32 - 1),
+    frac=st.sampled_from([0.5, 1e-6, 0.99]),
 )
-def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half, seed):
+def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half, seed, frac):
     n, pot = 2 * half, BUILT_IN_POTENTIALS[k]
     spec = hamiltonian_from_config(pot, rho=rho)
     rng = np.random.default_rng(seed)
@@ -628,14 +684,14 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
     z = z + 1e-3 * rng.standard_normal(z.shape)
     z /= max(1.0, np.sqrt(np.max(np.sum(z[..., spec.dim // 2 :] ** 2, axis=-1))))  # |p|^2 <= 1 < rho - 1
     grid = _FlowGrid(spec, _structures(spec.n_pairs, False), TorusField(z, "z"))
-    ds = np.full(1, 0.5 / mu_max(n))
+    ds = np.full(1, frac / mu_max(n))
     vals, zhat = ref_vals, ref_hat = grid.start
     assert grid.evaluate(vals).p_grad_zero  # the first step takes the q-plane path; later ones may leave it
     for weight in (1.0, 0.37, 1.0):
         ref_grad = _separate_evaluations(pot, spec, grid.t1, grid.t2, vals)[2]
         terms = grid.evaluate(vals)
-        nhat = grid._nonlinear_modes(terms, weight)
-        assert _bits(nhat) == _bits(floer._rfft2(weight * ref_grad))
+        rhs = grid._rhs(zhat, terms, ds, weight)
+        assert _bits(rhs) == _bits(zhat + ds[:, None, None] * floer._rfft2(weight * ref_grad))
         vals, zhat = grid.step(zhat, terms, ds, weight)
         ref_vals, ref_hat = _parent_step(grid, pot, ref_vals, ref_hat, ds, weight)
         assert _bits(vals) == _bits(ref_vals)

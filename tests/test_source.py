@@ -49,8 +49,10 @@ def test_no_uncalled_helpers():
     A reference to a top-level name is a name load in its own module or a
     `from .module import name` in another one, the package's exports in
     __init__ included.  A reference to a method or property is a load of its
-    name as an attribute.  Either counts only outside the definition's own
-    body.  Dunder methods are left out: Python calls them.
+    name as an attribute, on any object: a load of another attribute with the
+    same name, such as a NamedTuple field, counts as a call too.  Either
+    counts only outside the definition's own body.  Dunder methods are left
+    out: Python calls them.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     imported = {
