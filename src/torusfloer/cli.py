@@ -662,17 +662,17 @@ SUBCOMMANDS = {
 
 
 def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given a subcommand name, only that subcommand gets its arguments.
+    """The command-line parser; given a subcommand name, it holds only that subcommand.
 
-    Every subcommand is registered by name and help either way, so the
-    parser reads that subcommand's command lines as the full parser does.
+    It reads that subcommand's command lines as the full parser does, since
+    a usage error is one line without the usage that lists the subcommands.
     """
     parser = _Parser(prog="torusfloer", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if subcommand in (None, name):
+            p = sub.add_parser(name, help=help_text)
             p.add_argument("--out", default=None, help="output directory")
             p.add_argument("--dry-run", action="store_true")
             p.set_defaults(step_regime=None, constant_step_regime=None)

@@ -106,6 +106,7 @@ NEWTON_FD_STEP = 2.0**-17  # central-difference step of the Jacobian
 # numpy sends the potentials' matrix products to gemv, which rounds unlike the gemm
 # of the full grid; two points keep a matrix product, and the full grid's bits.
 CONSTANT_ROW = 2
+_PLUS_ZERO = np.broadcast_to(0.0, ())  # +0.0, read-only and 0-d: numpy converts a Python float on every call
 # numpy sums a contiguous array pairwise in blocks of up to 128 terms and halves a
 # longer one on a multiple of 8, so N^2 >= 256 equal values of a power-of-two grid sum
 # to the sum of 128 of them times N^2 / 128: exact doublings, overflow included.
@@ -333,8 +334,9 @@ def constant_start(spec: HamiltonianSpec, Z: TorusField):
 
 
 def _constant_state(z):
-    """Constant-grid (vals, zhat) of constant states z, one (4n,) row per seed: CONSTANT_ROW points, (0, 0) mode."""
-    return np.repeat(z[:, None], CONSTANT_ROW, axis=1), z[:, None]
+    """Constant-grid (vals, zhat) of constant states z, one (4n,) row per seed: CONSTANT_ROW points, their own modes."""
+    vals = np.repeat(z[:, None], CONSTANT_ROW, axis=1)
+    return vals, vals
 
 
 def _take(keep, vals, zhat, terms):
@@ -403,8 +405,8 @@ class _FlowGrid:
     A constant grid flows B exactly constant states of an autonomous h
     (`constant_start`) on their (0, 0) blocks alone, one seed per row: vals
     is (B, CONSTANT_ROW, 4n), each seed's value on the first two points of
-    a grid row, on which the pointwise functions run, and zhat is the real
-    (B, 1, 4n) value rows, the (0, 0) modes, which a step scales by the
+    a grid row, on which the pointwise functions run; a constant field's
+    (0, 0) mode is its value, so vals are the modes zhat, which a step scales by the
     diagonal (0, 0) propagator (`_propagators`).  Two points, not one, keep
     every matrix product of a potential a matrix product: numpy computes a
     one-row product as a matrix-vector product, which rounds unlike the
@@ -463,7 +465,7 @@ class _FlowGrid:
         self._zero_rhs = None if constant else np.full((1, 1, 1), 0.5) * _planes(_rfft2(np.zeros((n, n, 1))))
         self.start = start
         self.n_seeds = len(start[0]) if constant else 1
-        self._prop = self._prop_key = None
+        self._prop = self._step = self._prop_key = None
 
     def evaluate(self, vals, with_h: bool = True) -> CutoffTerms:
         """The pointwise evaluation of the nonlinearity at vals (`cutoff_terms`).
@@ -474,57 +476,61 @@ class _FlowGrid:
         return cutoff_terms(self.spec, self.t1, self.t2, vals, with_h=with_h)
 
     def buffer(self, size: int):
-        """Empty (vals, modes) buffers of size states, whose state j is `held` (buf, j).
+        """Empty (vals, modes) buffers of size states, whose state j is `held` (vals, modes, j).
 
         A constant grid's states are rows of one (size, CONSTANT_ROW, 4n)
-        array, and each one's modes are a view of its first point.  A full
-        grid's are component-major grid views of (size, 4n, N, N) and
-        (size, 4n, N, N/2 + 1) planes, the layout its step gives.
+        array, which holds their modes too.  A full grid's are component-major
+        grid views of (size, 4n, N, N) and (size, 4n, N, N/2 + 1) planes, the
+        layout its step gives.
         """
         if self.constant:
             vals = np.empty((size, CONSTANT_ROW, self.spec.dim))
-            return vals, vals[:, :1]
+            return vals, vals
         planes = (self.spec.dim, self.n, self.n)
         hat_planes = (self.spec.dim, *self.im1.shape[:2])
         vals = np.empty((size, *planes)).transpose(0, 2, 3, 1)
         return vals, np.empty((size, *hat_planes), dtype=complex).transpose(0, 2, 3, 1)
 
-    def held(self, buf, j: int, count: int = 1):
-        """States j .. j + count - 1 of a `buffer` as one state of the grid: count seeds of a constant
-        grid, and the one state a full grid holds (count 1)."""
-        return buf[j : j + count] if self.constant else buf[j]
+    def held(self, buf, hats, j: int, count: int = 1):
+        """States j .. j + count - 1 of the `buffer` (buf, hats) as one state (vals, zhat) of the grid: count
+        seeds of a constant grid, whose values are their modes, and the one state a full grid holds (count 1)."""
+        vals = buf[j : j + count] if self.constant else buf[j]
+        return vals, (vals if self.constant else hats[j])
 
     def _propagators(self, ds):
         """The propagator of the step sizes ds last seen, the shared (4n, 4n, N, N/2 + 1) `_half_spectrum_propagator`;
         on a constant grid, per seed, diag(1, 1/(1 - ds)) as (B, CONSTANT_ROW, 4n): the closed form of the
         exact inverse of Id + ds L(0), L(0) = -P (`structures.mode_operator`), which needs no matrix inverse.
+        `_step` holds ds in the shape it multiplies a gradient in, a constant grid's propagator's: numpy
+        broadcasts a (B, 1, 1) factor at more cost than a product of a few seeds.
         A full grid's step sizes are checked by `check_step`, a constant grid's by their own regime, 0 < ds < 1."""
         key = ds.tobytes()
         if key != self._prop_key:
             if not self.constant:
                 self._prop = _half_spectrum_propagator(self.n, float(ds[0]), self.triple)
+                self._step = ds[:, None, None]
             else:
                 for d in (ds.min(), ds.max()):  # the step regime is an interval
                     _check_unit_step(float(d))
                 self._prop = np.ones((len(ds), CONSTANT_ROW, self.spec.dim))
                 self._prop[:, :, 2 * self.spec.n_pairs :] = (1.0 / (1.0 - ds))[:, None, None]
+                self._step = np.repeat(ds, CONSTANT_ROW * self.spec.dim).reshape(self._prop.shape)
             self._prop_key = key
         return self._prop
 
-    def _rhs(self, zhat, terms, ds, weight):
+    def _rhs(self, zhat, terms, step, weight):
         """The right-hand side zhat + ds * (modes of weight * grad h_tilde) of a step, from the evaluation terms.
 
-        A weight of 0 gives zhat itself; a full grid's is otherwise a new array,
-        which takes the products and sums in place.  When the p planes of the
+        step is `_propagators`' ds.  A weight of 0 gives zhat itself, else a new array.  A constant grid's
+        gradient values are its modes, as its state's are.  When the p planes of the
         gradient are +0.0, only its q planes are transformed, and the p planes
         of ds times their modes are the signed zeros `_zero_rhs`.
         """
         if weight == 0.0:
             return zhat
         nl = terms.grad if weight == 1.0 else weight * terms.grad
-        step = ds[:, None, None]
-        if self.constant:  # the (0, 0) coefficient of a constant field is its value
-            return zhat + step * nl[:, :1]
+        if self.constant:
+            return zhat + step * nl
         if not (terms.p_grad_zero and 0.0 < weight < np.inf):
             rhs = _rfft2(nl)
             np.multiply(step, rhs, out=rhs)
@@ -543,20 +549,20 @@ class _FlowGrid:
         """One implicit-explicit Euler update of the state with modes zhat and evaluation terms, seed i by ds[i].
 
         A weight of 0 reads no evaluation: terms may be None.  Returns
-        C-contiguous vals and their first point as the modes on a constant
-        grid, component-major ones on a full grid.  out, a state of a
-        `buffer` as (vals, modes), takes the new state in place.  A constant
-        grid scales its value rows by the diagonal propagator; a full grid
-        applies its propagator to the component planes of the right-hand
-        side row by row (`_apply_propagator`) and transforms back.
+        C-contiguous vals, which are also the modes, on a constant grid, and
+        component-major ones on a full grid.  out, a state of a `buffer` as
+        (vals, modes), takes the new state in place.  A constant grid scales
+        its values by the diagonal propagator; a full grid applies its
+        propagator to the component planes of the right-hand side row by row
+        (`_apply_propagator`) and transforms back.
         """
         prop = self._propagators(ds)
-        rhs = self._rhs(zhat, terms, ds, weight)
+        rhs = self._rhs(zhat, terms, self._step, weight)
         vals_out, hat_out = (None, None) if out is None else out
-        if self.constant:  # the diagonal propagator scales each value row onto every point
+        if self.constant:
             new_vals = np.multiply(prop, rhs, out=vals_out)
-            new_vals += 0.0  # -0.0 to +0.0, as the full grid's inverse transform sums it
-            return new_vals, new_vals[:, :1]
+            new_vals += _PLUS_ZERO  # -0.0 to +0.0, as the full grid's inverse transform sums it
+            return new_vals, new_vals
         # C-contiguous planes in, C-contiguous planes out: from its first step on,
         # the C-ordered start state is component-major
         hat_planes = None if out is None else _planes(hat_out)
@@ -613,7 +619,7 @@ class _FlowGrid:
         mean = self.mean(density)
         if self.constant and np.all(np.isfinite(mean) & (mean != 0.0)):
             return -mean
-        zhat = np.asarray(zhat, dtype=complex)  # a constant grid's real modes, as the full grid holds them
+        zhat = np.asarray(zhat[:, :1] if self.constant else zhat, dtype=complex)  # one point's modes, as complex
         n = self.spec.n_pairs
         qa, qb = zhat[:, :, :n], zhat[:, :, n : 2 * n]
         pa, pb = zhat[:, :, 2 * n : 3 * n], zhat[:, :, 3 * n :]
@@ -1010,7 +1016,8 @@ def run_homotopy(
 
     A full grid evaluates each sample once, h included, for its step and
     its diagnostics.  A constant start's step evaluates the gradient alone
-    (`cutoff_terms`), h is evaluated once a block, and a stretch of zero
+    (`cutoff_terms`): the potential's formulas run once a weighted step, and
+    with h once a block and for each end residual.  A stretch of zero
     profile weight (the pads) takes no evaluation: it advances in one
     running product (`_FlowGrid.coast`).  A built-in h is evaluated without
     harm on a state that is not finite, so a constant start's steps run on
@@ -1032,9 +1039,8 @@ def run_homotopy(
     grid = _FlowGrid(spec, triple, Z0)
     block = HOMOTOPY_BLOCK if grid.constant else 1
     buf, hats = grid.buffer(block + 1)
-    vals, zhat = grid.start
-    grid.held(buf, 0)[...] = vals
-    grid.held(hats, 0)[...] = zhat
+    held_vals, held_hat = grid.held(buf, hats, 0)
+    held_vals[...], held_hat[...] = grid.start
     step = np.full(1, ds)
     weights = profile.value(svals)  # elementwise: each weight has the bits of a call at its s
     s_list, weight_list = svals.tolist(), weights.tolist()
@@ -1048,7 +1054,7 @@ def run_homotopy(
         moves = min(size, n_steps - first)  # the trajectory's last sample takes no step
         # a full grid evaluates its one sample once, h included, for its step and its diagnostics
         terms = None if grid.constant else grid.evaluate(buf[0])
-        vals, zhat = grid.held(buf, 0), grid.held(hats, 0)
+        vals, zhat = grid.held(buf, hats, 0)
         j = 0  # the steps of the block taken, then those to a finite state
         with np.errstate(all="ignore") if defer else contextlib.nullcontext():
             while j < moves:
@@ -1058,14 +1064,14 @@ def run_homotopy(
                     stop = min(weighted[nxt] if nxt < weighted.size else n_steps, first + moves) - first
                     grid.coast(buf[j : stop + 1], step)
                     j = stop
-                    vals, zhat = grid.held(buf, j), grid.held(hats, j)
+                    vals, zhat = grid.held(buf, hats, j)
                     continue
                 if grid.constant:
                     if not (defer or np.isfinite(vals).all()):
                         break
                     terms = grid.evaluate(vals, with_h=False)
                 j += 1
-                vals, zhat = grid.step(zhat, terms, step, weight_list[i], out=(grid.held(buf, j), grid.held(hats, j)))
+                vals, zhat = grid.step(zhat, terms, step, weight_list[i], out=grid.held(buf, hats, j))
         finite = np.isfinite(buf[1 : j + 1]).all(axis=tuple(range(1, buf.ndim)))
         if not finite.all():  # the step from sample first + j lost finiteness
             j = int(np.argmin(finite))
@@ -1073,14 +1079,14 @@ def run_homotopy(
         rows = slice(first, first + count)
         if grid.constant:
             terms = grid.evaluate(buf[:count])
-        act[rows] = grid.action(grid.held(hats, 0, count), terms, weights[rows, None])
+        act[rows] = grid.action(grid.held(buf, hats, 0, count)[1], terms, weights[rows, None])
         h_int[rows] = grid.mean(terms.h)
         max_p_sq[rows] = grid.max_p_sq(terms)
         if j:
             vsq[first : first + j] = grid.mean_sq(buf[1 : j + 1] - buf[:j]) / ds**2
         if snapshot_every is not None:
             for i in range(-(-first // snapshot_every) * snapshot_every, first + count, snapshot_every):
-                snapshots.append((s_list[i], grid.field(grid.held(buf, i - first))))
+                snapshots.append((s_list[i], grid.field(grid.held(buf, hats, i - first)[0])))
         escaped = np.flatnonzero(max_p_sq[rows] > spec.escape_p_sq)
         if escaped.size:
             last = int(escaped[0])
@@ -1099,7 +1105,7 @@ def run_homotopy(
 
     res_start, res_end = (
         grid.residual(v, z, grid.evaluate(v), h_weight=0.0).item()
-        for v, z in (grid.start, (grid.held(buf, last), grid.held(hats, last)))
+        for v, z in (grid.start, grid.held(buf, hats, last))
     )
     if snapshot_every is not None:
         del snapshots[end // snapshot_every + 1 :]

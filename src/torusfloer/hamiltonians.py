@@ -55,7 +55,7 @@ def component_sum(x: np.ndarray) -> np.ndarray:
     8 interleaved partial sums (up to 128 terms).  Adding whole component
     planes in that order rounds the same way, is faster than a reduction
     over a short axis, and reads contiguous planes of a component-major x.
-    Only the sign of a sum of negative zeros can differ.
+    Below 8 terms it starts from x[..., 0] + 0.0, so only the sign of a sum of -0.0s can differ (`square_sum`).
     """
     k = x.shape[-1]
     if k > 128:
@@ -76,6 +76,21 @@ def component_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def square_sum(x: np.ndarray) -> np.ndarray:
+    """component_sum(x * x) bit for bit, without its + 0.0 (a square is never -0.0): below 8 components, each
+    square in order on a 1-D column of x, which numpy steps through faster than a strided view of more axes."""
+    k = x.shape[-1]
+    if not 2 <= k < 8:
+        return component_sum(x * x)
+    cols = x.reshape(-1, k)
+    a, b = cols[:, 0], cols[:, 1]
+    out = a * a + b * b
+    for j in range(2, k):
+        a = cols[:, j]
+        out += a * a
+    return out.reshape(x.shape[:-1])
+
+
 # ---------------------------------------------------------------------------
 # cut-off profile; the switching profile of the flow is built from the same smoothstep
 
@@ -88,27 +103,24 @@ def smoothstep(u):
 
 
 def smoothstep_prime(u):
+    """6u(1 - u) for 0 < u < 1, else +0.0 (NaN too): selected from the product over the clipped u, unmasked."""
     u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    out = np.zeros_like(u)
-    uu = u[inside]
-    out[inside] = 6.0 * uu * (1.0 - uu)
-    return out
+    v = np.clip(u, 0.0, 1.0)
+    return np.where((u > 0.0) & (u < 1.0), 6.0 * v * (1.0 - v), 0.0)
+
+
+def _cutoff(x, rho: float):
+    """(u, chi(x)) for u = x - (rho - 1), where chi(x) = 1 - smoothstep(u) and chi'(x) = -smoothstep'(u); u is None
+    without a cut-off."""
+    if np.isinf(rho):
+        return None, np.ones_like(x)
+    u = x - (rho - 1.0)
+    return u, 1.0 - smoothstep(u)
 
 
 def chi_cutoff(x, rho: float):
     """1 for x <= rho - 1, 0 for x >= rho, the falling smoothstep in between."""
-    x = np.asarray(x, dtype=float)
-    if np.isinf(rho):
-        return np.ones_like(x)
-    return 1.0 - smoothstep(x - (rho - 1.0))
-
-
-def chi_cutoff_prime(x, rho: float):
-    x = np.asarray(x, dtype=float)
-    if np.isinf(rho):
-        return np.zeros_like(x)
-    return 0.0 - smoothstep_prime(x - (rho - 1.0))  # 0.0 -, not -: +0.0 outside the ramp
+    return _cutoff(np.asarray(x, dtype=float), rho)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +241,7 @@ class TrigPotential(_BuiltIn):
         if modes.shape[1] % 2 != 0:
             raise HamiltonianError("trig modes must have 2n components")
         self.epsilon = float(epsilon)
+        self._neg_epsilon = np.array(-self.epsilon)  # a 0-d array: numpy converts a Python float on every call
         self.modes = modes
         # against the transposed view numpy runs one small gemm per grid row
         self._modes_t = modes.T.copy()
@@ -243,7 +256,7 @@ class TrigPotential(_BuiltIn):
         # a one-row product is a matrix-vector product, which rounds by the layout of
         # the matrix: it keeps the transposed view; the rows of a matrix product do not
         phases = q @ (self._modes_t if q.ndim > 1 and q.shape[-2] > 1 else self.modes.T)
-        grad_q = -self.epsilon * (np.sin(phases) @ self.modes) if with_grad else None
+        grad_q = np.multiply(self._neg_epsilon, np.sin(phases) @ self.modes) if with_grad else None
         if not with_h:
             return None, grad_q
         return self.epsilon * component_sum(np.cos(phases, out=phases)), grad_q
@@ -445,25 +458,25 @@ def cutoff_terms(
     is not finite either: a step from it is not finite either way, and the
     flow stops at the same s.
 
-    Whether rho is finite is decided once per spec (`has_cutoff`).
+    Whether rho is finite is decided once per spec (`has_cutoff`); a NaN |p|^2 takes the cut-off (`_cutoff`).
     """
     z = np.asarray(z, dtype=float)
-    psq = component_sum(z[..., 2 * spec.n_pairs :] ** 2)
+    psq = square_sum(z[..., 2 * spec.n_pairs :])
     pot, cut = spec.potential, spec.has_cutoff
     identity = pot.built_in and (
         not cut or np.maximum.reduce(psq, axis=None, initial=-np.inf) <= spec.rho - 1.0
     )
-    chi = None if identity else chi_cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
+    u, chi = (None, None) if identity else _cutoff(psq, spec.rho)  # chi while h is held raises the peak memory
     hval, grad = pot.evaluate(t1, t2, z, with_grad, with_h or not identity)
     if identity:
         if grad is None or not (with_h and cut) or np.isfinite(hval).all():
             return CutoffTerms(psq, hval, grad, grad is not None)
-        chi = chi_cutoff(psq, spec.rho)
+        u, chi = _cutoff(psq, spec.rho)
     if grad is None:
         return CutoffTerms(psq, chi * hval, None)
     grad = chi[..., None] * np.asarray(grad, dtype=float)
     if cut:
-        dh = 2.0 * chi_cutoff_prime(psq, spec.rho) * hval
+        dh = 2.0 * (0.0 - smoothstep_prime(u)) * hval  # chi'; 0.0 -, not -: +0.0 outside the ramp
         for k in range(2 * spec.n_pairs, spec.dim):  # per component: the same products, faster loops
             grad[..., k] += dh * z[..., k]
     return CutoffTerms(psq, chi * hval if with_h else None, grad)
@@ -582,7 +595,7 @@ def hofer_norm(spec: HamiltonianSpec, q_points_cap: int = 4096, t_points: int = 
     qs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim_q)
     ps = _p_samples(spec, 5)
     if pot.built_in and not pot.time_dependent:  # a built-in reads the q part of z alone
-        vals = chi_cutoff(component_sum(ps**2), spec.rho) * pot.value(0.0, 0.0, qs)[:, None]
+        vals = chi_cutoff(square_sum(ps), spec.rho) * pot.value(0.0, 0.0, qs)[:, None]
         return HoferEstimate(float(np.max(vals) - np.min(vals)), per_dim, ps.shape[0], 1, False)
     # every q with every p, q-major: one array filled by broadcasting
     zs = np.empty((qs.shape[0], ps.shape[0], spec.dim))

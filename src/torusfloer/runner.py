@@ -41,6 +41,7 @@ from .hamiltonians import (
     component_sum,
     hamiltonian_from_config,
     nonlinearity_from_config,
+    square_sum,
 )
 from .spectral import FieldError, TorusField, check_grid_size, constant_field, random_band_limited, sobolev_seminorm
 
@@ -297,7 +298,7 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
     Whether a result's field is an `exact_constant` is decided once, and its
     (4n,) value kept on the record as `row` (`dedup` reads it).  The rows'
     stats come in one batch, with the bits of `_field_stats` and `action` of
-    their fields: a row's |p|^2 (`component_sum`, as `cutoff_terms` takes it)
+    their fields: a row's |p|^2 (`square_sum`, as `cutoff_terms` takes it)
     is its field's max, `grid_mean` of its copies the field's mean, and the
     q means are numpy's mean over a broadcast (B, N, N, 2n) view.  Under an
     autonomous h the rows' actions come from one constant grid of them,
@@ -311,7 +312,7 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
     batch = [i for i, row in enumerate(rows) if row is not None]
     if batch:
         n, q, block = config.grid_size, 2 * spec.n_pairs, np.array([rows[i] for i in batch])
-        p_sq = component_sum(block[:, q:] ** 2)
+        p_sq = square_sum(block[:, q:])
         p_norm_sq = grid_mean(np.repeat(p_sq[:, None], min(n * n, PAIRWISE_BLOCK), axis=1), n * n)
         q_means = np.mean(np.broadcast_to(block[:, None, None, :q], (len(batch), n, n, q)), axis=(1, 2))
         if spec.potential.time_dependent:

@@ -26,6 +26,7 @@ from torusfloer.floer import (
 from torusfloer.hamiltonians import (
     CustomPotential,
     HamiltonianSpec,
+    TrigPotential,
     hamiltonian_from_config,
     hamiltonian_residual,
     hofer_norm,
@@ -315,22 +316,31 @@ def _takes_constant_path(spec, z):
     return floer.constant_start(spec, z) is not None
 
 
+# n = 2: four q and four p components, so |p|^2 sums four squares
+TRIG_N2 = {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 0, 0, 1], [0, 1, 1, 0], [1, -1, 0, 2]]}
+
+
 @pytest.mark.parametrize(
-    "n_grid, potential, rho, ds",
+    "n_grid, potential, rho, ds, p",
     [
         # a flagship lattice constant (6x6 lattice) at a larger epsilon
-        (32, {"kind": "trig_potential", "epsilon": 2.5, "modes": [[1, 0], [0, 1]]}, 4.0, 0.02),
+        (32, {"kind": "trig_potential", "epsilon": 2.5, "modes": [[1, 0], [0, 1]]}, 4.0, 0.02, [0.0, 0.0]),
         # non-axis modes: the nonlinearity goes through matmul kernels
-        (32, {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 2], [3, -1], [1, 1]]}, 4.0, 0.02),
+        (32, {"kind": "trig_potential", "epsilon": 0.5, "modes": [[1, 2], [3, -1], [1, 1]]}, 4.0, 0.02, [0.0, 0.0]),
         # a step long enough to be halved
-        (16, {"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]}, np.inf, 0.09),
+        (16, {"kind": "trig_potential", "epsilon": 30.0, "modes": [[1, 0], [0, 1]]}, np.inf, 0.09, [0.0, 0.0]),
+        (16, TRIG_N2, 4.0, 0.02, [0.0] * 4),
+        # h = 0: p grows by 1 / (1 - ds) a step, across the cut-off ramp to the escape
+        (16, {"kind": "zero", "n_pairs": 2}, 4.0, 0.02, [0.3, -0.2, 0.1, 0.4]),
     ],
+    ids=["32-potential0-4.0-0.02", "32-potential1-4.0-0.02", "16-potential2-inf-0.09", "trig_n2", "zero_n2"],
 )
 @pytest.mark.parametrize("seed", ["lattice", "random"])
-def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential, rho, ds, seed):
+def test_constant_path_flow_is_bit_identical(monkeypatch, rng, n_grid, potential, rho, ds, p, seed):
     spec = hamiltonian_from_config(potential, rho=rho)
-    q = [np.pi / 3, 0.0] if seed == "lattice" else list(rng.uniform(0, 2 * np.pi, size=2))
-    z0 = constant_field(n_grid, [*q, 0.0, 0.0], "z")
+    n = spec.n_pairs
+    q = [np.pi / 3, 0.0] * n if seed == "lattice" else list(rng.uniform(0, 2 * np.pi, size=2 * n))
+    z0 = constant_field(n_grid, [*q, *p], "z")
     assert _takes_constant_path(spec, z0)
     fast = flow_to_solution(z0, spec, ds=ds, s_max=40.0)
     _full_grid_only(monkeypatch)
@@ -373,22 +383,27 @@ def _trajectory_bytes(traj):
 
 
 @pytest.mark.parametrize(
-    "rho, p, r, snapshot_every",
+    "potential, rho, p, r, snapshot_every",
     [
-        (4.0, [0.0, 0.0], 0.5, 50),
+        (TRIG, 4.0, [0.0, 0.0], 0.5, 50),
         # |p|^2 = 1.93 starts past rho - 1: the samples of one block lie on and beyond the cut-off ramp,
         # and the trajectory ends at the escape, sample 48
-        (2.5, [1.2, -0.7], 0.5, 10),
+        (TRIG, 2.5, [1.2, -0.7], 0.5, 10),
         # |p|^2 crosses rho - 1 and rho within the first block and escapes at sample 71
-        (4.0, [1.2, -0.7], 0.5, 10),
+        (TRIG, 4.0, [1.2, -0.7], 0.5, 10),
         # 3,101 samples: three full blocks and a part, with velocities across their boundaries
-        (4.0, [0.0, 0.0], 9.0, 500),
+        (TRIG, 4.0, [0.0, 0.0], 9.0, 500),
+        # n = 2: |p|^2 = 2.03 crosses the cut-off ramp and escapes
+        (TRIG_N2, 4.0, [1.2, -0.7, 0.3, 0.1], 0.5, 10),
+        (TRIG_N2, 4.0, [0.0] * 4, 0.5, 50),
+        ({"kind": "zero", "n_pairs": 2}, 4.0, [0.3, -0.2, 0.1, 0.4], 0.5, 10),
     ],
+    ids=["4.0-p0-0.5-50", "2.5-p1-0.5-10", "4.0-p2-0.5-10", "4.0-p3-9.0-500", "trig_n2_ramp", "trig_n2", "zero_n2"],
 )
-def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, rho, p, r, snapshot_every):
-    spec = trig_spec(rho)
-    q = rng.uniform(0, 2 * np.pi, size=2)
-    z0 = constant_field(16, [q[0], q[1], *p], "z")
+def test_constant_path_homotopy_is_bit_identical(monkeypatch, rng, potential, rho, p, r, snapshot_every):
+    spec = hamiltonian_from_config(potential, rho=rho)
+    q = rng.uniform(0, 2 * np.pi, size=2 * spec.n_pairs)
+    z0 = constant_field(16, [*q, *p], "z")
     assert _takes_constant_path(spec, z0)
 
     def run():
@@ -529,6 +544,28 @@ def test_constant_homotopy_steps_on_the_gradient_alone(monkeypatch, n_grid):
         assert len(calls) <= -(-samples // floer.HOMOTOPY_BLOCK) + 2
     else:
         assert len(calls) >= samples
+
+
+@pytest.mark.parametrize("r", [1.0, 9.0])
+def test_constant_homotopy_calls_the_kernel_once_a_weighted_step(monkeypatch, r):
+    """The potential's formulas run once a weighted step, without h, and with h once a block and once for each of
+    the two end residuals; a stretch of zero weight runs none."""
+    spec = trig_spec()
+    calls = Counter()
+    kernel = TrigPotential._kernel
+
+    def counted(pot, t1, t2, q, with_grad, with_h):
+        calls[with_grad, with_h] += 1
+        return kernel(pot, t1, t2, q, with_grad, with_h)
+
+    monkeypatch.setattr(TrigPotential, "_kernel", counted)
+    z0 = constant_field(32, [1.0, 2.0, 0.0, 0.0], "z")
+    assert _takes_constant_path(spec, z0)
+    traj = run_homotopy(z0, spec, r=r, ds=5e-3)
+    weighted = np.count_nonzero(traj.profile.value(traj.s[:-1]))
+    blocks = -(-len(traj.s) // floer.HOMOTOPY_BLOCK)
+    assert (len(traj.s), weighted, blocks) == ((1401, 999, 2) if r == 1.0 else (6201, 5799, 7))
+    assert calls == {(True, False): weighted, (True, True): blocks + 2}
 
 
 @pytest.mark.parametrize("n_grid", [32, 24])
@@ -782,8 +819,8 @@ def test_polish_batch_is_bit_identical_to_seeds_polished_alone(rng, modes):
 def test_constant_start_takes_equal_bytes_only():
     spec = trig_spec()
     z = constant_field(32, [1.0, 2.0, 0.0, 0.0], "z")
-    row, coef = floer.constant_start(spec, z), _FlowGrid(spec, None, z).start[1]
-    assert row.shape == (1, 32, 4) and coef.shape == (1, 1, 4)
+    row, (vals, coef) = floer.constant_start(spec, z), _FlowGrid(spec, None, z).start
+    assert row.shape == (1, 32, 4) and coef is vals and vals.shape == (1, floer.CONSTANT_ROW, 4)  # values are modes
     values = z.values.copy()
     values[5, 7, 2] = -0.0  # equal to 0.0, but not the same bytes
     assert floer.constant_start(spec, TorusField(values, "z")) is None

@@ -20,7 +20,6 @@ from torusfloer.hamiltonians import (
     TrigPotential,
     action_bound_constants,
     chi_cutoff,
-    chi_cutoff_prime,
     cutoff_terms,
     ddw_kernel_witness,
     ddw_residual,
@@ -32,6 +31,7 @@ from torusfloer.hamiltonians import (
     legendre_transform,
     nonlinearity_from_config,
     quadratic_lagrangian,
+    smoothstep_prime,
 )
 from torusfloer.spectral import (
     TorusField,
@@ -66,16 +66,24 @@ def test_chi_cutoff_support():
     assert np.all(chi[x <= 3.0] == 1.0)
     assert np.all(chi[x >= 4.0] == 0.0)
     assert np.all((chi >= 0.0) & (chi <= 1.0))
-    # C^1: derivative vanishes at both knots
-    assert chi_cutoff_prime(3.0, 4.0) == 0.0
-    assert chi_cutoff_prime(4.0, 4.0) == 0.0
-    assert chi_cutoff_prime(3.5, 4.0) == pytest.approx(-1.5)
+    # C^1: chi'(x) = -smoothstep'(x - (rho - 1)), as cutoff_terms takes it, vanishes at both knots
+    assert smoothstep_prime(0.0) == 0.0
+    assert smoothstep_prime(1.0) == 0.0
+    assert smoothstep_prime(0.5) == pytest.approx(1.5)
 
 
 def test_chi_cutoff_infinite_rho():
     x = np.linspace(0, 100, 11)
     assert np.all(chi_cutoff(x, np.inf) == 1.0)
-    assert np.all(chi_cutoff_prime(x, np.inf) == 0.0)
+    # chi' = 0: the gradient of an h that depends on p is h's own, to the bit
+    pot = CustomPotential(
+        1,
+        lambda t1, t2, z: np.cos(z[..., 0]) + 0.5 * z[..., 2] ** 2,
+        lambda t1, t2, z: np.stack([-np.sin(z[..., 0]), np.zeros(z.shape[:-1]), z[..., 2], np.zeros(z.shape[:-1])], -1),
+    )
+    z = np.random.default_rng(5).uniform(-3.0, 3.0, size=(50, 4))
+    grad = cutoff_terms(HamiltonianSpec(pot, np.inf), 0.0, 0.0, z).grad
+    assert grad.tobytes() == pot.grad_h(0.0, 0.0, z).tobytes()
 
 
 # ---------------------------------------------------------------------------

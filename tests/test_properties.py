@@ -28,6 +28,8 @@ from torusfloer.hamiltonians import (
     hamiltonian_residual,
     hamiltonian_value,
     nonlinearity_from_config,
+    smoothstep_prime,
+    square_sum,
 )
 from torusfloer.spectral import (
     TorusField,
@@ -147,8 +149,8 @@ def test_exact_constants_have_the_transform_they_claim(log_n, point):
     """rfft2 of an exact constant is its value at (0, 0), bytes and signed zeros included, and 0 elsewhere.
 
     constant_start takes the value as the (0, 0) mode without a transform,
-    and the constant grid holds it as a real number: cast to complex, it has
-    the transform's bytes, imaginary part +0.0 included.
+    and the constant grid holds it as a real number at each of its points:
+    cast to complex, it has the transform's bytes, imaginary part +0.0 included.
     """
     n = 1 << log_n
     values = np.broadcast_to(np.asarray(point), (n, n, 4)).copy()
@@ -159,7 +161,8 @@ def test_exact_constants_have_the_transform_they_claim(log_n, point):
         assert not np.any(zhat[1:]) and not np.any(zhat[0, 1:])
         z = TorusField(values, "z")
         row, coefficient = floer.constant_start(ZERO, z), _FlowGrid(ZERO, None, z).start[1]
-        assert coefficient.astype(complex).tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
+        assert coefficient[:, :1].astype(complex).tobytes() == np.ascontiguousarray(zhat[:1, :1]).tobytes()
+        assert coefficient[:, 1:].tobytes() == coefficient[:, :1].tobytes()
         assert row.tobytes() == values[:1].tobytes()
 
 
@@ -264,6 +267,29 @@ def _reference_chi(x, rho):
     uu = u[inside]
     dchi[inside] = -6.0 * uu * (1.0 - uu)
     return chi, dchi
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    u=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.floats(-0.01, 1.01),
+            st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52, np.nan, -np.nan]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_smoothstep_prime_has_the_bits_of_the_masked_formula(u):
+    """6u(1 - u) inside (0, 1), selected without a mask, has the bits of the product over the masked entries: +0.0
+    outside, NaN included, for arrays and for scalars."""
+    u = np.array(u)
+    ref = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    ref[inside] = 6.0 * u[inside] * (1.0 - u[inside])
+    assert _bits(smoothstep_prime(u)) == _bits(ref)
+    assert _bits(smoothstep_prime(u[0])) == _bits(ref[0])
 
 
 def _separate_evaluations(pot, spec, t1, t2, z):
@@ -393,6 +419,42 @@ def test_component_sum_rounds_like_a_c_ordered_sum(k, rows, seed, major):
     ref = np.sum(x, axis=-1)
     got = component_sum(_component_major(x) if major else x)
     assert got.tobytes() == ref.tobytes()
+
+
+# NaNs of both signs, with a payload and signalling, besides the transforms' special values
+SQUARE_SPECIALS = np.concatenate(
+    [TRANSFORM_SPECIALS, np.array([0xFFF8000000000000, 0x7FF80000DEADBEEF, 0x7FF0000000000001], np.uint64).view(float)]
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    k=st.integers(1, 20),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    major=st.booleans(),
+    part=st.sampled_from(["q", "p"]),
+    share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_square_sum_has_the_bytes_of_the_component_sum_of_squares(k, rows, seed, major, part, share):
+    """`square_sum` has the bytes of component_sum(x * x) on the q or p half of a C-ordered or component-major
+    array, as cutoff_terms takes |p|^2 on either grid: signed zeros, overflow and inf included, and NaN where that is.
+
+    Which payload a sum of two NaNs keeps is numpy's choice, and not a fixed one: a 1-element in-place add keeps the
+    second operand's, a longer one the first's.  So a NaN counts as a NaN alone.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, 5, 2 * k)) * 10.0 ** rng.uniform(-170, 170, 2 * k)
+    special = rng.random(x.shape) < share
+    x[special] = rng.choice(SQUARE_SPECIALS, int(special.sum()))
+    x = _component_major(x) if major else x
+    x = x[..., k:] if part == "p" else x[..., :k]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # invalid: a signalling NaN's square
+        ref = component_sum(x * x)
+        got = square_sum(x)
+    assert got.shape == ref.shape == x.shape[:-1]
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == ref[~nan].tobytes()
 
 
 # the trailing-layout reference below: potentials with n = 1 and n = 2, axis and non-axis modes
@@ -690,7 +752,7 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
     for weight in (1.0, 0.37, 1.0):
         ref_grad = _separate_evaluations(pot, spec, grid.t1, grid.t2, vals)[2]
         terms = grid.evaluate(vals)
-        rhs = grid._rhs(zhat, terms, ds, weight)
+        rhs = grid._rhs(zhat, terms, ds[:, None, None], weight)
         assert _bits(rhs) == _bits(zhat + ds[:, None, None] * floer._rfft2(weight * ref_grad))
         vals, zhat = grid.step(zhat, terms, ds, weight)
         ref_vals, ref_hat = _parent_step(grid, pot, ref_vals, ref_hat, ds, weight)
