@@ -47,14 +47,12 @@ from .floer import (
 )
 from .hamiltonians import (
     HamiltonianError,
-    HamiltonianSpec,
     LagrangianSpec,
     LegendreError,
     TrigPotential,
-    check_run_potential,
+    hamiltonian_from_config,
     hofer_norm,
     legendre_transform,
-    nonlinearity_from_config,
     quadratic_lagrangian,
     ddw_kernel_witness,
     ddw_residual,
@@ -282,9 +280,7 @@ def check_flow(args, data):
         _beside_config(args, [("--h", "potential"), ("--epsilon", "potential"), ("--rho", "rho")])
         if "grid_size" in data:
             _beside_config(args, [("--grid", "grid_size")])
-    pot = nonlinearity_from_config(data.get("potential", {"kind": "zero", "n_pairs": 1}))
-    check_run_potential(pot)
-    spec = HamiltonianSpec(pot, rho=data.get("rho", np.inf))
+    spec = hamiltonian_from_config(data.get("potential", {"kind": "zero", "n_pairs": 1}), data.get("rho", np.inf))
     n_grid = data.get("grid_size", 32 if args.grid is None else args.grid)
     if not isinstance(n_grid, int) or isinstance(n_grid, bool):
         raise InputError(f"grid_size must be an integer, got {n_grid!r}")
@@ -338,9 +334,7 @@ def check_energy(args, data):
         if "potential" in data:  # --epsilon fills in a missing potential
             _beside_config(args, [("--epsilon", "potential")])
             potential = data["potential"]
-    pot = nonlinearity_from_config(potential)
-    check_run_potential(pot)
-    spec = HamiltonianSpec(pot, rho=args.rho)
+    spec = hamiltonian_from_config(potential, args.rho)
     if args.load is not None:
         base = Path(args.load)
         try:

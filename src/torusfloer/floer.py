@@ -443,10 +443,10 @@ class _FlowGrid:
         self._setup(spec, triple, Z.grid_size, row is not None, start)
 
     @classmethod
-    def constants(cls, spec, triple, n: int, z) -> "_FlowGrid":
-        """The constant grid of the constant states z of an N x N grid, one (4n,) row per seed."""
+    def constants(cls, spec, n: int, z) -> "_FlowGrid":
+        """The constant grid of the constant states z of an N x N grid, one (4n,) row per seed; it reads no triple."""
         grid = cls.__new__(cls)
-        grid._setup(spec, triple, n, True, _constant_state(z))
+        grid._setup(spec, None, n, True, _constant_state(z))
         return grid
 
     def _setup(self, spec, triple, n, constant, start):
@@ -733,7 +733,7 @@ def flow_constants(
     """
     if not starts:
         return []
-    grid = _FlowGrid.constants(spec, None, starts[0].shape[1], np.concatenate([row[:, 0] for row in starts]))
+    grid = _FlowGrid.constants(spec, starts[0].shape[1], np.concatenate([row[:, 0] for row in starts]))
     return _flow(grid, tol, s_max, ds, stop)
 
 
@@ -773,7 +773,7 @@ def polish_constants(results: list, spec: HamiltonianSpec, tol: float) -> list:
     polished = [None] * len(results)
     seeds = np.arange(len(results))
     dim = spec.dim
-    grid = _FlowGrid.constants(spec, None, results[0].Z.grid_size, np.stack([r.Z.values[0, 0] for r in results]))
+    grid = _FlowGrid.constants(spec, results[0].Z.grid_size, np.stack([r.Z.values[0, 0] for r in results]))
     vals, zhat = grid.start
     z = vals[:, 0]
     terms = grid.evaluate(vals)  # one evaluation per state, read by its residual and its F

@@ -412,7 +412,11 @@ class HamiltonianSpec:
 
 
 def hamiltonian_from_config(cfg: dict, rho: float = np.inf) -> HamiltonianSpec:
-    return HamiltonianSpec(nonlinearity_from_config(cfg), rho)
+    """The spec of a run's potential config: built (`nonlinearity_from_config`), checked as run input
+    (`check_run_potential`), then given the cut-off radius rho."""
+    pot = nonlinearity_from_config(cfg)
+    check_run_potential(pot)
+    return HamiltonianSpec(pot, rho)
 
 
 # pointwise cut-off evaluations ------------------------------------------------
@@ -773,14 +777,14 @@ class _QuadraticLagrangian:
 
     def value(self, t1, t2, q, v):
         v = np.asarray(v, dtype=float)
-        h = self.potential._kernel(t1, t2, np.ascontiguousarray(q, dtype=float), False, True)[0]
+        h = self.potential.value(t1, t2, q)
         return 0.5 * np.sum(v * v, axis=-1) - h
 
     def v_grad(self, t1, t2, q, v):
         return np.asarray(v, dtype=float)
 
     def q_grad(self, t1, t2, q, v):
-        return -self.potential._kernel(t1, t2, np.ascontiguousarray(q, dtype=float), True, False)[1]
+        return -self.potential.evaluate(t1, t2, q, True, False)[1]
 
     def v_hess(self, t1, t2, q, v):
         return np.eye(np.shape(v)[-1])

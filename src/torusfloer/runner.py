@@ -37,10 +37,8 @@ from .floer import (
 from .hamiltonians import (
     HamiltonianSpec,
     action_bound_constants,
-    check_run_potential,
     component_sum,
     hamiltonian_from_config,
-    nonlinearity_from_config,
     square_sum,
 )
 from .spectral import FieldError, TorusField, check_grid_size, constant_field, random_band_limited, sobolev_seminorm
@@ -128,12 +126,8 @@ class ExperimentConfig:
             check_flow_steps(self.s_max, self.ds)  # per seed: a constant seed's `constant_step` takes fewer
         except FlowError as exc:
             raise ConfigError(str(exc)) from None
-        pot = nonlinearity_from_config(self.potential)
-        if pot.n_pairs != self.n_pairs:
-            raise ConfigError(
-                f"potential is for n_pairs={pot.n_pairs}, config says {self.n_pairs}"
-            )
-        check_run_potential(pot)
+        if self.spec.n_pairs != self.n_pairs:
+            raise ConfigError(f"potential is for n_pairs={self.spec.n_pairs}, config says {self.n_pairs}")
 
     @property
     def n_lattice_seeds(self) -> int:
@@ -144,7 +138,7 @@ class ExperimentConfig:
         return self.n_lattice_seeds + self.random_starts
 
     def build_spec(self) -> HamiltonianSpec:
-        """The run's spec; rho defaults to 4 plus the action bound's |p|^2 level."""
+        """The run's spec (`hamiltonian_from_config`); rho defaults to 4 plus the action bound's |p|^2 level."""
         spec = hamiltonian_from_config(self.potential)
         if self.rho is not None:
             rho = float(self.rho)
@@ -155,7 +149,7 @@ class ExperimentConfig:
 
     @cached_property
     def spec(self) -> HamiltonianSpec:
-        """`build_spec()` once, kept beside the frozen fields: pickled with them, not copied by `replace`."""
+        """`build_spec()` once, in `__post_init__`; kept beside the frozen fields, pickled, not copied by `replace`."""
         return self.build_spec()
 
     @classmethod
@@ -260,10 +254,10 @@ def _record_from_result(
     """The record of one converged flow result.
 
     stats is (row, q_mean, max_p_sq, p_norm_sq, action) as `_records` takes
-    them.  Without it they come from the field (`_exact_row`, `_field_stats`
-    and `action`): the reference whose bits the batch of `_records` has,
-    which the tests compare against.  A field that is not an exact constant
-    classifies by its seminorm.
+    them for a result with a row.  Without it they come from the field
+    (`_exact_row`, `_field_stats` and `action`): the reference whose bits the
+    batch of `_records` has, which the tests compare against.  A field that
+    is not an exact constant classifies by its seminorm.
     """
     z = result.Z
     if stats is None:
@@ -318,38 +312,25 @@ def _records(config: ExperimentConfig, spec: HamiltonianSpec, converged: list) -
         if spec.potential.time_dependent:
             actions = [action(spec, converged[i][1].Z) for i in batch]
         else:
-            grid = _FlowGrid.constants(spec, None, n, block)
+            grid = _FlowGrid.constants(spec, n, block)
             vals, zhat = grid.start
             actions = [float(a) for a in grid.action(zhat, grid.evaluate(vals), 1.0)]
         for i, m, x, p, a in zip(batch, q_means, p_sq, p_norm_sq, actions):
             stats[i] = (rows[i], m, float(x), float(p), a)
-    return [
-        _record_from_result(
-            config, spec, idx, result, stats[i] or (rows[i], *_field_stats(result.Z), action(spec, result.Z))
-        )
-        for i, (idx, result) in enumerate(converged)
-    ]
+    return [_record_from_result(config, spec, idx, result, stats[i]) for i, (idx, result) in enumerate(converged)]
 
 
-def _flow_options(config: ExperimentConfig) -> dict:
-    return {
-        "tol": config.residual_tol,
-        "s_max": config.s_max,
-        "ds": config.ds,
-    }
+def solve_seed(config: ExperimentConfig, z0: TorusField) -> FlowResult:
+    """Flow one built seed field z0 alone under config.spec."""
+    return flow_to_solution(z0, config.spec, tol=config.residual_tol, s_max=config.s_max, ds=config.ds)
 
 
-def solve_seed(config: ExperimentConfig, index: int):
-    """Flow one seed alone under config.spec; returns (index, FlowResult)."""
-    return index, flow_to_solution(seed_field(config, index), config.spec, **_flow_options(config))
-
-
-def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop):
-    """Flow the seeds `indices`, each built when its turn comes; returns ({index: FlowResult}, stopped).
+def _solve_seeds(config: ExperimentConfig, indices, stop):
+    """Flow the seeds `indices` under config.spec, each built in its turn; returns ({index: FlowResult}, stopped).
 
     A seed that `constant_start` accepts keeps only its first row; every
-    other seed flows at once.  The constant seeds then flow as one batch
-    (`flow_constants`), each bit-identical to its own flow, at the step
+    other seed flows at once (`solve_seed`).  The constant seeds then flow as
+    one batch (`flow_constants`), each bit-identical to its own flow, at the step
     `constant_step` of config.ds, but only down to the residual
     `polish_level`; `polish_constants` takes each seed that got there on to
     residual_tol.  A seed whose polish fails flows again from its start, at
@@ -359,15 +340,14 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
     before each seed and between batch steps; once it returns True, the
     seeds not finished are left out and stopped is True.
     """
-    results, constants = {}, {}
-    options = _flow_options(config)
+    spec, results, constants = config.spec, {}, {}
     for idx in indices:
         if stop():
             return results, True
         z0 = seed_field(config, idx)
         start = constant_start(spec, z0)
         if start is None:
-            results[idx] = flow_to_solution(z0, spec, **options)
+            results[idx] = solve_seed(config, z0)
         else:
             constants[idx] = start
     if not constants:
@@ -375,14 +355,13 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
     if stop():
         return results, True
     starts = list(constants.values())
-    tol = options["tol"]
-    options["ds"] = constant_step(spec, config.ds)
-    batch = flow_constants(starts, spec, stop=stop, **{**options, "tol": max(tol, polish_level(spec))})
+    tol, s_max, ds = config.residual_tol, config.s_max, constant_step(spec, config.ds)
+    batch = flow_constants(starts, spec, max(tol, polish_level(spec)), s_max, ds, stop)
     handed = [i for i, r in enumerate(batch) if r is not None and r.converged and not r.residual_norm < tol]
     for i, result in zip(handed, polish_constants([batch[i] for i in handed], spec, tol)):
         batch[i] = result
     failed = [i for i in handed if batch[i] is None]
-    for i, result in zip(failed, flow_constants([starts[i] for i in failed], spec, stop=stop, **options)):
+    for i, result in zip(failed, flow_constants([starts[i] for i in failed], spec, tol, s_max, ds, stop)):
         batch[i] = result
     results.update((idx, result) for idx, result in zip(constants, batch) if result is not None)
     return results, any(result is None for result in batch)
@@ -390,7 +369,7 @@ def _solve_seeds(config: ExperimentConfig, spec: HamiltonianSpec, indices, stop)
 
 def _solve_seeds_task(config: ExperimentConfig, indices, deadline: float | None):
     """_solve_seeds in a worker process under the pickled config's spec; deadline is a time.time() value or None."""
-    return _solve_seeds(config, config.spec, indices, lambda: deadline is not None and time.time() > deadline)
+    return _solve_seeds(config, indices, lambda: deadline is not None and time.time() > deadline)
 
 
 class MultistartResult(NamedTuple):
@@ -417,7 +396,6 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
     serial run, and `import torusfloer.cli`, never load `concurrent.futures`
     or `multiprocessing`.
     """
-    spec = config.spec  # built before the pool pickles the config, so the workers receive it
     divergent, unfinished = [], []
     start = time.monotonic()
     cap = config.wall_clock_cap
@@ -444,7 +422,7 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
                         pending.cancel()
                     break
     else:
-        results, budget_exhausted = _solve_seeds(config, spec, indices, over_budget)
+        results, budget_exhausted = _solve_seeds(config, indices, over_budget)
 
     converged = []
     for idx in sorted(results):
@@ -457,7 +435,7 @@ def multistart_solve(config: ExperimentConfig, jobs: int = 1) -> MultistartResul
             result.n_steps, result.n_halvings,
         )
         (divergent if result.diverged else unfinished).append(record)
-    return MultistartResult(_records(config, spec, converged), divergent, unfinished, budget_exhausted)
+    return MultistartResult(_records(config, config.spec, converged), divergent, unfinished, budget_exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -954,7 +954,9 @@ def test_perfbench_tracing_times_a_cuplength_run(tmp_path, grid_size):
     At N = 16 every record is an exact constant, whose action comes from the
     batch of `_records`, so no `hamiltonians.action` span is recorded.  At
     N = 24 no record has a row (the grid is not a power of two), and each
-    record's action is one span.
+    record's action is one span.  Every seed that is not a constant flows
+    through `runner.solve_seed`, one `runner.seed` span each: the random
+    start at N = 16, all 4 + 1 seeds at N = 24 (`constant_start` takes none).
     """
     tracing = _perfbench_tracing()
     cfg = tmp_path / "config.json"
@@ -969,6 +971,8 @@ def test_perfbench_tracing_times_a_cuplength_run(tmp_path, grid_size):
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer)
     assert metrics["runner.build_spec.calls"] >= 1
+    assert tracer.names.count("runner.seed") == {16: 1, 24: 5}[grid_size]
+    assert metrics["runner.seed_s.p50"] > 0.0
     converged = read_json(tmp_path / "traced" / "report.json")["n_converged"]
     assert converged > 0
     if grid_size == 16:

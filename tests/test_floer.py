@@ -30,6 +30,7 @@ from torusfloer.hamiltonians import (
     hamiltonian_from_config,
     hamiltonian_residual,
     hofer_norm,
+    nonlinearity_from_config,
 )
 from torusfloer.spectral import (
     TorusField,
@@ -177,7 +178,7 @@ def test_step_regime_is_the_spectrum_of_the_standard_mode_operator(n_pairs, n_gr
 
 @pytest.mark.parametrize("ds", [[0.01, 0.0, 0.02], [0.01, -0.01, 0.02], [0.01, 1.0, 0.02]])
 def test_constant_grid_rejects_any_seeds_step_outside_the_regime(ds):
-    grid = _FlowGrid.constants(free_spec(), None, 16, np.zeros((3, 4)))
+    grid = _FlowGrid.constants(free_spec(), 16, np.zeros((3, 4)))
     with pytest.raises(FlowError, match=r"step size must lie in \(0, 1\)|leaves the step regime"):
         grid.step(grid.start[1], grid.evaluate(grid.start[0]), np.array(ds), 1.0)
 
@@ -632,11 +633,11 @@ def test_constant_grid_action_after_a_step_is_a_fresh_grids():
     """A step leaves nothing behind: the actions of the state before it and after it are a fresh grid's."""
     spec = trig_spec()
     z = np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]])  # |p|^2 inside and on the cut-off ramp
-    grid = _FlowGrid.constants(spec, None, 16, z)
+    grid = _FlowGrid.constants(spec, 16, z)
     vals, zhat = grid.start
     new_vals, new_hat = grid.step(zhat, grid.evaluate(vals, with_h=False), np.full(2, 0.01), 0.7)
     for state, (v, zh) in ((z, (vals, zhat)), (new_vals[:, 0], (new_vals, new_hat))):
-        fresh = _FlowGrid.constants(spec, None, 16, state)
+        fresh = _FlowGrid.constants(spec, 16, state)
         terms, fresh_terms = grid.evaluate(v), fresh.evaluate(fresh.start[0])
         assert grid.action(zh, terms, 0.7).tobytes() == fresh.action(fresh.start[1], fresh_terms, 0.7).tobytes()
         assert grid.mean(terms.h).tobytes() == fresh.mean(fresh_terms.h).tobytes()
@@ -850,7 +851,7 @@ def test_flow_grid_takes_the_constant_path_by_the_batch_rule(case):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_flow_ends_at_once_on_a_start_residual_that_is_not_finite():
     """At q = (pi, 0) the residual eps sin(pi) of eps = 1e200 overflows to inf: no scale for a blow-up."""
-    spec = hamiltonian_from_config({**TRIG, "epsilon": 1e200})
+    spec = HamiltonianSpec(nonlinearity_from_config({**TRIG, "epsilon": 1e200}))  # past a run's C3 cap
     result = flow_to_solution(constant_field(16, [np.pi, 0.0, 0.0, 0.0], "z"), spec, s_max=0.05)
     assert result.diverged and not result.converged
     assert (result.reason, result.n_steps, result.residual_norm) == ("residual blow-up", 0, np.inf)
@@ -859,7 +860,7 @@ def test_flow_ends_at_once_on_a_start_residual_that_is_not_finite():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_residual_that_overflows_at_s_max_is_a_blow_up():
     """No check falls inside the run, so the residual is first taken again at s_max, where it overflows."""
-    spec = hamiltonian_from_config({**TRIG, "epsilon": 1e200})
+    spec = HamiltonianSpec(nonlinearity_from_config({**TRIG, "epsilon": 1e200}))  # past a run's C3 cap
     z0 = constant_field(16, [1e-190, 0.0, 0.0, 0.0], "z")
     result = flow_to_solution(z0, spec, s_max=1e-4)
     assert result.n_steps > 0 and result.diverged and not result.converged
@@ -994,7 +995,7 @@ def test_step_evaluates_nothing(monkeypatch, constant, weight):
     """The step reads the evaluation it is handed, and a second step from it gives the same bytes."""
     spec = trig_spec()
     if constant:
-        grid = _FlowGrid.constants(spec, None, 16, np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]]))
+        grid = _FlowGrid.constants(spec, 16, np.array([[1.0, 2.0, 0.3, -0.2], [0.5, -1.0, 1.2, 0.7]]))
     else:
         grid = _FlowGrid(spec, None, random_band_limited(np.random.default_rng(3), 16, 4, 2, 0.1, "z"))
     assert grid.constant == constant

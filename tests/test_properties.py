@@ -765,7 +765,7 @@ def test_q_plane_step_matches_the_step_that_transforms_every_plane(k, rho, half,
 
 def _constant_grid(spec, n, z):
     """The constant grid of an N grid holding the constant states z, one (4n,) row of z per seed."""
-    return _FlowGrid.constants(spec, standard_structures(spec.n_pairs), n, z)
+    return _FlowGrid.constants(spec, n, z)
 
 
 @settings(PROPERTY, max_examples=100)

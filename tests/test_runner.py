@@ -25,7 +25,7 @@ from torusfloer.floer import (
     polish_constants,
     polish_level,
 )
-from torusfloer.hamiltonians import hamiltonian_from_config
+from torusfloer.hamiltonians import TrigPotential, hamiltonian_from_config
 from torusfloer.runner import (
     ConfigError,
     ExperimentConfig,
@@ -121,6 +121,15 @@ def test_config_keeps_its_spec(monkeypatch):
     assert "spec" not in asdict(config)
 
 
+def test_config_builds_one_potential(monkeypatch):
+    """A config reads its potential once: it checks n_pairs against the spec that it keeps."""
+    built = []
+    init = TrigPotential.__init__
+    monkeypatch.setattr(TrigPotential, "__init__", lambda pot, *args: built.append(pot) or init(pot, *args))
+    config = ExperimentConfig(**FAST_TRIG)
+    assert len(built) == 1 and config.spec.potential is built[0]
+
+
 def test_verify_count_builds_the_spec_once(monkeypatch):
     built = _counting_build_spec(monkeypatch)
     verify_count(ExperimentConfig(**{**FAST_TRIG, "lattice_per_dim": 1, "random_starts": 1}))
@@ -169,7 +178,7 @@ def test_replaced_config_builds_its_own_spec(monkeypatch):
     config = ExperimentConfig(**FAST_TRIG)
     finer = replace(config, ds=config.ds / 2)
     assert finer.spec is not config.spec
-    assert built == [finer, config]
+    assert built == [config, finer]
 
 
 def test_seed_fields_deterministic():
@@ -437,7 +446,7 @@ def test_solve_seed_exact_critical_point():
     # lattice seed at (pi, pi) is an exact stationary state
     idx = [i for i in range(4) if np.allclose(
         np.mean(seed_field(config, i).q_part(), axis=(0, 1)), [np.pi, np.pi])][0]
-    _, result = solve_seed(config, idx)
+    result = solve_seed(config, seed_field(config, idx))
     assert result.converged and result.n_steps == 0
 
 
@@ -457,7 +466,7 @@ def test_failed_polish_falls_back_to_the_plain_flow():
     polish = [r for r in handed if not r.residual_norm < config.residual_tol]
     assert len(polish) == 8 and polish_constants(polish, spec, config.residual_tol) == [None] * 8
 
-    results, stopped = _solve_seeds(config, spec, range(config.n_seeds), lambda: False)
+    results, stopped = _solve_seeds(config, range(config.n_seeds), lambda: False)
     plain = flow_constants(starts, spec, tol=config.residual_tol, **options)
     assert not stopped and sorted(results) == list(range(config.n_seeds))
     assert sum(r.reason == "initial residual below tol" for r in plain) == 8
@@ -489,9 +498,8 @@ def test_a_small_potential_hands_over_no_nearer_its_saddle():
     config = ExperimentConfig(
         **{**FAST_TRIG, "potential": potential, "lattice_per_dim": 6, "random_starts": 0, "s_max": 400.0, "ds": 0.08}
     )
-    spec = config.build_spec()
     assert np.array_equal(seed_field(config, 2).values[0, 0], [2 * np.pi / 3, 0.0, 0.0, 0.0])
-    results, stopped = _solve_seeds(config, spec, [2], lambda: False)
+    results, stopped = _solve_seeds(config, [2], lambda: False)
     result = results[2]
     assert not stopped and result.converged and "Newton" in result.reason
     assert result.residual_norm < config.residual_tol

@@ -9,7 +9,6 @@ SRC = ROOT / "src" / "torusfloer"
 
 # module.name or module.class.method -> why it stays without a caller in src/
 UNCALLED_ALLOWED = {
-    "runner.solve_seed": "wrapped by perfbench/tracing.py",
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
